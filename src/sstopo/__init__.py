@@ -1,6 +1,6 @@
 """Intersection topology of B-spline surface pairs via subdivision + Mapper graphs."""
 
-from ._kernels import NUMBA_ENABLED, backend
+from ._kernels import backend
 from .errors import (
     ConfigurationError,
     DegenerateCloudError,

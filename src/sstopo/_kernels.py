@@ -1,39 +1,26 @@
-"""Hot numeric kernels with a numba path and a pure numpy/scipy fallback.
+"""Hot numeric kernels: B-spline evaluation, knot insertion and the
+strict-<delta neighbor queries.
 
-The numba path compiles the explicit-loop implementations below with
-``@njit(cache=True)``. Setting the environment variable ``SSTOPO_NO_NUMBA=1``
-(checked once at import) forces the fallback path, which replaces the
-grid-hash neighbor kernels with cKDTree/csgraph equivalents and runs the
-spline kernels interpreted. Both paths implement identical contracts;
-``benchmarks/bench_kernels.py`` compares their throughput.
+The spline kernels are scalar loops: the nets they see during subdivision
+are a few rows wide, where numpy's per-call overhead costs more than the
+loop. The neighbor queries find point pairs by a vectorized brute-force
+distance matrix below ``BRUTE_FORCE_LIMIT`` points and by a cKDTree at or
+above it. scipy is imported only on the tree path, so small clouds never
+load it.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_FLAG = os.environ.get("SSTOPO_NO_NUMBA", "").strip().lower()
-NUMBA_REQUESTED = _ENV_FLAG not in ("1", "true", "yes", "on")
-
-if NUMBA_REQUESTED:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
-
 # Below this cloud size the neighbor searches use a shared vectorized
-# brute-force path instead of the grid/tree structures.
+# brute-force path instead of a tree.
 BRUTE_FORCE_LIMIT = 256
 
 
 def backend() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
+    """Name of the kernel implementation; there is one, on numpy and scipy."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +28,7 @@ def backend() -> str:
 # ---------------------------------------------------------------------------
 
 
-def _find_span_impl(knots, degree, t):
+def _find_span(knots, degree, t):
     # Largest k in [degree, len(knots)-degree-2] with knots[k] <= t.
     lo = degree
     hi = knots.shape[0] - degree - 2
@@ -56,16 +43,9 @@ def _find_span_impl(knots, degree, t):
     return lo
 
 
-if NUMBA_ENABLED:
-    _find_span_nb = njit(cache=True)(_find_span_impl)
-    _span = _find_span_nb
-else:
-    _span = _find_span_impl
-
-
-def _deboor_point_impl(knots_u, degree_u, knots_v, degree_v, ctrl, u, v):
-    su = _span(knots_u, degree_u, u)
-    sv = _span(knots_v, degree_v, v)
+def deboor_point(knots_u, degree_u, knots_v, degree_v, ctrl, u, v):
+    su = _find_span(knots_u, degree_u, u)
+    sv = _find_span(knots_v, degree_v, v)
     d = ctrl[su - degree_u : su + 1, sv - degree_v : sv + 1, :].copy()
     for r in range(1, degree_u + 1):
         for j in range(degree_u, r - 1, -1):
@@ -86,7 +66,7 @@ def _deboor_point_impl(knots_u, degree_u, knots_v, degree_v, ctrl, u, v):
     return row[degree_v].copy()
 
 
-def _insert_knot_impl(knots, ctrl, degree, t, times):
+def insert_knot(knots, ctrl, degree, t, times):
     # Boehm insertion of t, `times` times, along axis 0 of a (n, w) net.
     # Span: last index with knots[k] <= t, clamped to the top control row so
     # inserting at the valid end of an unclamped vector stays in bounds.
@@ -121,251 +101,29 @@ def _insert_knot_impl(knots, ctrl, degree, t, times):
     return cur_knots, cur
 
 
-if NUMBA_ENABLED:
-    deboor_point = njit(cache=True)(_deboor_point_impl)
-    insert_knot = njit(cache=True)(_insert_knot_impl)
-else:
-    deboor_point = _deboor_point_impl
-    insert_knot = _insert_knot_impl
-
-
-def find_span(knots: np.ndarray, degree: int, t: float) -> int:
-    return int(_span(knots, degree, t))
-
-
 # ---------------------------------------------------------------------------
 # Fixed-radius neighbor kernels (strict < delta)
 # ---------------------------------------------------------------------------
 
 
-def _uf_find_impl(parent, x):
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-if NUMBA_ENABLED:
-    _uf_find = njit(cache=True)(_uf_find_impl)
-else:
-    _uf_find = _uf_find_impl
-
-
-def _grid_keys_impl(pts, delta):
-    # Cell key per point (row-major over shifted cell coords) plus the y-span
-    # needed to decode neighbor offsets.
-    n = pts.shape[0]
-    inv = 1.0 / delta
-    cx = np.empty(n, dtype=np.int64)
-    cy = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        cx[i] = np.int64(np.floor(pts[i, 0] * inv))
-        cy[i] = np.int64(np.floor(pts[i, 1] * inv))
-    minx = cx.min()
-    miny = cy.min()
-    span_y = (cy.max() - miny) + 1
-    keys = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        keys[i] = (cx[i] - minx) * span_y + (cy[i] - miny)
-    return keys, span_y
-
-
-def _grid_components_impl(pts, delta):
-    # One pass over occupied cells; each unordered cell pair is visited once
-    # via the four forward neighbor offsets.
-    n = pts.shape[0]
-    keys, span_y = _grid_keys(pts, delta)
-    order = np.argsort(keys)
-    skeys = keys[order]
-    parent = np.arange(n)
-    d2max = delta * delta
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and skeys[j] == skeys[i]:
-            j += 1
-        for a in range(i, j):
-            pa = order[a]
-            for b in range(a + 1, j):
-                pb = order[b]
-                ddx = pts[pa, 0] - pts[pb, 0]
-                ddy = pts[pa, 1] - pts[pb, 1]
-                if ddx * ddx + ddy * ddy < d2max:
-                    ra = _uf_find(parent, pa)
-                    rb = _uf_find(parent, pb)
-                    if ra != rb:
-                        if ra < rb:
-                            parent[rb] = ra
-                        else:
-                            parent[ra] = rb
-        key = skeys[i]
-        gx = key // span_y
-        gy = key - gx * span_y
-        for t in range(4):
-            if t == 0:
-                dx, dy = 0, 1
-            elif t == 1:
-                dx, dy = 1, -1
-            elif t == 2:
-                dx, dy = 1, 0
-            else:
-                dx, dy = 1, 1
-            ny = gy + dy
-            if ny < 0 or ny >= span_y:
-                continue
-            key2 = (gx + dx) * span_y + ny
-            lo = np.searchsorted(skeys, key2)
-            if lo >= n or skeys[lo] != key2:
-                continue
-            hi = np.searchsorted(skeys, key2 + 1)
-            for a in range(i, j):
-                pa = order[a]
-                xa = pts[pa, 0]
-                ya = pts[pa, 1]
-                for b in range(lo, hi):
-                    pb = order[b]
-                    ddx = xa - pts[pb, 0]
-                    ddy = ya - pts[pb, 1]
-                    if ddx * ddx + ddy * ddy < d2max:
-                        ra = _uf_find(parent, pa)
-                        rb = _uf_find(parent, pb)
-                        if ra != rb:
-                            if ra < rb:
-                                parent[rb] = ra
-                            else:
-                                parent[ra] = rb
-        i = j
-    labels = np.full(n, -1, dtype=np.int64)
-    next_id = 0
-    for i in range(n):
-        r = _uf_find(parent, i)
-        if labels[r] == -1:
-            labels[r] = next_id
-            next_id += 1
-        labels[i] = labels[r]
-    return labels
-
-
-def _grid_sup_diff_impl(pts, vals, delta):
-    n = pts.shape[0]
-    keys, span_y = _grid_keys(pts, delta)
-    order = np.argsort(keys)
-    skeys = keys[order]
-    d2max = delta * delta
-    sup = 0.0
-    found = False
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and skeys[j] == skeys[i]:
-            j += 1
-        for a in range(i, j):
-            pa = order[a]
-            for b in range(a + 1, j):
-                pb = order[b]
-                ddx = pts[pa, 0] - pts[pb, 0]
-                ddy = pts[pa, 1] - pts[pb, 1]
-                if ddx * ddx + ddy * ddy < d2max:
-                    found = True
-                    diff = vals[pa] - vals[pb]
-                    if diff < 0.0:
-                        diff = -diff
-                    if diff > sup:
-                        sup = diff
-        key = skeys[i]
-        gx = key // span_y
-        gy = key - gx * span_y
-        for t in range(4):
-            if t == 0:
-                dx, dy = 0, 1
-            elif t == 1:
-                dx, dy = 1, -1
-            elif t == 2:
-                dx, dy = 1, 0
-            else:
-                dx, dy = 1, 1
-            ny = gy + dy
-            if ny < 0 or ny >= span_y:
-                continue
-            key2 = (gx + dx) * span_y + ny
-            lo = np.searchsorted(skeys, key2)
-            if lo >= n or skeys[lo] != key2:
-                continue
-            hi = np.searchsorted(skeys, key2 + 1)
-            for a in range(i, j):
-                pa = order[a]
-                xa = pts[pa, 0]
-                ya = pts[pa, 1]
-                va = vals[pa]
-                for b in range(lo, hi):
-                    pb = order[b]
-                    ddx = xa - pts[pb, 0]
-                    ddy = ya - pts[pb, 1]
-                    if ddx * ddx + ddy * ddy < d2max:
-                        found = True
-                        diff = va - vals[pb]
-                        if diff < 0.0:
-                            diff = -diff
-                        if diff > sup:
-                            sup = diff
-        i = j
-    return sup, found
-
-
-if NUMBA_ENABLED:
-    _grid_keys = njit(cache=True)(_grid_keys_impl)
-    _grid_components = njit(cache=True)(_grid_components_impl)
-    _grid_sup_diff = njit(cache=True)(_grid_sup_diff_impl)
-else:
-    _grid_keys = _grid_keys_impl
-
-
-def _strict_pairs_kdtree(pts, delta):
+def _strict_pairs(pts, delta):
+    """(m, 2) index pairs i < j of points at distance strictly below delta."""
+    if pts.shape[0] < BRUTE_FORCE_LIMIT:
+        diff = pts[:, None, :] - pts[None, :, :]
+        d2 = (diff * diff).sum(axis=2)
+        ii, jj = np.nonzero(np.triu(d2 < delta * delta, k=1))
+        return np.column_stack([ii, jj])
     from scipy.spatial import cKDTree
 
+    # query_pairs keeps distance <= delta; drop the pairs at exactly delta.
     pairs = cKDTree(pts).query_pairs(delta, output_type="ndarray")
     if pairs.shape[0]:
         diff = pts[pairs[:, 0]] - pts[pairs[:, 1]]
-        close = (diff * diff).sum(axis=1) < delta * delta
-        pairs = pairs[close]
+        pairs = pairs[(diff * diff).sum(axis=1) < delta * delta]
     return pairs
 
 
-def _labels_first_occurrence(labels):
-    # Relabel components so ids follow the first point index of each component.
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    rank = np.argsort(np.argsort(first))
-    return rank[inverse]
-
-
-def _components_scipy(pts, delta):
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    n = pts.shape[0]
-    pairs = _strict_pairs_kdtree(pts, delta)
-    data = np.ones(pairs.shape[0], dtype=np.int8)
-    graph = coo_matrix((data, (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    _, labels = connected_components(graph, directed=False)
-    return _labels_first_occurrence(labels)
-
-
-def _sup_diff_scipy(pts, vals, delta):
-    pairs = _strict_pairs_kdtree(pts, delta)
-    if pairs.shape[0] == 0:
-        return 0.0, False
-    return float(np.abs(vals[pairs[:, 0]] - vals[pairs[:, 1]]).max()), True
-
-
-def _brute_pairs(pts, delta):
-    diff = pts[:, None, :] - pts[None, :, :]
-    d2 = (diff * diff).sum(axis=2)
-    ii, jj = np.nonzero(np.triu(d2 < delta * delta, k=1))
-    return np.column_stack([ii, jj])
-
-
-def _components_brute(pts, delta):
-    n = pts.shape[0]
+def _union_find_labels(n, pairs):
     parent = list(range(n))
 
     def find(x):
@@ -374,42 +132,41 @@ def _components_brute(pts, delta):
             x = parent[x]
         return x
 
-    for i, j in _brute_pairs(pts, delta):
+    for i, j in pairs:
         ri, rj = find(int(i)), find(int(j))
         if ri != rj:
-            if ri < rj:
-                parent[rj] = ri
-            else:
-                parent[ri] = rj
-    labels = np.fromiter((find(i) for i in range(n)), dtype=np.int64, count=n)
-    return _labels_first_occurrence(labels)
+            parent[max(ri, rj)] = min(ri, rj)
+    return np.fromiter((find(i) for i in range(n)), dtype=np.int64, count=n)
 
 
-def _sup_diff_brute(pts, vals, delta):
-    pairs = _brute_pairs(pts, delta)
-    if pairs.shape[0] == 0:
-        return 0.0, False
-    return float(np.abs(vals[pairs[:, 0]] - vals[pairs[:, 1]]).max()), True
+def _graph_labels(n, pairs):
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    data = np.ones(pairs.shape[0], dtype=np.int8)
+    graph = coo_matrix((data, (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
 
 
 def neighbor_components(points: np.ndarray, delta: float) -> np.ndarray:
     """Connected-component labels of the strict-<delta neighborhood graph.
 
     Labels are canonical: component ids are assigned in order of each
-    component's first point index, so the partition (and its encoding) is
-    identical across backends.
+    component's first point index, so the encoding does not depend on how
+    the components were found.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     n = pts.shape[0]
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    if n == 1:
-        return np.zeros(1, dtype=np.int64)
+    pairs = _strict_pairs(pts, delta)
     if n < BRUTE_FORCE_LIMIT:
-        return _components_brute(pts, delta)
-    if NUMBA_ENABLED:
-        return _grid_components(pts, delta)
-    return _components_scipy(pts, delta)
+        labels = _union_find_labels(n, pairs)
+    else:
+        labels = _graph_labels(n, pairs)
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))
+    return rank[inverse]
 
 
 def neighbor_sup_abs_diff(
@@ -421,25 +178,15 @@ def neighbor_sup_abs_diff(
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     vals = np.ascontiguousarray(values, dtype=np.float64)
-    n = pts.shape[0]
-    if n < 2:
+    pairs = _strict_pairs(pts, delta)
+    if pairs.shape[0] == 0:
         return 0.0, False
-    if n < BRUTE_FORCE_LIMIT:
-        return _sup_diff_brute(pts, vals, delta)
-    if NUMBA_ENABLED:
-        sup, found = _grid_sup_diff(pts, vals, delta)
-        return float(sup), bool(found)
-    return _sup_diff_scipy(pts, vals, delta)
+    return float(np.abs(vals[pairs[:, 0]] - vals[pairs[:, 1]]).max()), True
 
 
 def warm_up() -> None:
-    """Trigger JIT compilation of every kernel on tiny inputs (no-op without numba)."""
-    knots = np.array([0.0, 0.0, 1.0, 1.0])
-    ctrl = np.zeros((2, 2, 3))
-    ctrl[1, :, 0] = 1.0
-    ctrl[:, 1, 1] = 1.0
-    deboor_point(knots, 1, knots, 1, ctrl, 0.5, 0.5)
-    insert_knot(knots, ctrl.reshape(2, 6), 1, 0.5, 1)
+    """Run both neighbor kernels once on the tree path, so that the lazy
+    scipy imports happen here rather than inside timed code."""
     pts = np.random.default_rng(0).random((BRUTE_FORCE_LIMIT + 8, 2))
     neighbor_components(pts, 0.1)
     neighbor_sup_abs_diff(pts, pts[:, 0], 0.1)

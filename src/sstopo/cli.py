@@ -93,7 +93,9 @@ def main(argv=None) -> int:
 
     p_syn = sub.add_parser("synth", help="generate a synthetic cloud")
     p_syn.add_argument("spec")
-    _add_common(p_syn)
+    p_syn.add_argument("--seed", type=int, default=None,
+                       help="noise seed; overrides the spec's seed")
+    p_syn.add_argument("--out-dir", default=None)
 
     p_swp = sub.add_parser("sweep", help="overlap-ratio sweep")
     p_swp.add_argument("inputs", nargs="+",

@@ -18,4 +18,5 @@ class EmptyInputError(SstopoError):
 
 
 class DegenerateCloudError(SstopoError):
-    """A point cloud is too small or too degenerate for the requested statistic."""
+    """A point cloud is too small or too degenerate for the requested statistic,
+    or has non-finite coordinates."""

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DegenerateCloudError
 from .exports import segment_colors, write_gml, write_svg
 from .geometry import BSplineSurface
 from .mapper import MapperGraph, MapperNode, MapperParams, default_delta
@@ -42,7 +42,6 @@ class PipelineConfig:
     emit_graph: bool = False
     emit_svg: bool = False
     dump_boxes: bool = False
-    overlap_warn_ratio: float = 0.5
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -244,11 +243,7 @@ def run_pipeline(
     """
     t_start = time.perf_counter()
     sets = intersect_surfaces(
-        surface1,
-        surface2,
-        config.epsilon,
-        collect_pairs=config.dump_boxes,
-        overlap_warn_ratio=config.overlap_warn_ratio,
+        surface1, surface2, config.epsilon, collect_pairs=config.dump_boxes
     )
     t_subdivided = time.perf_counter()
 
@@ -324,25 +319,32 @@ def run_mapper_only(
 
     Requires `delta_override` (there are no subdivision cells to derive the
     clustering radius from); boundary classification happens only when a
-    domain box is supplied.
+    domain box is supplied. An empty cloud gives the document `run_pipeline`
+    gives for an empty intersection: `no_intersection` and no domains.
+    Raises `DegenerateCloudError` when a coordinate is NaN or infinite.
     """
     if config.delta_override is None:
         raise ConfigurationError("mapper-only runs need an explicit delta")
     points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    if not np.isfinite(points).all():
+        raise DegenerateCloudError("cloud coordinates must be finite")
     t_start = time.perf_counter()
-    dom = _analyze_domain("cloud", points, config.delta_override, config, bounds)
+    if points.shape[0] == 0:
+        domains = []
+        timings = {"initial": 0.0, "subdivision": 0.0}
+    else:
+        dom = _analyze_domain("cloud", points, config.delta_override, config, bounds)
+        domains = [dom]
+        timings = {"initial": dom.seconds_initial, "subdivision": dom.seconds_refine}
+    timings["total"] = time.perf_counter() - t_start
     doc = ResultDocument(
         kind="mapper",
         config=config.echo(),
-        no_intersection=points.shape[0] == 0,
+        no_intersection=not domains,
         overlap_suspected=False,
-        domains=[dom],
+        domains=domains,
         match=None,
-        timings={
-            "initial": dom.seconds_initial,
-            "subdivision": dom.seconds_refine,
-            "total": time.perf_counter() - t_start,
-        },
+        timings=timings,
     )
     _emit(doc, config)
     return doc

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConfigurationError, EmptyInputError
-from .geometry import BSplineSurface, ParamRect, restrict
+from .geometry import BSplineSurface, ParamRect, _split_net, restrict
 
 log = logging.getLogger(__name__)
 
@@ -96,7 +95,7 @@ class _Patch:
         r = self.rect
         if r.width_u >= r.width_v:
             mid = 0.5 * (r.u_min + r.u_max)
-            ka, na, kb, nb = _split_axis0(self.knots_u, self.net, self.degree_u, mid)
+            (ka, na), (kb, nb) = _split_net(self.knots_u, self.net, self.degree_u, mid)
             ra = ParamRect(r.u_min, mid, r.v_min, r.v_max, r.surface_id)
             rb = ParamRect(mid, r.u_max, r.v_min, r.v_max, r.surface_id)
             return (
@@ -105,7 +104,7 @@ class _Patch:
             )
         mid = 0.5 * (r.v_min + r.v_max)
         net_t = np.ascontiguousarray(self.net.transpose(1, 0, 2))
-        ka, na, kb, nb = _split_axis0(self.knots_v, net_t, self.degree_v, mid)
+        (ka, na), (kb, nb) = _split_net(self.knots_v, net_t, self.degree_v, mid)
         ra = ParamRect(r.u_min, r.u_max, r.v_min, mid, r.surface_id)
         rb = ParamRect(r.u_min, r.u_max, mid, r.v_max, r.surface_id)
         return (
@@ -122,21 +121,6 @@ class _Patch:
         )
 
 
-def _split_axis0(knots, net, degree, t):
-    flat = np.ascontiguousarray(net.reshape(net.shape[0], -1))
-    mult = int(np.count_nonzero(knots == t))
-    times = degree - mult
-    if times > 0:
-        knots, flat = _kernels.insert_knot(knots, flat, degree, float(t), times)
-    k = int(np.searchsorted(knots, t, side="right")) - 1
-    tail = net.shape[1:]
-    ka = np.concatenate([knots[: k + 1], [t]])
-    na = flat[: k - degree + 1].reshape((k - degree + 1,) + tail)
-    kb = np.concatenate([np.full(degree + 1, t), knots[k + 1 :]])
-    nb = flat[k - degree :].reshape((flat.shape[0] - (k - degree),) + tail)
-    return ka, na, kb, nb
-
-
 def _quantize(value: float) -> int:
     return int(round(value / DEDUP_QUANTUM))
 
@@ -147,7 +131,6 @@ def intersect_surfaces(
     epsilon: float,
     *,
     collect_pairs: bool = False,
-    overlap_warn_ratio: float = OVERLAP_WARN_RATIO,
 ) -> IntersectionPointSets:
     """Isolate the intersection region of two surfaces down to `epsilon`.
 
@@ -209,7 +192,7 @@ def intersect_surfaces(
     if raw1:
         covered = sum(seen_rect1.values())
         domain_area = root1.rect.area
-        if covered > overlap_warn_ratio * domain_area:
+        if covered > OVERLAP_WARN_RATIO * domain_area:
             overlap = True
             log.warning(
                 "terminal cells cover %.0f%% of domain 1; surfaces likely overlap "

@@ -91,16 +91,27 @@ def plan_splits(
     """Flag nodes with orthogonal interval count >= 2 and merge adjacent ones.
 
     Reported ids are the smallest member id of each merge group; counts reflect
-    the group max. This mirrors the premerge the refinement itself performs.
+    the group max. The refinement itself splits exactly these groups.
     """
+    return _plan(*_split_groups(graph, cloud, f_perp, params))
+
+
+def _split_groups(
+    graph: MapperGraph, cloud: np.ndarray, f_perp: LinearFilter, params: MapperParams
+) -> tuple[list[set[int]], dict[int, int]]:
+    """Merge groups of the flagged nodes, plus every node's interval count."""
     counts = {
         n.id: split_interval_count(n.points, cloud, f_perp, params) for n in graph.nodes
     }
     flagged = sorted(nid for nid, s in counts.items() if s >= 2)
-    groups = _merge_adjacent(graph, flagged)
-    split_set = tuple(sorted(min(g) for g in groups))
-    merged_counts = {min(g): max(counts[m] for m in g) for g in groups}
-    return SplitPlan(split_set, merged_counts)
+    return _merge_adjacent(graph, flagged), counts
+
+
+def _plan(groups: list[set[int]], counts: dict[int, int]) -> SplitPlan:
+    return SplitPlan(
+        tuple(sorted(min(g) for g in groups)),
+        {min(g): max(counts[m] for m in g) for g in groups},
+    )
 
 
 def _merge_adjacent(graph: MapperGraph, flagged: list[int]) -> list[set[int]]:
@@ -162,12 +173,8 @@ def _refine(
     refined: dict[int, bool] = {n.id: n.refined for n in initial.nodes}
     edges: set[tuple[int, int]] = set(initial.edges)
 
-    counts = {
-        nid: split_interval_count(pts, cloud, f_perp, params)
-        for nid, pts in points.items()
-    }
-    flagged = sorted(nid for nid, s in counts.items() if s >= 2)
-    groups = _merge_adjacent(initial, flagged)
+    groups, counts = _split_groups(initial, cloud, f_perp, params)
+    plan = _plan(groups, counts)
 
     for group in groups:
         if len(group) < 2:
@@ -178,7 +185,6 @@ def _refine(
         merged_intervals = tuple(sorted({k for m in group for k in intervals[m]}))
         points[keep] = merged_points
         intervals[keep] = merged_intervals
-        counts[keep] = max(counts[m] for m in group)
         rewired = set()
         for a, b in edges:
             a = keep if a in drop else a
@@ -187,10 +193,7 @@ def _refine(
                 rewired.add((min(a, b), max(a, b)))
         edges = rewired
         for m in drop:
-            del points[m], intervals[m], refined[m], counts[m]
-
-    split_ids = sorted(min(g) for g in groups)
-    plan = SplitPlan(tuple(split_ids), {i: counts[i] for i in split_ids})
+            del points[m], intervals[m], refined[m]
 
     adjacency: dict[int, set[int]] = {nid: set() for nid in points}
     for a, b in edges:
@@ -198,7 +201,7 @@ def _refine(
         adjacency[b].add(a)
 
     next_id = max(points) + 1 if points else 0
-    for vid in split_ids:
+    for vid in plan.split_set:
         ids_sorted = sorted(points[vid])
         sub = cloud[ids_sorted]
         subgraph = build_mapper_graph(sub, f_perp, params)

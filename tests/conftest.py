@@ -10,5 +10,5 @@ from sstopo._kernels import warm_up
 
 @pytest.fixture(scope="session", autouse=True)
 def _warm_kernels():
-    # JIT compilation happens once here, outside any timed assertion.
+    # The lazy scipy imports happen once here, outside any timed assertion.
     warm_up()

@@ -142,18 +142,23 @@ class TestComputeL0:
         assert compute_l0(cloud, self.X_AXIS, 1.5, 0.2) == pytest.approx(5.0)
 
     def test_matches_brute_force_oracle(self):
+        # 255/256 straddle the brute-force/tree switch of the pair search
         rng = np.random.default_rng(21)
-        for _ in range(10):
-            cloud = rng.uniform(-1, 1, (80, 2))
-            delta = float(rng.uniform(0.05, 0.8))
-            f = make_pca_filter(cloud)
-            vals = eval_filter(f, cloud)
-            sup = 0.0
-            for i in range(len(cloud)):
-                for j in range(i + 1, len(cloud)):
-                    if np.linalg.norm(cloud[i] - cloud[j]) < delta:
-                        sup = max(sup, abs(vals[i] - vals[j]))
-            assert compute_l0(cloud, f, delta, 0.2) == pytest.approx(sup / 0.2)
+        for n in (80, 255, 256, 600):
+            for _ in range(10):
+                self._check_against_oracle(rng, n)
+
+    def _check_against_oracle(self, rng, n):
+        cloud = rng.uniform(-1, 1, (n, 2))
+        delta = float(rng.uniform(0.05, 0.8))
+        f = make_pca_filter(cloud)
+        vals = eval_filter(f, cloud)
+        sup = 0.0
+        for i in range(len(cloud) - 1):
+            close = np.linalg.norm(cloud[i + 1 :] - cloud[i], axis=1) < delta
+            if close.any():
+                sup = max(sup, float(np.abs(vals[i + 1 :][close] - vals[i]).max()))
+        assert compute_l0(cloud, f, delta, 0.2) == pytest.approx(sup / 0.2), f"n={n}"
 
     def test_constant_filter_gives_zero(self):
         cloud = np.array([[0.0, 0], [0.1, 0], [0.2, 0]])
@@ -265,7 +270,7 @@ class TestClusterPreimage:
 
     @pytest.mark.parametrize("n", [60, 200, 300, 500])
     def test_matches_brute_force_union_find(self, n):
-        # crosses the brute-force/grid dispatch threshold both ways
+        # crosses the brute-force/tree dispatch threshold both ways
         rng = np.random.default_rng(n)
         cloud = rng.uniform(0, 1, (n, 2))
         delta = float(rng.uniform(0.02, 0.2))

@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sstopo
 from sstopo import (
     BoundarySpec,
     BSplineSurface,
     ConfigurationError,
+    DegenerateCloudError,
     PipelineConfig,
     ResultDocument,
     result_digest,
@@ -16,9 +22,16 @@ from sstopo import (
     sweep_theta,
     uniform_clamped_knots,
 )
+from sstopo._kernels import BRUTE_FORCE_LIMIT
 from sstopo.cli import main
 from sstopo.partition import KIND_CLOSED, KIND_ISOLATED, KIND_OPEN
-from sstopo.synthetic import recommended_delta, save_cloud
+from sstopo.synthetic import (
+    generate_synthetic,
+    load_cloud,
+    recommended_delta,
+    save_cloud,
+    spec_from_dict,
+)
 
 from corpus import (
     STEP,
@@ -161,6 +174,38 @@ class TestRunMapperOnly:
         doc = run_mapper_only(PipelineConfig(delta_override=0.1), np.array([[0.5, 0.5]]))
         assert doc.domains[0].partition.segment_kinds() == [KIND_ISOLATED]
 
+    def test_empty_cloud_reports_no_intersection(self):
+        doc = run_mapper_only(PipelineConfig(delta_override=0.1), np.empty((0, 2)))
+        assert doc.no_intersection
+        assert doc.domains == []
+        assert set(doc.timings) == {"initial", "subdivision", "total"}
+
+    @pytest.mark.parametrize("n", [BRUTE_FORCE_LIMIT - 1, BRUTE_FORCE_LIMIT + 44])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cloud_rejected(self, n, bad):
+        pts = np.random.default_rng(n).uniform(0, 1, (n, 2))
+        pts[n // 2, 1] = bad
+        with pytest.raises(DegenerateCloudError, match="finite"):
+            run_mapper_only(PipelineConfig(delta_override=0.1), pts)
+
+    def test_small_cloud_leaves_scipy_spatial_unloaded(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import sstopo\n"
+            "from sstopo._kernels import BRUTE_FORCE_LIMIT\n"
+            "t = np.linspace(0.0, 1.0, BRUTE_FORCE_LIMIT - 1)\n"
+            "doc = sstopo.run_mapper_only(sstopo.PipelineConfig(delta_override=0.05),\n"
+            "                             np.column_stack([t, 0.5 * t]))\n"
+            "assert doc.domains[0].partition.segment_kinds() == ['open']\n"
+            "print('scipy.spatial' in sys.modules)\n"
+        )
+        src = Path(sstopo.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert out.strip() == "False"
+
     def test_bounds_enable_boundary_classification(self):
         delta = recommended_delta(STEP, 0.0)
         xs = np.arange(0.0, 1.00001, STEP)
@@ -269,6 +314,34 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "closed" in out
+
+    def test_synth_uses_spec_seed(self, tmp_path, capsys):
+        spec = {
+            "step": 0.05,
+            "noise": 0.01,
+            "seed": 7,
+            "curves": [{"kind": "circle", "center": [0, 0], "radius": 1.0}],
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["synth", str(spec_path), "--out-dir", str(tmp_path)]) == 0
+        written, _ = load_cloud(tmp_path / "cloud.txt")
+        expected, _ = generate_synthetic(spec_from_dict(spec))
+        assert np.array_equal(written, expected)
+        assert main(["synth", str(spec_path), "--out-dir", str(tmp_path), "--seed", "8"]) == 0
+        reseeded, _ = load_cloud(tmp_path / "cloud.txt")
+        assert not np.array_equal(reseeded, expected)
+
+    def test_synth_rejects_pipeline_flags(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["synth", str(tmp_path / "spec.json"), "--epsilon", "0.1"])
+
+    def test_mapper_empty_cloud_reports_no_intersection(self, tmp_path, capsys):
+        p = tmp_path / "empty.txt"
+        p.write_text("")
+        rc = main(["mapper", str(p), "--delta", "0.1"])
+        assert rc == 0
+        assert "no intersection" in capsys.readouterr().out
 
     def test_sweep_command(self, tmp_path, capsys):
         pts, _ = three_curves_cloud(seed=3)
