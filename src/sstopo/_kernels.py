@@ -1,9 +1,9 @@
 """Hot numeric kernels: B-spline evaluation, knot insertion and the
 strict-<delta neighbor queries.
 
-The spline kernels are scalar loops: the nets they see during subdivision
-are a few rows wide, where numpy's per-call overhead costs more than the
-loop. The neighbor queries find point pairs by a vectorized brute-force
+The spline kernels work on whole control rows: de Boor's recursion and
+Boehm's knot insertion each blend a run of adjacent rows per step. The
+neighbor queries find point pairs by a vectorized brute-force
 distance matrix below ``BRUTE_FORCE_LIMIT`` points and by a cKDTree at or
 above it. scipy is imported only on the tree path, so small clouds never
 load it.
@@ -28,77 +28,45 @@ def backend() -> str:
 # ---------------------------------------------------------------------------
 
 
-def _find_span(knots, degree, t):
+def _span(knots, degree, t):
     # Largest k in [degree, len(knots)-degree-2] with knots[k] <= t.
-    lo = degree
-    hi = knots.shape[0] - degree - 2
-    if t >= knots[hi]:
-        return hi
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if knots[mid] <= t:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    k = int(np.searchsorted(knots, t, side="right")) - 1
+    return min(max(k, degree), knots.shape[0] - degree - 2)
+
+
+def _deboor_rows(knots, degree, span, rows, t):
+    # de Boor's recursion along axis 0 of the degree+1 rows that act at t.
+    d = rows.reshape(degree + 1, -1)
+    for r in range(1, degree + 1):
+        lo = knots[span - degree + r : span + 1]
+        hi = knots[span + 1 : span + degree + 2 - r]
+        alpha = ((t - lo) / (hi - lo))[:, None]
+        d = (1.0 - alpha) * d[:-1] + alpha * d[1:]
+    return d[0].reshape(rows.shape[1:])
 
 
 def deboor_point(knots_u, degree_u, knots_v, degree_v, ctrl, u, v):
-    su = _find_span(knots_u, degree_u, u)
-    sv = _find_span(knots_v, degree_v, v)
-    d = ctrl[su - degree_u : su + 1, sv - degree_v : sv + 1, :].copy()
-    for r in range(1, degree_u + 1):
-        for j in range(degree_u, r - 1, -1):
-            i = j + su - degree_u
-            denom = knots_u[j + 1 + su - r] - knots_u[i]
-            alpha = (u - knots_u[i]) / denom
-            for q in range(degree_v + 1):
-                for c in range(3):
-                    d[j, q, c] = (1.0 - alpha) * d[j - 1, q, c] + alpha * d[j, q, c]
-    row = d[degree_u]
-    for r in range(1, degree_v + 1):
-        for j in range(degree_v, r - 1, -1):
-            i = j + sv - degree_v
-            denom = knots_v[j + 1 + sv - r] - knots_v[i]
-            alpha = (v - knots_v[i]) / denom
-            for c in range(3):
-                row[j, c] = (1.0 - alpha) * row[j - 1, c] + alpha * row[j, c]
-    return row[degree_v].copy()
+    su = _span(knots_u, degree_u, u)
+    sv = _span(knots_v, degree_v, v)
+    net = ctrl[su - degree_u : su + 1, sv - degree_v : sv + 1, :]
+    column = _deboor_rows(knots_u, degree_u, su, net, u)
+    # A copy: with both degrees 0 no row is blended and the result is a view
+    # of the read-only control net.
+    return np.array(_deboor_rows(knots_v, degree_v, sv, column, v))
 
 
 def insert_knot(knots, ctrl, degree, t, times):
     # Boehm insertion of t, `times` times, along axis 0 of a (n, w) net.
     # Span: last index with knots[k] <= t, clamped to the top control row so
     # inserting at the valid end of an unclamped vector stays in bounds.
-    cur_knots = knots
-    cur = ctrl
     for _ in range(times):
-        k = np.searchsorted(cur_knots, t, side="right") - 1
-        if k > cur.shape[0] - 1:
-            k = cur.shape[0] - 1
-        n = cur.shape[0]
-        w = cur.shape[1]
-        out = np.empty((n + 1, w), dtype=np.float64)
-        for i in range(k - degree + 1):
-            for c in range(w):
-                out[i, c] = cur[i, c]
-        for i in range(k - degree + 1, k + 1):
-            denom = cur_knots[i + degree] - cur_knots[i]
-            alpha = (t - cur_knots[i]) / denom
-            for c in range(w):
-                out[i, c] = (1.0 - alpha) * cur[i - 1, c] + alpha * cur[i, c]
-        for i in range(k + 1, n + 1):
-            for c in range(w):
-                out[i, c] = cur[i - 1, c]
-        new_knots = np.empty(cur_knots.shape[0] + 1, dtype=np.float64)
-        for i in range(k + 1):
-            new_knots[i] = cur_knots[i]
-        new_knots[k + 1] = t
-        for i in range(k + 1, cur_knots.shape[0]):
-            new_knots[i + 1] = cur_knots[i]
-        cur_knots = new_knots
-        cur = out
-    return cur_knots, cur
+        k = min(int(np.searchsorted(knots, t, side="right")) - 1, ctrl.shape[0] - 1)
+        lo = knots[k - degree + 1 : k + 1]
+        alpha = ((t - lo) / (knots[k + 1 : k + degree + 1] - lo))[:, None]
+        blended = (1.0 - alpha) * ctrl[k - degree : k] + alpha * ctrl[k - degree + 1 : k + 1]
+        ctrl = np.concatenate([ctrl[: k - degree + 1], blended, ctrl[k:]])
+        knots = np.concatenate([knots[: k + 1], [t], knots[k + 1 :]])
+    return knots, ctrl
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ class ConfigurationError(SstopoError):
 
 
 class ParameterRangeError(SstopoError):
-    """A surface parameter or rectangle falls outside the valid domain."""
+    """A surface parameter or rectangle falls outside the valid domain, or a
+    surface's knots or control points are NaN or infinite."""
 
 
 class EmptyInputError(SstopoError):

@@ -42,6 +42,8 @@ class KnotVector:
             raise ValueError("degree must be nonnegative")
         if self.knots.size < self.degree + 2:
             raise ValueError("knot vector too short for degree")
+        if not np.isfinite(self.knots).all():
+            raise ParameterRangeError("knots must be finite")
         if np.any(np.diff(self.knots) < 0):
             raise ValueError("knots must be nondecreasing")
         if not self.start < self.end:
@@ -110,6 +112,8 @@ class BSplineSurface:
             raise ValueError("control_points must have shape (count_u, count_v, 3)")
         if cp.shape[0] != self.knots_u.count or cp.shape[1] != self.knots_v.count:
             raise ValueError("control grid does not match knot counts")
+        if not np.isfinite(cp).all():
+            raise ParameterRangeError("control points must be finite")
 
     @property
     def degree_u(self) -> int:

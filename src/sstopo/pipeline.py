@@ -27,7 +27,8 @@ from .partition import (
     match_across_domains,
     partition,
 )
-from .subdivision import dump_box_pairs, hausdorff_bound, intersect_surfaces
+from .subdivision import (IntersectionPointSets, dump_box_pairs, hausdorff_bound,
+                          intersect_surfaces)
 from .twostep import run_two_step
 
 
@@ -207,11 +208,9 @@ def result_digest(doc: ResultDocument) -> str:
 def _analyze_domain(
     name: str,
     points: np.ndarray,
-    delta: float,
-    config: PipelineConfig,
+    params: MapperParams,
     bounds: BoundarySpec | None,
 ) -> DomainResult:
-    params = MapperParams(delta=delta, theta_ov=config.theta_ov, alpha=config.alpha)
     two_step = run_two_step(points, params)
     if bounds is not None:
         boundary_idx = approximate_boundary_set(points, bounds)
@@ -222,7 +221,7 @@ def _analyze_domain(
     return DomainResult(
         name=name,
         points=points,
-        delta=delta,
+        delta=params.delta,
         graph=two_step.graph,
         characteristic=characteristic,
         partition=part,
@@ -245,65 +244,58 @@ def run_pipeline(
     sets = intersect_surfaces(
         surface1, surface2, config.epsilon, collect_pairs=config.dump_boxes
     )
-    t_subdivided = time.perf_counter()
+    return _analyze_pair(config, sets, surface1, surface2, time.perf_counter() - t_start)
 
-    if sets.is_empty:
-        doc = ResultDocument(
-            kind="intersect",
-            config=config.echo(),
-            no_intersection=True,
-            overlap_suspected=False,
-            domains=[],
-            match=None,
-            timings={
-                "initial": 0.0,
-                "subdivision": 0.0,
-                "total": time.perf_counter() - t_start,
-                "surface_subdivision": t_subdivided - t_start,
-            },
+
+def _analyze_pair(
+    config: PipelineConfig,
+    sets: IntersectionPointSets,
+    surface1: BSplineSurface,
+    surface2: BSplineSurface,
+    seconds_subdivision: float,
+) -> ResultDocument:
+    """Everything after the subdivision, which does not depend on theta_ov:
+    per-domain analysis, matching, the document and its exports."""
+    t_start = time.perf_counter()
+    domains = []
+    match = None
+    extras = {}
+    if not sets.is_empty:
+        for name, points, cell_diag, surface in (
+            ("uv", sets.points1, sets.cell_diag1, surface1),
+            ("st", sets.points2, sets.cell_diag2, surface2),
+        ):
+            delta = config.delta_override
+            if delta is None:
+                delta = default_delta(cell_diag)
+            spec = BoundarySpec(*surface.param_range, delta,
+                                surface.periodic_u, surface.periodic_v)
+            params = MapperParams(delta, config.theta_ov, config.alpha)
+            domains.append(_analyze_domain(name, points, params, spec))
+        match = match_across_domains(
+            domains[0].partition, domains[1].partition, sets.correspondences
         )
-        _emit(doc, config, sets=sets)
-        return doc
-
-    bounds1, bounds2 = hausdorff_bound(sets)
-    if config.delta_override is not None:
-        delta1 = delta2 = config.delta_override
-    else:
-        delta1 = default_delta(sets.cell_diag1)
-        delta2 = default_delta(sets.cell_diag2)
-
-    u_min, u_max, v_min, v_max = surface1.param_range
-    spec1 = BoundarySpec(u_min, u_max, v_min, v_max, delta1,
-                         surface1.periodic_u, surface1.periodic_v)
-    s_min, s_max, t_min, t_max = surface2.param_range
-    spec2 = BoundarySpec(s_min, s_max, t_min, t_max, delta2,
-                         surface2.periodic_u, surface2.periodic_v)
-
-    dom1 = _analyze_domain("uv", sets.points1, delta1, config, spec1)
-    dom2 = _analyze_domain("st", sets.points2, delta2, config, spec2)
-    match = match_across_domains(dom1.partition, dom2.partition, sets.correspondences)
-
-    total = time.perf_counter() - t_start
+        extras = {
+            "epsilon": sets.epsilon,
+            "cell_diag": [sets.cell_diag1, sets.cell_diag2],
+            "hausdorff_bound": list(hausdorff_bound(sets)),
+            "point_counts": [int(sets.points1.shape[0]), int(sets.points2.shape[0])],
+            "correspondence_count": int(sets.correspondences.shape[0]),
+        }
     doc = ResultDocument(
         kind="intersect",
         config=config.echo(),
-        no_intersection=False,
+        no_intersection=sets.is_empty,
         overlap_suspected=sets.overlap_suspected,
-        domains=[dom1, dom2],
+        domains=domains,
         match=match,
         timings={
-            "initial": dom1.seconds_initial + dom2.seconds_initial,
-            "subdivision": dom1.seconds_refine + dom2.seconds_refine,
-            "total": total,
-            "surface_subdivision": t_subdivided - t_start,
+            "initial": sum((d.seconds_initial for d in domains), 0.0),
+            "subdivision": sum((d.seconds_refine for d in domains), 0.0),
+            "total": seconds_subdivision + time.perf_counter() - t_start,
+            "surface_subdivision": seconds_subdivision,
         },
-        extras={
-            "epsilon": sets.epsilon,
-            "cell_diag": [sets.cell_diag1, sets.cell_diag2],
-            "hausdorff_bound": [bounds1, bounds2],
-            "point_counts": [int(sets.points1.shape[0]), int(sets.points2.shape[0])],
-            "correspondence_count": int(sets.correspondences.shape[0]),
-        },
+        extras=extras,
     )
     _emit(doc, config, sets=sets)
     return doc
@@ -333,7 +325,8 @@ def run_mapper_only(
         domains = []
         timings = {"initial": 0.0, "subdivision": 0.0}
     else:
-        dom = _analyze_domain("cloud", points, config.delta_override, config, bounds)
+        params = MapperParams(config.delta_override, config.theta_ov, config.alpha)
+        dom = _analyze_domain("cloud", points, params, bounds)
         domains = [dom]
         timings = {"initial": dom.seconds_initial, "subdivision": dom.seconds_refine}
     timings["total"] = time.perf_counter() - t_start
@@ -357,29 +350,32 @@ def sweep_theta(
     cloud: np.ndarray | None = None,
     surfaces: tuple[BSplineSurface, BSplineSurface] | None = None,
 ) -> dict:
-    """Run the pipeline once per overlap ratio; report node/edge counts and time."""
+    """Run the pipeline once per overlap ratio; report node/edge counts and time.
+
+    Every theta is validated before any work runs. On surfaces the subdivision,
+    which does not depend on theta, runs once and is shared: each entry's
+    `seconds` is that run's total, the shared subdivision included.
+    """
     if (cloud is None) == (surfaces is None):
         raise ConfigurationError("sweep needs exactly one of cloud or surfaces")
-    for theta in theta_list:
-        if not 0.0 < theta < 0.5:
-            raise ConfigurationError(
-                f"theta_ov must lie strictly between 0 and 0.5, got {theta}"
-            )
-    entries = []
-    for theta in theta_list:
-        cfg = dataclasses.replace(config, theta_ov=theta, out_dir=None)
-        if surfaces is not None:
-            doc = run_pipeline(cfg, *surfaces)
-        else:
-            doc = run_mapper_only(cfg, cloud)
-        entries.append(
-            {
-                "theta_ov": theta,
-                "nodes": sum(d.graph.node_count for d in doc.domains),
-                "edges": sum(d.graph.edge_count for d in doc.domains),
-                "seconds": doc.timings["total"],
-            }
-        )
+    configs = [dataclasses.replace(config, theta_ov=theta, out_dir=None)
+               for theta in theta_list]
+    if surfaces is not None:
+        t_start = time.perf_counter()
+        sets = intersect_surfaces(*surfaces, config.epsilon)
+        seconds = time.perf_counter() - t_start
+        docs = (_analyze_pair(cfg, sets, *surfaces, seconds) for cfg in configs)
+    else:
+        docs = (run_mapper_only(cfg, cloud) for cfg in configs)
+    entries = [
+        {
+            "theta_ov": cfg.theta_ov,
+            "nodes": sum(d.graph.node_count for d in doc.domains),
+            "edges": sum(d.graph.edge_count for d in doc.domains),
+            "seconds": doc.timings["total"],
+        }
+        for cfg, doc in zip(configs, docs)
+    ]
     report = {"mode": "surfaces" if surfaces is not None else "cloud", "entries": entries}
     if config.out_dir is not None:
         out = Path(config.out_dir)

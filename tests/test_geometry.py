@@ -13,7 +13,14 @@ from sstopo import (
     subpatch_control_net,
     uniform_clamped_knots,
 )
-from sstopo.geometry import evaluate_grid, restrict, surface_from_dict, surface_to_dict
+from sstopo import _kernels
+from sstopo.geometry import (
+    evaluate_grid,
+    restrict,
+    surface_from_dict,
+    surface_to_dict,
+    uniform_periodic_knots,
+)
 
 from corpus import (
     bilinear_corner_patch,
@@ -32,6 +39,18 @@ class TestKnotVector:
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError):
             KnotVector(np.array([0.0, 0.0, 0.0, 0.0]), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_knots(self, bad):
+        with pytest.raises(ParameterRangeError):
+            KnotVector(np.array([0.0, 0.0, 0.5, 1.0, bad]), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_control_points(self, bad):
+        data = surface_to_dict(plane_patch())
+        data["control_points"][1][0][2] = bad
+        with pytest.raises(ParameterRangeError):
+            surface_from_dict(data)
 
     def test_clamped_properties(self):
         kv = uniform_clamped_knots(3, 6)
@@ -249,3 +268,93 @@ class TestSurfaceIO:
         save_surface(path, s)
         s3 = load_surface(path)
         assert np.array_equal(s.control_points, s3.control_points)
+
+
+def _loop_span(knots, degree, t):
+    hi = knots.shape[0] - degree - 2
+    k = degree
+    while k < hi and knots[k + 1] <= t:
+        k += 1
+    return k
+
+
+def _loop_deboor(knots_u, degree_u, knots_v, degree_v, ctrl, u, v):
+    # Scalar de Boor recursion, element by element; the reference the
+    # row-wise kernel must match bit for bit.
+    su = _loop_span(knots_u, degree_u, u)
+    sv = _loop_span(knots_v, degree_v, v)
+    d = ctrl[su - degree_u : su + 1, sv - degree_v : sv + 1, :].copy()
+    for r in range(1, degree_u + 1):
+        for j in range(degree_u, r - 1, -1):
+            i = j + su - degree_u
+            alpha = (u - knots_u[i]) / (knots_u[j + 1 + su - r] - knots_u[i])
+            for q in range(degree_v + 1):
+                for c in range(3):
+                    d[j, q, c] = (1.0 - alpha) * d[j - 1, q, c] + alpha * d[j, q, c]
+    row = d[degree_u]
+    for r in range(1, degree_v + 1):
+        for j in range(degree_v, r - 1, -1):
+            i = j + sv - degree_v
+            alpha = (v - knots_v[i]) / (knots_v[j + 1 + sv - r] - knots_v[i])
+            for c in range(3):
+                row[j, c] = (1.0 - alpha) * row[j - 1, c] + alpha * row[j, c]
+    return row[degree_v].copy()
+
+
+def _loop_insert_knot(knots, ctrl, degree, t, times):
+    # Scalar Boehm insertion; the reference for the row-wise kernel.
+    for _ in range(times):
+        k = min(int(np.searchsorted(knots, t, side="right")) - 1, ctrl.shape[0] - 1)
+        n, w = ctrl.shape
+        out = np.empty((n + 1, w))
+        for i in range(n + 1):
+            for c in range(w):
+                if i <= k - degree:
+                    out[i, c] = ctrl[i, c]
+                elif i <= k:
+                    alpha = (t - knots[i]) / (knots[i + degree] - knots[i])
+                    out[i, c] = (1.0 - alpha) * ctrl[i - 1, c] + alpha * ctrl[i, c]
+                else:
+                    out[i, c] = ctrl[i - 1, c]
+        knots = np.concatenate([knots[: k + 1], [t], knots[k + 1 :]])
+        ctrl = out
+    return knots, ctrl
+
+
+class TestKernelsMatchScalarLoops:
+    @staticmethod
+    def _surfaces(rng):
+        for trial in range(24):
+            du, dv = (int(x) for x in rng.integers(1, 4, size=2))
+            nu, nv = du + int(rng.integers(1, 5)), dv + int(rng.integers(1, 5))
+            make_u = uniform_periodic_knots if trial % 2 else uniform_clamped_knots
+            make_v = uniform_periodic_knots if trial % 3 == 0 else uniform_clamped_knots
+            ku = make_u(du, nu, -0.5, 2.0)
+            kv = make_v(dv, nv)
+            yield BSplineSurface(ku, kv, rng.normal(size=(nu, nv, 3)))
+
+    def test_deboor_bit_identical(self):
+        rng = np.random.default_rng(11)
+        for s in self._surfaces(rng):
+            u0, u1, v0, v1 = s.param_range
+            params = [(u0, v0), (u1, v1), (u0, v1), (u1, v0)]
+            params += [(float(rng.uniform(u0, u1)), float(rng.uniform(v0, v1)))
+                       for _ in range(20)]
+            for u, v in params:
+                args = (s.knots_u.knots, s.degree_u, s.knots_v.knots, s.degree_v,
+                        s.control_points, u, v)
+                assert evaluate(s, u, v).tobytes() == _loop_deboor(*args).tobytes()
+
+    def test_insert_knot_bit_identical(self):
+        rng = np.random.default_rng(12)
+        for s in self._surfaces(rng):
+            u0, u1, _, _ = s.param_range
+            flat = np.ascontiguousarray(s.control_points.reshape(s.control_points.shape[0], -1))
+            for _ in range(6):
+                t = float(rng.uniform(u0, u1))
+                times = int(rng.integers(1, s.degree_u + 1))
+                expected = _loop_insert_knot(s.knots_u.knots, flat, s.degree_u, t, times)
+                got = _kernels.insert_knot(s.knots_u.knots, flat, s.degree_u, t, times)
+                assert got[0].tobytes() == expected[0].tobytes()
+                assert got[1].shape == expected[1].shape
+                assert got[1].tobytes() == expected[1].tobytes()

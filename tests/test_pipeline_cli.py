@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import sstopo
+import sstopo.pipeline
 from sstopo import (
     BoundarySpec,
     BSplineSurface,
@@ -24,6 +26,7 @@ from sstopo import (
 )
 from sstopo._kernels import BRUTE_FORCE_LIMIT
 from sstopo.cli import main
+from sstopo.geometry import surface_to_dict
 from sstopo.partition import KIND_CLOSED, KIND_ISOLATED, KIND_OPEN
 from sstopo.synthetic import (
     generate_synthetic,
@@ -244,6 +247,36 @@ class TestSweep:
         inversions = sum(1 for a, b in zip(nodes, nodes[1:]) if b < a)
         assert inversions <= 1
 
+    @pytest.fixture
+    def subdivision_calls(self, monkeypatch):
+        calls = []
+        original = sstopo.pipeline.intersect_surfaces
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sstopo.pipeline, "intersect_surfaces", counting)
+        return calls
+
+    def test_surfaces_subdivide_once(self, subdivision_calls):
+        surfaces = (plane_patch(), saddle_patch())
+        config = PipelineConfig(epsilon=0.05)
+        thetas = [0.1, 0.2, 0.3, 0.4]
+        report = sweep_theta(config, thetas, surfaces=surfaces)
+        assert len(subdivision_calls) == 1
+        assert [e["theta_ov"] for e in report["entries"]] == thetas
+        for theta, entry in zip(thetas, report["entries"]):
+            doc = run_pipeline(dataclasses.replace(config, theta_ov=theta), *surfaces)
+            assert entry["nodes"] == sum(d.graph.node_count for d in doc.domains)
+            assert entry["edges"] == sum(d.graph.edge_count for d in doc.domains)
+
+    def test_bad_theta_rejected_before_subdivision(self, subdivision_calls):
+        with pytest.raises(ConfigurationError):
+            sweep_theta(PipelineConfig(epsilon=0.05), [0.2, 0.5],
+                        surfaces=(plane_patch(), saddle_patch()))
+        assert subdivision_calls == []
+
     def test_requires_exactly_one_input(self):
         pts, _ = three_curves_cloud(seed=3)
         with pytest.raises(ConfigurationError):
@@ -393,6 +426,18 @@ class TestCli:
         p.write_text("0 0\n")
         rc = main(["sweep", str(p), str(p), str(p), "--delta", "0.1"])
         assert rc == 2
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_intersect_rejects_non_finite_surface(self, tmp_path, capsys, bad):
+        data = surface_to_dict(plane_patch())
+        data["control_points"][0][1][2] = bad
+        s1 = tmp_path / "a.json"
+        s2 = tmp_path / "b.json"
+        s1.write_text(json.dumps(data))
+        save_surface(s2, saddle_patch())
+        rc = main(["intersect", str(s1), str(s2), "--epsilon", "0.05"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_intersect_disjoint_reports_no_intersection(self, tmp_path, capsys):
         s1 = tmp_path / "a.json"
