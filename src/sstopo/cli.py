@@ -35,6 +35,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, default=None, help="clustering radius override")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=None)
+
+
+def _add_outputs(p: argparse.ArgumentParser) -> None:
+    """Per-run output files; a sweep writes only sweep.json, so it has none."""
     p.add_argument("--emit-graph", action="store_true", help="write GML graph files")
     p.add_argument("--emit-svg", action="store_true", help="write SVG point plots")
     p.add_argument("--dump-boxes", action="store_true",
@@ -49,9 +53,9 @@ def _config(args) -> PipelineConfig:
         delta_override=args.delta,
         seed=args.seed,
         out_dir=args.out_dir,
-        emit_graph=args.emit_graph,
-        emit_svg=args.emit_svg,
-        dump_boxes=args.dump_boxes,
+        emit_graph=getattr(args, "emit_graph", False),
+        emit_svg=getattr(args, "emit_svg", False),
+        dump_boxes=getattr(args, "dump_boxes", False),
     )
 
 
@@ -83,6 +87,7 @@ def main(argv=None) -> int:
     p_int.add_argument("surface1")
     p_int.add_argument("surface2")
     _add_common(p_int)
+    _add_outputs(p_int)
 
     p_map = sub.add_parser("mapper", help="two-step Mapper on a cloud file")
     p_map.add_argument("cloud")
@@ -90,6 +95,7 @@ def main(argv=None) -> int:
                        metavar=("U_MIN", "U_MAX", "V_MIN", "V_MAX"),
                        help="domain box enabling boundary classification")
     _add_common(p_map)
+    _add_outputs(p_map)
 
     p_syn = sub.add_parser("synth", help="generate a synthetic cloud")
     p_syn.add_argument("spec")

@@ -39,7 +39,7 @@ class BoundarySpec:
     periodic_v: bool = False
 
     def __post_init__(self):
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ConfigurationError(f"dilation radius must be positive, got {self.delta}")
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
             raise ConfigurationError("degenerate domain bounds")

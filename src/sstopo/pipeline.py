@@ -45,15 +45,15 @@ class PipelineConfig:
     dump_boxes: bool = False
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
         if not 0.0 < self.theta_ov < 0.5:
             raise ConfigurationError(
                 f"theta_ov must lie strictly between 0 and 0.5, got {self.theta_ov}"
             )
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ConfigurationError(f"alpha must be positive, got {self.alpha}")
-        if self.delta_override is not None and self.delta_override <= 0:
+        if self.delta_override is not None and not self.delta_override > 0:
             raise ConfigurationError("delta override must be positive")
 
     def echo(self) -> dict:

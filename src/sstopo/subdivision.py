@@ -1,7 +1,9 @@
 """Recursive box-pair subdivision of two surfaces into intersection point sets.
 
 Each active pair carries the restricted control nets of both patches, so a
-split is one knot insertion rather than a re-restriction from the root.
+split is one knot insertion rather than a re-restriction from the root. A
+patch is split at most once: its two children are cached on it and shared by
+every pair that holds it, and the pair's box test compares plain floats.
 Terminal pairs contribute the rect centroids to the two parameter-domain
 point clouds plus one correspondence record; output is deduplicated and
 lexicographically sorted, so results are identical regardless of the order
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, EmptyInputError
-from .geometry import BSplineSurface, ParamRect, _split_net, restrict
+from .geometry import BSplineSurface, ParamRect, _split_net, restrict, split_rect
 
 log = logging.getLogger(__name__)
 
@@ -64,7 +66,7 @@ class _Patch:
     """
 
     __slots__ = ("rect", "knots_u", "knots_v", "degree_u", "degree_v", "net",
-                 "box_min", "box_max", "diag")
+                 "box_min", "box_max", "diag", "_children")
 
     def __init__(self, rect, knots_u, knots_v, degree_u, degree_v, net):
         self.rect = rect
@@ -75,9 +77,10 @@ class _Patch:
         self.net = net
         flat = net.reshape(-1, 3)
         pad = 1e-12 * (1.0 + float(np.abs(flat).max()))
-        self.box_min = flat.min(axis=0) - pad
-        self.box_max = flat.max(axis=0) + pad
+        self.box_min = (flat.min(axis=0) - pad).tolist()
+        self.box_max = (flat.max(axis=0) + pad).tolist()
         self.diag = rect.diagonal
+        self._children = None
 
     @classmethod
     def from_surface(cls, surface: BSplineSurface, surface_id: int) -> "_Patch":
@@ -92,21 +95,22 @@ class _Patch:
         )
 
     def split(self) -> tuple["_Patch", "_Patch"]:
+        """The two halves of this patch, computed on the first call only."""
+        if self._children is None:
+            self._children = self._split()
+        return self._children
+
+    def _split(self) -> tuple["_Patch", "_Patch"]:
         r = self.rect
-        if r.width_u >= r.width_v:
-            mid = 0.5 * (r.u_min + r.u_max)
-            (ka, na), (kb, nb) = _split_net(self.knots_u, self.net, self.degree_u, mid)
-            ra = ParamRect(r.u_min, mid, r.v_min, r.v_max, r.surface_id)
-            rb = ParamRect(mid, r.u_max, r.v_min, r.v_max, r.surface_id)
+        ra, rb = split_rect(r)
+        if ra.u_max != r.u_max:  # split_rect halved u
+            (ka, na), (kb, nb) = _split_net(self.knots_u, self.net, self.degree_u, ra.u_max)
             return (
                 _Patch(ra, ka, self.knots_v, self.degree_u, self.degree_v, na),
                 _Patch(rb, kb, self.knots_v, self.degree_u, self.degree_v, nb),
             )
-        mid = 0.5 * (r.v_min + r.v_max)
         net_t = np.ascontiguousarray(self.net.transpose(1, 0, 2))
-        (ka, na), (kb, nb) = _split_net(self.knots_v, net_t, self.degree_v, mid)
-        ra = ParamRect(r.u_min, r.u_max, r.v_min, mid, r.surface_id)
-        rb = ParamRect(r.u_min, r.u_max, mid, r.v_max, r.surface_id)
+        (ka, na), (kb, nb) = _split_net(self.knots_v, net_t, self.degree_v, ra.v_max)
         return (
             _Patch(ra, self.knots_u, ka, self.degree_u, self.degree_v,
                    na.transpose(1, 0, 2)),
@@ -115,10 +119,10 @@ class _Patch:
         )
 
     def boxes_intersect(self, other: "_Patch") -> bool:
-        return bool(
-            np.all(self.box_min <= other.box_max)
-            and np.all(other.box_min <= self.box_max)
-        )
+        lo, hi = self.box_min, self.box_max
+        olo, ohi = other.box_min, other.box_max
+        return (lo[0] <= ohi[0] and lo[1] <= ohi[1] and lo[2] <= ohi[2]
+                and olo[0] <= hi[0] and olo[1] <= hi[1] and olo[2] <= hi[2])
 
 
 def _quantize(value: float) -> int:
@@ -140,7 +144,7 @@ def intersect_surfaces(
     (closed-box test, so tangential contact is kept). Terminal pairs yield
     the rect centroids in each domain and one correspondence record.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
 
     root1 = _Patch.from_surface(surface1, 1)
@@ -154,9 +158,13 @@ def intersect_surfaces(
     cell_diag2 = 0.0
     seen_rect1: dict[tuple[int, int], float] = {}
 
+    domain_area = root1.rect.area
     stack: list[tuple[_Patch, _Patch]] = []
     if root1.boxes_intersect(root2):
         stack.append((root1, root2))
+    # Each patch holds its cached children, so a live root would keep the
+    # whole visited tree reachable until the function returns.
+    del root1, root2
 
     while stack:
         p1, p2 = stack.pop()
@@ -191,7 +199,6 @@ def intersect_surfaces(
     overlap = False
     if raw1:
         covered = sum(seen_rect1.values())
-        domain_area = root1.rect.area
         if covered > OVERLAP_WARN_RATIO * domain_area:
             overlap = True
             log.warning(

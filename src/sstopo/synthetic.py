@@ -105,9 +105,9 @@ def _arc_length_samples(length: float, step: float, closed: bool) -> np.ndarray:
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic (seeded) sampling; returns (points (n, 2), labels (n,))."""
-    if spec.step <= 0:
+    if not spec.step > 0:
         raise ConfigurationError(f"arc-length step must be positive, got {spec.step}")
-    if spec.noise < 0:
+    if not spec.noise >= 0:
         raise ConfigurationError(f"noise bound must be nonnegative, got {spec.noise}")
     if not spec.curves:
         raise EmptyInputError("no curves to sample")

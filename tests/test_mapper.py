@@ -292,6 +292,10 @@ class TestMapperParams:
             MapperParams(delta=0.1, theta_ov=0.0)
         with pytest.raises(ConfigurationError):
             MapperParams(delta=0.1, alpha=0.0)
+        with pytest.raises(ConfigurationError):
+            MapperParams(delta=float("nan"))
+        with pytest.raises(ConfigurationError):
+            MapperParams(delta=0.1, alpha=float("nan"))
 
 
 class TestBuildMapperGraph:

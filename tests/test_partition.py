@@ -61,6 +61,8 @@ class TestBoundarySet:
             BoundarySpec(0.0, 1.0, 0.0, 1.0, delta=0.0)
         with pytest.raises(ConfigurationError):
             BoundarySpec(1.0, 0.0, 0.0, 1.0, delta=0.1)
+        with pytest.raises(ConfigurationError):
+            BoundarySpec(0.0, 1.0, 0.0, 1.0, delta=float("nan"))
 
 
 class TestClassifyCharacteristic:

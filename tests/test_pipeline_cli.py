@@ -303,6 +303,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             PipelineConfig(alpha=-1.0)
 
+    @pytest.mark.parametrize("field", ["epsilon", "alpha", "delta_override"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ConfigurationError):
+            PipelineConfig(**{field: float("nan")})
+
 
 class TestCli:
     def test_intersect_command(self, tmp_path, capsys):
@@ -438,6 +443,24 @@ class TestCli:
         rc = main(["intersect", str(s1), str(s2), "--epsilon", "0.05"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_intersect_rejects_nan_epsilon(self, tmp_path, capsys):
+        s1 = tmp_path / "a.json"
+        s2 = tmp_path / "b.json"
+        save_surface(s1, plane_patch())
+        save_surface(s2, saddle_patch())
+        rc = main(["intersect", str(s1), str(s2), "--epsilon", "nan"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: epsilon must be positive")
+
+    @pytest.mark.parametrize("flag", ["--emit-graph", "--emit-svg", "--dump-boxes"])
+    def test_sweep_rejects_output_flags(self, tmp_path, capsys, flag):
+        p = tmp_path / "x.txt"
+        p.write_text("0 0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", str(p), "--delta", "0.1", flag])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_intersect_disjoint_reports_no_intersection(self, tmp_path, capsys):
         s1 = tmp_path / "a.json"

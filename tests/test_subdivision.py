@@ -1,7 +1,11 @@
 import json
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
+
+import sstopo.subdivision
 
 from sstopo import (
     ConfigurationError,
@@ -11,9 +15,16 @@ from sstopo import (
     intersect_surfaces,
     patch_aabb,
 )
-from sstopo.subdivision import IntersectionPointSets, dump_box_pairs
+from sstopo.subdivision import (
+    OVERLAP_WARN_RATIO,
+    IntersectionPointSets,
+    _dedup_sorted,
+    _Patch,
+    _quantize,
+    dump_box_pairs,
+)
 
-from corpus import plane_patch, saddle_patch, vertical_plane_x
+from corpus import cylinder_patch, plane_patch, saddle_patch, vertical_plane_x, wrinkle_patch
 
 EPS = 0.02
 
@@ -37,6 +48,8 @@ class TestBasics:
             intersect_surfaces(plane_patch(), saddle_patch(), 0.0)
         with pytest.raises(ConfigurationError):
             intersect_surfaces(plane_patch(), saddle_patch(), -1.0)
+        with pytest.raises(ConfigurationError):
+            intersect_surfaces(plane_patch(), saddle_patch(), float("nan"))
 
     def test_coincident_patches_terminate_with_overlap_flag(self):
         sets = intersect_surfaces(plane_patch(), plane_patch(), 0.1)
@@ -173,3 +186,110 @@ def test_box_dump(tmp_path, plane_cross):
     assert len(records) == len(plane_cross.terminal_pairs)
     first = records[0]
     assert len(first["rect1"]) == 4 and len(first["rect2"]) == 4
+
+
+# Coarse enough to keep the uncached reference fast, fine enough that many
+# patches are paired with several partners.
+CACHE_CASES = {
+    "saddle": (plane_patch, saddle_patch, 0.05),
+    "wrinkle": (plane_patch, wrinkle_patch, 0.05),
+    "cylinders": (lambda: cylinder_patch(axis="y"), lambda: cylinder_patch(axis="x"), 0.05),
+}
+
+
+def _array_boxes_intersect(a, b):
+    """The closed-box test on numpy arrays, as an oracle for the float one."""
+    return bool(
+        np.all(np.array(a.box_min) <= np.array(b.box_max))
+        and np.all(np.array(b.box_min) <= np.array(a.box_max))
+    )
+
+
+def _uncached_intersection(surface1, surface2, epsilon):
+    """The subdivision loop recomputing every split, with array box tests.
+
+    Returns the fields of `IntersectionPointSets` that the traversal decides.
+    """
+    root1 = _Patch.from_surface(surface1, 1)
+    root2 = _Patch.from_surface(surface2, 2)
+    raw1, raw2, raw_pairs = [], [], []
+    cell_diag1 = cell_diag2 = 0.0
+    seen_rect1 = {}
+    stack = [(root1, root2)] if _array_boxes_intersect(root1, root2) else []
+    while stack:
+        p1, p2 = stack.pop()
+        if p1.diag <= epsilon and p2.diag <= epsilon:
+            c1, c2 = p1.rect.centroid, p2.rect.centroid
+            raw_pairs.append((len(raw1), len(raw2)))
+            raw1.append(c1)
+            raw2.append(c2)
+            cell_diag1 = max(cell_diag1, p1.diag)
+            cell_diag2 = max(cell_diag2, p2.diag)
+            seen_rect1[(_quantize(c1[0]), _quantize(c1[1]))] = p1.rect.area
+            continue
+        if p1.diag >= p2.diag:
+            stack.extend((c, p2) for c in p1._split() if _array_boxes_intersect(c, p2))
+        else:
+            stack.extend((p1, c) for c in p2._split() if _array_boxes_intersect(p1, c))
+    points1, index1 = _dedup_sorted(raw1)
+    points2, index2 = _dedup_sorted(raw2)
+    pairs = sorted({(index1[i], index2[j]) for i, j in raw_pairs})
+    return {
+        "points1": points1,
+        "points2": points2,
+        "correspondences": np.array(pairs, dtype=np.int64).reshape(-1, 2),
+        "cell_diag1": cell_diag1,
+        "cell_diag2": cell_diag2,
+        "overlap_suspected":
+            sum(seen_rect1.values()) > OVERLAP_WARN_RATIO * root1.rect.area,
+    }
+
+
+class TestSplitCache:
+    @pytest.mark.parametrize("case", sorted(CACHE_CASES))
+    def test_each_rect_split_once(self, monkeypatch, case):
+        make1, make2, eps = CACHE_CASES[case]
+        splitting = []
+        nets_split = Counter()
+        cached_split = _Patch.split
+        real_split_net = sstopo.subdivision._split_net
+
+        def split(self):
+            splitting.append(self.rect)
+            try:
+                return cached_split(self)
+            finally:
+                splitting.pop()
+
+        def split_net(*args):
+            nets_split[splitting[-1]] += 1
+            return real_split_net(*args)
+
+        monkeypatch.setattr(_Patch, "split", split)
+        monkeypatch.setattr(sstopo.subdivision, "_split_net", split_net)
+        sets = intersect_surfaces(make1(), make2(), eps)
+        assert not sets.is_empty
+        assert nets_split and max(nets_split.values()) == 1
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_box_test_is_closed_per_axis(self, axis):
+        a = _Patch.from_surface(plane_patch(), 1)
+        b = _Patch.from_surface(plane_patch(), 2)
+        a.box_min, a.box_max = [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]
+        b.box_min, b.box_max = [0.5, 0.5, 0.5], [1.5, 1.5, 1.5]
+        b.box_min[axis] = 1.0  # touching faces count as intersecting
+        assert a.boxes_intersect(b) and b.boxes_intersect(a)
+        b.box_min[axis] = math.nextafter(1.0, 2.0)
+        assert not a.boxes_intersect(b) and not b.boxes_intersect(a)
+
+    @pytest.mark.parametrize("case", sorted(CACHE_CASES))
+    def test_matches_uncached_reference(self, case):
+        make1, make2, eps = CACHE_CASES[case]
+        expected = _uncached_intersection(make1(), make2(), eps)
+        sets = intersect_surfaces(make1(), make2(), eps)
+        assert sets.points1.shape[0] > 0
+        for name in ("points1", "points2", "correspondences"):
+            assert np.array_equal(getattr(sets, name), expected[name]), name
+        assert sets.cell_diag1 == expected["cell_diag1"]
+        assert sets.cell_diag2 == expected["cell_diag2"]
+        assert sets.overlap_suspected == expected["overlap_suspected"]

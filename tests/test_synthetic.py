@@ -76,6 +76,12 @@ class TestSampling:
         with pytest.raises(ConfigurationError):
             generate_synthetic(SyntheticSpec(curves=(Circle((0, 0), 1.0),), step=0.0, seed=0))
 
+    @pytest.mark.parametrize("field", ["step", "noise"])
+    def test_nan_step_or_noise_rejected(self, field):
+        spec = SyntheticSpec(curves=(Circle((0, 0), 1.0),), seed=0, **{field: float("nan")})
+        with pytest.raises(ConfigurationError):
+            generate_synthetic(spec)
+
     def test_empty_curves_rejected(self):
         with pytest.raises(EmptyInputError):
             generate_synthetic(SyntheticSpec(curves=(), seed=0))
