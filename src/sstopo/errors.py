@@ -20,4 +20,5 @@ class EmptyInputError(SstopoError):
 
 class DegenerateCloudError(SstopoError):
     """A point cloud is too small or too degenerate for the requested statistic,
-    or has non-finite coordinates."""
+    has non-finite coordinates, or comes from a malformed cloud file (a value
+    that does not parse, or a label on some lines but not all)."""

@@ -118,31 +118,11 @@ class MapperGraph:
             adj[b].add(a)
         return adj
 
-    def degree(self, node_id: int) -> int:
-        return len(self.adjacency()[node_id])
-
     def degrees(self) -> dict[int, int]:
         return {nid: len(nb) for nid, nb in self.adjacency().items()}
 
     def connected_components(self) -> list[list[int]]:
-        adj = self.adjacency()
-        seen: set[int] = set()
-        comps: list[list[int]] = []
-        for node in self.nodes:
-            if node.id in seen:
-                continue
-            comp = []
-            stack = [node.id]
-            seen.add(node.id)
-            while stack:
-                cur = stack.pop()
-                comp.append(cur)
-                for nxt in adj[cur]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            comps.append(sorted(comp))
-        return comps
+        return components(self.adjacency())
 
     def point_union(self) -> frozenset[int]:
         out: set[int] = set()
@@ -169,6 +149,29 @@ def _edges_from_nodes(nodes: list[MapperNode]) -> frozenset[tuple[int, int]]:
             for j in range(i + 1, len(ids)):
                 edges.add((ids[i], ids[j]))
     return frozenset(edges)
+
+
+def components(adj: dict[int, set[int]]) -> list[list[int]]:
+    """Connected components of an adjacency map, skipping neighbours that are
+    not keys. Each component is sorted; components come in the order of their
+    first key."""
+    seen: set[int] = set()
+    comps: list[list[int]] = []
+    for start in adj:
+        if start in seen:
+            continue
+        comp = []
+        stack = [start]
+        seen.add(start)
+        while stack:
+            cur = stack.pop()
+            comp.append(cur)
+            for nxt in adj[cur]:
+                if nxt in adj and nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        comps.append(sorted(comp))
+    return comps
 
 
 def centroid(cloud: np.ndarray) -> np.ndarray:

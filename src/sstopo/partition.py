@@ -3,7 +3,9 @@
 Boundary nodes are clusters that reach into the dilated domain boundary;
 singular nodes have graph degree above two. Removing both leaves only paths,
 cycles, and isolated nodes, which classify the point subsets as open curve
-segments, closed curve segments, and isolated intersection points.
+segments, closed curve segments, and isolated intersection points. Each
+connected component of the surviving subgraph is classified from its node
+degrees alone, its edge count being half its degree sum.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .mapper import MapperGraph
+from .mapper import MapperGraph, components
 
 log = logging.getLogger(__name__)
 
@@ -87,9 +89,6 @@ class CrossDomainMatch:
 
     pairs: tuple[tuple[int, int, int], ...]
 
-    def as_mapping(self) -> dict[tuple[int, int], int]:
-        return {(a, b): c for a, b, c in self.pairs}
-
 
 def approximate_boundary_set(points: np.ndarray, spec: BoundarySpec) -> np.ndarray:
     """Indices of points strictly inside the dilated boundary bands.
@@ -144,41 +143,18 @@ def partition(graph: MapperGraph, characteristic: CharacteristicNodes) -> Partit
     """
     removed_ids = characteristic.all_nodes
     survivors = [n for n in graph.nodes if n.id not in removed_ids]
-    surviving_ids = {n.id for n in survivors}
     surviving_points: set[int] = set()
     for n in survivors:
         surviving_points |= n.points
 
-    adj: dict[int, set[int]] = {n.id: set() for n in survivors}
-    edge_count_between: set[tuple[int, int]] = set()
-    for a, b in graph.edges:
-        if a in surviving_ids and b in surviving_ids:
-            adj[a].add(b)
-            adj[b].add(a)
-            edge_count_between.add((min(a, b), max(a, b)))
-
-    by_id = {n.id: n for n in survivors}
-    seen: set[int] = set()
+    adj = {nid: nbrs - removed_ids for nid, nbrs in graph.adjacency().items()
+           if nid not in removed_ids}
     segments: list[Segment] = []
-    for n in survivors:
-        if n.id in seen:
-            continue
-        comp = []
-        stack = [n.id]
-        seen.add(n.id)
-        while stack:
-            cur = stack.pop()
-            comp.append(cur)
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        comp.sort()
-        comp_edges = _edges_within(edge_count_between, set(comp))
-        kind = _classify_component(comp, adj, comp_edges)
+    for comp in components(adj):
+        kind = _classify_component([len(adj[nid]) for nid in comp])
         pts: set[int] = set()
         for nid in comp:
-            pts |= by_id[nid].points
+            pts |= graph.node_by_id(nid).points
         segments.append(Segment(tuple(sorted(pts)), kind, tuple(comp)))
 
     # Deterministic report order: by smallest point index, then node id.
@@ -198,13 +174,9 @@ def partition(graph: MapperGraph, characteristic: CharacteristicNodes) -> Partit
     )
 
 
-def _edges_within(edges: set[tuple[int, int]], comp: set[int]) -> int:
-    return sum(1 for a, b in edges if a in comp and b in comp)
-
-
-def _classify_component(comp: list[int], adj: dict[int, set[int]], n_edges: int) -> str:
-    n = len(comp)
-    degs = [len(adj[nid]) for nid in comp]
+def _classify_component(degs: list[int]) -> str:
+    n = len(degs)
+    n_edges = sum(degs) // 2
     if n == 1 and n_edges == 0:
         return KIND_ISOLATED
     if max(degs) <= 2 and degs.count(1) == 2 and n_edges == n - 1:

@@ -8,13 +8,39 @@ counts against the generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, EmptyInputError
+from .errors import ConfigurationError, DegenerateCloudError, EmptyInputError
 
 _END_TOL = 1e-12
+
+
+def _finite(what: str, value) -> float:
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        out = math.nan
+    if not math.isfinite(out):
+        raise ConfigurationError(f"{what} must be a finite number, got {value!r}")
+    return out
+
+
+def _point(what: str, value) -> tuple[float, float]:
+    try:
+        x, y = value
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{what} must be an (x, y) pair, got {value!r}") from None
+    return _finite(what, x), _finite(what, y)
+
+
+def _radius(value) -> float:
+    radius = _finite("radius", value)
+    if not radius > 0:
+        raise ConfigurationError(f"radius must be positive, got {value!r}")
+    return radius
 
 
 @dataclass(frozen=True)
@@ -24,6 +50,11 @@ class Circle:
     phase: float = 0.0
 
     closed = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "center", _point("circle center", self.center))
+        object.__setattr__(self, "radius", _radius(self.radius))
+        object.__setattr__(self, "phase", _finite("circle phase", self.phase))
 
     @property
     def length(self) -> float:
@@ -42,6 +73,12 @@ class SegmentCurve:
     end: tuple[float, float]
 
     closed = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "start", _point("segment start", self.start))
+        object.__setattr__(self, "end", _point("segment end", self.end))
+        if self.start == self.end:
+            raise ConfigurationError(f"segment start and end coincide at {self.start}")
 
     @property
     def length(self) -> float:
@@ -65,6 +102,14 @@ class Arc:
     angle_end: float
 
     closed = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "center", _point("arc center", self.center))
+        object.__setattr__(self, "radius", _radius(self.radius))
+        for name in ("angle_start", "angle_end"):
+            object.__setattr__(self, name, _finite(f"arc {name}", getattr(self, name)))
+        if self.angle_start == self.angle_end:
+            raise ConfigurationError(f"arc angles are equal ({self.angle_start})")
 
     @property
     def length(self) -> float:
@@ -129,17 +174,15 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def curve_from_dict(data: dict):
     kind = data.get("kind")
-    if kind == "circle":
-        return Circle(tuple(data["center"]), float(data["radius"]), float(data.get("phase", 0.0)))
-    if kind == "segment":
-        return SegmentCurve(tuple(data["start"]), tuple(data["end"]))
-    if kind == "arc":
-        return Arc(
-            tuple(data["center"]),
-            float(data["radius"]),
-            float(data["angle_start"]),
-            float(data["angle_end"]),
-        )
+    try:
+        if kind == "circle":
+            return Circle(data["center"], data["radius"], data.get("phase", 0.0))
+        if kind == "segment":
+            return SegmentCurve(data["start"], data["end"])
+        if kind == "arc":
+            return Arc(data["center"], data["radius"], data["angle_start"], data["angle_end"])
+    except KeyError as exc:
+        raise ConfigurationError(f"{kind} curve is missing field {exc}") from None
     raise ConfigurationError(f"unknown curve kind {kind!r}")
 
 
@@ -166,18 +209,31 @@ def save_cloud(path, points: np.ndarray, labels: np.ndarray | None = None) -> No
 
 
 def load_cloud(path) -> tuple[np.ndarray, np.ndarray | None]:
+    """Read `x y` lines, or `x y label` lines; blank lines are skipped.
+
+    Raises `DegenerateCloudError` naming the line when a value does not parse,
+    or when a line's field count differs from the first line's.
+    """
     xs: list[list[float]] = []
     labs: list[int] = []
-    has_labels = False
+    width = None
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             parts = line.split()
             if not parts:
                 continue
-            xs.append([float(parts[0]), float(parts[1])])
-            if len(parts) > 2:
-                has_labels = True
-                labs.append(int(parts[2]))
+            width = width or len(parts)
+            if len(parts) != width or width not in (2, 3):
+                raise DegenerateCloudError(
+                    f"{path}, line {lineno}: {len(parts)} field(s); every line must "
+                    "be 'x y', or every line 'x y label'"
+                )
+            try:
+                xs.append([float(parts[0]), float(parts[1])])
+                if width == 3:
+                    labs.append(int(parts[2]))
+            except ValueError as exc:
+                raise DegenerateCloudError(f"{path}, line {lineno}: {exc}") from None
     points = np.array(xs, dtype=np.float64) if xs else np.empty((0, 2))
-    labels = np.array(labs, dtype=np.int64) if has_labels else None
+    labels = np.array(labs, dtype=np.int64) if width == 3 else None
     return points, labels

@@ -2,12 +2,12 @@
 
 Step one builds the initial graph with the principal-direction filter. Nodes
 whose point sets would support two or more cover intervals under the
-orthogonal filter are collected, adjacent ones merged, and each merged node
-is replaced by a Mapper subgraph built under the orthogonal filter. Nodes of
-a subgraph that touch the same outside neighbor are merged first, which is
-what prevents the spurious cross edges that independent splitting of two
-adjacent nodes would otherwise introduce. All edges are recomputed globally
-at the end by the shared-point rule.
+orthogonal filter are flagged, and each connected group of flagged nodes is
+replaced by a Mapper subgraph built on the group's points under the
+orthogonal filter. Subgraph nodes that touch the same outside neighbor are
+merged, which is what prevents the spurious cross edges that independent
+splitting of two adjacent nodes would otherwise introduce. All edges are
+recomputed globally at the end by the shared-point rule.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .mapper import (
     _edges_from_nodes,
     build_mapper_graph,
     centroid,
+    components,
     compute_l0,
     interval_count,
     make_pca_filter,
@@ -34,11 +35,12 @@ from .mapper import (
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """Nodes slated for orthogonal refinement, after adjacency merging.
+    """Nodes slated for orthogonal refinement: the smallest id of each
+    connected group of flagged nodes.
 
     `interval_counts[node]` is the orthogonal interval count that flagged the
-    node; for a merged node it is the max over its members, so every entry is
-    >= 2. No two nodes in `split_set` are adjacent in the working graph.
+    node; for a group of several nodes it is the max over its members, so
+    every entry is >= 2. No two nodes in `split_set` are adjacent.
     """
 
     split_set: tuple[int, ...]
@@ -88,53 +90,31 @@ def _cloud_filter(cloud: np.ndarray) -> LinearFilter:
 def plan_splits(
     graph: MapperGraph, cloud: np.ndarray, f_perp: LinearFilter, params: MapperParams
 ) -> SplitPlan:
-    """Flag nodes with orthogonal interval count >= 2 and merge adjacent ones.
+    """Flag nodes with orthogonal interval count >= 2 and group adjacent ones.
 
-    Reported ids are the smallest member id of each merge group; counts reflect
-    the group max. The refinement itself splits exactly these groups.
+    Reported ids are the smallest member id of each group; counts reflect the
+    group max. The refinement itself splits exactly these groups.
     """
     return _plan(*_split_groups(graph, cloud, f_perp, params))
 
 
 def _split_groups(
     graph: MapperGraph, cloud: np.ndarray, f_perp: LinearFilter, params: MapperParams
-) -> tuple[list[set[int]], dict[int, int]]:
-    """Merge groups of the flagged nodes, plus every node's interval count."""
+) -> tuple[list[list[int]], dict[int, int]]:
+    """Connected groups of the flagged nodes, plus every node's interval count."""
     counts = {
         n.id: split_interval_count(n.points, cloud, f_perp, params) for n in graph.nodes
     }
-    flagged = sorted(nid for nid, s in counts.items() if s >= 2)
-    return _merge_adjacent(graph, flagged), counts
-
-
-def _plan(groups: list[set[int]], counts: dict[int, int]) -> SplitPlan:
-    return SplitPlan(
-        tuple(sorted(min(g) for g in groups)),
-        {min(g): max(counts[m] for m in g) for g in groups},
-    )
-
-
-def _merge_adjacent(graph: MapperGraph, flagged: list[int]) -> list[set[int]]:
-    """Connected components of the subgraph induced by the flagged nodes."""
-    flagged_set = set(flagged)
     adj = graph.adjacency()
-    seen: set[int] = set()
-    groups: list[set[int]] = []
-    for nid in flagged:
-        if nid in seen:
-            continue
-        group = {nid}
-        stack = [nid]
-        seen.add(nid)
-        while stack:
-            cur = stack.pop()
-            for nxt in adj[cur]:
-                if nxt in flagged_set and nxt not in seen:
-                    seen.add(nxt)
-                    group.add(nxt)
-                    stack.append(nxt)
-        groups.append(group)
-    return groups
+    flagged = {nid: adj[nid] for nid in sorted(counts) if counts[nid] >= 2}
+    return components(flagged), counts
+
+
+def _plan(groups: list[list[int]], counts: dict[int, int]) -> SplitPlan:
+    return SplitPlan(
+        tuple(g[0] for g in groups),
+        {g[0]: max(counts[m] for m in g) for g in groups},
+    )
 
 
 def run_two_step(cloud: np.ndarray, params: MapperParams) -> TwoStepResult:
@@ -167,83 +147,37 @@ def two_step_mapper(cloud: np.ndarray, params: MapperParams) -> MapperGraph:
 def _refine(
     initial: MapperGraph, cloud: np.ndarray, f_perp: LinearFilter, params: MapperParams
 ) -> tuple[MapperGraph, SplitPlan]:
-    # Working copies keyed by node id; dict order keeps the result deterministic.
-    points: dict[int, frozenset[int]] = {n.id: n.points for n in initial.nodes}
-    intervals: dict[int, tuple[int, ...]] = {n.id: n.intervals for n in initial.nodes}
-    refined: dict[int, bool] = {n.id: n.refined for n in initial.nodes}
-    edges: set[tuple[int, int]] = set(initial.edges)
-
     groups, counts = _split_groups(initial, cloud, f_perp, params)
-    plan = _plan(groups, counts)
-
+    adj = initial.adjacency()
+    by_id = initial.nodes
+    flagged = {m for group in groups for m in group}
+    # Unflagged nodes keep their order; each group's new nodes follow.
+    out = [(n.points, n.intervals, n.refined) for n in by_id if n.id not in flagged]
     for group in groups:
-        if len(group) < 2:
-            continue
-        keep = min(group)
-        drop = sorted(group - {keep})
-        merged_points = frozenset().union(*(points[m] for m in group))
-        merged_intervals = tuple(sorted({k for m in group for k in intervals[m]}))
-        points[keep] = merged_points
-        intervals[keep] = merged_intervals
-        rewired = set()
-        for a, b in edges:
-            a = keep if a in drop else a
-            b = keep if b in drop else b
-            if a != b:
-                rewired.add((min(a, b), max(a, b)))
-        edges = rewired
-        for m in drop:
-            del points[m], intervals[m], refined[m]
-
-    adjacency: dict[int, set[int]] = {nid: set() for nid in points}
-    for a, b in edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-
-    next_id = max(points) + 1 if points else 0
-    for vid in plan.split_set:
-        ids_sorted = sorted(points[vid])
-        sub = cloud[ids_sorted]
-        subgraph = build_mapper_graph(sub, f_perp, params)
+        ids_sorted = sorted(frozenset().union(*(by_id[m].points for m in group)))
+        # A flagged neighbor would be in the group, so these are all unflagged.
+        neighbors = set().union(*(adj[m] for m in group)) - set(group)
+        subgraph = build_mapper_graph(cloud[ids_sorted], f_perp, params)
         local_sets = [
             frozenset(ids_sorted[i] for i in node.points) for node in subgraph.nodes
         ]
-        local_intervals = [node.intervals for node in subgraph.nodes]
 
         # Nodes of the subgraph touching one same neighbor collapse together;
-        # overlapping merge groups from different neighbors union transitively.
-        parent = list(range(len(local_sets)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for nb in sorted(adjacency[vid]):
-            nb_points = points[nb]
-            touching = [i for i, s in enumerate(local_sets) if s & nb_points]
+        # overlapping sets of touching nodes from different neighbors chain.
+        touch: dict[int, set[int]] = {i: set() for i in range(len(local_sets))}
+        for nb in neighbors:
+            touching = [i for i, s in enumerate(local_sets) if s & by_id[nb].points]
             for a, b in zip(touching, touching[1:]):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-
-        merged: dict[int, list[int]] = {}
-        for i in range(len(local_sets)):
-            merged.setdefault(find(i), []).append(i)
-
-        for root in sorted(merged):
-            members = merged[root]
+                touch[a].add(b)
+                touch[b].add(a)
+        for members in components(touch):
             new_points = frozenset().union(*(local_sets[i] for i in members))
-            new_intervals = tuple(sorted({k for i in members for k in local_intervals[i]}))
-            points[next_id] = new_points
-            intervals[next_id] = new_intervals
-            refined[next_id] = True
-            next_id += 1
-        del points[vid], intervals[vid], refined[vid]
+            new_intervals = {k for i in members for k in subgraph.nodes[i].intervals}
+            out.append((new_points, tuple(sorted(new_intervals)), True))
 
     nodes = tuple(
-        MapperNode(new_id, pts, intervals=intervals[old_id], refined=refined[old_id])
-        for new_id, (old_id, pts) in enumerate(points.items())
+        MapperNode(new_id, pts, intervals=intervals, refined=refined)
+        for new_id, (pts, intervals, refined) in enumerate(out)
     )
-    return MapperGraph(nodes=nodes, edges=_edges_from_nodes(list(nodes))), plan
+    graph = MapperGraph(nodes=nodes, edges=_edges_from_nodes(list(nodes)))
+    return graph, _plan(groups, counts)

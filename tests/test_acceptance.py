@@ -88,7 +88,7 @@ def test_criterion_3_singular_crossed_planes():
     for dom in doc.domains:
         assert len(dom.characteristic.singular_nodes) == 1
         (sid,) = dom.characteristic.singular_nodes
-        assert dom.graph.degree(sid) == 4
+        assert dom.graph.degrees()[sid] == 4
         assert dom.partition.segment_kinds() == [KIND_OPEN] * 4
     assert len(doc.match.pairs) == 4
     assert len({a for a, _, _ in doc.match.pairs}) == 4
@@ -145,7 +145,7 @@ def test_criterion_5_isolated_tangency():
             if seg.kind == KIND_ISOLATED
             for nid in seg.node_ids
         ]
-        assert all(dom.graph.degree(nid) == 0 for nid in isolated_nodes)
+        assert all(dom.graph.degrees()[nid] == 0 for nid in isolated_nodes)
     ok(5, "tangent paraboloid: degree-0 node classified isolated in both domains")
 
 

@@ -7,14 +7,16 @@ tracer from `perfbench/` without changing it and runs one tiny sweep.
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import sstopo.pipeline
-from sstopo import PipelineConfig
+from sstopo import MapperParams, PipelineConfig, run_two_step
+from sstopo.synthetic import recommended_delta
 
-from corpus import plane_patch, saddle_patch
+from corpus import NOISE, STEP, plane_patch, saddle_patch, three_curves_cloud
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -52,3 +54,25 @@ def test_install_traces_one_subdivision_per_sweep(spans):
     figures = spans.pass_metrics(recorded, 0, len(recorded), solve_s=1.0)
     assert figures["pipeline.subdivisions_per_sweep"] == 1
     assert figures["subdivision.calls"] == 1
+
+
+def test_mapper_only_records_every_layer(spans):
+    pts, _ = three_curves_cloud(seed=3)
+    delta = recommended_delta(STEP, NOISE)
+    untraced = run_two_step(pts, MapperParams(delta=delta))
+    assert untraced.plan.split_set
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        sstopo.pipeline.run_mapper_only(PipelineConfig(delta_override=delta), pts)
+    finally:
+        tracer.uninstall()
+
+    calls = Counter(s.name for s in tracer.spans)
+    assert calls["twostep.split_interval_count"] == untraced.initial_graph.node_count
+    assert calls["mapper.build_graph"] == len(untraced.plan.split_set) + 1
+    for name in ("mapper.compute_l0", "kernels.neighbor_components",
+                 "kernels.neighbor_sup_abs_diff"):
+        assert calls[name] >= 1, name
+    assert calls["partition.classify"] == 1
+    assert calls["partition.partition"] == 1

@@ -69,7 +69,7 @@ class TestRunPipeline:
         for dom in doc.domains:
             assert len(dom.characteristic.singular_nodes) == 1
             (sid,) = dom.characteristic.singular_nodes
-            assert dom.graph.degree(sid) == 4
+            assert dom.graph.degrees()[sid] == 4
             assert dom.partition.segment_kinds() == [KIND_OPEN] * 4
         assert len(doc.match.pairs) == 4
         # bijective matching
@@ -425,6 +425,29 @@ class TestCli:
         rc = main(["mapper", str(tmp_path / "nope.txt"), "--delta", "0.1"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["0 0\n1\n", "0 0 0\n1 1\n2 2 0\n"])
+    def test_mapper_rejects_malformed_cloud(self, tmp_path, capsys, text):
+        p = tmp_path / "f.txt"
+        p.write_text(text)
+        rc = main(["mapper", str(p), "--delta", "0.1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 2:" in err
+
+    @pytest.mark.parametrize("curve", [
+        {"kind": "circle", "center": [0, 0], "radius": 0},
+        {"kind": "circle", "center": [0, 0], "radius": -1},
+        {"kind": "circle", "center": ["a", 0], "radius": 1},
+        {"kind": "segment", "start": [0, 0], "end": [0, 0]},
+    ])
+    def test_synth_rejects_degenerate_curve(self, tmp_path, capsys, curve):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"curves": [curve]}))
+        rc = main(["synth", str(spec_path), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "cloud.txt").exists()
 
     def test_sweep_rejects_three_inputs(self, tmp_path, capsys):
         p = tmp_path / "x.txt"

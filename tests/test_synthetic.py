@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sstopo import ConfigurationError, EmptyInputError
+from sstopo import ConfigurationError, DegenerateCloudError, EmptyInputError
 from sstopo.synthetic import (
     Arc,
     Circle,
@@ -108,6 +108,20 @@ class TestCloudIO:
         assert np.array_equal(got_pts, pts)
         assert got_labels is None
 
+    @pytest.mark.parametrize("text, line", [
+        ("0 0\n1\n", 2),
+        ("0 0 0\n1 1\n2 2 0\n", 2),
+        ("0 0\n\n1 1 0\n", 3),
+        ("0 0\n1 one\n", 2),
+        ("0 0 0\n1 1 x\n", 2),
+        ("0 0 0 0\n", 1),
+    ])
+    def test_malformed_line_named(self, tmp_path, text, line):
+        path = tmp_path / "cloud.txt"
+        path.write_text(text)
+        with pytest.raises(DegenerateCloudError, match=f"line {line}:"):
+            load_cloud(path)
+
     def test_spec_from_dict(self):
         data = {
             "step": 0.05,
@@ -129,3 +143,33 @@ class TestCloudIO:
     def test_unknown_curve_kind(self):
         with pytest.raises(ConfigurationError):
             curve_from_dict({"kind": "spiral"})
+
+
+class TestCurveValidation:
+    @pytest.mark.parametrize("data", [
+        {"kind": "circle", "center": [0, 0], "radius": 0},
+        {"kind": "circle", "center": [0, 0], "radius": -1},
+        {"kind": "circle", "center": [0, 0], "radius": float("nan")},
+        {"kind": "circle", "center": [0, 0], "radius": float("inf")},
+        {"kind": "circle", "center": ["a", 0], "radius": 1},
+        {"kind": "circle", "center": [0, float("inf")], "radius": 1},
+        {"kind": "circle", "center": [0], "radius": 1},
+        {"kind": "circle", "center": [0, 0]},
+        {"kind": "segment", "start": [1, 2], "end": [1, 2]},
+        {"kind": "segment", "start": [0, 0], "end": [float("nan"), 1]},
+        {"kind": "arc", "center": [0, 0], "radius": 1, "angle_start": 1, "angle_end": 1},
+        {"kind": "arc", "center": [0, 0], "radius": 0, "angle_start": 0, "angle_end": 1},
+        {"kind": "arc", "center": [0, 0], "radius": 1, "angle_start": 0,
+         "angle_end": float("nan")},
+    ])
+    def test_degenerate_curve_rejected(self, data):
+        with pytest.raises(ConfigurationError):
+            curve_from_dict(data)
+
+    def test_dataclasses_validate(self):
+        with pytest.raises(ConfigurationError):
+            Circle((0, 0), 0.0)
+        with pytest.raises(ConfigurationError):
+            SegmentCurve((0, 0), (0.0, 0.0))
+        with pytest.raises(ConfigurationError):
+            Arc((0, 0), 1.0, 0.5, 0.5)

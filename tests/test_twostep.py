@@ -1,23 +1,36 @@
 import numpy as np
+import pytest
 
 from sstopo import (
     LinearFilter,
+    intersect_surfaces,
+    MapperGraph,
+    MapperNode,
     MapperParams,
     orthogonal_filter,
     run_two_step,
     split_interval_count,
     two_step_mapper,
 )
-from sstopo.mapper import compute_l0, interval_count
+from sstopo.mapper import (
+    _edges_from_nodes,
+    build_mapper_graph,
+    compute_l0,
+    default_delta,
+    interval_count,
+)
 from sstopo.synthetic import recommended_delta
-from sstopo.twostep import plan_splits
+from sstopo.twostep import SplitPlan, plan_splits
 
 from corpus import (
     STEP,
     NOISE,
     assert_edges_match_intersections,
     noisy_circle_cloud,
+    performance_cloud,
+    plane_patch,
     plus_cloud,
+    saddle_patch,
     three_curves_cloud,
 )
 
@@ -162,3 +175,168 @@ class TestTwoStep:
         res = run_two_step(pts, MapperParams(delta=recommended_delta(STEP, 0.0)))
         assert res.seconds_initial >= 0.0
         assert res.seconds_refine >= 0.0
+
+
+def _reference_groups(graph, cloud, f_perp, params):
+    """Flagged nodes merged by a depth-first search over the flagged subgraph,
+    plus every node's orthogonal interval count."""
+    counts = {
+        n.id: split_interval_count(n.points, cloud, f_perp, params) for n in graph.nodes
+    }
+    flagged = sorted(nid for nid, s in counts.items() if s >= 2)
+    flagged_set = set(flagged)
+    adj = graph.adjacency()
+    seen: set[int] = set()
+    groups: list[set[int]] = []
+    for nid in flagged:
+        if nid in seen:
+            continue
+        group = {nid}
+        stack = [nid]
+        seen.add(nid)
+        while stack:
+            cur = stack.pop()
+            for nxt in adj[cur]:
+                if nxt in flagged_set and nxt not in seen:
+                    seen.add(nxt)
+                    group.add(nxt)
+                    stack.append(nxt)
+        groups.append(group)
+    return groups, counts
+
+
+def _reference_refine(initial, cloud, f_perp, params):
+    """The refinement as a merge-then-split pass: each group of adjacent
+    flagged nodes becomes one node with rewired edges, then every merged node
+    is split, its subgraph nodes joined by union-find when they touch one
+    same neighbor. Also returns how many subgraph nodes were joined away."""
+    points = {n.id: n.points for n in initial.nodes}
+    intervals = {n.id: n.intervals for n in initial.nodes}
+    refined = {n.id: n.refined for n in initial.nodes}
+    edges = set(initial.edges)
+
+    groups, counts = _reference_groups(initial, cloud, f_perp, params)
+    plan = SplitPlan(
+        tuple(sorted(min(g) for g in groups)),
+        {min(g): max(counts[m] for m in g) for g in groups},
+    )
+
+    for group in groups:
+        if len(group) < 2:
+            continue
+        keep = min(group)
+        drop = sorted(group - {keep})
+        points[keep] = frozenset().union(*(points[m] for m in group))
+        intervals[keep] = tuple(sorted({k for m in group for k in intervals[m]}))
+        rewired = set()
+        for a, b in edges:
+            a = keep if a in drop else a
+            b = keep if b in drop else b
+            if a != b:
+                rewired.add((min(a, b), max(a, b)))
+        edges = rewired
+        for m in drop:
+            del points[m], intervals[m], refined[m]
+
+    adjacency = {nid: set() for nid in points}
+    for a, b in edges:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+
+    joined = 0
+    next_id = max(points) + 1 if points else 0
+    for vid in plan.split_set:
+        ids_sorted = sorted(points[vid])
+        subgraph = build_mapper_graph(cloud[ids_sorted], f_perp, params)
+        local_sets = [
+            frozenset(ids_sorted[i] for i in node.points) for node in subgraph.nodes
+        ]
+        local_intervals = [node.intervals for node in subgraph.nodes]
+        parent = list(range(len(local_sets)))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for nb in sorted(adjacency[vid]):
+            touching = [i for i, s in enumerate(local_sets) if s & points[nb]]
+            for a, b in zip(touching, touching[1:]):
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+
+        merged: dict[int, list[int]] = {}
+        for i in range(len(local_sets)):
+            merged.setdefault(find(i), []).append(i)
+        joined += len(local_sets) - len(merged)
+        for root in sorted(merged):
+            members = merged[root]
+            points[next_id] = frozenset().union(*(local_sets[i] for i in members))
+            intervals[next_id] = tuple(
+                sorted({k for i in members for k in local_intervals[i]})
+            )
+            refined[next_id] = True
+            next_id += 1
+        del points[vid], intervals[vid], refined[vid]
+
+    nodes = tuple(
+        MapperNode(new_id, pts, intervals=intervals[old_id], refined=refined[old_id])
+        for new_id, (old_id, pts) in enumerate(points.items())
+    )
+    return MapperGraph(nodes=nodes, edges=_edges_from_nodes(list(nodes))), plan, joined
+
+
+def _refine_case(name):
+    if name.startswith("three_curves"):
+        pts, _ = three_curves_cloud(seed=int(name.rsplit("_", 1)[1]))
+        return pts, MapperParams(delta=DELTA)
+    if name == "plus":
+        return plus_cloud()[0], MapperParams(delta=recommended_delta(STEP, 0.0))
+    if name == "noisy_circle":
+        return noisy_circle_cloud(seed=7)[0], MapperParams(delta=DELTA)
+    if name.startswith("plane_saddle"):
+        # At these overlap ratios adjacent flagged nodes form groups, and
+        # subgraph nodes touching one neighbor are joined.
+        _, domain, theta = name.split("_")[1:]
+        sets = intersect_surfaces(plane_patch(), saddle_patch(), 0.05)
+        pts, diag = (sets.points1, sets.cell_diag1) if domain == "uv" else (
+            sets.points2, sets.cell_diag2)
+        return pts, MapperParams(delta=default_delta(diag), theta_ov=float(theta))
+    pts, _, step = performance_cloud(6000)
+    return pts, MapperParams(delta=recommended_delta(step, NOISE))
+
+
+REFINE_CASES = ["three_curves_3", "three_curves_5", "three_curves_7", "plus",
+                "noisy_circle", "performance_6k", "plane_saddle_uv_0.4",
+                "plane_saddle_st_0.3"]
+
+
+class TestRefineReference:
+    @pytest.mark.parametrize("case", REFINE_CASES)
+    def test_matches_merge_then_split_reference(self, case):
+        pts, params = _refine_case(case)
+        res = run_two_step(pts, params)
+        expected, expected_plan, _ = _reference_refine(
+            res.initial_graph, pts, res.perp_filter, params
+        )
+        assert len(res.graph.nodes) == len(expected.nodes)
+        for got, want in zip(res.graph.nodes, expected.nodes):
+            assert (got.id, got.points, got.intervals, got.refined) == (
+                want.id, want.points, want.intervals, want.refined
+            )
+        assert res.graph.edges == expected.edges
+        assert res.plan == expected_plan
+
+    def test_cases_include_merges(self):
+        group_sizes = []
+        joined = 0
+        for case in REFINE_CASES:
+            pts, params = _refine_case(case)
+            res = run_two_step(pts, params)
+            groups, _ = _reference_groups(res.initial_graph, pts, res.perp_filter, params)
+            group_sizes += [len(g) for g in groups]
+            joined += _reference_refine(res.initial_graph, pts, res.perp_filter, params)[2]
+        assert max(group_sizes) >= 2
+        assert joined >= 1
