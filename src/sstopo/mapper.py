@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -135,20 +136,24 @@ class MapperGraph:
 
 
 def _edges_from_nodes(nodes: list[MapperNode]) -> frozenset[tuple[int, int]]:
-    """Edge iff two nodes share a point, via an inverted point -> nodes index."""
-    owners: dict[int, list[int]] = {}
-    for node in nodes:
-        for p in node.points:
-            owners.setdefault(p, []).append(node.id)
-    edges: set[tuple[int, int]] = set()
-    for ids in owners.values():
-        if len(ids) < 2:
-            continue
-        ids = sorted(ids)
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                edges.add((ids[i], ids[j]))
-    return frozenset(edges)
+    """Edge iff two nodes share a point: the (point, node) memberships are
+    sorted by point and then node, so the nodes of each point form a run."""
+    sizes = [len(node.points) for node in nodes]
+    point = np.fromiter(chain.from_iterable(node.points for node in nodes),
+                        dtype=np.int64, count=sum(sizes))
+    owner = np.repeat(np.array([node.id for node in nodes], dtype=np.int64), sizes)
+    order = np.lexsort((owner, point))
+    point, owner = point[order], owner[order]
+    width = int(owner.max(initial=0)) + 1
+    keys = [np.empty(0, dtype=np.int64)]
+    # Pair each membership with the one d places later in its run.
+    for d in range(1, len(nodes)):
+        same = point[d:] == point[:-d]
+        if not same.any():
+            break
+        keys.append(owner[:-d][same] * width + owner[d:][same])
+    lo, hi = np.divmod(np.unique(np.concatenate(keys)), width)
+    return frozenset(zip(lo.tolist(), hi.tolist()))
 
 
 def components(adj: dict[int, set[int]]) -> list[list[int]]:
@@ -313,6 +318,6 @@ def build_mapper_graph(cloud: np.ndarray, filt: LinearFilter, params: MapperPara
     for k, members in enumerate(cover.membership(values)):
         for cluster in cluster_preimage(members, cloud, params.delta):
             nodes.append(
-                MapperNode(len(nodes), frozenset(int(i) for i in cluster), intervals=(k,))
+                MapperNode(len(nodes), frozenset(cluster.tolist()), intervals=(k,))
             )
     return MapperGraph(nodes=tuple(nodes), edges=_edges_from_nodes(nodes))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -173,6 +174,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def curve_from_dict(data: dict):
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"a curve must be a JSON object, got {data!r}")
     kind = data.get("kind")
     try:
         if kind == "circle":
@@ -187,13 +190,19 @@ def curve_from_dict(data: dict):
 
 
 def spec_from_dict(data: dict, seed_override: int | None = None) -> SyntheticSpec:
-    curves = tuple(curve_from_dict(c) for c in data.get("curves", []))
-    seed = int(data.get("seed", 0)) if seed_override is None else seed_override
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"a synthetic spec must be a JSON object, got {data!r}")
+    curves = data.get("curves", [])
+    if not isinstance(curves, (list, tuple)):
+        raise ConfigurationError(f"'curves' must be a list of objects, got {curves!r}")
+    seed = data.get("seed", 0) if seed_override is None else seed_override
+    if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
+        raise ConfigurationError(f"seed must be a nonnegative integer, got {seed!r}")
     return SyntheticSpec(
-        curves=curves,
-        step=float(data.get("step", 0.02)),
-        noise=float(data.get("noise", 0.01)),
-        seed=seed,
+        curves=tuple(curve_from_dict(c) for c in curves),
+        step=_finite("step", data.get("step", 0.02)),
+        noise=_finite("noise", data.get("noise", 0.01)),
+        seed=int(seed),
     )
 
 

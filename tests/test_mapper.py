@@ -142,7 +142,8 @@ class TestComputeL0:
         assert compute_l0(cloud, self.X_AXIS, 1.5, 0.2) == pytest.approx(5.0)
 
     def test_matches_brute_force_oracle(self):
-        # 255/256 straddle the brute-force/tree switch of the pair search
+        # From a few points per grid cell to a few dozen; every size runs the
+        # one grid path.
         rng = np.random.default_rng(21)
         for n in (80, 255, 256, 600):
             for _ in range(10):
@@ -270,7 +271,7 @@ class TestClusterPreimage:
 
     @pytest.mark.parametrize("n", [60, 200, 300, 500])
     def test_matches_brute_force_union_find(self, n):
-        # crosses the brute-force/tree dispatch threshold both ways
+        # sparse to dense preimages on the delta/2 grid
         rng = np.random.default_rng(n)
         cloud = rng.uniform(0, 1, (n, 2))
         delta = float(rng.uniform(0.02, 0.2))

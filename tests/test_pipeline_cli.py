@@ -24,7 +24,6 @@ from sstopo import (
     sweep_theta,
     uniform_clamped_knots,
 )
-from sstopo._kernels import BRUTE_FORCE_LIMIT
 from sstopo.cli import main
 from sstopo.geometry import surface_to_dict
 from sstopo.partition import KIND_CLOSED, KIND_ISOLATED, KIND_OPEN
@@ -183,7 +182,7 @@ class TestRunMapperOnly:
         assert doc.domains == []
         assert set(doc.timings) == {"initial", "subdivision", "total"}
 
-    @pytest.mark.parametrize("n", [BRUTE_FORCE_LIMIT - 1, BRUTE_FORCE_LIMIT + 44])
+    @pytest.mark.parametrize("n", [255, 300])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_cloud_rejected(self, n, bad):
         pts = np.random.default_rng(n).uniform(0, 1, (n, 2))
@@ -191,17 +190,25 @@ class TestRunMapperOnly:
         with pytest.raises(DegenerateCloudError, match="finite"):
             run_mapper_only(PipelineConfig(delta_override=0.1), pts)
 
-    def test_small_cloud_leaves_scipy_spatial_unloaded(self):
+    def test_runs_leave_scipy_unloaded(self):
         code = (
             "import sys\n"
             "import numpy as np\n"
             "import sstopo\n"
-            "from sstopo._kernels import BRUTE_FORCE_LIMIT\n"
-            "t = np.linspace(0.0, 1.0, BRUTE_FORCE_LIMIT - 1)\n"
+            "assert 'scipy' not in sys.modules, 'import'\n"
+            "t = np.linspace(0.0, 1.0, 600)\n"
             "doc = sstopo.run_mapper_only(sstopo.PipelineConfig(delta_override=0.05),\n"
             "                             np.column_stack([t, 0.5 * t]))\n"
             "assert doc.domains[0].partition.segment_kinds() == ['open']\n"
-            "print('scipy.spatial' in sys.modules)\n"
+            "assert 'scipy' not in sys.modules, 'run_mapper_only'\n"
+            "kv = sstopo.uniform_clamped_knots(1, 2)\n"
+            "plane = sstopo.BSplineSurface(kv, kv, np.array(\n"
+            "    [[[0, 0, 0], [0, 1, 0]], [[1, 0, 0], [1, 1, 0]]], dtype=float))\n"
+            "saddle = sstopo.BSplineSurface(kv, kv, np.array(\n"
+            "    [[[0, 0, 0.25], [0, 1, -0.25]], [[1, 0, -0.25], [1, 1, 0.25]]], dtype=float))\n"
+            "doc = sstopo.run_pipeline(sstopo.PipelineConfig(epsilon=0.05), plane, saddle)\n"
+            "assert not doc.no_intersection\n"
+            "print('scipy' in sys.modules)\n"
         )
         src = Path(sstopo.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
@@ -444,6 +451,22 @@ class TestCli:
     def test_synth_rejects_degenerate_curve(self, tmp_path, capsys, curve):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"curves": [curve]}))
+        rc = main(["synth", str(spec_path), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "cloud.txt").exists()
+
+    @pytest.mark.parametrize("spec", [
+        [1],
+        {"curves": [1]},
+        {"curves": {"kind": "circle", "center": [0, 0], "radius": 1}},
+        {"seed": 1.5, "curves": [{"kind": "circle", "center": [0, 0], "radius": 1}]},
+        {"seed": True, "curves": [{"kind": "circle", "center": [0, 0], "radius": 1}]},
+        {"step": [1], "curves": [{"kind": "circle", "center": [0, 0], "radius": 1}]},
+    ])
+    def test_synth_rejects_malformed_spec(self, tmp_path, capsys, spec):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
         rc = main(["synth", str(spec_path), "--out-dir", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")

@@ -140,6 +140,32 @@ class TestCloudIO:
         assert isinstance(spec.curves[1], SegmentCurve)
         assert isinstance(spec.curves[2], Arc)
 
+    @pytest.mark.parametrize("data", [[1], 1, "spec", None, {"curves": [1]},
+                                      {"curves": ["circle"]}, {"curves": 5},
+                                      {"curves": {"kind": "circle"}}])
+    def test_non_object_spec_or_curve_rejected(self, data):
+        with pytest.raises(ConfigurationError, match="must be"):
+            spec_from_dict(data)
+
+    @pytest.mark.parametrize("field", ["step", "noise"])
+    @pytest.mark.parametrize("value", [[1], "x", None, float("inf"), float("nan")])
+    def test_non_numeric_step_or_noise_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be a finite number"):
+            spec_from_dict({field: value, "curves": []})
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "3", -1, None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            spec_from_dict({"seed": seed, "curves": []})
+        if seed is not None:  # None means "no override"
+            with pytest.raises(ConfigurationError, match="seed"):
+                spec_from_dict({"curves": []}, seed_override=seed)
+
+    def test_integer_seeds_accepted(self):
+        assert spec_from_dict({"seed": 7}).seed == 7
+        spec = spec_from_dict({"seed": 7}, seed_override=np.int64(4))
+        assert spec.seed == 4 and type(spec.seed) is int
+
     def test_unknown_curve_kind(self):
         with pytest.raises(ConfigurationError):
             curve_from_dict({"kind": "spiral"})

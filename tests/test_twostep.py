@@ -205,6 +205,21 @@ def _reference_groups(graph, cloud, f_perp, params):
     return groups, counts
 
 
+def _reference_edges(nodes):
+    """Edge iff two nodes share a point, via an inverted point -> nodes dict."""
+    owners: dict[int, list[int]] = {}
+    for node in nodes:
+        for p in node.points:
+            owners.setdefault(p, []).append(node.id)
+    edges: set[tuple[int, int]] = set()
+    for ids in owners.values():
+        ids = sorted(ids)
+        for i in range(len(ids)):
+            for j in range(i + 1, len(ids)):
+                edges.add((ids[i], ids[j]))
+    return frozenset(edges)
+
+
 def _reference_refine(initial, cloud, f_perp, params):
     """The refinement as a merge-then-split pass: each group of adjacent
     flagged nodes becomes one node with rewired edges, then every merged node
@@ -285,7 +300,7 @@ def _reference_refine(initial, cloud, f_perp, params):
         MapperNode(new_id, pts, intervals=intervals[old_id], refined=refined[old_id])
         for new_id, (old_id, pts) in enumerate(points.items())
     )
-    return MapperGraph(nodes=nodes, edges=_edges_from_nodes(list(nodes))), plan, joined
+    return MapperGraph(nodes=nodes, edges=_reference_edges(nodes)), plan, joined
 
 
 def _refine_case(name):
@@ -340,3 +355,24 @@ class TestRefineReference:
             joined += _reference_refine(res.initial_graph, pts, res.perp_filter, params)[2]
         assert max(group_sizes) >= 2
         assert joined >= 1
+
+
+class TestEdgesReference:
+    @pytest.mark.parametrize("case", REFINE_CASES)
+    def test_matches_dict_loop(self, case):
+        pts, params = _refine_case(case)
+        res = run_two_step(pts, params)
+        for graph in (res.initial_graph, res.graph):
+            assert graph.edges
+            assert _edges_from_nodes(list(graph.nodes)) == _reference_edges(graph.nodes)
+
+    def test_point_in_many_nodes(self):
+        # Point 7 lies in four nodes, so its run has six pairs; ids need not
+        # be contiguous or in order.
+        sets = [{7, 1}, {7, 2}, {3}, {7, 3, 2}, {7}, set()]
+        nodes = [MapperNode(i * 3, frozenset(p)) for i, p in enumerate(sets)]
+        want = _reference_edges(nodes)
+        assert _edges_from_nodes(nodes) == want
+        assert _edges_from_nodes(nodes[::-1]) == want
+        assert len(want) == 7
+        assert _edges_from_nodes([]) == frozenset()
