@@ -9,13 +9,11 @@ from .errors import (
     SstopoError,
 )
 from .geometry import (
-    AABB3,
     BSplineSurface,
     KnotVector,
     ParamRect,
     evaluate,
     load_surface,
-    patch_aabb,
     save_surface,
     split_rect,
     subpatch_control_net,

@@ -10,8 +10,11 @@ class ConfigurationError(SstopoError):
 
 
 class ParameterRangeError(SstopoError):
-    """A surface parameter or rectangle falls outside the valid domain, or a
-    surface's knots or control points are NaN or infinite."""
+    """A surface parameter or rectangle falls outside the valid domain, a
+    surface's knots or control points are NaN or infinite, or a surface
+    record is malformed (not an object, a key missing, a degree that is not
+    an integer, knots or control points that are not arrays of numbers, a
+    periodic flag that is not a bool)."""
 
 
 class EmptyInputError(SstopoError):

@@ -1,16 +1,18 @@
-"""Tensor-product B-spline surfaces, parameter rectangles, and patch bounds.
+"""Tensor-product B-spline surfaces, parameter rectangles and patch restriction.
 
 Surfaces are immutable after construction and all operations are pure, so
-callers may evaluate/split/bound concurrently without coordination. Patch
-restriction works by knot insertion; the control net of a restricted patch
-encloses the patch by the convex-hull property, which is what makes the
-subdivision bounding boxes conservative.
+callers may evaluate/split concurrently without coordination. Patch
+restriction works by knot insertion, one axis-generic split along either
+parameter direction; the control net of a restricted patch encloses the
+patch by the convex-hull property, which is what makes the subdivision
+bounding boxes conservative.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -170,29 +172,6 @@ class ParamRect:
         return self.width_u * self.width_v
 
 
-@dataclass(frozen=True, eq=False)
-class AABB3:
-    min_corner: np.ndarray
-    max_corner: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "min_corner", _readonly(self.min_corner))
-        object.__setattr__(self, "max_corner", _readonly(self.max_corner))
-        if np.any(self.min_corner > self.max_corner):
-            raise ValueError("AABB min corner exceeds max corner")
-
-    def intersects(self, other: "AABB3") -> bool:
-        # Closed boxes: touching counts as intersecting.
-        return bool(
-            np.all(self.min_corner <= other.max_corner)
-            and np.all(other.min_corner <= self.max_corner)
-        )
-
-    @property
-    def diagonal(self) -> float:
-        return float(np.linalg.norm(self.max_corner - self.min_corner))
-
-
 def evaluate(surface: BSplineSurface, u: float, v: float) -> np.ndarray:
     """Surface point at (u, v) by the de Boor recursion. Exact at clamped corners."""
     u0, u1, v0, v1 = surface.param_range
@@ -218,8 +197,9 @@ def evaluate_grid(surface: BSplineSurface, us: np.ndarray, vs: np.ndarray) -> np
     return out
 
 
-def _split_net(knots: np.ndarray, net: np.ndarray, degree: int, t: float):
-    """Split a control net along axis 0 at t. Returns (knots, net) for each side."""
+def _split_net(knots: np.ndarray, net: np.ndarray, degree: int, t: float, axis: int = 0):
+    """Split a control net along `axis` at t. Returns (knots, net) for each side."""
+    net = net.swapaxes(0, axis)
     flat = np.ascontiguousarray(net.reshape(net.shape[0], -1), dtype=np.float64)
     mult = int(np.count_nonzero(knots == t))
     times = degree - mult
@@ -231,17 +211,18 @@ def _split_net(knots: np.ndarray, net: np.ndarray, degree: int, t: float):
     left = flat[: k - degree + 1].reshape((k - degree + 1,) + tail)
     right_knots = np.concatenate([np.full(degree + 1, t), knots[k + 1 :]])
     right = flat[k - degree :].reshape((flat.shape[0] - (k - degree),) + tail)
-    return (left_knots, left), (right_knots, right)
+    return (left_knots, left.swapaxes(0, axis)), (right_knots, right.swapaxes(0, axis))
 
 
-def _trim_axis(knots: np.ndarray, net: np.ndarray, degree: int, lo: float, hi: float):
-    """Restrict along axis 0 to [lo, hi] by knot insertion; output is clamped."""
+def _trim_axis(knots: np.ndarray, net: np.ndarray, degree: int, lo: float, hi: float,
+               axis: int):
+    """Restrict along `axis` to [lo, hi] by knot insertion; output is clamped."""
     start = knots[degree]
     end = knots[knots.size - degree - 1]
     if not (lo == start and np.count_nonzero(knots == lo) >= degree + 1):
-        _, (knots, net) = _split_net(knots, net, degree, lo)
+        _, (knots, net) = _split_net(knots, net, degree, lo, axis)
     if not (hi == end and np.count_nonzero(knots == hi) >= degree + 1):
-        (knots, net), _ = _split_net(knots, net, degree, hi)
+        (knots, net), _ = _split_net(knots, net, degree, hi, axis)
     return knots, net
 
 
@@ -250,27 +231,16 @@ def restrict(surface: BSplineSurface, rect: ParamRect) -> BSplineSurface:
     u0, u1, v0, v1 = surface.param_range
     if rect.u_min < u0 or rect.u_max > u1 or rect.v_min < v0 or rect.v_max > v1:
         raise ParameterRangeError(f"{rect} outside parameter range {surface.param_range}")
-    ku, net = _trim_axis(
-        surface.knots_u.knots, surface.control_points, surface.degree_u, rect.u_min, rect.u_max
-    )
-    net_t = np.ascontiguousarray(net.transpose(1, 0, 2))
-    kv, net_t = _trim_axis(surface.knots_v.knots, net_t, surface.degree_v, rect.v_min, rect.v_max)
-    return BSplineSurface(
-        KnotVector(ku, surface.degree_u),
-        KnotVector(kv, surface.degree_v),
-        net_t.transpose(1, 0, 2),
-    )
+    ku, net = _trim_axis(surface.knots_u.knots, surface.control_points, surface.degree_u,
+                         rect.u_min, rect.u_max, 0)
+    kv, net = _trim_axis(surface.knots_v.knots, net, surface.degree_v,
+                         rect.v_min, rect.v_max, 1)
+    return BSplineSurface(KnotVector(ku, surface.degree_u), KnotVector(kv, surface.degree_v), net)
 
 
 def subpatch_control_net(surface: BSplineSurface, rect: ParamRect) -> np.ndarray:
     """Control net of the restriction of `surface` to `rect` (knot insertion)."""
     return restrict(surface, rect).control_points
-
-
-def patch_aabb(surface: BSplineSurface, rect: ParamRect) -> AABB3:
-    """Axis-aligned box of the subpatch control net; encloses the patch over `rect`."""
-    net = subpatch_control_net(surface, rect)
-    return AABB3(net.min(axis=(0, 1)), net.max(axis=(0, 1)))
 
 
 def split_rect(rect: ParamRect) -> tuple[ParamRect, ParamRect]:
@@ -306,11 +276,33 @@ def surface_to_dict(surface: BSplineSurface) -> dict:
 
 
 def surface_from_dict(data: dict) -> BSplineSurface:
-    ku = KnotVector(np.asarray(data["knots_u"], dtype=float), int(data["degree_u"]),
-                    bool(data.get("periodic_u", False)))
-    kv = KnotVector(np.asarray(data["knots_v"], dtype=float), int(data["degree_v"]),
-                    bool(data.get("periodic_v", False)))
-    return BSplineSurface(ku, kv, np.asarray(data["control_points"], dtype=float))
+    """The surface a `surface_to_dict` record describes.
+
+    A record that is not a dict, lacks a required key, has a degree that is
+    not an integer, knots or control points that are not arrays of numbers,
+    or a periodic flag that is not a bool raises ParameterRangeError naming
+    the key.
+    """
+    if not isinstance(data, dict):
+        raise ParameterRangeError(f"a surface must be a JSON object, got {type(data).__name__}")
+    for key in ("degree_u", "degree_v", "knots_u", "knots_v", "control_points"):
+        if key not in data:
+            raise ParameterRangeError(f"surface has no {key!r}")
+    for key in ("degree_u", "degree_v"):
+        if not isinstance(data[key], Integral) or isinstance(data[key], bool):
+            raise ParameterRangeError(f"{key} must be an integer, got {data[key]!r}")
+    for key in ("periodic_u", "periodic_v"):
+        if not isinstance(data.get(key, False), (bool, np.bool_)):
+            raise ParameterRangeError(f"{key} must be true or false, got {data[key]!r}")
+    arrays = {}
+    for key in ("knots_u", "knots_v", "control_points"):
+        try:
+            arrays[key] = np.asarray(data[key], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ParameterRangeError(f"{key} must be an array of numbers: {exc}") from None
+    ku = KnotVector(arrays["knots_u"], int(data["degree_u"]), bool(data.get("periodic_u", False)))
+    kv = KnotVector(arrays["knots_v"], int(data["degree_v"]), bool(data.get("periodic_v", False)))
+    return BSplineSurface(ku, kv, arrays["control_points"])
 
 
 def save_surface(path, surface: BSplineSurface) -> None:

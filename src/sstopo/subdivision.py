@@ -1,13 +1,21 @@
-"""Recursive box-pair subdivision of two surfaces into intersection point sets.
+"""Level-synchronous box-pair subdivision of two surfaces into intersection
+point sets.
 
-Each active pair carries the restricted control nets of both patches, so a
-split is one knot insertion rather than a re-restriction from the root. A
-patch is split at most once: its two children are cached on it and shared by
-every pair that holds it, and the pair's box test compares plain floats.
-Terminal pairs contribute the rect centroids to the two parameter-domain
-point clouds plus one correspondence record; output is deduplicated and
-lexicographically sorted, so results are identical regardless of the order
-in which pairs are processed.
+Each surface's patches live in a `_PatchStore` and are addressed by integer
+id. A patch holds its clamped knots and restricted control net until it is
+split; a split is one knot insertion along the halved axis, happens at most
+once per patch, and frees the parent's net. Its two halves get consecutive
+ids, which every pair that holds the parent then shares.
+
+The active pairs of one level are two id arrays. Each level drops the pairs
+whose padded boxes do not overlap (one vectorised closed-box test), ends the
+pairs whose two parameter diagonals are both within epsilon, and halves the
+member with the larger diagonal of every other pair. A patch in an ended
+pair is never split, since splitting needs a diagonal above epsilon, so it
+is a leaf of its surface's split tree: the point clouds are the rect
+centroids of the distinct ended patches, sorted lexicographically, and the
+correspondences are the distinct id pairs. Results therefore do not depend
+on the order in which pairs are visited.
 """
 
 from __future__ import annotations
@@ -22,9 +30,6 @@ from .errors import ConfigurationError, EmptyInputError
 from .geometry import BSplineSurface, ParamRect, _split_net, restrict, split_rect
 
 log = logging.getLogger(__name__)
-
-# Quantization bin for collapsing near-identical centroids (parameter units).
-DEDUP_QUANTUM = 1e-12
 
 # Fraction of a domain covered by terminal cells above which the surfaces
 # are reported as overlapping rather than crossing.
@@ -57,76 +62,84 @@ class IntersectionPointSets:
         return self.points1.shape[0] == 0
 
 
-class _Patch:
-    """Clamped restriction of one surface over a rect, with its 3D bounds.
+def _boxes(nets: list[np.ndarray]) -> np.ndarray:
+    """Padded axis-aligned boxes of control nets, one row `[lo | hi]` per net.
 
-    Boxes are padded by a relative epsilon: the control-net hull bounds the
-    exact patch, but the net itself carries ulp-level insertion roundoff, and
-    tangential contacts (boxes touching exactly) must never be lost to it.
+    The pad is relative: the control-net hull bounds the exact patch, but the
+    net itself carries ulp-level insertion roundoff, and tangential contacts
+    (boxes touching exactly) must never be lost to it. `max(-lo, hi)` is the
+    net's largest absolute coordinate, since negation is exact.
+    """
+    flat = np.concatenate([net.reshape(-1, 3) for net in nets])
+    starts = np.cumsum([0] + [net.size // 3 for net in nets[:-1]])
+    lo = np.minimum.reduceat(flat, starts)
+    hi = np.maximum.reduceat(flat, starts)
+    pad = 1e-12 * (1.0 + np.maximum(-lo, hi).max(axis=1, keepdims=True))
+    return np.hstack([lo - pad, hi + pad])
+
+
+def _overlap(box1: np.ndarray, box2: np.ndarray) -> np.ndarray:
+    """Row-wise closed-box test of two `_boxes` arrays: touching boxes overlap."""
+    k = box1.shape[1] // 2
+    return ((box1[:, :k] <= box2[:, k:]) & (box2[:, :k] <= box1[:, k:])).all(axis=1)
+
+
+class _PatchStore:
+    """The patches of one surface's split tree, addressed by integer id.
+
+    Patch `i` covers `rects[i]` and has parameter diagonal `diag[i]` and box
+    `box[i]`. Until it is split it holds its clamped knots and control net;
+    once split, its halves are `child[i]` and `child[i] + 1`.
     """
 
-    __slots__ = ("rect", "knots_u", "knots_v", "degree_u", "degree_v", "net",
-                 "box_min", "box_max", "diag", "_children")
+    def __init__(self, surface: BSplineSurface, surface_id: int):
+        rect = surface.full_rect(surface_id)
+        root = restrict(surface, rect)
+        self.degrees = (root.degree_u, root.degree_v)
+        self.rects = [rect]
+        self.knots = [(root.knots_u.knots, root.knots_v.knots)]
+        self.nets = [root.control_points]
+        self.diag = np.array([rect.diagonal])
+        self.box = _boxes(self.nets)
+        self.child = np.full(1, -1)
 
-    def __init__(self, rect, knots_u, knots_v, degree_u, degree_v, net):
-        self.rect = rect
-        self.knots_u = knots_u
-        self.knots_v = knots_v
-        self.degree_u = degree_u
-        self.degree_v = degree_v
-        self.net = net
-        flat = net.reshape(-1, 3)
-        pad = 1e-12 * (1.0 + float(np.abs(flat).max()))
-        self.box_min = (flat.min(axis=0) - pad).tolist()
-        self.box_max = (flat.max(axis=0) + pad).tolist()
-        self.diag = rect.diagonal
-        self._children = None
+    def split(self, ids: np.ndarray) -> np.ndarray:
+        """First-half id of each patch in `ids`, halving those not yet split."""
+        todo = np.unique(ids[self.child[ids] < 0])
+        if todo.size:
+            self.child[todo] = len(self.rects) + 2 * np.arange(todo.size)
+            rects, knots, nets = [], [], []
+            for i in todo.tolist():
+                rect = self.rects[i]
+                halves = split_rect(rect)
+                axis = 0 if halves[0].u_max != rect.u_max else 1
+                t = (halves[0].u_max, halves[0].v_max)[axis]
+                (ka, na), (kb, nb) = _split_net(self.knots[i][axis], self.nets[i],
+                                                self.degrees[axis], t, axis)
+                other = self.knots[i][1 - axis]
+                rects += halves
+                knots += [(ka, other), (kb, other)] if axis == 0 else [(other, ka), (other, kb)]
+                nets += (na, nb)
+                self.knots[i] = self.nets[i] = None
+            widths = np.array([(r.width_u, r.width_v) for r in rects])
+            self.rects += rects
+            self.knots += knots
+            self.nets += nets
+            self.diag = np.concatenate([self.diag, np.hypot(widths[:, 0], widths[:, 1])])
+            self.box = np.concatenate([self.box, _boxes(nets)])
+            self.child = np.concatenate([self.child, np.full(len(nets), -1)])
+        return self.child[ids]
 
-    @classmethod
-    def from_surface(cls, surface: BSplineSurface, surface_id: int) -> "_Patch":
-        root = restrict(surface, surface.full_rect(surface_id))
-        return cls(
-            surface.full_rect(surface_id),
-            root.knots_u.knots,
-            root.knots_v.knots,
-            root.degree_u,
-            root.degree_v,
-            root.control_points,
-        )
-
-    def split(self) -> tuple["_Patch", "_Patch"]:
-        """The two halves of this patch, computed on the first call only."""
-        if self._children is None:
-            self._children = self._split()
-        return self._children
-
-    def _split(self) -> tuple["_Patch", "_Patch"]:
-        r = self.rect
-        ra, rb = split_rect(r)
-        if ra.u_max != r.u_max:  # split_rect halved u
-            (ka, na), (kb, nb) = _split_net(self.knots_u, self.net, self.degree_u, ra.u_max)
-            return (
-                _Patch(ra, ka, self.knots_v, self.degree_u, self.degree_v, na),
-                _Patch(rb, kb, self.knots_v, self.degree_u, self.degree_v, nb),
-            )
-        net_t = np.ascontiguousarray(self.net.transpose(1, 0, 2))
-        (ka, na), (kb, nb) = _split_net(self.knots_v, net_t, self.degree_v, ra.v_max)
-        return (
-            _Patch(ra, self.knots_u, ka, self.degree_u, self.degree_v,
-                   na.transpose(1, 0, 2)),
-            _Patch(rb, self.knots_u, kb, self.degree_u, self.degree_v,
-                   nb.transpose(1, 0, 2)),
-        )
-
-    def boxes_intersect(self, other: "_Patch") -> bool:
-        lo, hi = self.box_min, self.box_max
-        olo, ohi = other.box_min, other.box_max
-        return (lo[0] <= ohi[0] and lo[1] <= ohi[1] and lo[2] <= ohi[2]
-                and olo[0] <= hi[0] and olo[1] <= hi[1] and olo[2] <= hi[2])
-
-
-def _quantize(value: float) -> int:
-    return int(round(value / DEDUP_QUANTUM))
+    def leaves(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Distinct patches of `ids`: their ids, their rect centroids sorted
+        lexicographically, and the centroid row of each entry of `ids`."""
+        distinct, inverse = np.unique(ids, return_inverse=True)
+        centroids = np.array([self.rects[i].centroid for i in distinct.tolist()],
+                             dtype=np.float64).reshape(-1, 2)
+        order = np.lexsort((centroids[:, 1], centroids[:, 0]))
+        row = np.empty_like(order)
+        row[order] = np.arange(order.size)
+        return distinct, centroids[order], row[inverse]
 
 
 def intersect_surfaces(
@@ -147,58 +160,34 @@ def intersect_surfaces(
     if not epsilon > 0:
         raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
 
-    root1 = _Patch.from_surface(surface1, 1)
-    root2 = _Patch.from_surface(surface2, 2)
+    store1 = _PatchStore(surface1, 1)
+    store2 = _PatchStore(surface2, 2)
+    a = b = np.zeros(1, dtype=np.int64)
+    ended1: list[np.ndarray] = []
+    ended2: list[np.ndarray] = []
+    while a.size:
+        keep = _overlap(store1.box[a], store2.box[b])
+        a, b = a[keep], b[keep]
+        d1, d2 = store1.diag[a], store2.diag[b]
+        done = (d1 <= epsilon) & (d2 <= epsilon)
+        ended1.append(a[done])
+        ended2.append(b[done])
+        first = (d1 >= d2)[~done]
+        a, b = a[~done], b[~done]
+        halves1 = store1.split(a[first])
+        halves2 = store2.split(b[~first])
+        a, b = (np.concatenate([halves1, halves1 + 1, a[~first], a[~first]]),
+                np.concatenate([b[first], b[first], halves2, halves2 + 1]))
 
-    raw1: list[tuple[float, float]] = []
-    raw2: list[tuple[float, float]] = []
-    raw_pairs: list[tuple[int, int]] = []
-    terminal: list[BoxPair] = []
-    cell_diag1 = 0.0
-    cell_diag2 = 0.0
-    seen_rect1: dict[tuple[int, int], float] = {}
-
-    domain_area = root1.rect.area
-    stack: list[tuple[_Patch, _Patch]] = []
-    if root1.boxes_intersect(root2):
-        stack.append((root1, root2))
-    # Each patch holds its cached children, so a live root would keep the
-    # whole visited tree reachable until the function returns.
-    del root1, root2
-
-    while stack:
-        p1, p2 = stack.pop()
-        if p1.diag <= epsilon and p2.diag <= epsilon:
-            c1 = p1.rect.centroid
-            c2 = p2.rect.centroid
-            raw_pairs.append((len(raw1), len(raw2)))
-            raw1.append(c1)
-            raw2.append(c2)
-            cell_diag1 = max(cell_diag1, p1.diag)
-            cell_diag2 = max(cell_diag2, p2.diag)
-            seen_rect1[(_quantize(c1[0]), _quantize(c1[1]))] = p1.rect.area
-            if collect_pairs:
-                terminal.append(BoxPair(p1.rect, p2.rect))
-            continue
-        if p1.diag >= p2.diag:
-            for child in p1.split():
-                if child.boxes_intersect(p2):
-                    stack.append((child, p2))
-        else:
-            for child in p2.split():
-                if p1.boxes_intersect(child):
-                    stack.append((p1, child))
-
-    points1, index1 = _dedup_sorted(raw1)
-    points2, index2 = _dedup_sorted(raw2)
-    pairs = sorted({(index1[i], index2[j]) for i, j in raw_pairs})
-    correspondences = (
-        np.array(pairs, dtype=np.int64) if pairs else np.empty((0, 2), dtype=np.int64)
-    )
+    ends1, ends2 = np.concatenate(ended1), np.concatenate(ended2)
+    leaves1, points1, rows1 = store1.leaves(ends1)
+    _, points2, rows2 = store2.leaves(ends2)
+    correspondences = np.unique(np.stack([rows1, rows2], axis=1), axis=0)
 
     overlap = False
-    if raw1:
-        covered = sum(seen_rect1.values())
+    if ends1.size:
+        covered = sum(store1.rects[i].area for i in leaves1.tolist())
+        domain_area = store1.rects[0].area
         if covered > OVERLAP_WARN_RATIO * domain_area:
             overlap = True
             log.warning(
@@ -207,34 +196,20 @@ def intersect_surfaces(
                 100.0 * covered / domain_area,
             )
 
+    terminal = None
+    if collect_pairs:
+        terminal = tuple(BoxPair(store1.rects[i], store2.rects[j])
+                         for i, j in zip(ends1.tolist(), ends2.tolist()))
     return IntersectionPointSets(
         points1=points1,
         points2=points2,
         correspondences=correspondences,
         epsilon=float(epsilon),
-        cell_diag1=cell_diag1,
-        cell_diag2=cell_diag2,
+        cell_diag1=float(store1.diag[ends1].max()) if ends1.size else 0.0,
+        cell_diag2=float(store2.diag[ends2].max()) if ends2.size else 0.0,
         overlap_suspected=overlap,
-        terminal_pairs=tuple(terminal) if collect_pairs else None,
+        terminal_pairs=terminal,
     )
-
-
-def _dedup_sorted(raw: list[tuple[float, float]]) -> tuple[np.ndarray, list[int]]:
-    """Collapse near-duplicate points and sort lexicographically.
-
-    Returns the (n, 2) array plus, for each raw record, its index into it.
-    Quantized-key order equals lexicographic point order, so one sort does both.
-    """
-    if not raw:
-        return np.empty((0, 2), dtype=np.float64), []
-    keys = [(_quantize(u), _quantize(v)) for u, v in raw]
-    survivors: dict[tuple[int, int], tuple[float, float]] = {}
-    for key, pt in zip(keys, raw):
-        survivors.setdefault(key, pt)
-    ordered = sorted(survivors)
-    index_of = {key: i for i, key in enumerate(ordered)}
-    pts = np.array([survivors[k] for k in ordered], dtype=np.float64)
-    return pts, [index_of[k] for k in keys]
 
 
 def hausdorff_bound(sets: IntersectionPointSets) -> tuple[float, float]:

@@ -2,25 +2,25 @@ import numpy as np
 import pytest
 
 from sstopo import (
-    AABB3,
     BSplineSurface,
     KnotVector,
     ParamRect,
     ParameterRangeError,
     evaluate,
-    patch_aabb,
     split_rect,
     subpatch_control_net,
     uniform_clamped_knots,
 )
 from sstopo import _kernels
 from sstopo.geometry import (
+    _split_net,
     evaluate_grid,
     restrict,
     surface_from_dict,
     surface_to_dict,
     uniform_periodic_knots,
 )
+from sstopo.subdivision import _boxes, _overlap
 
 from corpus import (
     bilinear_corner_patch,
@@ -155,6 +155,19 @@ class TestSubpatch:
                 v = float(rng.uniform(rect.v_min, rect.v_max))
                 np.testing.assert_allclose(evaluate(sub, u, v), evaluate(cyl, u, v), atol=1e-10)
 
+    def test_split_along_v_equals_split_of_transpose(self):
+        # One split path serves both axes: along v it gives, bit for bit,
+        # the u split of the transposed net, at a new knot and at an
+        # existing one.
+        s = random_cubic_patch(np.random.default_rng(0))
+        kv = s.knots_v.knots
+        for t in (0.37, 0.5):
+            along_v = _split_net(kv, s.control_points, s.degree_v, t, axis=1)
+            along_u = _split_net(kv, s.control_points.transpose(1, 0, 2), s.degree_v, t)
+            for (k1, n1), (k2, n2) in zip(along_v, along_u):
+                assert np.array_equal(k1, k2)
+                assert np.array_equal(n1, n2.transpose(1, 0, 2))
+
     def test_degenerate_rect_rejected(self):
         with pytest.raises(ParameterRangeError):
             ParamRect(0.5, 0.5, 0.0, 1.0)
@@ -165,17 +178,25 @@ class TestSubpatch:
             subpatch_control_net(s, ParamRect(0.0, 1.5, 0.0, 1.0))
 
 
+def _patch_box(surface, rect):
+    """The subdivision's padded box of the restriction to `rect`, as (lo, hi)."""
+    box = _boxes([restrict(surface, rect).control_points])[0]
+    return box[:3], box[3:]
+
+
 class TestPatchAABB:
     def test_planar_patch_has_flat_z(self):
         s = plane_patch(z=0.0)
-        box = patch_aabb(s, s.full_rect())
-        assert box.min_corner[2] == 0.0 and box.max_corner[2] == 0.0
+        lo, hi = _patch_box(s, s.full_rect())
+        pad = 1e-12 * (1.0 + 1.0)  # relative to the largest coordinate, 1
+        assert lo[2] == -pad and hi[2] == pad
 
     def test_bilinear_full_range_box(self):
         s = bilinear_corner_patch()
-        box = patch_aabb(s, s.full_rect())
-        np.testing.assert_array_equal(box.min_corner, [0, 0, 0])
-        np.testing.assert_array_equal(box.max_corner, [1, 1, 1])
+        lo, hi = _patch_box(s, s.full_rect())
+        pad = 1e-12 * (1.0 + 1.0)
+        np.testing.assert_array_equal(lo, np.zeros(3) - pad)
+        np.testing.assert_array_equal(hi, np.ones(3) + pad)
 
     def test_sampling_containment(self):
         # Convex hull guarantee: sampled surface points stay inside the box.
@@ -187,29 +208,41 @@ class TestPatchAABB:
             if b - a < 1e-3 or d - c < 1e-3:
                 continue
             rect = ParamRect(a, b, c, d)
-            box = patch_aabb(s, rect)
+            lo, hi = _patch_box(s, rect)
             pts = evaluate_grid(s, np.linspace(a, b, 20), np.linspace(c, d, 20)).reshape(-1, 3)
-            assert np.all(pts >= box.min_corner - 1e-9)
-            assert np.all(pts <= box.max_corner + 1e-9)
+            assert np.all(pts >= lo - 1e-9)
+            assert np.all(pts <= hi + 1e-9)
 
     def test_containment_400_samples(self):
         rng = np.random.default_rng(100)
         s = random_cubic_patch(rng)
         rect = ParamRect(0.1, 0.8, 0.3, 0.95)
-        box = patch_aabb(s, rect)
+        lo, hi = _patch_box(s, rect)
         us = np.linspace(rect.u_min, rect.u_max, 20)
         vs = np.linspace(rect.v_min, rect.v_max, 20)
         pts = evaluate_grid(s, us, vs).reshape(-1, 3)
         assert pts.shape[0] == 400
-        assert np.all(pts >= box.min_corner - 1e-9)
-        assert np.all(pts <= box.max_corner + 1e-9)
+        assert np.all(pts >= lo - 1e-9)
+        assert np.all(pts <= hi + 1e-9)
 
     def test_aabb_intersection_is_closed(self):
-        a = AABB3(np.zeros(3), np.ones(3))
-        b = AABB3(np.array([1.0, 0.0, 0.0]), np.array([2.0, 1.0, 1.0]))
-        c = AABB3(np.array([1.1, 0.0, 0.0]), np.array([2.0, 1.0, 1.0]))
-        assert a.intersects(b)  # touching counts
-        assert not a.intersects(c)
+        a = np.array([[0.0, 0.0, 0.0, 1.0, 1.0, 1.0]])
+        b = np.array([[1.0, 0.0, 0.0, 2.0, 1.0, 1.0]])
+        c = np.array([[1.1, 0.0, 0.0, 2.0, 1.0, 1.0]])
+        assert _overlap(a, b)[0] and _overlap(b, a)[0]  # touching counts
+        assert not _overlap(a, c)[0] and not _overlap(c, a)[0]
+
+    def test_boxes_of_several_nets_match_one_at_a_time(self):
+        rng = np.random.default_rng(8)
+        # Shifted by -3, a net's largest absolute coordinate is its lowest.
+        nets = [random_cubic_patch(rng).control_points + shift for shift in (0, -3, 0, -3, 2)]
+        together = _boxes(nets)
+        for net, row in zip(nets, together):
+            np.testing.assert_array_equal(_boxes([net])[0], row)
+            flat = net.reshape(-1, 3)
+            pad = 1e-12 * (1.0 + np.abs(flat).max())
+            np.testing.assert_array_equal(row[:3], flat.min(axis=0) - pad)
+            np.testing.assert_array_equal(row[3:], flat.max(axis=0) + pad)
 
 
 class TestSplitRect:
@@ -268,6 +301,37 @@ class TestSurfaceIO:
         save_surface(path, s)
         s3 = load_surface(path)
         assert np.array_equal(s.control_points, s3.control_points)
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ParameterRangeError, match="JSON object"):
+            surface_from_dict([surface_to_dict(plane_patch())])
+
+    @pytest.mark.parametrize("key", ["degree_u", "degree_v", "knots_u", "knots_v",
+                                     "control_points"])
+    def test_missing_key_named(self, key):
+        data = surface_to_dict(plane_patch())
+        del data[key]
+        with pytest.raises(ParameterRangeError, match=repr(key)):
+            surface_from_dict(data)
+
+    @pytest.mark.parametrize("key, value", [
+        ("degree_u", 1.7),
+        ("degree_u", 1.0),
+        ("degree_v", True),
+        ("degree_v", "1"),
+        ("periodic_u", "no"),
+        ("periodic_v", 0),
+        ("periodic_v", None),
+        ("knots_u", {"a": 1}),
+        ("knots_v", "abc"),
+        ("control_points", [[["a", 0.0, 0.0]]]),
+        ("control_points", {"x": 1}),
+    ])
+    def test_ill_typed_value_named(self, key, value):
+        data = surface_to_dict(plane_patch())
+        data[key] = value
+        with pytest.raises(ParameterRangeError, match=key):
+            surface_from_dict(data)
 
 
 def _loop_span(knots, degree, t):

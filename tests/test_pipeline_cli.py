@@ -490,6 +490,22 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("change", [
+        lambda d: [d],
+        lambda d: {k: v for k, v in d.items() if k != "knots_u"},
+        lambda d: {**d, "degree_u": 1.7},
+        lambda d: {**d, "periodic_u": "no"},
+        lambda d: {**d, "knots_u": {"a": 1}},
+    ], ids=["list", "no-knots_u", "fractional-degree", "string-periodic", "object-knots"])
+    def test_intersect_rejects_malformed_surface(self, tmp_path, capsys, change):
+        s1 = tmp_path / "a.json"
+        s2 = tmp_path / "b.json"
+        s1.write_text(json.dumps(change(surface_to_dict(plane_patch()))))
+        save_surface(s2, saddle_patch())
+        rc = main(["intersect", str(s1), str(s2), "--epsilon", "0.05"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_intersect_rejects_nan_epsilon(self, tmp_path, capsys):
         s1 = tmp_path / "a.json"
         s2 = tmp_path / "b.json"

@@ -1,32 +1,50 @@
+import functools
+import itertools
 import json
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import sstopo.subdivision
 
 from sstopo import (
+    BSplineSurface,
     ConfigurationError,
     EmptyInputError,
     evaluate,
     hausdorff_bound,
     intersect_surfaces,
-    patch_aabb,
+    split_rect,
 )
+from sstopo.geometry import _split_net, restrict
 from sstopo.subdivision import (
     OVERLAP_WARN_RATIO,
     IntersectionPointSets,
-    _dedup_sorted,
-    _Patch,
-    _quantize,
+    _overlap,
+    _PatchStore,
     dump_box_pairs,
 )
 
-from corpus import cylinder_patch, plane_patch, saddle_patch, vertical_plane_x, wrinkle_patch
+from corpus import (
+    cylinder_patch,
+    paraboloid_patch,
+    plane_patch,
+    random_cubic_patch,
+    saddle_patch,
+    vertical_plane_x,
+    wrinkle_patch,
+)
 
 EPS = 0.02
+
+
+def _net_box(surface, rect):
+    """Unpadded box of the control net of the restriction to `rect`."""
+    net = restrict(surface, rect).control_points.reshape(-1, 3)
+    return net.min(axis=0), net.max(axis=0)
 
 
 @pytest.fixture(scope="module")
@@ -67,10 +85,10 @@ class TestPlaneCross:
         diag_by_point = {}
         s1 = plane_patch()
         for pair in sets.terminal_pairs:
-            box = patch_aabb(s1, pair.rect1)
+            lo, hi = _net_box(s1, pair.rect1)
             c = pair.rect1.centroid
             key = (round(c[0] / 1e-12), round(c[1] / 1e-12))
-            diag_by_point[key] = max(diag_by_point.get(key, 0.0), box.diagonal)
+            diag_by_point[key] = max(diag_by_point.get(key, 0.0), float(np.linalg.norm(hi - lo)))
         for u, v in sets.points1:
             p = evaluate(s1, u, v)
             key = (round(u / 1e-12), round(v / 1e-12))
@@ -91,16 +109,14 @@ class TestPlaneCross:
     def test_terminal_pair_boxes_intersect(self, plane_cross):
         # recomputing the restriction takes a different insertion path, so
         # exact tangential touches need ulp slack
-        from sstopo import AABB3
-
         s1 = plane_patch()
         s2 = vertical_plane_x(0.5)
         slack = 1e-9
         for pair in plane_cross.terminal_pairs:
-            b1 = patch_aabb(s1, pair.rect1)
-            b2 = patch_aabb(s2, pair.rect2)
-            inflated = AABB3(b2.min_corner - slack, b2.max_corner + slack)
-            assert b1.intersects(inflated)
+            b1 = np.concatenate(_net_box(s1, pair.rect1))[None]
+            lo2, hi2 = _net_box(s2, pair.rect2)
+            inflated = np.concatenate([lo2 - slack, hi2 + slack])[None]
+            assert _overlap(b1, inflated)[0]
 
     def test_terminal_cells_within_epsilon(self, plane_cross):
         sets = plane_cross
@@ -188,49 +204,98 @@ def test_box_dump(tmp_path, plane_cross):
     assert len(first["rect1"]) == 4 and len(first["rect2"]) == 4
 
 
+def _random_pair(seed1, seed2):
+    return (lambda: random_cubic_patch(np.random.default_rng(seed1)),
+            lambda: random_cubic_patch(np.random.default_rng(seed2)))
+
+
 # Coarse enough to keep the uncached reference fast, fine enough that many
 # patches are paired with several partners.
 CACHE_CASES = {
     "saddle": (plane_patch, saddle_patch, 0.05),
     "wrinkle": (plane_patch, wrinkle_patch, 0.05),
     "cylinders": (lambda: cylinder_patch(axis="y"), lambda: cylinder_patch(axis="x"), 0.05),
+    "random-1-2": (*_random_pair(1, 2), 0.05),
+    "random-4-9": (*_random_pair(4, 9), 0.05),
 }
 
 
-def _array_boxes_intersect(a, b):
-    """The closed-box test on numpy arrays, as an oracle for the float one."""
-    return bool(
-        np.all(np.array(a.box_min) <= np.array(b.box_max))
-        and np.all(np.array(b.box_min) <= np.array(a.box_max))
-    )
+def _quantize(value):
+    return int(round(value / 1e-12))
+
+
+def _dedup_sorted(raw):
+    """Points collapsed on a 1e-12 grid and sorted, with each raw point's index."""
+    keys = [(_quantize(u), _quantize(v)) for u, v in raw]
+    survivors = {}
+    for key, pt in zip(keys, raw):
+        survivors.setdefault(key, pt)
+    ordered = sorted(survivors)
+    index_of = {key: i for i, key in enumerate(ordered)}
+    pts = np.array([survivors[k] for k in ordered], dtype=np.float64).reshape(-1, 2)
+    return pts, [index_of[k] for k in keys]
 
 
 def _uncached_intersection(surface1, surface2, epsilon):
-    """The subdivision loop recomputing every split, with array box tests.
+    """Depth-first subdivision that recomputes every split.
 
-    Returns the fields of `IntersectionPointSets` that the traversal decides.
+    An independent reference for the level loop: it keeps its own stack of
+    patches, halves v by transposing the net, pads each box by its net's
+    largest absolute coordinate and deduplicates centroids on a quantised
+    grid. Returns the fields of `IntersectionPointSets` that the traversal
+    decides, plus the set of rects it split.
     """
-    root1 = _Patch.from_surface(surface1, 1)
-    root2 = _Patch.from_surface(surface2, 2)
+    degrees = {1: (surface1.degree_u, surface1.degree_v),
+               2: (surface2.degree_u, surface2.degree_v)}
+
+    def patch(rect, knots_u, knots_v, net):
+        flat = net.reshape(-1, 3)
+        pad = 1e-12 * (1.0 + float(np.abs(flat).max()))
+        return rect, knots_u, knots_v, net, flat.min(axis=0) - pad, flat.max(axis=0) + pad
+
+    def root(surface, surface_id):
+        rect = surface.full_rect(surface_id)
+        r = restrict(surface, rect)
+        return patch(rect, r.knots_u.knots, r.knots_v.knots, r.control_points)
+
+    def halves(p):
+        rect, knots_u, knots_v, net = p[:4]
+        degree_u, degree_v = degrees[rect.surface_id]
+        split.add(rect)
+        ra, rb = split_rect(rect)
+        if ra.u_max != rect.u_max:
+            (ka, na), (kb, nb) = _split_net(knots_u, net, degree_u, ra.u_max)
+            return patch(ra, ka, knots_v, na), patch(rb, kb, knots_v, nb)
+        net_t = np.ascontiguousarray(net.transpose(1, 0, 2))
+        (ka, na), (kb, nb) = _split_net(knots_v, net_t, degree_v, ra.v_max)
+        return (patch(ra, knots_u, ka, na.transpose(1, 0, 2)),
+                patch(rb, knots_u, kb, nb.transpose(1, 0, 2)))
+
+    def meet(p, q):
+        return bool(np.all(p[4] <= q[5]) and np.all(q[4] <= p[5]))
+
+    split = set()
+    root1, root2 = root(surface1, 1), root(surface2, 2)
     raw1, raw2, raw_pairs = [], [], []
     cell_diag1 = cell_diag2 = 0.0
     seen_rect1 = {}
-    stack = [(root1, root2)] if _array_boxes_intersect(root1, root2) else []
+    stack = [(root1, root2)] if meet(root1, root2) else []
     while stack:
         p1, p2 = stack.pop()
-        if p1.diag <= epsilon and p2.diag <= epsilon:
-            c1, c2 = p1.rect.centroid, p2.rect.centroid
+        r1, r2 = p1[0], p2[0]
+        if r1.diagonal <= epsilon and r2.diagonal <= epsilon:
+            c1, c2 = r1.centroid, r2.centroid
             raw_pairs.append((len(raw1), len(raw2)))
             raw1.append(c1)
             raw2.append(c2)
-            cell_diag1 = max(cell_diag1, p1.diag)
-            cell_diag2 = max(cell_diag2, p2.diag)
-            seen_rect1[(_quantize(c1[0]), _quantize(c1[1]))] = p1.rect.area
+            cell_diag1 = max(cell_diag1, r1.diagonal)
+            cell_diag2 = max(cell_diag2, r2.diagonal)
+            seen_rect1[(_quantize(c1[0]), _quantize(c1[1]))] = r1.area
             continue
-        if p1.diag >= p2.diag:
-            stack.extend((c, p2) for c in p1._split() if _array_boxes_intersect(c, p2))
+        if r1.diagonal >= r2.diagonal:
+            stack.extend((c, p2) for c in halves(p1) if meet(c, p2))
         else:
-            stack.extend((p1, c) for c in p2._split() if _array_boxes_intersect(p1, c))
+            stack.extend((p1, c) for c in halves(p2) if meet(p1, c))
     points1, index1 = _dedup_sorted(raw1)
     points2, index2 = _dedup_sorted(raw2)
     pairs = sorted({(index1[i], index2[j]) for i, j in raw_pairs})
@@ -241,51 +306,63 @@ def _uncached_intersection(surface1, surface2, epsilon):
         "cell_diag1": cell_diag1,
         "cell_diag2": cell_diag2,
         "overlap_suspected":
-            sum(seen_rect1.values()) > OVERLAP_WARN_RATIO * root1.rect.area,
+            sum(seen_rect1.values()) > OVERLAP_WARN_RATIO * root1[0].area,
+        "split": split,
     }
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(case):
+    make1, make2, eps = CACHE_CASES[case]
+    return _uncached_intersection(make1(), make2(), eps)
 
 
 class TestSplitCache:
     @pytest.mark.parametrize("case", sorted(CACHE_CASES))
     def test_each_rect_split_once(self, monkeypatch, case):
         make1, make2, eps = CACHE_CASES[case]
-        splitting = []
-        nets_split = Counter()
-        cached_split = _Patch.split
+        rects = []
+        net_splits = 0
+        real_split_rect = sstopo.subdivision.split_rect
         real_split_net = sstopo.subdivision._split_net
 
-        def split(self):
-            splitting.append(self.rect)
-            try:
-                return cached_split(self)
-            finally:
-                splitting.pop()
+        def record_rect(rect):
+            rects.append(rect)
+            return real_split_rect(rect)
 
-        def split_net(*args):
-            nets_split[splitting[-1]] += 1
+        def count_net(*args):
+            nonlocal net_splits
+            net_splits += 1
             return real_split_net(*args)
 
-        monkeypatch.setattr(_Patch, "split", split)
-        monkeypatch.setattr(sstopo.subdivision, "_split_net", split_net)
+        monkeypatch.setattr(sstopo.subdivision, "split_rect", record_rect)
+        monkeypatch.setattr(sstopo.subdivision, "_split_net", count_net)
         sets = intersect_surfaces(make1(), make2(), eps)
         assert not sets.is_empty
-        assert nets_split and max(nets_split.values()) == 1
+        assert net_splits == len(set(rects)) > 0
+        assert set(rects) == _reference(case)["split"]
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_box_test_is_closed_per_axis(self, axis):
-        a = _Patch.from_surface(plane_patch(), 1)
-        b = _Patch.from_surface(plane_patch(), 2)
-        a.box_min, a.box_max = [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]
-        b.box_min, b.box_max = [0.5, 0.5, 0.5], [1.5, 1.5, 1.5]
-        b.box_min[axis] = 1.0  # touching faces count as intersecting
-        assert a.boxes_intersect(b) and b.boxes_intersect(a)
-        b.box_min[axis] = math.nextafter(1.0, 2.0)
-        assert not a.boxes_intersect(b) and not b.boxes_intersect(a)
+        a = np.array([[0.0, 0.0, 0.0, 1.0, 1.0, 1.0]])
+        b = np.array([[0.5, 0.5, 0.5, 1.5, 1.5, 1.5]])
+        b[0, axis] = 1.0  # touching faces count as intersecting
+        assert _overlap(a, b)[0] and _overlap(b, a)[0]
+        b[0, axis] = math.nextafter(1.0, 2.0)
+        assert not _overlap(a, b)[0] and not _overlap(b, a)[0]
+
+    def test_split_reuses_halves_and_frees_parent(self):
+        store = _PatchStore(plane_patch(), 1)
+        assert store.split(np.array([0, 0])).tolist() == [1, 1]
+        assert store.nets[0] is None and store.knots[0] is None
+        assert store.split(np.array([0])).tolist() == [1]
+        assert len(store.rects) == 3
+        assert store.rects[1:] == list(split_rect(store.rects[0]))
 
     @pytest.mark.parametrize("case", sorted(CACHE_CASES))
     def test_matches_uncached_reference(self, case):
+        expected = _reference(case)
         make1, make2, eps = CACHE_CASES[case]
-        expected = _uncached_intersection(make1(), make2(), eps)
         sets = intersect_surfaces(make1(), make2(), eps)
         assert sets.points1.shape[0] > 0
         for name in ("points1", "points2", "correspondences"):
@@ -293,3 +370,41 @@ class TestSplitCache:
         assert sets.cell_diag1 == expected["cell_diag1"]
         assert sets.cell_diag2 == expected["cell_diag2"]
         assert sets.overlap_suspected == expected["overlap_suspected"]
+
+
+SIGNED_PERMUTATIONS = [
+    (perm, signs)
+    for perm in itertools.permutations(range(3))
+    for signs in itertools.product((1.0, -1.0), repeat=3)
+]
+INVARIANCE_CASES = {**CACHE_CASES, "paraboloid": (plane_patch, paraboloid_patch, 0.05)}
+
+
+def _signed_permutation(surface, perm, signs):
+    return BSplineSurface(surface.knots_u, surface.knots_v,
+                          surface.control_points[..., list(perm)] * np.array(signs))
+
+
+@functools.lru_cache(maxsize=None)
+def _untransformed(case):
+    make1, make2, eps = INVARIANCE_CASES[case]
+    return intersect_surfaces(make1(), make2(), eps)
+
+
+class TestInvariance:
+    # Negation, axis permutation and the |x| box pad are exact, and the box
+    # test compares each axis on its own, so a signed axis permutation of
+    # both surfaces changes no pruning decision and no output bit.
+    @seed(7031)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.sampled_from(sorted(INVARIANCE_CASES)), st.sampled_from(SIGNED_PERMUTATIONS))
+    def test_signed_axis_permutation(self, case, motion):
+        make1, make2, eps = INVARIANCE_CASES[case]
+        expected = _untransformed(case)
+        sets = intersect_surfaces(_signed_permutation(make1(), *motion),
+                                  _signed_permutation(make2(), *motion), eps)
+        for name in ("points1", "points2", "correspondences"):
+            assert np.array_equal(getattr(sets, name), getattr(expected, name)), name
+        assert sets.cell_diag1 == expected.cell_diag1
+        assert sets.cell_diag2 == expected.cell_diag2
+        assert sets.overlap_suspected == expected.overlap_suspected
