@@ -61,16 +61,27 @@ def deboor_point(knots_u, degree_u, knots_v, degree_v, ctrl, u, v):
 
 
 def insert_knot(knots, ctrl, degree, t, times):
-    # Boehm insertion of t, `times` times, along axis 0 of a (n, w) net.
-    # Span: last index with knots[k] <= t, clamped to the top control row so
-    # inserting at the valid end of an unclamped vector stays in bounds.
+    # Boehm insertion of t[g], `times` times, along axis 1 of G nets at once:
+    # knots (G, L), ctrl (G, n, w). Row g's span k is the last index with
+    # knots[g, k] <= t[g], clamped to the top control row so inserting at the
+    # valid end of an unclamped vector stays in bounds. Rows k-degree+1..k
+    # become blends of their old row and the one before; every row and knot
+    # above them moves up by one, and t lands after knot k.
+    g = np.arange(knots.shape[0])[:, None]
+    tc = t[:, None]
     for _ in range(times):
-        k = min(int(np.searchsorted(knots, t, side="right")) - 1, ctrl.shape[0] - 1)
-        lo = knots[k - degree + 1 : k + 1]
-        alpha = ((t - lo) / (knots[k + 1 : k + degree + 1] - lo))[:, None]
-        blended = (1.0 - alpha) * ctrl[k - degree : k] + alpha * ctrl[k - degree + 1 : k + 1]
-        ctrl = np.concatenate([ctrl[: k - degree + 1], blended, ctrl[k:]])
-        knots = np.concatenate([knots[: k + 1], [t], knots[k + 1 :]])
+        n, size = ctrl.shape[1], knots.shape[1]
+        k = np.minimum(np.count_nonzero(knots <= tc, axis=1) - 1, n - 1)[:, None]
+        lo_i = k - degree + 1 + np.arange(degree)
+        lo = knots[g, lo_i]
+        alpha = ((tc - lo) / (knots[g, lo_i + degree] - lo))[:, :, None]
+        blended = (1.0 - alpha) * ctrl[g, lo_i - 1] + alpha * ctrl[g, lo_i]
+        i = np.arange(n + 1)
+        rows = np.where(i <= k - degree, i, np.where(i <= k, i - (k - degree + 1) + n, i - 1))
+        ctrl = np.concatenate([ctrl, blended], axis=1)[g, rows]
+        i = np.arange(size + 1)
+        at = np.where(i <= k, i, np.where(i == k + 1, size, i - 1))
+        knots = np.concatenate([knots, tc], axis=1)[g, at]
     return knots, ctrl
 
 

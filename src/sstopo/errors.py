@@ -6,14 +6,18 @@ class SstopoError(Exception):
 
 
 class ConfigurationError(SstopoError):
-    """A parameter is outside its admissible range (epsilon, delta, theta_ov, ...)."""
+    """A parameter is outside its admissible range (epsilon, delta, theta_ov,
+    a filter direction that is not a unit vector, ...)."""
 
 
 class ParameterRangeError(SstopoError):
     """A surface parameter or rectangle falls outside the valid domain, a
-    surface's knots or control points are NaN or infinite, or a surface
-    record is malformed (not an object, a key missing, a degree that is not
-    an integer, knots or control points that are not arrays of numbers, a
+    surface's knots or control points are NaN or infinite, a knot vector is
+    invalid (negative degree, too few knots, decreasing knots, an empty valid
+    range), a control grid has the wrong shape or does not match its knots,
+    a uniform knot builder is asked for too few rows, or a surface record is
+    malformed (not an object, a key missing, a degree that is not an
+    integer, knots or control points that are not arrays of numbers, a
     periodic flag that is not a bool)."""
 
 

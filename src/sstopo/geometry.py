@@ -2,10 +2,10 @@
 
 Surfaces are immutable after construction and all operations are pure, so
 callers may evaluate/split concurrently without coordination. Patch
-restriction works by knot insertion, one axis-generic split along either
-parameter direction; the control net of a restricted patch encloses the
-patch by the convex-hull property, which is what makes the subdivision
-bounding boxes conservative.
+restriction works by knot insertion, one axis-generic split of a batch of
+nets along either parameter direction; the control net of a restricted
+patch encloses the patch by the convex-hull property, which is what makes
+the subdivision bounding boxes conservative.
 """
 
 from __future__ import annotations
@@ -41,15 +41,15 @@ class KnotVector:
     def __post_init__(self):
         object.__setattr__(self, "knots", _readonly(np.ravel(self.knots)))
         if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
+            raise ParameterRangeError("degree must be nonnegative")
         if self.knots.size < self.degree + 2:
-            raise ValueError("knot vector too short for degree")
+            raise ParameterRangeError("knot vector too short for degree")
         if not np.isfinite(self.knots).all():
             raise ParameterRangeError("knots must be finite")
         if np.any(np.diff(self.knots) < 0):
-            raise ValueError("knots must be nondecreasing")
+            raise ParameterRangeError("knots must be nondecreasing")
         if not self.start < self.end:
-            raise ValueError("valid parameter range is empty")
+            raise ParameterRangeError("valid parameter range is empty")
 
     @property
     def count(self) -> int:
@@ -77,7 +77,7 @@ class KnotVector:
 def uniform_clamped_knots(degree: int, count: int, start: float = 0.0, end: float = 1.0) -> KnotVector:
     """Clamped knot vector with uniformly spaced interior knots for `count` control rows."""
     if count < degree + 1:
-        raise ValueError("count must be at least degree+1")
+        raise ParameterRangeError("count must be at least degree+1")
     interior = np.linspace(start, end, count - degree + 1)[1:-1]
     knots = np.concatenate([np.full(degree + 1, start), interior, np.full(degree + 1, end)])
     return KnotVector(knots, degree)
@@ -91,7 +91,7 @@ def uniform_periodic_knots(degree: int, count: int, start: float = 0.0, end: flo
     """
     n_seg = count - degree
     if n_seg < 1:
-        raise ValueError("count must exceed degree")
+        raise ParameterRangeError("count must exceed degree")
     h = (end - start) / n_seg
     idx = np.arange(count + degree + 1, dtype=np.float64) - degree
     return KnotVector(start + idx * h, degree, periodic=True)
@@ -111,9 +111,9 @@ class BSplineSurface:
         object.__setattr__(self, "periodic_v", self.knots_v.periodic)
         cp = self.control_points
         if cp.ndim != 3 or cp.shape[2] != 3:
-            raise ValueError("control_points must have shape (count_u, count_v, 3)")
+            raise ParameterRangeError("control_points must have shape (count_u, count_v, 3)")
         if cp.shape[0] != self.knots_u.count or cp.shape[1] != self.knots_v.count:
-            raise ValueError("control grid does not match knot counts")
+            raise ParameterRangeError("control grid does not match knot counts")
         if not np.isfinite(cp).all():
             raise ParameterRangeError("control points must be finite")
 
@@ -197,21 +197,44 @@ def evaluate_grid(surface: BSplineSurface, us: np.ndarray, vs: np.ndarray) -> np
     return out
 
 
-def _split_net(knots: np.ndarray, net: np.ndarray, degree: int, t: float, axis: int = 0):
-    """Split a control net along `axis` at t. Returns (knots, net) for each side."""
-    net = net.swapaxes(0, axis)
-    flat = np.ascontiguousarray(net.reshape(net.shape[0], -1), dtype=np.float64)
-    mult = int(np.count_nonzero(knots == t))
-    times = degree - mult
-    if times > 0:
-        knots, flat = _kernels.insert_knot(knots, flat, degree, float(t), times)
-    k = int(np.searchsorted(knots, t, side="right")) - 1
-    tail = net.shape[1:]
-    left_knots = np.concatenate([knots[: k + 1], [t]])
-    left = flat[: k - degree + 1].reshape((k - degree + 1,) + tail)
-    right_knots = np.concatenate([np.full(degree + 1, t), knots[k + 1 :]])
-    right = flat[k - degree :].reshape((flat.shape[0] - (k - degree),) + tail)
-    return (left_knots, left.swapaxes(0, axis)), (right_knots, right.swapaxes(0, axis))
+def _split_net(knots: np.ndarray, nets: np.ndarray, degree: int, t: np.ndarray,
+               axis: int = 0):
+    """Split G control nets along net axis `axis`, net g at t[g].
+
+    `knots` is (G, L) and `nets` is (G, ...) with the split direction at
+    `1 + axis`. Rows are grouped by how often t must be inserted (degree
+    minus its multiplicity), then by the span it lands in, which fixes the
+    shapes of the two sides. Returns one `(rows, (left_knots, left_nets),
+    (right_knots, right_nets))` per group, `rows` indexing the inputs.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    nets = np.moveaxis(nets, 1 + axis, 1)
+    tail = nets.shape[2:]
+    flat = nets.reshape(nets.shape[:2] + (-1,))
+
+    def side(knots_rows, flat_rows):
+        rows = flat_rows.reshape(flat_rows.shape[:2] + tail)
+        return knots_rows, np.moveaxis(rows, 1, 1 + axis)
+
+    times = np.maximum(degree - np.count_nonzero(knots == t[:, None], axis=1), 0)
+    out = []
+    for n_times in np.unique(times).tolist():
+        rows = np.flatnonzero(times == n_times)
+        tr = t[rows, None]
+        kn, fl = knots[rows], flat[rows]
+        if n_times:
+            kn, fl = _kernels.insert_knot(kn, fl, degree, t[rows], n_times)
+        span = np.count_nonzero(kn <= tr, axis=1) - 1
+        for k in np.unique(span).tolist():
+            sub = np.flatnonzero(span == k)
+            ts = tr[sub]
+            out.append((
+                rows[sub],
+                side(np.concatenate([kn[sub, : k + 1], ts], axis=1), fl[sub, : k - degree + 1]),
+                side(np.concatenate([np.repeat(ts, degree + 1, axis=1), kn[sub, k + 1 :]], axis=1),
+                     fl[sub, k - degree :]),
+            ))
+    return out
 
 
 def _trim_axis(knots: np.ndarray, net: np.ndarray, degree: int, lo: float, hi: float,
@@ -220,9 +243,11 @@ def _trim_axis(knots: np.ndarray, net: np.ndarray, degree: int, lo: float, hi: f
     start = knots[degree]
     end = knots[knots.size - degree - 1]
     if not (lo == start and np.count_nonzero(knots == lo) >= degree + 1):
-        _, (knots, net) = _split_net(knots, net, degree, lo, axis)
+        [(_, _, (knots, net))] = _split_net(knots[None], net[None], degree, [lo], axis)
+        knots, net = knots[0], net[0]
     if not (hi == end and np.count_nonzero(knots == hi) >= degree + 1):
-        (knots, net), _ = _split_net(knots, net, degree, hi, axis)
+        [(_, (knots, net), _)] = _split_net(knots[None], net[None], degree, [hi], axis)
+        knots, net = knots[0], net[0]
     return knots, net
 
 

@@ -37,7 +37,7 @@ class LinearFilter:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64))
         object.__setattr__(self, "direction", np.asarray(self.direction, dtype=np.float64))
         if abs(float(np.linalg.norm(self.direction)) - 1.0) > 1e-12:
-            raise ValueError("filter direction must be a unit vector")
+            raise ConfigurationError("filter direction must be a unit vector")
 
     def __call__(self, x: np.ndarray) -> np.ndarray | float:
         return eval_filter(self, x)

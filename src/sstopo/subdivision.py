@@ -2,10 +2,13 @@
 point sets.
 
 Each surface's patches live in a `_PatchStore` and are addressed by integer
-id. A patch holds its clamped knots and restricted control net until it is
-split; a split is one knot insertion along the halved axis, happens at most
-once per patch, and frees the parent's net. Its two halves get consecutive
-ids, which every pair that holds the parent then shares.
+id; their rects are rows of one array. A patch holds its clamped knots and
+restricted control net until it is split; a split halves the rect's longer
+side, happens at most once per patch, and its two halves get consecutive
+ids, which every pair that holds the parent then shares. A level's splits
+run as a few batched knot insertions, one per group of patches with the
+same split axis and net shape, and the nets they make are kept as arrays,
+one block per batch, freed once every patch in the block is split.
 
 The active pairs of one level are two id arrays. Each level drops the pairs
 whose padded boxes do not overlap (one vectorised closed-box test), ends the
@@ -26,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, EmptyInputError
-from .geometry import BSplineSurface, ParamRect, _split_net, restrict, split_rect
+from .errors import ConfigurationError, EmptyInputError, ParameterRangeError
+from .geometry import BSplineSurface, ParamRect, _split_net, restrict
 
 log = logging.getLogger(__name__)
 
@@ -62,18 +65,18 @@ class IntersectionPointSets:
         return self.points1.shape[0] == 0
 
 
-def _boxes(nets: list[np.ndarray]) -> np.ndarray:
-    """Padded axis-aligned boxes of control nets, one row `[lo | hi]` per net.
+def _boxes(nets) -> np.ndarray:
+    """Padded axis-aligned boxes of same-shape control nets `(m, ..., 3)`,
+    one row `[lo | hi]` per net.
 
     The pad is relative: the control-net hull bounds the exact patch, but the
     net itself carries ulp-level insertion roundoff, and tangential contacts
     (boxes touching exactly) must never be lost to it. `max(-lo, hi)` is the
     net's largest absolute coordinate, since negation is exact.
     """
-    flat = np.concatenate([net.reshape(-1, 3) for net in nets])
-    starts = np.cumsum([0] + [net.size // 3 for net in nets[:-1]])
-    lo = np.minimum.reduceat(flat, starts)
-    hi = np.maximum.reduceat(flat, starts)
+    flat = np.reshape(nets, (len(nets), -1, 3))
+    lo = flat.min(axis=1)
+    hi = flat.max(axis=1)
     pad = 1e-12 * (1.0 + np.maximum(-lo, hi).max(axis=1, keepdims=True))
     return np.hstack([lo - pad, hi + pad])
 
@@ -87,55 +90,109 @@ def _overlap(box1: np.ndarray, box2: np.ndarray) -> np.ndarray:
 class _PatchStore:
     """The patches of one surface's split tree, addressed by integer id.
 
-    Patch `i` covers `rects[i]` and has parameter diagonal `diag[i]` and box
-    `box[i]`. Until it is split it holds its clamped knots and control net;
-    once split, its halves are `child[i]` and `child[i] + 1`.
+    Patch `i` covers the rect `rects[i] = [u_min, u_max, v_min, v_max]` and
+    has parameter diagonal `diag[i]` and box `box[i]`. Until it is split it
+    holds clamped knots and a control net: row `row[i]` of block
+    `blocks[block[i]]`, a `(knots_u, knots_v, nets)` triple of arrays for
+    patches of one net shape made by one batched split. Once split, its
+    halves are `child[i]` and `child[i] + 1`; a block is freed when all its
+    patches are split.
     """
 
     def __init__(self, surface: BSplineSurface, surface_id: int):
         rect = surface.full_rect(surface_id)
         root = restrict(surface, rect)
+        self.surface_id = surface_id
         self.degrees = (root.degree_u, root.degree_v)
-        self.rects = [rect]
-        self.knots = [(root.knots_u.knots, root.knots_v.knots)]
-        self.nets = [root.control_points]
+        self.rects = np.array([[rect.u_min, rect.u_max, rect.v_min, rect.v_max]])
         self.diag = np.array([rect.diagonal])
-        self.box = _boxes(self.nets)
         self.child = np.full(1, -1)
+        self.blocks = [(root.knots_u.knots[None], root.knots_v.knots[None],
+                        root.control_points[None])]
+        self.unsplit = [1]
+        self.shapes = {root.control_points.shape: 0}  # net shape -> shape id
+        self.block_shape = [0]
+        self.block = np.zeros(1, dtype=np.int64)
+        self.row = np.zeros(1, dtype=np.int64)
+        self.box = _boxes(root.control_points[None])
+
+    def rect(self, i: int) -> ParamRect:
+        return ParamRect(*self.rects[i].tolist(), self.surface_id)
+
+    def _gather(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stacked `(knots_u, knots_v, nets)` of patches `ids`, given in block order."""
+        runs = np.split(ids, np.flatnonzero(np.diff(self.block[ids])) + 1)
+        parts = [[a[self.row[run]] for a in self.blocks[self.block[run[0]]]] for run in runs]
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
     def split(self, ids: np.ndarray) -> np.ndarray:
-        """First-half id of each patch in `ids`, halving those not yet split."""
+        """First-half id of each patch in `ids`, halving those not yet split.
+
+        Each patch is halved by `split_rect`'s rule. The patches are split in
+        groups of one axis and one net shape (which fixes the knot counts),
+        one batched `_split_net` call per group.
+        """
         todo = np.unique(ids[self.child[ids] < 0])
         if todo.size:
-            self.child[todo] = len(self.rects) + 2 * np.arange(todo.size)
-            rects, knots, nets = [], [], []
-            for i in todo.tolist():
-                rect = self.rects[i]
-                halves = split_rect(rect)
-                axis = 0 if halves[0].u_max != rect.u_max else 1
-                t = (halves[0].u_max, halves[0].v_max)[axis]
-                (ka, na), (kb, nb) = _split_net(self.knots[i][axis], self.nets[i],
-                                                self.degrees[axis], t, axis)
-                other = self.knots[i][1 - axis]
-                rects += halves
-                knots += [(ka, other), (kb, other)] if axis == 0 else [(other, ka), (other, kb)]
-                nets += (na, nb)
-                self.knots[i] = self.nets[i] = None
-            widths = np.array([(r.width_u, r.width_v) for r in rects])
-            self.rects += rects
-            self.knots += knots
-            self.nets += nets
-            self.diag = np.concatenate([self.diag, np.hypot(widths[:, 0], widths[:, 1])])
-            self.box = np.concatenate([self.box, _boxes(nets)])
-            self.child = np.concatenate([self.child, np.full(len(nets), -1)])
+            m = todo.size
+            self.child[todo] = len(self.rects) + 2 * np.arange(m)
+            rects = self.rects[todo]
+            along_v = rects[:, 1] - rects[:, 0] < rects[:, 3] - rects[:, 2]
+            lo = np.where(along_v, rects[:, 2], rects[:, 0])
+            hi = np.where(along_v, rects[:, 3], rects[:, 1])
+            mid = 0.5 * (lo + hi)
+            proper = (lo < mid) & (mid < hi)
+            if not proper.all():
+                raise ParameterRangeError(
+                    f"halving {rects[~proper][0].tolist()} gives a degenerate rectangle")
+            halves = np.repeat(rects, 2, axis=0)
+            halves[2 * np.arange(m), 1 + 2 * along_v] = mid
+            halves[2 * np.arange(m) + 1, 2 * along_v] = mid
+
+            block = np.empty(2 * m, dtype=np.int64)
+            row = np.empty(2 * m, dtype=np.int64)
+            box = np.empty((2 * m, 6))
+            # One group per (net shape, split axis); a group may draw its
+            # patches from several blocks.
+            src = self.block[todo]
+            key = 2 * np.asarray(self.block_shape)[src] + along_v
+            for k in np.unique(key).tolist():
+                axis = k % 2
+                members = np.flatnonzero(key == k)
+                members = members[np.argsort(src[members], kind="stable")]
+                knots_u, knots_v, nets = self._gather(todo[members])
+                other = (knots_v, knots_u)[axis]
+                for rows, *sides in _split_net((knots_u, knots_v)[axis], nets,
+                                               self.degrees[axis], mid[members], axis):
+                    at = 2 * members[rows]
+                    for side, (knots, half) in enumerate(sides):
+                        self.blocks.append((knots, other[rows], half) if axis == 0
+                                           else (other[rows], knots, half))
+                        self.unsplit.append(rows.size)
+                        shape = self.shapes.setdefault(half.shape[1:], len(self.shapes))
+                        self.block_shape.append(shape)
+                        block[at + side] = len(self.blocks) - 1
+                        row[at + side] = np.arange(rows.size)
+                        box[at + side] = _boxes(half)
+            for b, count in zip(*np.unique(src, return_counts=True)):
+                self.unsplit[b] -= count
+                if not self.unsplit[b]:
+                    self.blocks[b] = None
+            self.rects = np.concatenate([self.rects, halves])
+            self.diag = np.concatenate([self.diag, np.hypot(halves[:, 1] - halves[:, 0],
+                                                            halves[:, 3] - halves[:, 2])])
+            self.child = np.concatenate([self.child, np.full(2 * m, -1)])
+            self.block = np.concatenate([self.block, block])
+            self.row = np.concatenate([self.row, row])
+            self.box = np.concatenate([self.box, box])
         return self.child[ids]
 
     def leaves(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Distinct patches of `ids`: their ids, their rect centroids sorted
         lexicographically, and the centroid row of each entry of `ids`."""
         distinct, inverse = np.unique(ids, return_inverse=True)
-        centroids = np.array([self.rects[i].centroid for i in distinct.tolist()],
-                             dtype=np.float64).reshape(-1, 2)
+        r = self.rects[distinct]
+        centroids = np.stack([0.5 * (r[:, 0] + r[:, 1]), 0.5 * (r[:, 2] + r[:, 3])], axis=1)
         order = np.lexsort((centroids[:, 1], centroids[:, 0]))
         row = np.empty_like(order)
         row[order] = np.arange(order.size)
@@ -186,8 +243,9 @@ def intersect_surfaces(
 
     overlap = False
     if ends1.size:
-        covered = sum(store1.rects[i].area for i in leaves1.tolist())
-        domain_area = store1.rects[0].area
+        r = store1.rects
+        covered = sum(((r[leaves1, 1] - r[leaves1, 0]) * (r[leaves1, 3] - r[leaves1, 2])).tolist())
+        domain_area = store1.rect(0).area
         if covered > OVERLAP_WARN_RATIO * domain_area:
             overlap = True
             log.warning(
@@ -198,7 +256,7 @@ def intersect_surfaces(
 
     terminal = None
     if collect_pairs:
-        terminal = tuple(BoxPair(store1.rects[i], store2.rects[j])
+        terminal = tuple(BoxPair(store1.rect(i), store2.rect(j))
                          for i, j in zip(ends1.tolist(), ends2.tolist()))
     return IntersectionPointSets(
         points1=points1,

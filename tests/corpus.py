@@ -12,6 +12,7 @@ import numpy as np
 
 from sstopo import (
     BSplineSurface,
+    KnotVector,
     uniform_clamped_knots,
     uniform_periodic_knots,
 )
@@ -223,6 +224,26 @@ def cylinder_patch(axis: str = "y", radius: float = 1.0, half_len: float = 2.0,
             raise ValueError("axis must be 'x' or 'y'")
         grid[:, j, 2] = cz
     return BSplineSurface(kv_u, kv_v, grid)
+
+
+def knotted_cubic_patch(rng: np.random.Generator) -> BSplineSurface:
+    """Clamped cubic patch with uneven interior knots along u, some dyadic.
+
+    Halving its u range puts the split point on a knot in some patches and
+    between knots in others, and leaves patches of one level with different
+    knot counts and with their knots in different spans.
+    """
+    ku = KnotVector(np.array([0.0, 0.0, 0.0, 0.0, 0.25, 0.3, 0.6, 0.9, 1.0, 1.0, 1.0, 1.0]), 3)
+    kv = uniform_clamped_knots(3, 4)
+    grid = np.zeros((ku.count, kv.count, 3))
+    for i in range(ku.count):
+        for j in range(kv.count):
+            grid[i, j] = (
+                i / (ku.count - 1) + 0.05 * rng.standard_normal(),
+                j / (kv.count - 1) + 0.05 * rng.standard_normal(),
+                0.4 * rng.standard_normal(),
+            )
+    return BSplineSurface(ku, kv, grid)
 
 
 def random_cubic_patch(rng: np.random.Generator) -> BSplineSurface:

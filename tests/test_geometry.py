@@ -33,11 +33,11 @@ from corpus import (
 
 class TestKnotVector:
     def test_rejects_decreasing_knots(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterRangeError):
             KnotVector(np.array([0.0, 0.5, 0.2, 1.0]), 1)
 
     def test_rejects_empty_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterRangeError):
             KnotVector(np.array([0.0, 0.0, 0.0, 0.0]), 1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -60,8 +60,21 @@ class TestKnotVector:
 
     def test_grid_mismatch_rejected(self):
         kv = uniform_clamped_knots(1, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterRangeError):
             BSplineSurface(kv, kv, np.zeros((3, 2, 3)))
+
+    @pytest.mark.parametrize("build", [
+        lambda: KnotVector(np.array([0.0, 0.0, 1.0, 1.0]), -1),
+        lambda: KnotVector(np.array([0.0, 1.0]), 1),
+        lambda: uniform_clamped_knots(3, 3),
+        lambda: uniform_periodic_knots(2, 2),
+        lambda: BSplineSurface(uniform_clamped_knots(1, 2), uniform_clamped_knots(1, 2),
+                               np.zeros((2, 2, 2))),
+    ], ids=["negative-degree", "too-short", "clamped-too-few-rows", "periodic-too-few-rows",
+            "grid-not-3d"])
+    def test_bad_construction_raises_parameter_range_error(self, build):
+        with pytest.raises(ParameterRangeError):
+            build()
 
 
 class TestEvaluate:
@@ -162,11 +175,40 @@ class TestSubpatch:
         s = random_cubic_patch(np.random.default_rng(0))
         kv = s.knots_v.knots
         for t in (0.37, 0.5):
-            along_v = _split_net(kv, s.control_points, s.degree_v, t, axis=1)
-            along_u = _split_net(kv, s.control_points.transpose(1, 0, 2), s.degree_v, t)
+            [(_, *along_v)] = _split_net(kv[None], s.control_points[None], s.degree_v, [t],
+                                         axis=1)
+            [(_, *along_u)] = _split_net(kv[None], s.control_points.transpose(1, 0, 2)[None],
+                                         s.degree_v, [t])
             for (k1, n1), (k2, n2) in zip(along_v, along_u):
                 assert np.array_equal(k1, k2)
-                assert np.array_equal(n1, n2.transpose(1, 0, 2))
+                assert np.array_equal(n1, n2.transpose(0, 2, 1, 3))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_batched_split_equals_one_net_at_a_time(self, axis):
+        # Nets of one shape whose split points differ in multiplicity (on
+        # an interior knot, on a clamped end, off every knot) and in span:
+        # each net's halves equal, bit for bit, those of a split of that
+        # net alone.
+        rng = np.random.default_rng(5)
+        degree, count = 3, 7
+        knots = np.tile(uniform_clamped_knots(degree, count).knots, (8, 1))
+        knots[1::2, 4:7] = [0.2, 0.3, 0.35]
+        nets = rng.normal(size=(8, count, 4, 3))
+        if axis:
+            nets = nets.transpose(0, 2, 1, 3)
+        t = np.array([0.5, 0.3, 0.25, 0.35, 0.1, 0.9, 0.0, 0.61])
+        groups = _split_net(knots, nets, degree, t, axis)
+        assert len(groups) >= 4
+        seen = np.concatenate([rows for rows, _, _ in groups])
+        assert sorted(seen.tolist()) == list(range(8))
+        for rows, (lk, ln), (rk, rn) in groups:
+            for r, g in enumerate(rows.tolist()):
+                [(_, (lk1, ln1), (rk1, rn1))] = _split_net(knots[g : g + 1], nets[g : g + 1],
+                                                           degree, t[g : g + 1], axis)
+                for got, alone in ((lk[r], lk1[0]), (ln[r], ln1[0]), (rk[r], rk1[0]),
+                                   (rn[r], rn1[0])):
+                    assert got.shape == alone.shape
+                    assert got.tobytes() == alone.tobytes()
 
     def test_degenerate_rect_rejected(self):
         with pytest.raises(ParameterRangeError):
@@ -234,8 +276,10 @@ class TestPatchAABB:
 
     def test_boxes_of_several_nets_match_one_at_a_time(self):
         rng = np.random.default_rng(8)
+        base = random_cubic_patch(rng).control_points
         # Shifted by -3, a net's largest absolute coordinate is its lowest.
-        nets = [random_cubic_patch(rng).control_points + shift for shift in (0, -3, 0, -3, 2)]
+        nets = np.stack([base + rng.normal(scale=0.2, size=base.shape) + shift
+                         for shift in (0, -3, 0, -3, 2)])
         together = _boxes(nets)
         for net, row in zip(nets, together):
             np.testing.assert_array_equal(_boxes([net])[0], row)
@@ -410,15 +454,30 @@ class TestKernelsMatchScalarLoops:
                 assert evaluate(s, u, v).tobytes() == _loop_deboor(*args).tobytes()
 
     def test_insert_knot_bit_identical(self):
+        # One batch per surface: rows with different t and so different
+        # spans, t on an existing knot, and t at both ends of the valid
+        # range, where an unclamped periodic vector clamps the span to the
+        # top control row. Each row must equal the scalar loop on its own.
         rng = np.random.default_rng(12)
+        top_row_clamps = 0
         for s in self._surfaces(rng):
             u0, u1, _, _ = s.param_range
-            flat = np.ascontiguousarray(s.control_points.reshape(s.control_points.shape[0], -1))
-            for _ in range(6):
-                t = float(rng.uniform(u0, u1))
-                times = int(rng.integers(1, s.degree_u + 1))
-                expected = _loop_insert_knot(s.knots_u.knots, flat, s.degree_u, t, times)
-                got = _kernels.insert_knot(s.knots_u.knots, flat, s.degree_u, t, times)
-                assert got[0].tobytes() == expected[0].tobytes()
-                assert got[1].shape == expected[1].shape
-                assert got[1].tobytes() == expected[1].tobytes()
+            knots = s.knots_u.knots
+            inner = knots[(knots > u0) & (knots < u1)]
+            t = np.concatenate([rng.uniform(u0, u1, size=6), inner[:2], [u0, u1]])
+            flat = s.control_points.reshape(s.control_points.shape[0], -1)
+            nets = flat + rng.normal(scale=0.1, size=(t.size,) + flat.shape)
+            room = s.degree_u - np.count_nonzero(knots == t[:, None], axis=1)
+            for times in range(1, s.degree_u + 1):
+                rows = np.flatnonzero(room >= times)
+                if not rows.size:
+                    continue
+                got_knots, got_nets = _kernels.insert_knot(
+                    np.tile(knots, (rows.size, 1)), nets[rows], s.degree_u, t[rows], times)
+                for r, g in enumerate(rows.tolist()):
+                    expected = _loop_insert_knot(knots, nets[g], s.degree_u, float(t[g]), times)
+                    assert got_knots[r].tobytes() == expected[0].tobytes()
+                    assert got_nets[r].shape == expected[1].shape
+                    assert got_nets[r].tobytes() == expected[1].tobytes()
+                    top_row_clamps += int(np.count_nonzero(knots <= t[g])) > flat.shape[0]
+        assert top_row_clamps > 0

@@ -116,7 +116,7 @@ class TestEvalFilter:
             assert np.all(lhs <= rhs + 1e-12)
 
     def test_non_unit_direction_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             LinearFilter(np.zeros(2), np.array([1.0, 1.0]))
 
 

@@ -496,7 +496,9 @@ class TestCli:
         lambda d: {**d, "degree_u": 1.7},
         lambda d: {**d, "periodic_u": "no"},
         lambda d: {**d, "knots_u": {"a": 1}},
-    ], ids=["list", "no-knots_u", "fractional-degree", "string-periodic", "object-knots"])
+        lambda d: {**d, "knots_u": [0.0, 0.0, 1.0, 0.5]},
+    ], ids=["list", "no-knots_u", "fractional-degree", "string-periodic", "object-knots",
+            "decreasing-knots"])
     def test_intersect_rejects_malformed_surface(self, tmp_path, capsys, change):
         s1 = tmp_path / "a.json"
         s2 = tmp_path / "b.json"

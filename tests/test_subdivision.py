@@ -14,6 +14,8 @@ from sstopo import (
     BSplineSurface,
     ConfigurationError,
     EmptyInputError,
+    KnotVector,
+    ParameterRangeError,
     evaluate,
     hausdorff_bound,
     intersect_surfaces,
@@ -30,6 +32,7 @@ from sstopo.subdivision import (
 
 from corpus import (
     cylinder_patch,
+    knotted_cubic_patch,
     paraboloid_patch,
     plane_patch,
     random_cubic_patch,
@@ -204,8 +207,8 @@ def test_box_dump(tmp_path, plane_cross):
     assert len(first["rect1"]) == 4 and len(first["rect2"]) == 4
 
 
-def _random_pair(seed1, seed2):
-    return (lambda: random_cubic_patch(np.random.default_rng(seed1)),
+def _random_pair(seed1, seed2, make1=random_cubic_patch):
+    return (lambda: make1(np.random.default_rng(seed1)),
             lambda: random_cubic_patch(np.random.default_rng(seed2)))
 
 
@@ -217,6 +220,9 @@ CACHE_CASES = {
     "cylinders": (lambda: cylinder_patch(axis="y"), lambda: cylinder_patch(axis="x"), 0.05),
     "random-1-2": (*_random_pair(1, 2), 0.05),
     "random-4-9": (*_random_pair(4, 9), 0.05),
+    # Levels whose splits span several groups, with mixed multiplicities
+    # and spans inside one group (see test_levels_mix_split_groups).
+    "knotted-1-2": (*_random_pair(1, 2, knotted_cubic_patch), 0.05),
 }
 
 
@@ -264,12 +270,13 @@ def _uncached_intersection(surface1, surface2, epsilon):
         split.add(rect)
         ra, rb = split_rect(rect)
         if ra.u_max != rect.u_max:
-            (ka, na), (kb, nb) = _split_net(knots_u, net, degree_u, ra.u_max)
-            return patch(ra, ka, knots_v, na), patch(rb, kb, knots_v, nb)
+            [(_, (ka, na), (kb, nb))] = _split_net(knots_u[None], net[None], degree_u,
+                                                   [ra.u_max])
+            return patch(ra, ka[0], knots_v, na[0]), patch(rb, kb[0], knots_v, nb[0])
         net_t = np.ascontiguousarray(net.transpose(1, 0, 2))
-        (ka, na), (kb, nb) = _split_net(knots_v, net_t, degree_v, ra.v_max)
-        return (patch(ra, knots_u, ka, na.transpose(1, 0, 2)),
-                patch(rb, knots_u, kb, nb.transpose(1, 0, 2)))
+        [(_, (ka, na), (kb, nb))] = _split_net(knots_v[None], net_t[None], degree_v, [ra.v_max])
+        return (patch(ra, knots_u, ka[0], na[0].transpose(1, 0, 2)),
+                patch(rb, knots_u, kb[0], nb[0].transpose(1, 0, 2)))
 
     def meet(p, q):
         return bool(np.all(p[4] <= q[5]) and np.all(q[4] <= p[5]))
@@ -320,27 +327,62 @@ def _reference(case):
 class TestSplitCache:
     @pytest.mark.parametrize("case", sorted(CACHE_CASES))
     def test_each_rect_split_once(self, monkeypatch, case):
+        # The rects of the patches with a child are the rects the reference
+        # split, each split once: every patch but the root is a child, and
+        # the children number twice the distinct split rects. Each split
+        # makes the halves of `split_rect`.
         make1, make2, eps = CACHE_CASES[case]
-        rects = []
-        net_splits = 0
-        real_split_rect = sstopo.subdivision.split_rect
-        real_split_net = sstopo.subdivision._split_net
+        stores = []
 
-        def record_rect(rect):
-            rects.append(rect)
-            return real_split_rect(rect)
+        class Recording(_PatchStore):
+            def __init__(self, *args):
+                super().__init__(*args)
+                stores.append(self)
 
-        def count_net(*args):
-            nonlocal net_splits
-            net_splits += 1
-            return real_split_net(*args)
-
-        monkeypatch.setattr(sstopo.subdivision, "split_rect", record_rect)
-        monkeypatch.setattr(sstopo.subdivision, "_split_net", count_net)
+        monkeypatch.setattr(sstopo.subdivision, "_PatchStore", Recording)
         sets = intersect_surfaces(make1(), make2(), eps)
         assert not sets.is_empty
-        assert net_splits == len(set(rects)) > 0
-        assert set(rects) == _reference(case)["split"]
+        split = set()
+        for store in stores:
+            parents = np.flatnonzero(store.child >= 0).tolist()
+            rects = {store.rect(i) for i in parents}
+            assert len(store.rects) - 1 == 2 * len(rects)
+            for i in parents:
+                first = int(store.child[i])
+                assert (store.rect(first), store.rect(first + 1)) == split_rect(store.rect(i))
+            split |= rects
+        assert split
+        assert split == _reference(case)["split"]
+
+    def test_levels_mix_split_groups(self, monkeypatch):
+        # The knotted case must exercise the grouping in `_split_net` and
+        # `_PatchStore.split`: a level split in several groups, a group
+        # whose split points differ in multiplicity, and a group whose
+        # split points of one multiplicity land in different spans.
+        levels = []
+        real_split = _PatchStore.split
+        real_split_net = sstopo.subdivision._split_net
+
+        def record_level(self, ids):
+            levels.append([])
+            return real_split(self, ids)
+
+        def record_group(knots, nets, degree, t, axis=0):
+            got = real_split_net(knots, nets, degree, t, axis)
+            mult = np.count_nonzero(knots == np.asarray(t)[:, None], axis=1)
+            levels[-1].append({(int(mult[rows[0]]), left_knots.shape[1] - 2)
+                               for rows, (left_knots, _), _ in got})
+            return got
+
+        monkeypatch.setattr(_PatchStore, "split", record_level)
+        monkeypatch.setattr(sstopo.subdivision, "_split_net", record_group)
+        make1, make2, eps = CACHE_CASES["knotted-1-2"]
+        assert not intersect_surfaces(make1(), make2(), eps).is_empty
+        groups = [group for level in levels for group in level]
+        assert any(len(level) >= 2 for level in levels)
+        assert any(len({m for m, _ in group}) >= 2 for group in groups)
+        assert any(len([k for m, k in group if m == mult]) >= 2
+                   for group in groups for mult, _ in group)
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_box_test_is_closed_per_axis(self, axis):
@@ -354,10 +396,31 @@ class TestSplitCache:
     def test_split_reuses_halves_and_frees_parent(self):
         store = _PatchStore(plane_patch(), 1)
         assert store.split(np.array([0, 0])).tolist() == [1, 1]
-        assert store.nets[0] is None and store.knots[0] is None
+        # The root's block, its net and knots, is freed; its halves' are not.
+        assert store.blocks[store.block[0]] is None
+        assert store.blocks[store.block[1]] is not None
+        assert store.blocks[store.block[2]] is not None
         assert store.split(np.array([0])).tolist() == [1]
         assert len(store.rects) == 3
-        assert store.rects[1:] == list(split_rect(store.rects[0]))
+        assert [store.rect(1), store.rect(2)] == list(split_rect(store.rect(0)))
+        # Patches 1 and 2 split together: their first halves, 3 and 5, share
+        # a block, which is freed only once both are split.
+        assert store.split(np.array([2, 1])).tolist() == [5, 3]
+        assert store.block[3] == store.block[5]
+        store.split(np.array([3]))
+        assert store.blocks[store.block[5]] is not None
+        store.split(np.array([5, 3]))
+        assert store.blocks[store.block[5]] is None
+        assert len(store.rects) == 11
+
+    def test_degenerate_half_raises(self):
+        # A one-ulp-wide domain cannot be halved: the midpoint rounds onto
+        # an end, and the split refuses the empty half as ParamRect would.
+        end = math.nextafter(1.0, 2.0)
+        kv = KnotVector(np.array([1.0, 1.0, end, end]), 1)
+        store = _PatchStore(BSplineSurface(kv, kv, plane_patch().control_points), 1)
+        with pytest.raises(ParameterRangeError):
+            store.split(np.array([0]))
 
     @pytest.mark.parametrize("case", sorted(CACHE_CASES))
     def test_matches_uncached_reference(self, case):
