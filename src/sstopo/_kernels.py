@@ -16,6 +16,10 @@ distance test is ``dx*dx + dy*dy < delta*delta``. IEEE rounding is monotone,
 so box bounds computed the same way bound the computed point distances
 exactly, and both kernels return bit for bit what a loop over all pairs
 returns.
+
+The component labels take an optional group id per point, and cells are
+keyed by group as well as position, so that one grid clusters every
+interval of a Mapper cover at once: no cell pair spans two groups.
 """
 
 from __future__ import annotations
@@ -117,6 +121,9 @@ def _sq(d):
 class _Grid:
     """Points sorted by cell, and the cell pairs that may hold a close pair.
 
+    With an integer ``groups`` id per point, cells are keyed by group as
+    well as position, so no cell or candidate pair joins two groups.
+
     ``order`` maps sorted positions to input indices; cell ``c`` holds the
     sorted positions ``head[c] : head[c] + count[c]``, and ``cell`` maps
     each sorted position to its cell. The candidate pairs
@@ -127,7 +134,7 @@ class _Grid:
     closer than delta.
     """
 
-    def __init__(self, pts: np.ndarray, delta: float, reach: int):
+    def __init__(self, pts: np.ndarray, delta: float, reach: int, groups=None):
         n = pts.shape[0]
         # A larger side only costs speed; it keeps the quotients in range.
         side = max(_MARGIN * delta / reach, float(np.abs(pts).max()) / _INDEX_LIMIT,
@@ -135,10 +142,8 @@ class _Grid:
         ij = np.floor(pts / side)
         # Renumber each axis so that gaps wider than the reach shrink to
         # reach + 1: offsets within reach stay exact and keys stay small.
-        for axis in range(2):
-            perm = np.argsort(ij[:, axis])
-            step = np.minimum(np.diff(ij[perm, axis]), reach + 1)
-            ij[perm, axis] = np.concatenate(([0.0], np.cumsum(step)))
+        ij[:, 0] = _renumber(ij[:, 0], reach, groups)
+        ij[:, 1] = _renumber(ij[:, 1], reach)
         ij = ij.astype(np.int64)
         width = int(ij[:, 1].max()) + 2 * reach + 1
         key = ij[:, 0] * width + ij[:, 1]
@@ -191,6 +196,21 @@ class _Grid:
         return (_sq(self.xy[i] - self.xy[j]) < self.d2) & (i != j)
 
 
+def _renumber(x, reach, groups=None):
+    """Ranks of the cell indices x that keep gaps of up to reach and shrink
+    wider ones to reach + 1. With a group id per index, the groups are laid
+    out one after another, each reach + 1 past the last."""
+    perm = np.argsort(x)
+    if groups is not None:
+        perm = perm[np.argsort(groups[perm], kind="stable")]
+    step = np.minimum(np.diff(x[perm]), reach + 1)
+    if groups is not None:
+        step[np.diff(groups[perm]) != 0] = reach + 1
+    out = np.empty_like(x)
+    out[perm] = np.concatenate(([0.0], np.cumsum(step)))
+    return out
+
+
 def _ranges(start, size):
     """The range number and the position of every element of the ranges
     ``start[k] : start[k] + size[k]``, concatenated."""
@@ -225,9 +245,11 @@ def _join(root, u, v):
     return root
 
 
-def neighbor_components(points: np.ndarray, delta: float) -> np.ndarray:
+def neighbor_components(points: np.ndarray, delta: float, groups=None) -> np.ndarray:
     """Connected-component labels of the strict-<delta neighborhood graph.
 
+    With ``groups``, an integer id per point, only points of one group are
+    neighbors, so one call labels the components of every group's graph.
     Labels are canonical: component ids are assigned in order of each
     component's first point index, so the encoding does not depend on how
     the components were found.
@@ -236,7 +258,7 @@ def neighbor_components(points: np.ndarray, delta: float) -> np.ndarray:
     n = pts.shape[0]
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    g = _Grid(pts, delta, _COMPONENTS_REACH)
+    g = _Grid(pts, delta, _COMPONENTS_REACH, groups)
     a, b, cell = g.a, g.b, g.cell
     # A tight cell is one clique: its points start at its head.
     root = np.where(g.tight[cell], g.head[cell], np.arange(n))

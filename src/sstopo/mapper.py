@@ -277,20 +277,32 @@ def build_cover(f_min: float, f_max: float, count: int, theta_ov: float) -> Cove
 
 def cluster_preimage(indices: np.ndarray, cloud: np.ndarray, delta: float) -> list[np.ndarray]:
     """Partition the given point indices into connected components of the
-    strict-<delta neighborhood graph. Clusters are ordered by first member."""
+    strict-<delta neighborhood graph, each sorted. Clusters are ordered by
+    their first member's position in `indices`. This is the one-group case
+    of the clustering that `build_mapper_graph` runs on a whole cover."""
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
         return []
-    cloud = np.asarray(cloud, dtype=np.float64)
-    labels = neighbor_components(cloud[indices], delta)
-    clusters: list[np.ndarray] = []
-    for lab in range(int(labels.max()) + 1):
-        clusters.append(np.sort(indices[labels == lab]))
-    return clusters
+    return _clusters(cloud, indices, delta)[0]
+
+
+def _clusters(cloud, indices: np.ndarray, delta: float, groups=None):
+    """Components of the strict-<delta graph on cloud[indices], joining only
+    points of one group: the sorted indices of each, in order of their first
+    position in `indices`, and that position."""
+    labels = neighbor_components(np.asarray(cloud, dtype=np.float64)[indices], delta, groups)
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
+    members = np.split(indices[order], starts[1:])
+    return [np.sort(m) for m in members], order[starts]
 
 
 def build_mapper_graph(cloud: np.ndarray, filt: LinearFilter, params: MapperParams) -> MapperGraph:
-    """Cover construction, preimage clustering, and graph assembly in one pass."""
+    """Cover construction, preimage clustering, and graph assembly in one pass.
+
+    The preimages of all intervals are clustered in one grouped neighbor
+    pass. Nodes come interval by interval, each interval's clusters ordered
+    by their least point index."""
     cloud = np.asarray(cloud, dtype=np.float64)
     if cloud.shape[0] == 0:
         raise EmptyInputError("cannot build a Mapper graph from an empty cloud")
@@ -314,10 +326,15 @@ def build_mapper_graph(cloud: np.ndarray, filt: LinearFilter, params: MapperPara
         count = cap
     cover = build_cover(float(values.min()), float(values.max()), count, params.theta_ov)
 
-    nodes: list[MapperNode] = []
-    for k, members in enumerate(cover.membership(values)):
-        for cluster in cluster_preimage(members, cloud, params.delta):
-            nodes.append(
-                MapperNode(len(nodes), frozenset(cluster.tolist()), intervals=(k,))
-            )
+    # One group per interval. The memberships are concatenated in interval
+    # order, so the clusters, which follow first positions, come interval by
+    # interval.
+    members = cover.membership(values)
+    indices = np.concatenate(members)
+    groups = np.repeat(np.arange(cover.size), [m.size for m in members])
+    clusters, first = _clusters(cloud, indices, params.delta, groups)
+    nodes = [
+        MapperNode(k, frozenset(cluster.tolist()), intervals=(interval,))
+        for k, (cluster, interval) in enumerate(zip(clusters, groups[first].tolist()))
+    ]
     return MapperGraph(nodes=tuple(nodes), edges=_edges_from_nodes(nodes))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -71,13 +72,6 @@ class PartitionResult:
     segments: tuple[Segment, ...]
     removed_boundary_points: frozenset[int]
     removed_singular_points: frozenset[int]
-
-    def point_to_segment(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for si, seg in enumerate(self.segments):
-            for p in seg.point_indices:
-                out[p] = si
-        return out
 
     def segment_kinds(self) -> list[str]:
         return [seg.kind for seg in self.segments]
@@ -198,14 +192,22 @@ def match_across_domains(
     if corr.size == 0:
         log.warning("empty correspondence list; cross-domain match is empty")
         return CrossDomainMatch(())
-    map1 = part1.point_to_segment()
-    map2 = part2.point_to_segment()
-    counts: dict[tuple[int, int], int] = {}
-    for i, j in corr:
-        a = map1.get(int(i))
-        b = map2.get(int(j))
-        if a is None or b is None:
-            continue
-        counts[(a, b)] = counts.get((a, b), 0) + 1
-    pairs = tuple((a, b, c) for (a, b), c in sorted(counts.items()))
-    return CrossDomainMatch(pairs)
+    corr = corr.astype(np.int64, copy=False)
+    seg1 = _segment_of(part1, corr[:, 0])
+    seg2 = _segment_of(part2, corr[:, 1])
+    voting = (seg1 >= 0) & (seg2 >= 0)
+    width = len(part2.segments)
+    keys, counts = np.unique(seg1[voting] * width + seg2[voting], return_counts=True)
+    a, b = np.divmod(keys, width)
+    return CrossDomainMatch(tuple(zip(a.tolist(), b.tolist(), counts.tolist())))
+
+
+def _segment_of(part: PartitionResult, points: np.ndarray) -> np.ndarray:
+    """Segment id of each point index, -1 for a point in no segment. The
+    segments are disjoint: survivors sharing a point are adjacent."""
+    sizes = [len(seg.point_indices) for seg in part.segments]
+    members = np.fromiter(chain.from_iterable(seg.point_indices for seg in part.segments),
+                          dtype=np.int64, count=sum(sizes))
+    ids = np.full(max(members.max(initial=-1), points.max()) + 1, -1)
+    ids[members] = np.repeat(np.arange(len(sizes)), sizes)
+    return ids[points]

@@ -239,7 +239,9 @@ def intersect_surfaces(
     ends1, ends2 = np.concatenate(ended1), np.concatenate(ended2)
     leaves1, points1, rows1 = store1.leaves(ends1)
     _, points2, rows2 = store2.leaves(ends2)
-    correspondences = np.unique(np.stack([rows1, rows2], axis=1), axis=0)
+    # The distinct row pairs, sorted: rows1 * n2 + rows2 sorts as the pair does.
+    n2 = points2.shape[0]
+    correspondences = np.stack(np.divmod(np.unique(rows1 * n2 + rows2), n2), axis=1)
 
     overlap = False
     if ends1.size:

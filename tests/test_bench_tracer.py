@@ -71,6 +71,8 @@ def test_mapper_only_records_every_layer(spans):
     calls = Counter(s.name for s in tracer.spans)
     assert calls["twostep.split_interval_count"] == untraced.initial_graph.node_count
     assert calls["mapper.build_graph"] == len(untraced.plan.split_set) + 1
+    # One grouped neighbor pass clusters a whole cover.
+    assert calls["kernels.neighbor_components"] == calls["mapper.build_graph"]
     for name in ("mapper.compute_l0", "kernels.neighbor_components",
                  "kernels.neighbor_sup_abs_diff"):
         assert calls[name] >= 1, name

@@ -118,6 +118,85 @@ class TestAgainstOracle:
         assert_matches_oracle(pts, _values(rng, pts), delta)
 
 
+def grouped_oracle(pts, groups, delta):
+    """The oracle's labels of each group's points, run on that group alone,
+    renumbered in order of each component's first point over all points."""
+    key = np.empty(len(pts), dtype=np.int64)
+    offset = 0
+    for group in np.unique(groups):
+        at = np.flatnonzero(groups == group)
+        key[at] = oracle(pts[at], np.zeros(at.size), delta)[0] + offset
+        offset += at.size
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
+def assert_groups_match_oracle(pts, groups, delta):
+    labels = neighbor_components(pts, delta, groups)
+    assert np.array_equal(labels, grouped_oracle(pts, groups, delta))
+    # No component holds points of two groups.
+    assert np.unique(np.column_stack([labels, groups]), axis=0).shape[0] == labels.max() + 1
+    return labels
+
+
+GROUPED = settings(max_examples=40, deadline=None, database=None)
+
+
+class TestGroupedComponents:
+    @seed(6071)
+    @GROUPED
+    @given(st.integers(0, 2**32 - 1), DELTAS, st.integers(1, 40), st.integers(2, 6))
+    def test_identical_points_in_different_groups_never_join(self, s, delta, m, copies):
+        rng = np.random.default_rng(s)
+        base = rng.uniform(0, 3 * delta, (m, 2))
+        pts = np.tile(base, (copies, 1))
+        groups = np.repeat(rng.permutation(copies) * 7 - 3, m)
+        perm = rng.permutation(len(pts))
+        labels = assert_groups_match_oracle(pts[perm], groups[perm], delta)
+        assert labels.max() + 1 == copies * (neighbor_components(base, delta).max() + 1)
+
+    @seed(6072)
+    @GROUPED
+    @given(st.integers(0, 2**32 - 1), DELTAS, st.integers(2, 12), st.integers(1, 12),
+           st.integers(1, 5), st.sampled_from([1.0, 0.5]))
+    def test_exact_delta_lattice_split_across_groups(self, s, delta, nx, ny, count, spacing):
+        rng = np.random.default_rng(s)
+        ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+        pts = np.column_stack([ix.ravel(), iy.ravel()]) * (spacing * delta)
+        pts = rng.permutation(pts) + rng.integers(-3, 4, size=2) * delta
+        assert_groups_match_oracle(pts, rng.integers(0, count, len(pts)), delta)
+
+    @seed(6073)
+    @GROUPED
+    @given(st.integers(0, 2**32 - 1), DELTAS, st.integers(1, 60), st.integers(0, 60))
+    def test_one_point_groups(self, s, delta, singles, crowd):
+        rng = np.random.default_rng(s)
+        pts = rng.uniform(0, 2 * delta, (singles + crowd, 2))
+        # The crowd shares group -1; every other point has a group of its own.
+        groups = np.concatenate([rng.permutation(singles), np.full(crowd, -1)])
+        perm = rng.permutation(len(pts))
+        labels = assert_groups_match_oracle(pts[perm], groups[perm], delta)
+        assert np.unique(labels[groups[perm] >= 0]).size == singles
+
+    @seed(6074)
+    @GROUPED
+    @given(st.integers(0, 2**32 - 1), DELTAS, st.integers(20, 120), st.integers(1, 12))
+    def test_many_groups_a_million_away(self, s, delta, count, size):
+        rng = np.random.default_rng(s)
+        groups = np.repeat(np.arange(count), rng.integers(1, size + 1, count))
+        # Each group sits at +-1e6 on either axis, its points a few cells wide.
+        corner = rng.choice([1e6, -1e6], size=(count, 2))
+        pts = corner[groups] + rng.uniform(0, 2 * delta, (groups.size, 2))
+        perm = rng.permutation(groups.size)
+        assert_groups_match_oracle(pts[perm], groups[perm], delta)
+
+    def test_one_group_equals_no_groups(self):
+        rng = np.random.default_rng(8)
+        pts = rng.uniform(0, 1, (400, 2))
+        assert np.array_equal(neighbor_components(pts, 0.05, np.full(400, 5)),
+                              neighbor_components(pts, 0.05))
+
+
 class TestGridEdges:
     def test_single_point_and_far_pair(self):
         one = np.array([[0.5, 0.5]])

@@ -21,10 +21,13 @@ from sstopo.mapper import make_pca_filter
 from sstopo.synthetic import recommended_delta
 
 from corpus import (
+    NOISE,
+    STEP,
     assert_edges_match_intersections,
     brute_force_clusters,
     closed_form_leading_eigenvector,
     noisy_circle_cloud,
+    three_curves_cloud,
 )
 
 
@@ -282,6 +285,16 @@ class TestClusterPreimage:
         for a, b in zip(got, expected):
             assert np.array_equal(a, b)
 
+    def test_unordered_indices_order_clusters_by_first_position(self):
+        rng = np.random.default_rng(21)
+        cloud = rng.uniform(0, 1, (300, 2))
+        subset = rng.permutation(300)[:250]
+        got = cluster_preimage(subset, cloud, 0.06)
+        expected = brute_force_clusters(subset, cloud, 0.06)
+        assert len(got) == len(expected) > 1
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+
 
 class TestMapperParams:
     def test_validation(self):
@@ -365,6 +378,30 @@ class TestBuildMapperGraph:
         assert g.node_count <= 2 * len(cloud) + 1
         assert len(g.connected_components()) == 2
         assert any("capped" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("make_cloud", [three_curves_cloud, noisy_circle_cloud])
+    @pytest.mark.parametrize("orthogonal", [False, True])
+    def test_nodes_equal_per_interval_brute_force(self, make_cloud, orthogonal):
+        # The whole cover is clustered at once; the reference clusters each
+        # interval's preimage alone with an all-pairs union-find.
+        pts, _ = make_cloud()
+        params = MapperParams(delta=recommended_delta(STEP, NOISE))
+        filt = make_pca_filter(pts)
+        if orthogonal:
+            filt = LinearFilter(filt.center, np.array([-filt.direction[1], filt.direction[0]]))
+        values = eval_filter(filt, pts)
+        l0 = compute_l0(pts, filt, params.delta, params.theta_ov)
+        count = interval_count(pts, filt, (1.0 + params.alpha) * l0, params.theta_ov)
+        cover = build_cover(float(values.min()), float(values.max()), count, params.theta_ov)
+        assert cover.size > 1
+        expected = [
+            (tuple(cluster.tolist()), (k,))
+            for k, members in enumerate(cover.membership(values))
+            for cluster in brute_force_clusters(members, pts, params.delta)
+        ]
+        g = build_mapper_graph(pts, filt, params)
+        assert [n.id for n in g.nodes] == list(range(len(expected)))
+        assert [(n.sorted_points(), n.intervals) for n in g.nodes] == expected
 
     def test_translation_invariance(self):
         pts, _ = noisy_circle_cloud(seed=13)
