@@ -16,7 +16,6 @@ from .geometry import (
     load_surface,
     save_surface,
     split_rect,
-    subpatch_control_net,
     uniform_clamped_knots,
     uniform_periodic_knots,
 )
@@ -38,13 +37,10 @@ from .mapper import (
     principal_direction,
 )
 from .twostep import (
-    SplitPlan,
     TwoStepResult,
     orthogonal_filter,
-    plan_splits,
     run_two_step,
     split_interval_count,
-    two_step_mapper,
 )
 from .partition import (
     BoundarySpec,

@@ -9,13 +9,15 @@ The neighbor queries never list every close pair. As in grid DBSCAN
 into square cells a little wider than delta/2 (delta/4 for the supremum) and
 bound each pair of nearby cells by their points' bounding boxes: the
 per-axis gap bounds every point distance between the two cells from below,
-the far extent from above. A cell pair whose upper bound is below delta is
-fully near, one whose lower bound is not is dropped, and only the rest are
-tested point by point, while they can still change the answer. Every
-distance test is ``dx*dx + dy*dy < delta*delta``. IEEE rounding is monotone,
-so box bounds computed the same way bound the computed point distances
-exactly, and both kernels return bit for bit what a loop over all pairs
-returns.
+the far extent from above. A cell pair whose lower bound is not below delta
+is dropped. One whose upper bound is below delta is fully near: the
+supremum takes its bound as exact, and the components join it through a
+probe of the two points nearest its boxes' centres, the probe every pair
+gets first. The other pairs are tested point by point while they can still
+change the answer. Every distance test is ``dx*dx + dy*dy < delta*delta``.
+IEEE rounding is monotone, so box bounds computed the same way bound the
+computed point distances exactly, and both kernels return bit for bit what
+a loop over all pairs returns.
 
 The component labels take an optional group id per point, and cells are
 keyed by group as well as position, so that one grid clusters every
@@ -262,18 +264,16 @@ def neighbor_components(points: np.ndarray, delta: float, groups=None) -> np.nda
     a, b, cell = g.a, g.b, g.cell
     # A tight cell is one clique: its points start at its head.
     root = np.where(g.tight[cell], g.head[cell], np.arange(n))
-    clique = g.full & g.tight[a] & g.tight[b]
-    root = _join(root, g.head[a[clique]], g.head[b[clique]])
-    rest = np.flatnonzero(~clique)
-    # Probe each other pair through the points nearest its boxes' centres;
-    # that joins most neighboring cells of a dense cloud at once.
+    # Probe each pair through the points nearest its boxes' centres; that
+    # joins most neighboring cells of a dense cloud at once, and every fully
+    # near pair of tight cells.
     off = g.xy - ((g.lo + g.hi) / 2)[cell]
     probe = np.lexsort((_sq(off), cell))[g.head]
-    i, j = probe[a[rest]], probe[b[rest]]
+    i, j = probe[a], probe[b]
     near = g.near(i, j)
     root = _join(root, i[near], j[near])
-    # Test the rest closest first, skipping cells that are already joined.
-    rest = rest[np.argsort(g.lower[rest], kind="stable")]
+    # Test the pairs closest first, skipping cells that are already joined.
+    rest = np.argsort(g.lower, kind="stable")
     for s in _slices(g.count[a[rest]] * g.count[b[rest]]):
         k = rest[s]
         k = k[~(g.tight[a[k]] & g.tight[b[k]]) | (root[g.head[a[k]]] != root[g.head[b[k]]])]

@@ -133,9 +133,6 @@ class BSplineSurface:
         u0, u1, v0, v1 = self.param_range
         return ParamRect(u0, u1, v0, v1, surface_id)
 
-    def evaluate(self, u: float, v: float) -> np.ndarray:
-        return evaluate(self, u, v)
-
 
 @dataclass(frozen=True)
 class ParamRect:
@@ -261,11 +258,6 @@ def restrict(surface: BSplineSurface, rect: ParamRect) -> BSplineSurface:
     kv, net = _trim_axis(surface.knots_v.knots, net, surface.degree_v,
                          rect.v_min, rect.v_max, 1)
     return BSplineSurface(KnotVector(ku, surface.degree_u), KnotVector(kv, surface.degree_v), net)
-
-
-def subpatch_control_net(surface: BSplineSurface, rect: ParamRect) -> np.ndarray:
-    """Control net of the restriction of `surface` to `rect` (knot insertion)."""
-    return restrict(surface, rect).control_points
 
 
 def split_rect(rect: ParamRect) -> tuple[ParamRect, ParamRect]:

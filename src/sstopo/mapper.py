@@ -39,9 +39,6 @@ class LinearFilter:
         if abs(float(np.linalg.norm(self.direction)) - 1.0) > 1e-12:
             raise ConfigurationError("filter direction must be a unit vector")
 
-    def __call__(self, x: np.ndarray) -> np.ndarray | float:
-        return eval_filter(self, x)
-
 
 @dataclass(frozen=True, eq=False)
 class Cover:
@@ -130,9 +127,6 @@ class MapperGraph:
         for n in self.nodes:
             out |= n.points
         return frozenset(out)
-
-    def node_by_id(self, node_id: int) -> MapperNode:
-        return self.nodes[node_id]
 
 
 def _edges_from_nodes(nodes: list[MapperNode]) -> frozenset[tuple[int, int]]:

@@ -148,7 +148,7 @@ def partition(graph: MapperGraph, characteristic: CharacteristicNodes) -> Partit
         kind = _classify_component([len(adj[nid]) for nid in comp])
         pts: set[int] = set()
         for nid in comp:
-            pts |= graph.node_by_id(nid).points
+            pts |= graph.nodes[nid].points
         segments.append(Segment(tuple(sorted(pts)), kind, tuple(comp)))
 
     # Deterministic report order: by smallest point index, then node id.
@@ -156,10 +156,10 @@ def partition(graph: MapperGraph, characteristic: CharacteristicNodes) -> Partit
 
     removed_boundary: set[int] = set()
     for nid in characteristic.boundary_nodes:
-        removed_boundary |= graph.node_by_id(nid).points
+        removed_boundary |= graph.nodes[nid].points
     removed_singular: set[int] = set()
     for nid in characteristic.singular_nodes:
-        removed_singular |= graph.node_by_id(nid).points
+        removed_singular |= graph.nodes[nid].points
 
     return PartitionResult(
         segments=tuple(segments),

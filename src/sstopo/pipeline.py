@@ -80,7 +80,7 @@ class DomainResult:
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "points": [[float(x), float(y)] for x, y in self.points],
+            "points": self.points.tolist(),
             "delta": self.delta,
             "graph": {
                 "nodes": [
@@ -186,7 +186,7 @@ class ResultDocument:
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
+            fh.write(json.dumps(self.to_dict(), indent=1))
 
     @classmethod
     def load(cls, path) -> "ResultDocument":

@@ -1,9 +1,10 @@
 """Two-step Mapper graph construction.
 
-Step one builds the initial graph with the principal-direction filter. Nodes
-whose point sets would support two or more cover intervals under the
-orthogonal filter are flagged, and each connected group of flagged nodes is
-replaced by a Mapper subgraph built on the group's points under the
+Step one builds the initial graph with the principal-direction filter. Each
+initial node gets its orthogonal interval count: the number of cover
+intervals its point set would support under the orthogonal filter. The
+nodes counted two or more are flagged, and each connected group of flagged
+nodes is replaced by a Mapper subgraph built on the group's points under the
 orthogonal filter. Subgraph nodes that touch the same outside neighbor are
 merged, which is what prevents the spurious cross edges that independent
 splitting of two adjacent nodes would otherwise introduce. All edges are
@@ -34,25 +35,18 @@ from .mapper import (
 
 
 @dataclass(frozen=True)
-class SplitPlan:
-    """Nodes slated for orthogonal refinement: the smallest id of each
-    connected group of flagged nodes.
+class TwoStepResult:
+    """Both graphs and the refinement's decision.
 
-    `interval_counts[node]` is the orthogonal interval count that flagged the
-    node; for a group of several nodes it is the max over its members, so
-    every entry is >= 2. No two nodes in `split_set` are adjacent.
+    `counts[i]` is the orthogonal interval count of initial node i. `groups`
+    are the connected groups of the nodes counted two or more, each sorted,
+    in order of their least id; each group was rebuilt as one subgraph.
     """
 
-    split_set: tuple[int, ...]
-    interval_counts: dict[int, int]
-
-
-@dataclass(frozen=True)
-class TwoStepResult:
     initial_graph: MapperGraph
     graph: MapperGraph
-    plan: SplitPlan
-    filter: LinearFilter
+    counts: tuple[int, ...]
+    groups: tuple[tuple[int, ...], ...]
     perp_filter: LinearFilter
     seconds_initial: float
     seconds_refine: float
@@ -87,36 +81,6 @@ def _cloud_filter(cloud: np.ndarray) -> LinearFilter:
         return LinearFilter(centroid(cloud), np.array([1.0, 0.0]))
 
 
-def plan_splits(
-    graph: MapperGraph, cloud: np.ndarray, f_perp: LinearFilter, params: MapperParams
-) -> SplitPlan:
-    """Flag nodes with orthogonal interval count >= 2 and group adjacent ones.
-
-    Reported ids are the smallest member id of each group; counts reflect the
-    group max. The refinement itself splits exactly these groups.
-    """
-    return _plan(*_split_groups(graph, cloud, f_perp, params))
-
-
-def _split_groups(
-    graph: MapperGraph, cloud: np.ndarray, f_perp: LinearFilter, params: MapperParams
-) -> tuple[list[list[int]], dict[int, int]]:
-    """Connected groups of the flagged nodes, plus every node's interval count."""
-    counts = {
-        n.id: split_interval_count(n.points, cloud, f_perp, params) for n in graph.nodes
-    }
-    adj = graph.adjacency()
-    flagged = {nid: adj[nid] for nid in sorted(counts) if counts[nid] >= 2}
-    return components(flagged), counts
-
-
-def _plan(groups: list[list[int]], counts: dict[int, int]) -> SplitPlan:
-    return SplitPlan(
-        tuple(g[0] for g in groups),
-        {g[0]: max(counts[m] for m in g) for g in groups},
-    )
-
-
 def run_two_step(cloud: np.ndarray, params: MapperParams) -> TwoStepResult:
     """Both phases with wall-clock timings for each."""
     cloud = np.asarray(cloud, dtype=np.float64)
@@ -126,28 +90,29 @@ def run_two_step(cloud: np.ndarray, params: MapperParams) -> TwoStepResult:
     t1 = time.perf_counter()
 
     f_perp = orthogonal_filter(filt)
-    final, plan = _refine(initial, cloud, f_perp, params)
+    counts = tuple(
+        split_interval_count(n.points, cloud, f_perp, params) for n in initial.nodes
+    )
+    adj = initial.adjacency()
+    flagged = {n.id: adj[n.id] for n, s in zip(initial.nodes, counts) if s >= 2}
+    groups = tuple(tuple(g) for g in components(flagged))
+    final = _refine(initial, groups, cloud, f_perp, params)
     t2 = time.perf_counter()
 
     return TwoStepResult(
         initial_graph=initial,
         graph=final,
-        plan=plan,
-        filter=filt,
+        counts=counts,
+        groups=groups,
         perp_filter=f_perp,
         seconds_initial=t1 - t0,
         seconds_refine=t2 - t1,
     )
 
 
-def two_step_mapper(cloud: np.ndarray, params: MapperParams) -> MapperGraph:
-    return run_two_step(cloud, params).graph
-
-
-def _refine(
-    initial: MapperGraph, cloud: np.ndarray, f_perp: LinearFilter, params: MapperParams
-) -> tuple[MapperGraph, SplitPlan]:
-    groups, counts = _split_groups(initial, cloud, f_perp, params)
+def _refine(initial: MapperGraph, groups, cloud: np.ndarray, f_perp: LinearFilter,
+            params: MapperParams) -> MapperGraph:
+    """Replace each group of initial nodes by its orthogonal subgraph."""
     adj = initial.adjacency()
     by_id = initial.nodes
     flagged = {m for group in groups for m in group}
@@ -179,5 +144,4 @@ def _refine(
         MapperNode(new_id, pts, intervals=intervals, refined=refined)
         for new_id, (pts, intervals, refined) in enumerate(out)
     )
-    graph = MapperGraph(nodes=nodes, edges=_edges_from_nodes(list(nodes)))
-    return graph, _plan(groups, counts)
+    return MapperGraph(nodes=nodes, edges=_edges_from_nodes(list(nodes)))

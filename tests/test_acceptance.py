@@ -66,12 +66,13 @@ def test_criterion_2_two_step_refinement():
     params = MapperParams(delta=DELTA, theta_ov=0.2)
     res = run_two_step(pts, params)
 
-    assert len(res.plan.split_set) >= 1
-    assert all(s >= 2 for s in res.plan.interval_counts.values())
+    assert len(res.groups) >= 1
+    assert len(res.counts) == res.initial_graph.node_count
+    assert all(res.counts[nid] >= 2 for group in res.groups for nid in group)
     middle = set(np.nonzero(labels == 2)[0].tolist())
     by_id = {n.id: n for n in res.initial_graph.nodes}
     flagged_points = set()
-    for nid in res.plan.split_set:
+    for nid in (group[0] for group in res.groups):
         flagged_points |= by_id[nid].points
     assert flagged_points & middle, "flagged node must aggregate the middle curve"
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import sstopo.pipeline
-from sstopo import MapperParams, PipelineConfig, run_two_step
+from sstopo import BoundarySpec, MapperParams, PipelineConfig, run_two_step
 from sstopo.synthetic import recommended_delta
 
 from corpus import NOISE, STEP, plane_patch, saddle_patch, three_curves_cloud
@@ -60,7 +60,7 @@ def test_mapper_only_records_every_layer(spans):
     pts, _ = three_curves_cloud(seed=3)
     delta = recommended_delta(STEP, NOISE)
     untraced = run_two_step(pts, MapperParams(delta=delta))
-    assert untraced.plan.split_set
+    assert untraced.groups
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -70,7 +70,7 @@ def test_mapper_only_records_every_layer(spans):
 
     calls = Counter(s.name for s in tracer.spans)
     assert calls["twostep.split_interval_count"] == untraced.initial_graph.node_count
-    assert calls["mapper.build_graph"] == len(untraced.plan.split_set) + 1
+    assert calls["mapper.build_graph"] == len(untraced.groups) + 1
     # One grouped neighbor pass clusters a whole cover.
     assert calls["kernels.neighbor_components"] == calls["mapper.build_graph"]
     for name in ("mapper.compute_l0", "kernels.neighbor_components",
@@ -78,3 +78,27 @@ def test_mapper_only_records_every_layer(spans):
         assert calls[name] >= 1, name
     assert calls["partition.classify"] == 1
     assert calls["partition.partition"] == 1
+
+
+def test_one_traced_run_covers_every_binding(spans, tmp_path):
+    pts, _ = three_curves_cloud(seed=3)
+    delta = recommended_delta(STEP, NOISE)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    bounds = BoundarySpec(lo[0], hi[0], lo[1], hi[1], delta)
+    surfaces = (plane_patch(), saddle_patch())
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        sstopo.pipeline.run_pipeline(
+            PipelineConfig(epsilon=0.05, out_dir=str(tmp_path), emit_graph=True,
+                           emit_svg=True), *surfaces)
+        sstopo.pipeline.sweep_theta(PipelineConfig(epsilon=0.05), [0.2, 0.3],
+                                    surfaces=surfaces)
+        sstopo.pipeline.run_mapper_only(PipelineConfig(delta_override=delta), pts,
+                                        bounds=bounds)
+    finally:
+        tracer.uninstall()
+
+    recorded = {s.name for s in tracer.spans}
+    for _, attr, name, _ in spans.BINDINGS:
+        assert name in recorded, attr

@@ -8,7 +8,6 @@ from sstopo import (
     ParameterRangeError,
     evaluate,
     split_rect,
-    subpatch_control_net,
     uniform_clamped_knots,
 )
 from sstopo import _kernels
@@ -123,13 +122,13 @@ class TestEvaluate:
 class TestSubpatch:
     def test_full_range_is_identity(self):
         s = bilinear_corner_patch()
-        net = subpatch_control_net(s, s.full_rect())
+        net = restrict(s, s.full_rect()).control_points
         np.testing.assert_array_equal(net, s.control_points)
 
     def test_corner_interpolation_after_restriction(self):
         s = bilinear_corner_patch()
         rect = ParamRect(0.0, 0.5, 0.0, 1.0)
-        net = subpatch_control_net(s, rect)
+        net = restrict(s, rect).control_points
         np.testing.assert_allclose(net[0, 0], evaluate(s, 0.0, 0.0), atol=1e-15)
         np.testing.assert_allclose(net[-1, 0], evaluate(s, 0.5, 0.0), atol=1e-15)
         np.testing.assert_allclose(net[0, -1], evaluate(s, 0.0, 1.0), atol=1e-15)
@@ -217,7 +216,7 @@ class TestSubpatch:
     def test_rect_outside_range_rejected(self):
         s = bilinear_corner_patch()
         with pytest.raises(ParameterRangeError):
-            subpatch_control_net(s, ParamRect(0.0, 1.5, 0.0, 1.0))
+            restrict(s, ParamRect(0.0, 1.5, 0.0, 1.0))
 
 
 def _patch_box(surface, rect):
@@ -326,8 +325,8 @@ class TestDeterminism:
         p1 = evaluate(s, 0.312, 0.644)
         p2 = evaluate(s, 0.312, 0.644)
         assert np.array_equal(p1, p2)
-        n1 = subpatch_control_net(s, rect)
-        n2 = subpatch_control_net(s, rect)
+        n1 = restrict(s, rect).control_points
+        n2 = restrict(s, rect).control_points
         assert np.array_equal(n1, n2)
 
 

@@ -10,7 +10,6 @@ from sstopo import (
     orthogonal_filter,
     run_two_step,
     split_interval_count,
-    two_step_mapper,
 )
 from sstopo.mapper import (
     _edges_from_nodes,
@@ -20,7 +19,6 @@ from sstopo.mapper import (
     interval_count,
 )
 from sstopo.synthetic import recommended_delta
-from sstopo.twostep import SplitPlan, plan_splits
 
 from corpus import (
     STEP,
@@ -88,7 +86,8 @@ class TestTwoStep:
         cloud = np.column_stack([xs, np.zeros_like(xs)])
         params = MapperParams(delta=0.08)
         res = run_two_step(cloud, params)
-        assert res.plan.split_set == ()
+        assert res.groups == ()
+        assert set(res.counts) == {1}
 
         def canon(g):
             return sorted(n.sorted_points() for n in g.nodes)
@@ -101,13 +100,13 @@ class TestTwoStep:
         res = run_two_step(pts, params)
 
         # the middle curve is aggregated into flagged node(s)
-        assert len(res.plan.split_set) >= 1
-        assert all(s >= 2 for s in res.plan.interval_counts.values())
+        assert len(res.groups) >= 1
+        assert all(res.counts[nid] >= 2 for group in res.groups for nid in group)
 
         middle = set(np.nonzero(labels == 2)[0].tolist())
         flagged_points = set()
         by_id = {n.id: n for n in res.initial_graph.nodes}
-        for nid in res.plan.split_set:
+        for nid in (group[0] for group in res.groups):
             flagged_points |= by_id[nid].points
         assert flagged_points & middle
 
@@ -123,12 +122,11 @@ class TestTwoStep:
         pts, _ = three_curves_cloud(seed=3)
         params = MapperParams(delta=DELTA)
         res = run_two_step(pts, params)
-        plan = plan_splits(res.initial_graph, pts, res.perp_filter, params)
         adj = res.initial_graph.adjacency()
-        for a in plan.split_set:
-            for b in plan.split_set:
-                if a != b:
-                    assert b not in adj[a]
+        for g in res.groups:
+            for h in res.groups:
+                if g != h:
+                    assert not any(adj[a] & set(h) for a in g)
 
     def test_point_conservation(self):
         pts, _ = three_curves_cloud(seed=5)
@@ -140,7 +138,7 @@ class TestTwoStep:
     def test_plus_cloud_single_degree_four_node(self):
         pts, _ = plus_cloud()
         params = MapperParams(delta=recommended_delta(STEP, 0.0))
-        g = two_step_mapper(pts, params)
+        g = run_two_step(pts, params).graph
         degrees = sorted(g.degrees().values(), reverse=True)
         assert degrees.count(4) == 1
         assert degrees[1] <= 2
@@ -149,7 +147,7 @@ class TestTwoStep:
     def test_circle_cycle_rank_preserved(self):
         pts, _ = noisy_circle_cloud(seed=7)
         params = MapperParams(delta=DELTA)
-        g = two_step_mapper(pts, params)
+        g = run_two_step(pts, params).graph
         comps = g.connected_components()
         assert len(comps) == 1
         assert g.edge_count - g.node_count + 1 == 1
@@ -159,14 +157,15 @@ class TestTwoStep:
         pts, _ = three_curves_cloud(seed=3)
         params = MapperParams(delta=DELTA)
         res = run_two_step(pts, params)
-        replan = plan_splits(res.graph, pts, res.perp_filter, params)
-        assert replan.split_set == ()
+        assert any(n.refined for n in res.graph.nodes)
+        for n in res.graph.nodes:
+            assert split_interval_count(n.points, pts, res.perp_filter, params) < 2
 
     def test_degenerate_clouds_flow_through(self):
         params = MapperParams(delta=0.1)
-        g1 = two_step_mapper(np.array([[0.2, 0.3]]), params)
+        g1 = run_two_step(np.array([[0.2, 0.3]]), params).graph
         assert g1.node_count == 1 and g1.edge_count == 0
-        g2 = two_step_mapper(np.tile([[0.2, 0.3]], (4, 1)), params)
+        g2 = run_two_step(np.tile([[0.2, 0.3]], (4, 1)), params).graph
         assert g2.node_count == 1
         assert g2.point_union() == frozenset(range(4))
 
@@ -224,17 +223,15 @@ def _reference_refine(initial, cloud, f_perp, params):
     """The refinement as a merge-then-split pass: each group of adjacent
     flagged nodes becomes one node with rewired edges, then every merged node
     is split, its subgraph nodes joined by union-find when they touch one
-    same neighbor. Also returns how many subgraph nodes were joined away."""
+    same neighbor. Also returns the groups, each sorted and in order of its
+    least id, every node's interval count in id order, and how many subgraph
+    nodes were joined away."""
     points = {n.id: n.points for n in initial.nodes}
     intervals = {n.id: n.intervals for n in initial.nodes}
     refined = {n.id: n.refined for n in initial.nodes}
     edges = set(initial.edges)
 
     groups, counts = _reference_groups(initial, cloud, f_perp, params)
-    plan = SplitPlan(
-        tuple(sorted(min(g) for g in groups)),
-        {min(g): max(counts[m] for m in g) for g in groups},
-    )
 
     for group in groups:
         if len(group) < 2:
@@ -260,7 +257,7 @@ def _reference_refine(initial, cloud, f_perp, params):
 
     joined = 0
     next_id = max(points) + 1 if points else 0
-    for vid in plan.split_set:
+    for vid in sorted(min(g) for g in groups):
         ids_sorted = sorted(points[vid])
         subgraph = build_mapper_graph(cloud[ids_sorted], f_perp, params)
         local_sets = [
@@ -300,7 +297,9 @@ def _reference_refine(initial, cloud, f_perp, params):
         MapperNode(new_id, pts, intervals=intervals[old_id], refined=refined[old_id])
         for new_id, (old_id, pts) in enumerate(points.items())
     )
-    return MapperGraph(nodes=nodes, edges=_reference_edges(nodes)), plan, joined
+    graph = MapperGraph(nodes=nodes, edges=_reference_edges(nodes))
+    sorted_groups = tuple(sorted(tuple(sorted(g)) for g in groups))
+    return graph, sorted_groups, tuple(counts[n.id] for n in initial.nodes), joined
 
 
 def _refine_case(name):
@@ -333,7 +332,7 @@ class TestRefineReference:
     def test_matches_merge_then_split_reference(self, case):
         pts, params = _refine_case(case)
         res = run_two_step(pts, params)
-        expected, expected_plan, _ = _reference_refine(
+        expected, expected_groups, expected_counts, _ = _reference_refine(
             res.initial_graph, pts, res.perp_filter, params
         )
         assert len(res.graph.nodes) == len(expected.nodes)
@@ -342,7 +341,21 @@ class TestRefineReference:
                 want.id, want.points, want.intervals, want.refined
             )
         assert res.graph.edges == expected.edges
-        assert res.plan == expected_plan
+        assert res.groups == expected_groups
+        assert res.counts == expected_counts
+
+    @pytest.mark.parametrize("case", ["three_curves_3", "performance_6k"])
+    def test_counts_and_groups_of_initial_nodes(self, case):
+        pts, params = _refine_case(case)
+        res = run_two_step(pts, params)
+        assert res.counts == tuple(
+            split_interval_count(n.points, pts, res.perp_filter, params)
+            for n in res.initial_graph.nodes
+        )
+        groups, _ = _reference_groups(res.initial_graph, pts, res.perp_filter, params)
+        assert res.groups == tuple(tuple(sorted(g)) for g in groups)
+        flagged = [nid for nid, s in enumerate(res.counts) if s >= 2]
+        assert sorted(nid for g in res.groups for nid in g) == flagged
 
     def test_cases_include_merges(self):
         group_sizes = []
@@ -352,7 +365,7 @@ class TestRefineReference:
             res = run_two_step(pts, params)
             groups, _ = _reference_groups(res.initial_graph, pts, res.perp_filter, params)
             group_sizes += [len(g) for g in groups]
-            joined += _reference_refine(res.initial_graph, pts, res.perp_filter, params)[2]
+            joined += _reference_refine(res.initial_graph, pts, res.perp_filter, params)[3]
         assert max(group_sizes) >= 2
         assert joined >= 1
 
