@@ -22,6 +22,13 @@ a loop over all pairs returns.
 The component labels take an optional group id per point, and cells are
 keyed by group as well as position, so that one grid clusters every
 interval of a Mapper cover at once: no cell pair spans two groups.
+
+A caller that needs only some monotone function of the supremum, as the
+Mapper's interval count is, can let the supremum try a witness first: each
+point is tested against its next few points in a caller's order, with the
+same arithmetic, and the best of those pairs is a lower bound the grid path
+would reach bit for bit. When the caller's predicate accepts that bound, no
+grid is built; otherwise the exact grid path runs unchanged.
 """
 
 from __future__ import annotations
@@ -113,6 +120,8 @@ _COMPONENTS_REACH = 2
 _SUP_REACH = 4
 # Point pairs tested per vectorized block.
 _BLOCK = 1 << 16
+# Successors in the witness order that each point is tested against.
+_WITNESS_REACH = 3
 
 
 def _sq(d):
@@ -287,17 +296,42 @@ def neighbor_components(points: np.ndarray, delta: float, groups=None) -> np.nda
     return rank[inverse]
 
 
+def _witness(pts, vals, delta, key) -> float:
+    """Max |vals[i]-vals[j]| over the pairs closer than delta among each
+    point and its next _WITNESS_REACH points in ``key`` order; 0.0 if none."""
+    order = np.argsort(key, kind="stable")
+    xy, v = pts[order], vals[order]
+    d2 = delta * delta
+    best = 0.0
+    for k in range(1, _WITNESS_REACH + 1):
+        near = _sq(xy[k:] - xy[:-k]) < d2
+        if near.any():
+            best = max(best, float(np.abs(v[k:][near] - v[:-k][near]).max()))
+    return best
+
+
 def neighbor_sup_abs_diff(
-    points: np.ndarray, values: np.ndarray, delta: float
+    points: np.ndarray, values: np.ndarray, delta: float, across=None, settled=None
 ) -> tuple[float, bool]:
     """Max |values[i]-values[j]| over point pairs at distance < delta.
 
     Returns ``(0.0, False)`` when no pair qualifies.
+
+    With ``across``, a sort key per point, and ``settled``, a predicate, the
+    result may be a lower bound instead: each point is first tested against
+    its next few points in ``across`` order, and if the best of those pairs,
+    lo, is positive and ``settled(lo)`` holds, ``(lo, True)`` is returned
+    without building a grid. lo is a close pair's difference computed as the
+    grid path computes it, so it never exceeds the exact result.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     vals = np.ascontiguousarray(values, dtype=np.float64)
     if pts.shape[0] < 2:
         return 0.0, False
+    if settled is not None:
+        lo = _witness(pts, vals, delta, across)
+        if lo > 0.0 and settled(lo):
+            return lo, True
     g = _Grid(pts, delta, _SUP_REACH)
     a, b = g.a, g.b
     v = vals[g.order]

@@ -228,18 +228,72 @@ def default_delta(cell_diag: float) -> float:
     return 2.0 * cell_diag
 
 
-def compute_l0(cloud: np.ndarray, filt: LinearFilter, delta: float, theta_ov: float) -> float:
+def compute_l0(cloud: np.ndarray, filt: LinearFilter, delta: float, theta_ov: float,
+               alpha: float | None = None) -> float:
     """Base interval length: sup of |f(xi)-f(xj)| over pairs closer than delta,
     divided by theta_ov. Falls back to the Lipschitz bound delta/theta_ov when
-    no pair qualifies."""
+    no pair qualifies.
+
+    With ``alpha``, the result is only as exact as the interval count at
+    l' = (1 + alpha) * l0 needs: it may be any l0 that gives the count the
+    exact one gives. The count does not increase as the supremum grows, so
+    it is decided once a lower bound, the best close pair among each point
+    and its next few across the filter direction, gives the count that the
+    upper bound `_sup_cap` gives. Then the result is that lower bound over
+    theta_ov and no grid is built; otherwise the exact supremum is taken.
+    """
     cloud = np.asarray(cloud, dtype=np.float64)
     if cloud.shape[0] < 2:
         raise DegenerateCloudError("need at least two points to compute l0")
     values = eval_filter(filt, cloud)
-    sup, found = neighbor_sup_abs_diff(cloud, values, delta)
+    if alpha is None:
+        sup, found = neighbor_sup_abs_diff(cloud, values, delta)
+    else:
+        span = _span(values)
+
+        def count(s):
+            # The callers' arithmetic: l0 = s / theta_ov, l' = (1 + alpha) * l0.
+            return _count(span, (1.0 + alpha) * (s / theta_ov), theta_ov)
+
+        hi = count(_sup_cap(cloud, filt, delta))
+        across = cloud @ np.array([-filt.direction[1], filt.direction[0]])
+        sup, found = neighbor_sup_abs_diff(cloud, values, delta, across,
+                                           lambda lo: count(lo) == hi)
     if not found:
         return delta / theta_ov
     return sup / theta_ov
+
+
+def _sup_cap(cloud: np.ndarray, filt: LinearFilter, delta: float) -> float:
+    """An upper bound on every |f(xi)-f(xj)| that the supremum kernel
+    computes for a pair it finds closer than delta.
+
+    With u = 2**-53 the unit roundoff and M = max |xi - c|_1:
+    - the kernel's test dx*dx + dy*dy < delta*delta rounds six times, so
+      the pair's true distance is below delta * (1 + 4u);
+    - the filter direction's norm is within 1e-12 of 1 (`LinearFilter`
+      checks it, and its computed norm is off by at most 2u), so the true
+      |f(xi) - f(xj)| is below delta * (1 + 4u) * (1 + 1e-12 + 2u);
+    - each computed value rounds x - c, the two products and their sum, so
+      it is off by at most 3.01u * M, and the subtraction of two values
+      adds one relative u: in all, below delta * (1 + 1e-12 + 8u) + 6.1u * M.
+    delta * 2**-30 is over 900 times 1e-12 + 8u, and 2**-40 * M is 8192u * M,
+    so the cap holds with room for its own four roundings. Below the normal
+    range a rounding is off by at most 2**-1075 absolutely instead; those
+    errors stretch a distance by at most 2**-536, and 2**-500 covers them.
+    """
+    m = float(np.max(np.abs(cloud - filt.center).sum(axis=1)))
+    return delta * (1.0 + 2.0**-30) + 2.0**-40 * m + 2.0**-500
+
+
+def _span(values: np.ndarray) -> float:
+    return float(np.max(values) - np.min(values))
+
+
+def _count(span: float, l_prime: float, theta_ov: float) -> float:
+    """Cover intervals over a filter range `span` at working length l_prime,
+    clamped to >= 1; a float, so that counts compare without overflow."""
+    return max(np.floor((span - theta_ov * l_prime) / ((1.0 - theta_ov) * l_prime)), 1.0)
 
 
 def interval_count(cloud: np.ndarray, filt: LinearFilter, l_prime: float, theta_ov: float) -> int:
@@ -247,9 +301,7 @@ def interval_count(cloud: np.ndarray, filt: LinearFilter, l_prime: float, theta_
     if l_prime <= 0:
         raise ConfigurationError(f"l_prime must be positive, got {l_prime}")
     values = eval_filter(filt, np.asarray(cloud, dtype=np.float64))
-    span = float(np.max(values) - np.min(values))
-    s = int(np.floor((span - theta_ov * l_prime) / ((1.0 - theta_ov) * l_prime)))
-    return max(s, 1)
+    return int(_count(_span(values), l_prime, theta_ov))
 
 
 def build_cover(f_min: float, f_max: float, count: int, theta_ov: float) -> Cover:
@@ -305,7 +357,7 @@ def build_mapper_graph(cloud: np.ndarray, filt: LinearFilter, params: MapperPara
         return MapperGraph(nodes=(node,), edges=frozenset())
 
     values = eval_filter(filt, cloud)
-    l0 = compute_l0(cloud, filt, params.delta, params.theta_ov)
+    l0 = compute_l0(cloud, filt, params.delta, params.theta_ov, params.alpha)
     if l0 <= 0.0:
         count = 1
     else:

@@ -8,7 +8,10 @@ nodes is replaced by a Mapper subgraph built on the group's points under the
 orthogonal filter. Subgraph nodes that touch the same outside neighbor are
 merged, which is what prevents the spurious cross edges that independent
 splitting of two adjacent nodes would otherwise introduce. All edges are
-recomputed globally at the end by the shared-point rule.
+recomputed globally at the end by the shared-point rule. Last, every node
+whose points all lie in a neighbor's is dropped: a strong collapse of the
+nerve, which keeps its homotopy type and removes cover artefacts such as a
+few noisy samples that form a leaf node of their own.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ class TwoStepResult:
     `counts[i]` is the orthogonal interval count of initial node i. `groups`
     are the connected groups of the nodes counted two or more, each sorted,
     in order of their least id; each group was rebuilt as one subgraph.
+    `graph` holds no node whose point set lies in another node's.
     """
 
     initial_graph: MapperGraph
@@ -66,7 +70,7 @@ def split_interval_count(
     if len(ids) < 2:
         return 1
     sub = np.asarray(cloud, dtype=np.float64)[ids]
-    l0 = compute_l0(sub, f_perp, params.delta, params.theta_ov)
+    l0 = compute_l0(sub, f_perp, params.delta, params.theta_ov, params.alpha)
     if l0 <= 0.0:
         return 1
     return interval_count(sub, f_perp, (1.0 + params.alpha) * l0, params.theta_ov)
@@ -96,7 +100,7 @@ def run_two_step(cloud: np.ndarray, params: MapperParams) -> TwoStepResult:
     adj = initial.adjacency()
     flagged = {n.id: adj[n.id] for n, s in zip(initial.nodes, counts) if s >= 2}
     groups = tuple(tuple(g) for g in components(flagged))
-    final = _refine(initial, groups, cloud, f_perp, params)
+    final = _collapse(_refine(initial, groups, cloud, f_perp, params))
     t2 = time.perf_counter()
 
     return TwoStepResult(
@@ -145,3 +149,29 @@ def _refine(initial: MapperGraph, groups, cloud: np.ndarray, f_perp: LinearFilte
         for new_id, (pts, intervals, refined) in enumerate(out)
     )
     return MapperGraph(nodes=nodes, edges=_edges_from_nodes(list(nodes)))
+
+
+def _collapse(graph: MapperGraph) -> MapperGraph:
+    """Drop every node whose point set lies in an adjacent node's set; of
+    equal sets the lowest id stays. The rest are renumbered in order.
+
+    Such a node is a dominated vertex of the nerve, so dropping it is a
+    strong collapse and keeps the homotopy type (Barmak & Minian, DCG 2012).
+    Containment, with equal sets ordered by id, is a partial order that does
+    not depend on the other nodes, and two nested nonempty sets are always
+    adjacent. So one pass drops exactly the nodes that are not maximal: each
+    lies in a kept node, and no kept node lies in another, so a second pass
+    would drop nothing.
+    """
+    nodes = graph.nodes
+    dropped = set()
+    for a, b in graph.edges:  # a < b
+        if nodes[b].points <= nodes[a].points:
+            dropped.add(b)
+        elif nodes[a].points < nodes[b].points:
+            dropped.add(a)
+    if not dropped:
+        return graph
+    kept = [MapperNode(k, n.points, intervals=n.intervals, refined=n.refined)
+            for k, n in enumerate(n for n in nodes if n.id not in dropped)]
+    return MapperGraph(nodes=tuple(kept), edges=_edges_from_nodes(kept))

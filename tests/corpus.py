@@ -305,9 +305,9 @@ def plus_cloud():
     return generate_synthetic(spec)
 
 
-def performance_cloud(target: int = 6000):
+def performance_cloud(target: int = 6000, seed: int = 11):
     """A multi-curve cloud of roughly `target` points at a proportionally
-    finer sampling step."""
+    finer sampling step, with noise drawn from `seed`."""
     curves = (
         Circle((0.0, 0.0), 1.0),
         Circle((2.2, 0.0), 0.8),
@@ -317,6 +317,6 @@ def performance_cloud(target: int = 6000):
     )
     total_len = sum(c.length for c in curves)
     step = total_len / target
-    spec = SyntheticSpec(curves=curves, step=step, noise=NOISE, seed=11)
+    spec = SyntheticSpec(curves=curves, step=step, noise=NOISE, seed=seed)
     pts, labels = generate_synthetic(spec)
     return pts, labels, step

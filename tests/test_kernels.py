@@ -139,6 +139,82 @@ def assert_groups_match_oracle(pts, groups, delta):
     return labels
 
 
+def witness_oracle(pts, vals, delta, across):
+    """Best |vals[i]-vals[j]| over the close pairs of each point and its next
+    three in stable ``across`` order, one pair at a time; 0.0 if none."""
+    order = np.argsort(across, kind="stable")
+    best = 0.0
+    for a in range(len(order)):
+        for b in range(a + 1, min(a + 4, len(order))):
+            i, j = order[a], order[b]
+            dx, dy = pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1]
+            if dx * dx + dy * dy < delta * delta:
+                best = max(best, abs(float(vals[i] - vals[j])))
+    return best
+
+
+class TestWitness:
+    @seed(6081)
+    @PROPERTY
+    @given(st.integers(0, 2**32 - 1), DELTAS, st.integers(2, 200),
+           st.sampled_from([0.0, 1e6, -1e6]))
+    def test_witness_is_a_close_pair_below_the_supremum(self, s, delta, n, offset):
+        rng = np.random.default_rng(s)
+        pts = rng.uniform(0, delta * np.sqrt(n) / 2, (n, 2)) + offset
+        if rng.random() < 0.3:  # duplicates
+            pts = pts[rng.integers(0, max(1, n // 4), n)]
+        vals = _values(rng, pts)
+        across = pts @ rng.normal(size=2)
+        _, exact = oracle(pts, vals, delta)
+        lo = witness_oracle(pts, vals, delta, across)
+        asked = []
+        got = neighbor_sup_abs_diff(pts, vals, delta, across, lambda w: asked.append(w) or True)
+        if lo > 0.0:
+            assert asked == [lo]
+            assert got == (lo, True)
+            assert lo <= exact[0]
+        else:
+            # A witness of zero is never offered: the grid path decides.
+            assert asked == []
+            assert got == exact
+        refused = neighbor_sup_abs_diff(pts, vals, delta, across, lambda w: False)
+        assert refused == exact
+        assert type(refused[0]) is float
+
+    @seed(6082)
+    @PROPERTY
+    @given(st.integers(0, 2**32 - 1), DELTAS, st.integers(2, 12), st.integers(1, 12))
+    def test_lattice_at_exact_delta_spacing(self, s, delta, nx, ny):
+        # Lattice neighbours at exactly delta are not close, to the witness
+        # as to the grid.
+        rng = np.random.default_rng(s)
+        ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+        pts = rng.permutation(np.column_stack([ix.ravel(), iy.ravel()]) * delta)
+        vals = _values(rng, pts)
+        across = pts @ rng.normal(size=2) if rng.random() < 0.5 else pts[:, 1]
+        lo = witness_oracle(pts, vals, delta, across)
+        asked = []
+        neighbor_sup_abs_diff(pts, vals, delta, across, lambda w: asked.append(w) or True)
+        assert asked == ([lo] if lo > 0.0 else [])
+
+    def test_zero_witness_runs_the_grid(self):
+        # Four copies of p, three far points and then q, in `across` order:
+        # every pair within three places is equal-valued or far apart, so
+        # the witness reads 0, yet p and q are close with values 0 and 0.5.
+        delta = 1.0
+        pts = np.array([[0.0, 0.0]] * 4 + [[100.0, 0.1], [100.0, 0.2], [100.0, 0.3]]
+                       + [[0.5, 0.4]])
+        vals = pts[:, 0].copy()
+        across = pts[:, 1]
+        assert witness_oracle(pts, vals, delta, across) == 0.0
+        assert neighbor_sup_abs_diff(pts, vals, delta, across, lambda w: True) == (0.5, True)
+
+    def test_no_close_pair(self):
+        pts = np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0]])
+        assert neighbor_sup_abs_diff(pts, pts[:, 0], 1.0, pts[:, 0],
+                                     lambda w: True) == (0.0, False)
+
+
 GROUPED = settings(max_examples=40, deadline=None, database=None)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from sstopo import (
     ConfigurationError,
@@ -17,7 +19,7 @@ from sstopo import (
     interval_count,
     principal_direction,
 )
-from sstopo.mapper import make_pca_filter
+from sstopo.mapper import _sup_cap, make_pca_filter
 from sstopo.synthetic import recommended_delta
 
 from corpus import (
@@ -184,6 +186,190 @@ class TestComputeL0:
     def test_too_small_cloud(self):
         with pytest.raises(DegenerateCloudError):
             compute_l0(np.array([[0.0, 0.0]]), self.X_AXIS, 0.5, 0.2)
+
+
+def brute_force_sup(cloud, values, delta):
+    """(sup, found) of |values[i]-values[j]| over all pairs, tested with the
+    kernel's arithmetic dx*dx + dy*dy < delta*delta."""
+    sup, found = 0.0, False
+    for i in range(len(cloud) - 1):
+        d = cloud[i + 1 :] - cloud[i]
+        close = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] < delta * delta
+        if close.any():
+            found = True
+            sup = max(sup, float(np.abs(values[i + 1 :][close] - values[i]).max()))
+    return sup, found
+
+
+def count_from_l0(cloud, filt, l0, theta, alpha):
+    """The interval count the Mapper takes from l0."""
+    if l0 <= 0.0:
+        return 1
+    return interval_count(cloud, filt, (1.0 + alpha) * l0, theta)
+
+
+DECIDED = settings(max_examples=60, deadline=None, database=None)
+THETAS = st.sampled_from([1e-3, 0.01, 0.2, 0.35, 0.49, 0.499])
+ALPHAS = st.sampled_from([1e-9, 1e-3, 0.1, 1.0])
+
+
+def _direction(rng):
+    d = rng.normal(size=2)
+    return d / np.linalg.norm(d)
+
+
+class TestDecidedCount:
+    """compute_l0 with alpha gives the count the brute-force supremum gives."""
+
+    def check(self, cloud, filt, delta, theta, alpha):
+        sup, found = brute_force_sup(cloud, eval_filter(filt, cloud), delta)
+        want = count_from_l0(cloud, filt, sup / theta if found else delta / theta, theta, alpha)
+        l0 = compute_l0(cloud, filt, delta, theta, alpha)
+        assert count_from_l0(cloud, filt, l0, theta, alpha) == want
+
+    @seed(6091)
+    @DECIDED
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 16), st.integers(1, 16), THETAS, ALPHAS,
+           st.sampled_from([0.05, 0.1, 1.0 / 3.0]))
+    def test_lattice_at_exact_delta_spacing(self, s, nx, ny, theta, alpha, delta):
+        rng = np.random.default_rng(s)
+        ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+        cloud = np.column_stack([ix.ravel(), iy.ravel()]) * delta
+        cloud = rng.permutation(cloud[rng.random(len(cloud)) < 0.9])
+        if len(cloud) >= 2:
+            axis = np.array([1.0, 0.0]) if rng.random() < 0.5 else _direction(rng)
+            self.check(cloud, LinearFilter(cloud.mean(axis=0), axis), delta, theta, alpha)
+
+    @seed(6092)
+    @DECIDED
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(2, 200), THETAS, ALPHAS)
+    def test_duplicate_points(self, s, distinct, n, theta, alpha):
+        rng = np.random.default_rng(s)
+        delta = 0.1
+        base = rng.uniform(0, 5 * delta, (distinct, 2))
+        cloud = base[rng.integers(0, distinct, n)]
+        self.check(cloud, LinearFilter(rng.normal(size=2), _direction(rng)), delta, theta, alpha)
+
+    @seed(6093)
+    @DECIDED
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 300), THETAS, ALPHAS,
+           st.floats(-1e6, 1e6))
+    def test_noisy_curve_translated(self, s, n, theta, alpha, offset):
+        # A noisy arc sampled densely enough that both counts near one and
+        # counts in the tens occur; the filter's center may sit far away.
+        rng = np.random.default_rng(s)
+        delta = 0.05
+        t = np.sort(rng.uniform(0, rng.uniform(0.1, 3.0), n))
+        cloud = np.column_stack([t, 0.3 * np.sin(2 * t)]) + rng.normal(scale=0.005, size=(n, 2))
+        cloud += offset * _direction(rng)
+        center = cloud.mean(axis=0) + (rng.uniform(-1e6, 1e6, 2) if rng.random() < 0.3 else 0.0)
+        axis = make_pca_filter(cloud).direction
+        if rng.random() < 0.5:
+            axis = np.array([-axis[1], axis[0]])
+        self.check(cloud, LinearFilter(center, axis), delta, theta, alpha)
+
+    @seed(6094)
+    @DECIDED
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 300), THETAS, ALPHAS)
+    def test_uniform_cloud(self, s, n, theta, alpha):
+        rng = np.random.default_rng(s)
+        delta = float(rng.choice([0.02, 0.1, 0.7]))
+        cloud = rng.uniform(-1, 1, (n, 2))
+        self.check(cloud, make_pca_filter(cloud), delta, theta, alpha)
+
+    def test_default_stays_exact(self):
+        # The witness can decide here, but without alpha the supremum is exact.
+        rng = np.random.default_rng(4)
+        cloud = np.column_stack([np.linspace(0, 1, 300), rng.normal(scale=0.01, size=300)])
+        f = LinearFilter(cloud.mean(axis=0), np.array([0.0, 1.0]))
+        sup, _ = brute_force_sup(cloud, eval_filter(f, cloud), 0.05)
+        assert compute_l0(cloud, f, 0.05, 0.2) == sup / 0.2
+
+    def test_decided_without_a_grid(self, sup_grids):
+        # A thin strip across the filter: the count is 1 at any supremum the
+        # witness and the cap allow.
+        rng = np.random.default_rng(4)
+        cloud = np.column_stack([np.linspace(0, 1, 300), rng.normal(scale=0.01, size=300)])
+        f = LinearFilter(cloud.mean(axis=0), np.array([0.0, 1.0]))
+        l0 = compute_l0(cloud, f, 0.05, 0.2, 0.001)
+        assert sup_grids == []
+        assert count_from_l0(cloud, f, l0, 0.2, 0.001) == 1
+        assert l0 <= compute_l0(cloud, f, 0.05, 0.2)
+
+    @pytest.mark.parametrize("spacing", [0.9, 0.99])
+    def test_undecided_runs_the_grid(self, sup_grids, spacing):
+        # A line along the filter at spacing below delta: the witness finds
+        # the exact supremum, but the cap, a little above delta, gives fewer
+        # intervals, so the count is left to the exact grid path.
+        delta, theta, alpha = 0.1, 0.2, 0.001
+        cloud = np.column_stack([np.arange(400) * spacing * delta, np.zeros(400)])
+        f = LinearFilter(np.zeros(2), np.array([1.0, 0.0]))
+        exact = compute_l0(cloud, f, delta, theta)
+        assert sup_grids == [400]
+        assert compute_l0(cloud, f, delta, theta, alpha) == exact
+        assert sup_grids == [400, 400]
+
+    def test_supremum_above_delta(self, sup_grids):
+        # With a direction of norm 1 + 0.999e-12, the close pair (0, 4) along
+        # it differs by a little more than delta, and the points 1-3 hide it
+        # from the witness, which sees only (5, 6), just below delta. Point 7
+        # sets the span so that a count boundary falls between delta and the
+        # pair's difference: an upper bound of delta would decide one
+        # interval too many.
+        delta, theta, alpha = 1.0, 0.2, 0.001
+        f = LinearFilter(np.zeros(2), np.array([1.0 + 0.999e-12, 0.0]))
+        t = delta
+        while not t * t + 16e-20 < delta * delta:
+            t = np.nextafter(t, 0.0)
+        mid = (1.0 + alpha) * delta * (1.0 + 0.5e-12) / theta
+        span = (10 * (1.0 - theta) + theta) * mid
+        cloud = np.array([[0.0, 0.0], [20.0, 1e-10], [20.0, 2e-10], [20.0, 3e-10],
+                          [t, 4e-10], [10.0, 5e-10], [10.9999999, 5e-10],
+                          [span / f.direction[0], 6e-10]])
+        exact = count_from_l0(cloud, f, compute_l0(cloud, f, delta, theta), theta, alpha)
+        assert interval_count(cloud, f, (1.0 + alpha) * (delta / theta), theta) == exact + 1
+        sup_grids.clear()
+        l0 = compute_l0(cloud, f, delta, theta, alpha)
+        assert count_from_l0(cloud, f, l0, theta, alpha) == exact
+        assert sup_grids == [8]
+
+    def test_zero_witness_runs_the_grid(self, sup_grids):
+        # Every pair within three places in the order across the filter is
+        # equal-valued or far apart, so the witness is 0 and must not decide;
+        # the one close pair of different values is (0, 7).
+        delta = 1.0
+        cloud = np.array([[0.0, 0.0]] * 4 + [[100.0, 0.1], [100.0, 0.2], [100.0, 0.3]]
+                         + [[0.5, 0.4]])
+        f = LinearFilter(np.zeros(2), np.array([1.0, 0.0]))
+        assert compute_l0(cloud, f, delta, 0.2, 0.001) == 0.5 / 0.2
+        assert sup_grids == [8]
+
+
+CAP = settings(max_examples=60, deadline=None, database=None)
+
+
+class TestSupremumCap:
+    @seed(6095)
+    @CAP
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60),
+           st.sampled_from([-0.999e-12, 0.0, 0.999e-12]),
+           st.sampled_from([1e-3, 0.05, 1.0, 37.0]), st.sampled_from([0.0, 1e3, 1e6]))
+    def test_bounds_every_computed_close_difference(self, s, n, stretch, delta, far):
+        # Pairs along the filter direction at the largest distances that
+        # still pass the kernel's test, with the filter's norm off by up to
+        # 1e-12 and its center up to a million away.
+        rng = np.random.default_rng(s)
+        unit = _direction(rng)
+        f = LinearFilter(rng.uniform(-far, far, 2), unit * (1.0 + stretch))
+        base = rng.uniform(-far, far, 2) + rng.uniform(0, 10 * delta, (n, 2))
+        t = delta * (1.0 - rng.integers(0, 6, n) * 2.0**-53)
+        cloud = np.concatenate([base, base + t[:, None] * unit])
+        sup, found = brute_force_sup(cloud, eval_filter(f, cloud), delta)
+        assert sup <= _sup_cap(cloud, f, delta)
+
+    def test_rejected_norm_is_just_beyond_the_tested_range(self):
+        with pytest.raises(ConfigurationError):
+            LinearFilter(np.zeros(2), np.array([1.0 + 2e-12, 0.0]))
 
 
 class TestIntervalCount:

@@ -18,7 +18,10 @@ from sstopo.mapper import (
     default_delta,
     interval_count,
 )
+from sstopo.pipeline import PipelineConfig, run_mapper_only
 from sstopo.synthetic import recommended_delta
+from sstopo import mapper, twostep
+from sstopo.twostep import _collapse
 
 from corpus import (
     STEP,
@@ -297,9 +300,30 @@ def _reference_refine(initial, cloud, f_perp, params):
         MapperNode(new_id, pts, intervals=intervals[old_id], refined=refined[old_id])
         for new_id, (old_id, pts) in enumerate(points.items())
     )
-    graph = MapperGraph(nodes=nodes, edges=_reference_edges(nodes))
+    graph = _reference_collapse(MapperGraph(nodes=nodes, edges=_reference_edges(nodes)))
     sorted_groups = tuple(sorted(tuple(sorted(g)) for g in groups))
     return graph, sorted_groups, tuple(counts[n.id] for n in initial.nodes), joined
+
+
+def _reference_collapse(graph):
+    """Drop the nodes whose points lie in an adjacent node's (of equal sets
+    the higher id), renumber, rebuild the edges, and repeat until nothing
+    changes."""
+    while True:
+        nodes = graph.nodes
+        drop = {
+            n.id for n in nodes
+            for m in nodes
+            if (n.id, m.id) in graph.edges or (m.id, n.id) in graph.edges
+            if n.points < m.points or (n.points == m.points and n.id > m.id)
+        }
+        if not drop:
+            return graph
+        kept = tuple(
+            MapperNode(k, n.points, intervals=n.intervals, refined=n.refined)
+            for k, n in enumerate(n for n in nodes if n.id not in drop)
+        )
+        graph = MapperGraph(nodes=kept, edges=_reference_edges(kept))
 
 
 def _refine_case(name):
@@ -389,3 +413,62 @@ class TestEdgesReference:
         assert _edges_from_nodes(nodes[::-1]) == want
         assert len(want) == 7
         assert _edges_from_nodes([]) == frozenset()
+
+
+def _graph(sets):
+    nodes = tuple(MapperNode(i, frozenset(p), intervals=(i,)) for i, p in enumerate(sets))
+    return MapperGraph(nodes=nodes, edges=_reference_edges(nodes))
+
+
+class TestCollapse:
+    @pytest.mark.parametrize("sets, kept", [
+        # a chain a < b < c beside an unrelated node
+        ([{1}, {1, 2}, {1, 2, 3}, {9}], [2, 3]),
+        # equal sets: the lowest id stays
+        ([{4, 5}, {1, 2}, {1, 2}, {2, 3}, {1, 2}], [0, 1, 3]),
+        # a path, where no node lies in another
+        ([{1, 2}, {2, 3}, {3, 4}], [0, 1, 2]),
+        # a node covered by two neighbors together but by neither alone
+        ([{1, 2}, {2, 3}, {1, 4}], [0, 1, 2]),
+        # a leaf inside its only neighbor, which is then a plain path node
+        ([{1, 2, 3}, {3}, {3, 4}, {4, 5}], [0, 2, 3]),
+    ])
+    def test_drops_dominated_nodes(self, sets, kept):
+        graph = _graph(sets)
+        got = _collapse(graph)
+        want = _reference_collapse(graph)
+        assert [n.intervals for n in got.nodes] == [(i,) for i in kept]
+        assert [(n.id, n.points) for n in got.nodes] == [(n.id, n.points) for n in want.nodes]
+        assert got.edges == want.edges
+        assert got.point_union() == graph.point_union()
+
+    def test_nothing_dominated_returns_the_graph(self):
+        graph = _graph([{1, 2}, {2, 3}])
+        assert _collapse(graph) is graph
+
+    @pytest.mark.parametrize("noise_seed", [100, 108])
+    def test_noisy_24k_cloud_has_five_segments(self, noise_seed):
+        # Without the collapse a few noisy samples near a circle's extreme
+        # form a leaf node inside its neighbor, which becomes singular: the
+        # cloud read 6 segments at these noise seeds.
+        pts, _, step = performance_cloud(24000, seed=noise_seed)
+        doc = run_mapper_only(PipelineConfig(delta_override=recommended_delta(step, NOISE)), pts)
+        assert len(doc.domains[0].partition.segments) == 5
+
+
+class TestSupremumGrids:
+    """The orthogonal counts are decided by the supremum's witness, not its
+    grid. Recorded when the witness landed: the three-curve cloud built 0
+    supremum grids for its 28 compute_l0 calls, and the 6k cloud 4 for 94
+    (the exact path builds one grid per call)."""
+
+    @pytest.mark.parametrize("case, bound", [("three_curves_3", 1), ("performance_6k", 6)])
+    def test_few_supremum_grids_per_run(self, sup_grids, monkeypatch, case, bound):
+        calls = []
+        for module in (twostep, mapper):
+            monkeypatch.setattr(module, "compute_l0",
+                                lambda *args: calls.append(1) or compute_l0(*args))
+        pts, params = _refine_case(case)
+        run_two_step(pts, params)
+        assert len(calls) >= 20
+        assert len(sup_grids) <= bound
