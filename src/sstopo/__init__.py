@@ -19,7 +19,7 @@ from .geometry import (
     uniform_clamped_knots,
     uniform_periodic_knots,
 )
-from .subdivision import BoxPair, IntersectionPointSets, hausdorff_bound, intersect_surfaces
+from .subdivision import IntersectionPointSets, hausdorff_bound, intersect_surfaces
 from .mapper import (
     Cover,
     LinearFilter,

@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ConfigurationError, SstopoError
+from .errors import SstopoError
 from .geometry import load_surface
 from .partition import BoundarySpec
 from .pipeline import PipelineConfig, run_mapper_only, run_pipeline, sweep_theta
@@ -28,7 +28,6 @@ from .synthetic import generate_synthetic, load_cloud, save_cloud, spec_from_dic
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon", type=float, default=0.01, help="subdivision precision")
     p.add_argument("--theta-ov", type=float, default=0.2, dest="theta_ov",
                    help="cover overlap ratio, in (0, 0.5)")
     p.add_argument("--alpha", type=float, default=0.001, help="interval length margin")
@@ -41,13 +40,11 @@ def _add_outputs(p: argparse.ArgumentParser) -> None:
     """Per-run output files; a sweep writes only sweep.json, so it has none."""
     p.add_argument("--emit-graph", action="store_true", help="write GML graph files")
     p.add_argument("--emit-svg", action="store_true", help="write SVG point plots")
-    p.add_argument("--dump-boxes", action="store_true",
-                   help="write terminal box pairs (intersect mode)")
 
 
 def _config(args) -> PipelineConfig:
     return PipelineConfig(
-        epsilon=args.epsilon,
+        epsilon=getattr(args, "epsilon", PipelineConfig.epsilon),
         theta_ov=args.theta_ov,
         alpha=args.alpha,
         delta_override=args.delta,
@@ -88,6 +85,8 @@ def main(argv=None) -> int:
     p_int.add_argument("surface2")
     _add_common(p_int)
     _add_outputs(p_int)
+    p_int.add_argument("--dump-boxes", action="store_true",
+                       help="write the terminal cell pair of each correspondence")
 
     p_map = sub.add_parser("mapper", help="two-step Mapper on a cloud file")
     p_map.add_argument("cloud")
@@ -109,6 +108,9 @@ def main(argv=None) -> int:
     p_swp.add_argument("--thetas", default="0.1,0.2,0.3,0.4",
                        help="comma-separated overlap ratios")
     _add_common(p_swp)
+    # A mapper run has no subdivision, so it takes no precision.
+    for p in (p_int, p_swp):
+        p.add_argument("--epsilon", type=float, default=0.01, help="subdivision precision")
 
     args = parser.parse_args(argv)
     try:
@@ -128,12 +130,7 @@ def _dispatch(args) -> int:
     if args.command == "mapper":
         points, _ = load_cloud(args.cloud)
         config = _config(args)
-        bounds = None
-        if args.bounds is not None:
-            if config.delta_override is None:
-                raise ConfigurationError("--bounds requires --delta")
-            u0, u1, v0, v1 = args.bounds
-            bounds = BoundarySpec(u0, u1, v0, v1, config.delta_override)
+        bounds = None if args.bounds is None else BoundarySpec(*args.bounds)
         doc = run_mapper_only(config, points, bounds=bounds)
         _summarize(doc)
         return 0

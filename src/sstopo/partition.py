@@ -31,19 +31,16 @@ KIND_ANOMALOUS = "anomalous"
 
 @dataclass(frozen=True)
 class BoundarySpec:
-    """Domain bounds with the dilation radius applied to the boundary bands."""
+    """Domain bounds whose sides `approximate_boundary_set` bands."""
 
     u_min: float
     u_max: float
     v_min: float
     v_max: float
-    delta: float
     periodic_u: bool = False
     periodic_v: bool = False
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ConfigurationError(f"dilation radius must be positive, got {self.delta}")
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
             raise ConfigurationError("degenerate domain bounds")
 
@@ -84,26 +81,29 @@ class CrossDomainMatch:
     pairs: tuple[tuple[int, int, int], ...]
 
 
-def approximate_boundary_set(points: np.ndarray, spec: BoundarySpec) -> np.ndarray:
+def approximate_boundary_set(points: np.ndarray, spec: BoundarySpec,
+                             delta: float) -> np.ndarray:
     """Indices of points strictly inside the dilated boundary bands.
 
-    The four domain sides are banded by the clustering radius; for a periodic
-    axis the two bands are the two unrollings of the seam.
+    The four domain sides are banded by the clustering radius `delta`; for a
+    periodic axis the two bands are the two unrollings of the seam.
     """
+    if not 0 < delta < np.inf:
+        raise ConfigurationError(f"dilation radius must be positive and finite, got {delta}")
     half_u = 0.5 * (spec.u_max - spec.u_min)
     half_v = 0.5 * (spec.v_max - spec.v_min)
-    if spec.delta >= half_u or spec.delta >= half_v:
+    if delta >= half_u or delta >= half_v:
         raise ConfigurationError(
-            f"dilation radius {spec.delta} covers the whole domain; nothing would survive"
+            f"dilation radius {delta} covers the whole domain; nothing would survive"
         )
     pts = np.asarray(points, dtype=np.float64)
     u = pts[:, 0]
     v = pts[:, 1]
     mask = (
-        (u < spec.u_min + spec.delta)
-        | (u > spec.u_max - spec.delta)
-        | (v < spec.v_min + spec.delta)
-        | (v > spec.v_max - spec.delta)
+        (u < spec.u_min + delta)
+        | (u > spec.u_max - delta)
+        | (v < spec.v_min + delta)
+        | (v > spec.v_max - delta)
     )
     return np.nonzero(mask)[0]
 

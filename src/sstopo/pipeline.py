@@ -213,7 +213,7 @@ def _analyze_domain(
 ) -> DomainResult:
     two_step = run_two_step(points, params)
     if bounds is not None:
-        boundary_idx = approximate_boundary_set(points, bounds)
+        boundary_idx = approximate_boundary_set(points, bounds, params.delta)
     else:
         boundary_idx = np.empty(0, dtype=np.int64)
     characteristic = classify_characteristic_nodes(two_step.graph, boundary_idx)
@@ -241,9 +241,7 @@ def run_pipeline(
     recursion separately.
     """
     t_start = time.perf_counter()
-    sets = intersect_surfaces(
-        surface1, surface2, config.epsilon, collect_pairs=config.dump_boxes
-    )
+    sets = intersect_surfaces(surface1, surface2, config.epsilon)
     return _analyze_pair(config, sets, surface1, surface2, time.perf_counter() - t_start)
 
 
@@ -268,8 +266,7 @@ def _analyze_pair(
             delta = config.delta_override
             if delta is None:
                 delta = default_delta(cell_diag)
-            spec = BoundarySpec(*surface.param_range, delta,
-                                surface.periodic_u, surface.periodic_v)
+            spec = BoundarySpec(*surface.param_range, surface.periodic_u, surface.periodic_v)
             params = MapperParams(delta, config.theta_ov, config.alpha)
             domains.append(_analyze_domain(name, points, params, spec))
         match = match_across_domains(
@@ -397,5 +394,5 @@ def _emit(doc: ResultDocument, config: PipelineConfig, sets=None) -> None:
         if config.emit_svg:
             colors = segment_colors(dom.points.shape[0], dom.partition)
             write_svg(out / f"points_{dom.name}.svg", dom.points, colors)
-    if config.dump_boxes and sets is not None and sets.terminal_pairs is not None:
-        dump_box_pairs(out / "boxes.json", sets.terminal_pairs)
+    if config.dump_boxes and sets is not None:
+        dump_box_pairs(out / "boxes.json", sets)

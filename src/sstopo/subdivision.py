@@ -15,22 +15,23 @@ whose padded boxes do not overlap (one vectorised closed-box test), ends the
 pairs whose two parameter diagonals are both within epsilon, and halves the
 member with the larger diagonal of every other pair. A patch in an ended
 pair is never split, since splitting needs a diagonal above epsilon, so it
-is a leaf of its surface's split tree: the point clouds are the rect
-centroids of the distinct ended patches, sorted lexicographically, and the
-correspondences are the distinct id pairs. Results therefore do not depend
-on the order in which pairs are visited.
+is a leaf of its surface's split tree: the terminal cells of a domain are
+the rects of its distinct ended patches, sorted lexicographically by
+centroid, the point cloud is those centroids, and the correspondences are
+the distinct id pairs. Results therefore do not depend on the order in which
+pairs are visited.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, EmptyInputError, ParameterRangeError
-from .geometry import BSplineSurface, ParamRect, _split_net, restrict
+from .geometry import BSplineSurface, _split_net, restrict
 
 log = logging.getLogger(__name__)
 
@@ -39,26 +40,24 @@ log = logging.getLogger(__name__)
 OVERLAP_WARN_RATIO = 0.5
 
 
-@dataclass(frozen=True)
-class BoxPair:
-    """A candidate pair of parameter rectangles whose patch boxes intersect."""
-
-    rect1: ParamRect
-    rect2: ParamRect
-
-
 @dataclass(frozen=True, eq=False)
 class IntersectionPointSets:
-    """The two parameter-domain point clouds with their pairing records."""
+    """The two parameter-domain point clouds with their pairing records.
+
+    Row `i` of `cells1` is the terminal cell `[u_min, u_max, v_min, v_max]`
+    whose centroid is `points1[i]`, and likewise for domain 2; a
+    correspondence row `(i, j)` pairs cell `cells1[i]` with `cells2[j]`.
+    """
 
     points1: np.ndarray  # (n1, 2) lexicographically sorted, deduplicated
     points2: np.ndarray  # (n2, 2)
+    cells1: np.ndarray  # (n1, 4)
+    cells2: np.ndarray  # (n2, 4)
     correspondences: np.ndarray  # (m, 2) index pairs into points1/points2
     epsilon: float
     cell_diag1: float
     cell_diag2: float
     overlap_suspected: bool = False
-    terminal_pairs: tuple[BoxPair, ...] | None = field(default=None, repr=False)
 
     @property
     def is_empty(self) -> bool:
@@ -99,10 +98,9 @@ class _PatchStore:
     patches are split.
     """
 
-    def __init__(self, surface: BSplineSurface, surface_id: int):
-        rect = surface.full_rect(surface_id)
+    def __init__(self, surface: BSplineSurface):
+        rect = surface.full_rect()
         root = restrict(surface, rect)
-        self.surface_id = surface_id
         self.degrees = (root.degree_u, root.degree_v)
         self.rects = np.array([[rect.u_min, rect.u_max, rect.v_min, rect.v_max]])
         self.diag = np.array([rect.diagonal])
@@ -115,9 +113,6 @@ class _PatchStore:
         self.block = np.zeros(1, dtype=np.int64)
         self.row = np.zeros(1, dtype=np.int64)
         self.box = _boxes(root.control_points[None])
-
-    def rect(self, i: int) -> ParamRect:
-        return ParamRect(*self.rects[i].tolist(), self.surface_id)
 
     def _gather(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stacked `(knots_u, knots_v, nets)` of patches `ids`, given in block order."""
@@ -188,23 +183,22 @@ class _PatchStore:
         return self.child[ids]
 
     def leaves(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Distinct patches of `ids`: their ids, their rect centroids sorted
-        lexicographically, and the centroid row of each entry of `ids`."""
+        """Distinct patches of `ids`: their rects and rect centroids, both
+        sorted lexicographically by centroid, and the row of each entry of
+        `ids`."""
         distinct, inverse = np.unique(ids, return_inverse=True)
         r = self.rects[distinct]
         centroids = np.stack([0.5 * (r[:, 0] + r[:, 1]), 0.5 * (r[:, 2] + r[:, 3])], axis=1)
         order = np.lexsort((centroids[:, 1], centroids[:, 0]))
         row = np.empty_like(order)
         row[order] = np.arange(order.size)
-        return distinct, centroids[order], row[inverse]
+        return r[order], centroids[order], row[inverse]
 
 
 def intersect_surfaces(
     surface1: BSplineSurface,
     surface2: BSplineSurface,
     epsilon: float,
-    *,
-    collect_pairs: bool = False,
 ) -> IntersectionPointSets:
     """Isolate the intersection region of two surfaces down to `epsilon`.
 
@@ -212,13 +206,14 @@ def intersect_surfaces(
     larger parameter diagonal is bisected while either diagonal exceeds
     `epsilon`; child pairs survive only if their patch boxes intersect
     (closed-box test, so tangential contact is kept). Terminal pairs yield
-    the rect centroids in each domain and one correspondence record.
+    the terminal cells and their centroids in each domain and one
+    correspondence record.
     """
     if not epsilon > 0:
         raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
 
-    store1 = _PatchStore(surface1, 1)
-    store2 = _PatchStore(surface2, 2)
+    store1 = _PatchStore(surface1)
+    store2 = _PatchStore(surface2)
     a = b = np.zeros(1, dtype=np.int64)
     ended1: list[np.ndarray] = []
     ended2: list[np.ndarray] = []
@@ -237,17 +232,17 @@ def intersect_surfaces(
                 np.concatenate([b[first], b[first], halves2, halves2 + 1]))
 
     ends1, ends2 = np.concatenate(ended1), np.concatenate(ended2)
-    leaves1, points1, rows1 = store1.leaves(ends1)
-    _, points2, rows2 = store2.leaves(ends2)
+    cells1, points1, rows1 = store1.leaves(ends1)
+    cells2, points2, rows2 = store2.leaves(ends2)
     # The distinct row pairs, sorted: rows1 * n2 + rows2 sorts as the pair does.
     n2 = points2.shape[0]
     correspondences = np.stack(np.divmod(np.unique(rows1 * n2 + rows2), n2), axis=1)
 
     overlap = False
     if ends1.size:
-        r = store1.rects
-        covered = sum(((r[leaves1, 1] - r[leaves1, 0]) * (r[leaves1, 3] - r[leaves1, 2])).tolist())
-        domain_area = store1.rect(0).area
+        covered = sum(((cells1[:, 1] - cells1[:, 0]) * (cells1[:, 3] - cells1[:, 2])).tolist())
+        u_min, u_max, v_min, v_max = store1.rects[0].tolist()
+        domain_area = (u_max - u_min) * (v_max - v_min)
         if covered > OVERLAP_WARN_RATIO * domain_area:
             overlap = True
             log.warning(
@@ -256,19 +251,16 @@ def intersect_surfaces(
                 100.0 * covered / domain_area,
             )
 
-    terminal = None
-    if collect_pairs:
-        terminal = tuple(BoxPair(store1.rect(i), store2.rect(j))
-                         for i, j in zip(ends1.tolist(), ends2.tolist()))
     return IntersectionPointSets(
         points1=points1,
         points2=points2,
+        cells1=cells1,
+        cells2=cells2,
         correspondences=correspondences,
         epsilon=float(epsilon),
         cell_diag1=float(store1.diag[ends1].max()) if ends1.size else 0.0,
         cell_diag2=float(store2.diag[ends2].max()) if ends2.size else 0.0,
         overlap_suspected=overlap,
-        terminal_pairs=terminal,
     )
 
 
@@ -283,14 +275,12 @@ def hausdorff_bound(sets: IntersectionPointSets) -> tuple[float, float]:
     return (0.5 * sets.cell_diag1, 0.5 * sets.cell_diag2)
 
 
-def dump_box_pairs(path, pairs: tuple[BoxPair, ...]) -> None:
-    """Write terminal box pairs to a JSON file for debugging."""
+def dump_box_pairs(path, sets: IntersectionPointSets) -> None:
+    """Write the terminal cell pair of each correspondence row to a JSON file
+    for debugging, in correspondence order."""
     records = [
-        {
-            "rect1": [p.rect1.u_min, p.rect1.u_max, p.rect1.v_min, p.rect1.v_max],
-            "rect2": [p.rect2.u_min, p.rect2.u_max, p.rect2.v_min, p.rect2.v_max],
-        }
-        for p in pairs
+        {"rect1": sets.cells1[i].tolist(), "rect2": sets.cells2[j].tolist()}
+        for i, j in sets.correspondences.tolist()
     ]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(records, fh)

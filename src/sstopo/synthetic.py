@@ -61,11 +61,11 @@ class Circle:
     def length(self) -> float:
         return 2.0 * np.pi * self.radius
 
-    def point_at(self, s: float) -> np.ndarray:
+    def point_at(self, s: float | np.ndarray) -> np.ndarray:
+        """The point at arc length `s`, or an `(n, 2)` array for `n` arc lengths."""
         a = self.phase + s / self.radius
-        return np.array(
-            [self.center[0] + self.radius * np.cos(a), self.center[1] + self.radius * np.sin(a)]
-        )
+        return np.stack([self.center[0] + self.radius * np.cos(a),
+                         self.center[1] + self.radius * np.sin(a)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -85,14 +85,11 @@ class SegmentCurve:
     def length(self) -> float:
         return float(np.hypot(self.end[0] - self.start[0], self.end[1] - self.start[1]))
 
-    def point_at(self, s: float) -> np.ndarray:
+    def point_at(self, s: float | np.ndarray) -> np.ndarray:
+        """The point at arc length `s`, or an `(n, 2)` array for `n` arc lengths."""
         t = s / self.length
-        return np.array(
-            [
-                self.start[0] + t * (self.end[0] - self.start[0]),
-                self.start[1] + t * (self.end[1] - self.start[1]),
-            ]
-        )
+        return np.stack([self.start[0] + t * (self.end[0] - self.start[0]),
+                         self.start[1] + t * (self.end[1] - self.start[1])], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -116,12 +113,12 @@ class Arc:
     def length(self) -> float:
         return abs(self.angle_end - self.angle_start) * self.radius
 
-    def point_at(self, s: float) -> np.ndarray:
+    def point_at(self, s: float | np.ndarray) -> np.ndarray:
+        """The point at arc length `s`, or an `(n, 2)` array for `n` arc lengths."""
         sign = 1.0 if self.angle_end >= self.angle_start else -1.0
         a = self.angle_start + sign * s / self.radius
-        return np.array(
-            [self.center[0] + self.radius * np.cos(a), self.center[1] + self.radius * np.sin(a)]
-        )
+        return np.stack([self.center[0] + self.radius * np.cos(a),
+                         self.center[1] + self.radius * np.sin(a)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -163,7 +160,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
     labels: list[np.ndarray] = []
     for ci, curve in enumerate(spec.curves):
         s = _arc_length_samples(curve.length, spec.step, curve.closed)
-        pts = np.array([curve.point_at(float(si)) for si in s])
+        pts = curve.point_at(s)
         if spec.noise > 0:
             mag = rng.uniform(0.0, spec.noise, size=len(s))
             ang = rng.uniform(0.0, 2.0 * np.pi, size=len(s))

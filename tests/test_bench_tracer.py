@@ -84,7 +84,7 @@ def test_one_traced_run_covers_every_binding(spans, tmp_path):
     pts, _ = three_curves_cloud(seed=3)
     delta = recommended_delta(STEP, NOISE)
     lo, hi = pts.min(axis=0), pts.max(axis=0)
-    bounds = BoundarySpec(lo[0], hi[0], lo[1], hi[1], delta)
+    bounds = BoundarySpec(lo[0], hi[0], lo[1], hi[1])
     surfaces = (plane_patch(), saddle_patch())
     tracer = spans.Tracer()
     tracer.install()

@@ -33,36 +33,35 @@ def cycle_graph(n):
 
 
 class TestBoundarySet:
-    SPEC = BoundarySpec(0.0, 1.0, 0.0, 1.0, delta=0.1)
+    SPEC = BoundarySpec(0.0, 1.0, 0.0, 1.0)
+    DELTA = 0.1
 
     def test_left_band_included(self):
-        idx = approximate_boundary_set(np.array([[0.05, 0.5]]), self.SPEC)
+        idx = approximate_boundary_set(np.array([[0.05, 0.5]]), self.SPEC, self.DELTA)
         assert idx.tolist() == [0]
 
     def test_interior_excluded(self):
-        idx = approximate_boundary_set(np.array([[0.5, 0.5]]), self.SPEC)
+        idx = approximate_boundary_set(np.array([[0.5, 0.5]]), self.SPEC, self.DELTA)
         assert idx.tolist() == []
 
     def test_top_band_included(self):
-        idx = approximate_boundary_set(np.array([[0.5, 0.95]]), self.SPEC)
+        idx = approximate_boundary_set(np.array([[0.5, 0.95]]), self.SPEC, self.DELTA)
         assert idx.tolist() == [0]
 
     def test_band_edges_strict(self):
         pts = np.array([[0.1, 0.5], [0.9, 0.5], [0.5, 0.1], [0.5, 0.9]])
-        assert approximate_boundary_set(pts, self.SPEC).tolist() == []
+        assert approximate_boundary_set(pts, self.SPEC, self.DELTA).tolist() == []
 
     def test_excessive_delta_rejected(self):
-        spec = BoundarySpec(0.0, 1.0, 0.0, 1.0, delta=0.5)
         with pytest.raises(ConfigurationError):
-            approximate_boundary_set(np.zeros((1, 2)), spec)
+            approximate_boundary_set(np.zeros((1, 2)), self.SPEC, 0.5)
 
     def test_invalid_spec_rejected(self):
+        for delta in (0.0, -0.1, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                approximate_boundary_set(np.zeros((1, 2)), self.SPEC, delta)
         with pytest.raises(ConfigurationError):
-            BoundarySpec(0.0, 1.0, 0.0, 1.0, delta=0.0)
-        with pytest.raises(ConfigurationError):
-            BoundarySpec(1.0, 0.0, 0.0, 1.0, delta=0.1)
-        with pytest.raises(ConfigurationError):
-            BoundarySpec(0.0, 1.0, 0.0, 1.0, delta=float("nan"))
+            BoundarySpec(1.0, 0.0, 0.0, 1.0)
 
 
 class TestClassifyCharacteristic:

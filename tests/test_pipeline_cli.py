@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import sstopo
 import sstopo.pipeline
@@ -39,6 +42,7 @@ from corpus import (
     STEP,
     NOISE,
     noisy_circle_cloud,
+    performance_cloud,
     plane_patch,
     saddle_patch,
     three_curves_cloud,
@@ -220,13 +224,53 @@ class TestRunMapperOnly:
         delta = recommended_delta(STEP, 0.0)
         xs = np.arange(0.0, 1.00001, STEP)
         cloud = np.column_stack([xs, np.full_like(xs, 0.5)])
-        bounds = BoundarySpec(0.0, 1.0, 0.0, 1.0, delta=delta)
+        bounds = BoundarySpec(0.0, 1.0, 0.0, 1.0)
         doc = run_mapper_only(
             PipelineConfig(delta_override=delta), cloud, bounds=bounds
         )
         dom = doc.domains[0]
         assert len(dom.characteristic.boundary_nodes) >= 2
         assert dom.partition.segment_kinds() == [KIND_OPEN]
+
+
+INVARIANCE_CLOUDS = [("three-curve", s) for s in range(6)] + [("6k", s) for s in (11, 3, 100, 108)]
+
+
+@functools.lru_cache(maxsize=None)
+def _invariance_cloud(name, noise_seed):
+    """The cloud, its clustering radius and its sorted segment kinds."""
+    if name == "three-curve":
+        pts, _ = three_curves_cloud(seed=noise_seed)
+        delta = DELTA
+    else:
+        pts, _, step = performance_cloud(6000, noise_seed)
+        delta = recommended_delta(step, NOISE)
+    return pts, delta, _segment_kinds(pts, delta)
+
+
+def _segment_kinds(points, delta):
+    doc = run_mapper_only(PipelineConfig(delta_override=delta), points)
+    return sorted(doc.domains[0].partition.segment_kinds())
+
+
+class TestMapperInvariance:
+    # The segments describe the cloud's shape, so neither the order of its
+    # points nor where it sits in the plane may change their kinds or count.
+    @seed(7051)
+    @settings(max_examples=48, deadline=None, database=None)
+    @given(st.sampled_from(INVARIANCE_CLOUDS), st.integers(0, 2**32 - 1))
+    def test_point_permutation(self, case, perm_seed):
+        pts, delta, expected = _invariance_cloud(*case)
+        order = np.random.default_rng(perm_seed).permutation(len(pts))
+        assert _segment_kinds(pts[order], delta) == expected
+
+    @seed(7052)
+    @settings(max_examples=48, deadline=None, database=None)
+    @given(st.sampled_from(INVARIANCE_CLOUDS),
+           st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+    def test_translation(self, case, offset):
+        pts, delta, expected = _invariance_cloud(*case)
+        assert _segment_kinds(pts + np.array(offset), delta) == expected
 
 
 class TestSweep:
@@ -525,6 +569,15 @@ class TestCli:
             main(["sweep", str(p), "--delta", "0.1", flag])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--epsilon", "0.05"], ["--dump-boxes"]])
+    def test_mapper_rejects_subdivision_flags(self, tmp_path, capsys, flags):
+        p = tmp_path / "x.txt"
+        p.write_text("0 0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["mapper", str(p), "--delta", "0.1", *flags])
+        assert exc.value.code == 2
+        assert flags[0] in capsys.readouterr().err
 
     def test_intersect_disjoint_reports_no_intersection(self, tmp_path, capsys):
         s1 = tmp_path / "a.json"

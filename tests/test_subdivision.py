@@ -16,6 +16,7 @@ from sstopo import (
     EmptyInputError,
     KnotVector,
     ParameterRangeError,
+    ParamRect,
     evaluate,
     hausdorff_bound,
     intersect_surfaces,
@@ -53,7 +54,7 @@ def _net_box(surface, rect):
 @pytest.fixture(scope="module")
 def plane_cross():
     """z=0 patch against the vertical plane x=0.5; analytic preimage is u=0.5."""
-    return intersect_surfaces(plane_patch(), vertical_plane_x(0.5), EPS, collect_pairs=True)
+    return intersect_surfaces(plane_patch(), vertical_plane_x(0.5), EPS)
 
 
 class TestBasics:
@@ -82,20 +83,17 @@ class TestBasics:
 
 class TestPlaneCross:
     def test_points_near_analytic_line(self, plane_cross):
-        # every evaluated output point sits within half its cell's 3D box
-        # diagonal of the plane x=0.5
+        # every evaluated output point is its own cell's centroid and sits
+        # within half that cell's 3D box diagonal of the plane x=0.5
         sets = plane_cross
-        diag_by_point = {}
         s1 = plane_patch()
-        for pair in sets.terminal_pairs:
-            lo, hi = _net_box(s1, pair.rect1)
-            c = pair.rect1.centroid
-            key = (round(c[0] / 1e-12), round(c[1] / 1e-12))
-            diag_by_point[key] = max(diag_by_point.get(key, 0.0), float(np.linalg.norm(hi - lo)))
-        for u, v in sets.points1:
+        assert sets.cells1.shape == (sets.points1.shape[0], 4)
+        for (u, v), cell in zip(sets.points1.tolist(), sets.cells1.tolist()):
+            rect = ParamRect(*cell)
+            assert (u, v) == rect.centroid
+            lo, hi = _net_box(s1, rect)
             p = evaluate(s1, u, v)
-            key = (round(u / 1e-12), round(v / 1e-12))
-            assert abs(p[0] - 0.5) <= 0.5 * diag_by_point[key]
+            assert abs(p[0] - 0.5) <= 0.5 * float(np.linalg.norm(hi - lo))
 
     def test_hausdorff_bound_holds_against_analytic_preimage(self, plane_cross):
         sets = plane_cross
@@ -115,20 +113,21 @@ class TestPlaneCross:
         s1 = plane_patch()
         s2 = vertical_plane_x(0.5)
         slack = 1e-9
-        for pair in plane_cross.terminal_pairs:
-            b1 = np.concatenate(_net_box(s1, pair.rect1))[None]
-            lo2, hi2 = _net_box(s2, pair.rect2)
+        sets = plane_cross
+        for i, j in sets.correspondences.tolist():
+            b1 = np.concatenate(_net_box(s1, ParamRect(*sets.cells1[i])))[None]
+            lo2, hi2 = _net_box(s2, ParamRect(*sets.cells2[j]))
             inflated = np.concatenate([lo2 - slack, hi2 + slack])[None]
             assert _overlap(b1, inflated)[0]
 
     def test_terminal_cells_within_epsilon(self, plane_cross):
         sets = plane_cross
-        for pair in sets.terminal_pairs:
-            assert pair.rect1.diagonal <= EPS
-            assert pair.rect2.diagonal <= EPS
+        assert sets.cells2.shape == (sets.points2.shape[0], 4)
+        for cell in np.concatenate([sets.cells1, sets.cells2]).tolist():
+            diagonal = ParamRect(*cell).diagonal
+            assert diagonal <= EPS
             # bounded depth: a cell is only split while its diagonal exceeds eps
-            assert pair.rect1.diagonal > EPS / 4
-            assert pair.rect2.diagonal > EPS / 4
+            assert diagonal > EPS / 4
 
     def test_invariants(self, plane_cross):
         sets = plane_cross
@@ -162,6 +161,8 @@ class TestHausdorffBound:
         sets = IntersectionPointSets(
             points1=np.zeros((1, 2)),
             points2=np.zeros((1, 2)),
+            cells1=np.array([[-0.02, 0.02, -0.015, 0.015]]),
+            cells2=np.array([[-0.008, 0.008, -0.006, 0.006]]),
             correspondences=np.zeros((1, 2), dtype=np.int64),
             epsilon=0.1,
             cell_diag1=0.05,
@@ -175,6 +176,8 @@ class TestHausdorffBound:
         sets = IntersectionPointSets(
             points1=np.zeros((1, 2)),
             points2=np.zeros((1, 2)),
+            cells1=np.array([[-h / 2, h / 2, -h / 2, h / 2]]),
+            cells2=np.array([[-h / 2, h / 2, -h / 2, h / 2]]),
             correspondences=np.zeros((1, 2), dtype=np.int64),
             epsilon=h * 2,
             cell_diag1=h * np.sqrt(2),
@@ -188,6 +191,8 @@ class TestHausdorffBound:
         sets = IntersectionPointSets(
             points1=np.empty((0, 2)),
             points2=np.empty((0, 2)),
+            cells1=np.empty((0, 4)),
+            cells2=np.empty((0, 4)),
             correspondences=np.empty((0, 2), dtype=np.int64),
             epsilon=0.1,
             cell_diag1=0.0,
@@ -198,13 +203,14 @@ class TestHausdorffBound:
 
 
 def test_box_dump(tmp_path, plane_cross):
+    sets = plane_cross
     path = tmp_path / "boxes.json"
-    dump_box_pairs(path, plane_cross.terminal_pairs)
+    dump_box_pairs(path, sets)
     with open(path) as fh:
         records = json.load(fh)
-    assert len(records) == len(plane_cross.terminal_pairs)
-    first = records[0]
-    assert len(first["rect1"]) == 4 and len(first["rect2"]) == 4
+    assert len(records) == sets.correspondences.shape[0] > 0
+    assert records == [{"rect1": sets.cells1[i].tolist(), "rect2": sets.cells2[j].tolist()}
+                       for i, j in sets.correspondences.tolist()]
 
 
 def _random_pair(seed1, seed2, make1=random_cubic_patch):
@@ -249,7 +255,8 @@ def _uncached_intersection(surface1, surface2, epsilon):
     patches, halves v by transposing the net, pads each box by its net's
     largest absolute coordinate and deduplicates centroids on a quantised
     grid. Returns the fields of `IntersectionPointSets` that the traversal
-    decides, plus the set of rects it split.
+    decides, the set of rects it split and the set of `(rect1, rect2)`
+    rows of its terminal pairs.
     """
     degrees = {1: (surface1.degree_u, surface1.degree_v),
                2: (surface2.degree_u, surface2.degree_v)}
@@ -282,6 +289,7 @@ def _uncached_intersection(surface1, surface2, epsilon):
         return bool(np.all(p[4] <= q[5]) and np.all(q[4] <= p[5]))
 
     split = set()
+    terminal = set()
     root1, root2 = root(surface1, 1), root(surface2, 2)
     raw1, raw2, raw_pairs = [], [], []
     cell_diag1 = cell_diag2 = 0.0
@@ -293,6 +301,8 @@ def _uncached_intersection(surface1, surface2, epsilon):
         if r1.diagonal <= epsilon and r2.diagonal <= epsilon:
             c1, c2 = r1.centroid, r2.centroid
             raw_pairs.append((len(raw1), len(raw2)))
+            terminal.add(((r1.u_min, r1.u_max, r1.v_min, r1.v_max),
+                          (r2.u_min, r2.u_max, r2.v_min, r2.v_max)))
             raw1.append(c1)
             raw2.append(c2)
             cell_diag1 = max(cell_diag1, r1.diagonal)
@@ -315,7 +325,13 @@ def _uncached_intersection(surface1, surface2, epsilon):
         "overlap_suspected":
             sum(seen_rect1.values()) > OVERLAP_WARN_RATIO * root1[0].area,
         "split": split,
+        "terminal": terminal,
     }
+
+
+def _rect(store, i, surface_id=1):
+    """Patch `i` of a `_PatchStore` as a `ParamRect` of surface `surface_id`."""
+    return ParamRect(*store.rects[i].tolist(), surface_id)
 
 
 @functools.lru_cache(maxsize=None)
@@ -343,13 +359,14 @@ class TestSplitCache:
         sets = intersect_surfaces(make1(), make2(), eps)
         assert not sets.is_empty
         split = set()
-        for store in stores:
+        for surface_id, store in enumerate(stores, 1):
             parents = np.flatnonzero(store.child >= 0).tolist()
-            rects = {store.rect(i) for i in parents}
+            rects = {_rect(store, i, surface_id) for i in parents}
             assert len(store.rects) - 1 == 2 * len(rects)
             for i in parents:
                 first = int(store.child[i])
-                assert (store.rect(first), store.rect(first + 1)) == split_rect(store.rect(i))
+                halves = (_rect(store, first, surface_id), _rect(store, first + 1, surface_id))
+                assert halves == split_rect(_rect(store, i, surface_id))
             split |= rects
         assert split
         assert split == _reference(case)["split"]
@@ -394,7 +411,7 @@ class TestSplitCache:
         assert not _overlap(a, b)[0] and not _overlap(b, a)[0]
 
     def test_split_reuses_halves_and_frees_parent(self):
-        store = _PatchStore(plane_patch(), 1)
+        store = _PatchStore(plane_patch())
         assert store.split(np.array([0, 0])).tolist() == [1, 1]
         # The root's block, its net and knots, is freed; its halves' are not.
         assert store.blocks[store.block[0]] is None
@@ -402,7 +419,7 @@ class TestSplitCache:
         assert store.blocks[store.block[2]] is not None
         assert store.split(np.array([0])).tolist() == [1]
         assert len(store.rects) == 3
-        assert [store.rect(1), store.rect(2)] == list(split_rect(store.rect(0)))
+        assert [_rect(store, 1), _rect(store, 2)] == list(split_rect(_rect(store, 0)))
         # Patches 1 and 2 split together: their first halves, 3 and 5, share
         # a block, which is freed only once both are split.
         assert store.split(np.array([2, 1])).tolist() == [5, 3]
@@ -418,7 +435,7 @@ class TestSplitCache:
         # an end, and the split refuses the empty half as ParamRect would.
         end = math.nextafter(1.0, 2.0)
         kv = KnotVector(np.array([1.0, 1.0, end, end]), 1)
-        store = _PatchStore(BSplineSurface(kv, kv, plane_patch().control_points), 1)
+        store = _PatchStore(BSplineSurface(kv, kv, plane_patch().control_points))
         with pytest.raises(ParameterRangeError):
             store.split(np.array([0]))
 
@@ -433,6 +450,11 @@ class TestSplitCache:
         assert sets.cell_diag1 == expected["cell_diag1"]
         assert sets.cell_diag2 == expected["cell_diag2"]
         assert sets.overlap_suspected == expected["overlap_suspected"]
+        # Each correspondence row pairs the cells of one terminal pair.
+        pairs = [(tuple(sets.cells1[i].tolist()), tuple(sets.cells2[j].tolist()))
+                 for i, j in sets.correspondences.tolist()]
+        assert len(pairs) == len(expected["terminal"])
+        assert set(pairs) == expected["terminal"]
 
 
 SIGNED_PERMUTATIONS = [

@@ -55,6 +55,20 @@ class TestSampling:
         assert np.all(pts >= -1e-12)  # first quadrant
         np.testing.assert_allclose(pts[-1], [0, 2], atol=1e-9)
 
+    @pytest.mark.parametrize("curve", [
+        Circle((0.3, -1.7), 1.3, phase=0.4),
+        SegmentCurve((-1.5, 0.25), (3.5, 1.6)),
+        Arc((2.0, 1.0), 0.7, 2.5, -1.0),
+        Arc((-4.0, 0.0), 3.0, -0.5, 1.9),
+    ])
+    def test_array_call_equals_scalar_calls(self, curve):
+        # generate_synthetic samples each curve in one array call.
+        s = np.concatenate([np.linspace(0.0, curve.length, 997),
+                            np.random.default_rng(3).uniform(0.0, curve.length, 500)])
+        scalar = np.array([curve.point_at(float(si)) for si in s])
+        assert scalar.shape == (s.size, 2)
+        assert np.array_equal(curve.point_at(s), scalar)
+
     def test_noise_bounded_by_distance_oracle(self):
         curves = (Circle((0, 0), 1.0), SegmentCurve((2, 0), (4, 1)))
         spec = SyntheticSpec(curves=curves, step=0.02, noise=0.01, seed=5)
