@@ -11,11 +11,9 @@ from .errors import (
 from .geometry import (
     BSplineSurface,
     KnotVector,
-    ParamRect,
     evaluate,
     load_surface,
     save_surface,
-    split_rect,
     uniform_clamped_knots,
     uniform_periodic_knots,
 )

@@ -1,4 +1,5 @@
-"""Tensor-product B-spline surfaces, parameter rectangles and patch restriction.
+"""Tensor-product B-spline surfaces and patch restriction. A parameter
+rectangle is a `(u_min, u_max, v_min, v_max)` sequence, as `param_range` gives.
 
 Surfaces are immutable after construction and all operations are pure, so
 callers may evaluate/split concurrently without coordination. Patch
@@ -64,15 +65,6 @@ class KnotVector:
     def end(self) -> float:
         return float(self.knots[self.knots.size - self.degree - 1])
 
-    def multiplicity(self, t: float) -> int:
-        return int(np.count_nonzero(self.knots == t))
-
-    def is_clamped(self) -> bool:
-        return (
-            self.multiplicity(float(self.knots[0])) >= self.degree + 1
-            and self.multiplicity(float(self.knots[-1])) >= self.degree + 1
-        )
-
 
 def uniform_clamped_knots(degree: int, count: int, start: float = 0.0, end: float = 1.0) -> KnotVector:
     """Clamped knot vector with uniformly spaced interior knots for `count` control rows."""
@@ -128,45 +120,6 @@ class BSplineSurface:
     @property
     def param_range(self) -> tuple[float, float, float, float]:
         return (self.knots_u.start, self.knots_u.end, self.knots_v.start, self.knots_v.end)
-
-    def full_rect(self, surface_id: int = 1) -> "ParamRect":
-        u0, u1, v0, v1 = self.param_range
-        return ParamRect(u0, u1, v0, v1, surface_id)
-
-
-@dataclass(frozen=True)
-class ParamRect:
-    """Axis-aligned rectangle in one surface's parameter domain."""
-
-    u_min: float
-    u_max: float
-    v_min: float
-    v_max: float
-    surface_id: int = 1
-
-    def __post_init__(self):
-        if not (self.u_min < self.u_max and self.v_min < self.v_max):
-            raise ParameterRangeError(f"degenerate rectangle {self}")
-
-    @property
-    def width_u(self) -> float:
-        return self.u_max - self.u_min
-
-    @property
-    def width_v(self) -> float:
-        return self.v_max - self.v_min
-
-    @property
-    def diagonal(self) -> float:
-        return float(np.hypot(self.width_u, self.width_v))
-
-    @property
-    def centroid(self) -> tuple[float, float]:
-        return (0.5 * (self.u_min + self.u_max), 0.5 * (self.v_min + self.v_max))
-
-    @property
-    def area(self) -> float:
-        return self.width_u * self.width_v
 
 
 def evaluate(surface: BSplineSurface, u: float, v: float) -> np.ndarray:
@@ -248,31 +201,20 @@ def _trim_axis(knots: np.ndarray, net: np.ndarray, degree: int, lo: float, hi: f
     return knots, net
 
 
-def restrict(surface: BSplineSurface, rect: ParamRect) -> BSplineSurface:
-    """The sub-surface identical to `surface` on `rect`, with clamped knots."""
+def restrict(surface: BSplineSurface, rect) -> BSplineSurface:
+    """The sub-surface identical to `surface` on `rect`, with clamped knots.
+    A degenerate rect or one outside `param_range` raises ParameterRangeError."""
+    rect = tuple(map(float, rect))
+    u_min, u_max, v_min, v_max = rect
+    if not (u_min < u_max and v_min < v_max):
+        raise ParameterRangeError(f"degenerate rectangle {rect}")
     u0, u1, v0, v1 = surface.param_range
-    if rect.u_min < u0 or rect.u_max > u1 or rect.v_min < v0 or rect.v_max > v1:
+    if u_min < u0 or u_max > u1 or v_min < v0 or v_max > v1:
         raise ParameterRangeError(f"{rect} outside parameter range {surface.param_range}")
     ku, net = _trim_axis(surface.knots_u.knots, surface.control_points, surface.degree_u,
-                         rect.u_min, rect.u_max, 0)
-    kv, net = _trim_axis(surface.knots_v.knots, net, surface.degree_v,
-                         rect.v_min, rect.v_max, 1)
+                         u_min, u_max, 0)
+    kv, net = _trim_axis(surface.knots_v.knots, net, surface.degree_v, v_min, v_max, 1)
     return BSplineSurface(KnotVector(ku, surface.degree_u), KnotVector(kv, surface.degree_v), net)
-
-
-def split_rect(rect: ParamRect) -> tuple[ParamRect, ParamRect]:
-    """Bisect along the longer parameter side; a tie splits u. Halves tile exactly."""
-    if rect.width_u >= rect.width_v:
-        mid = 0.5 * (rect.u_min + rect.u_max)
-        return (
-            ParamRect(rect.u_min, mid, rect.v_min, rect.v_max, rect.surface_id),
-            ParamRect(mid, rect.u_max, rect.v_min, rect.v_max, rect.surface_id),
-        )
-    mid = 0.5 * (rect.v_min + rect.v_max)
-    return (
-        ParamRect(rect.u_min, rect.u_max, rect.v_min, mid, rect.surface_id),
-        ParamRect(rect.u_min, rect.u_max, mid, rect.v_max, rect.surface_id),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -71,14 +71,14 @@ class MapperParams:
     alpha: float = 0.001
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ConfigurationError(f"delta must be positive, got {self.delta}")
+        if not 0 < self.delta < np.inf:
+            raise ConfigurationError(f"delta must be positive and finite, got {self.delta}")
         if not 0.0 < self.theta_ov < 0.5:
             raise ConfigurationError(
                 f"theta_ov must lie strictly between 0 and 0.5, got {self.theta_ov}"
             )
-        if not self.alpha > 0:
-            raise ConfigurationError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < np.inf:
+            raise ConfigurationError(f"alpha must be positive and finite, got {self.alpha}")
 
 
 @dataclass(frozen=True)

@@ -45,16 +45,16 @@ class PipelineConfig:
     dump_boxes: bool = False
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < np.inf:
+            raise ConfigurationError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not 0.0 < self.theta_ov < 0.5:
             raise ConfigurationError(
                 f"theta_ov must lie strictly between 0 and 0.5, got {self.theta_ov}"
             )
-        if not self.alpha > 0:
-            raise ConfigurationError(f"alpha must be positive, got {self.alpha}")
-        if self.delta_override is not None and not self.delta_override > 0:
-            raise ConfigurationError("delta override must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise ConfigurationError(f"alpha must be positive and finite, got {self.alpha}")
+        if self.delta_override is not None and not 0 < self.delta_override < np.inf:
+            raise ConfigurationError("delta override must be positive and finite")
 
     def echo(self) -> dict:
         return {
@@ -307,13 +307,17 @@ def run_mapper_only(
     """Two-step Mapper plus partition on a raw planar cloud.
 
     Requires `delta_override` (there are no subdivision cells to derive the
-    clustering radius from); boundary classification happens only when a
+    clustering radius from) and refuses a non-default `epsilon` or
+    `dump_boxes`, which need one; boundary classification happens only when a
     domain box is supplied. An empty cloud gives the document `run_pipeline`
     gives for an empty intersection: `no_intersection` and no domains.
     Raises `DegenerateCloudError` when a coordinate is NaN or infinite.
     """
     if config.delta_override is None:
         raise ConfigurationError("mapper-only runs need an explicit delta")
+    if config.epsilon != PipelineConfig.epsilon or config.dump_boxes:
+        raise ConfigurationError("mapper-only runs have no subdivision: epsilon and "
+                                 "dump_boxes must keep their defaults")
     points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     if not np.isfinite(points).all():
         raise DegenerateCloudError("cloud coordinates must be finite")

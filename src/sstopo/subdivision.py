@@ -47,6 +47,7 @@ class IntersectionPointSets:
     Row `i` of `cells1` is the terminal cell `[u_min, u_max, v_min, v_max]`
     whose centroid is `points1[i]`, and likewise for domain 2; a
     correspondence row `(i, j)` pairs cell `cells1[i]` with `cells2[j]`.
+    The largest cell diagonals `cell_diag1/2` are read from the cells.
     """
 
     points1: np.ndarray  # (n1, 2) lexicographically sorted, deduplicated
@@ -55,13 +56,29 @@ class IntersectionPointSets:
     cells2: np.ndarray  # (n2, 4)
     correspondences: np.ndarray  # (m, 2) index pairs into points1/points2
     epsilon: float
-    cell_diag1: float
-    cell_diag2: float
     overlap_suspected: bool = False
 
     @property
     def is_empty(self) -> bool:
         return self.points1.shape[0] == 0
+
+    @property
+    def cell_diag1(self) -> float:
+        return _largest_diagonal(self.cells1)
+
+    @property
+    def cell_diag2(self) -> float:
+        return _largest_diagonal(self.cells2)
+
+
+def _diagonals(rects: np.ndarray) -> np.ndarray:
+    """Parameter diagonal of each `[u_min, u_max, v_min, v_max]` row."""
+    return np.hypot(rects[:, 1] - rects[:, 0], rects[:, 3] - rects[:, 2])
+
+
+def _largest_diagonal(rects: np.ndarray) -> float:
+    """The largest of `_diagonals(rects)`; 0.0 for no rows."""
+    return float(_diagonals(rects).max()) if len(rects) else 0.0
 
 
 def _boxes(nets) -> np.ndarray:
@@ -99,11 +116,10 @@ class _PatchStore:
     """
 
     def __init__(self, surface: BSplineSurface):
-        rect = surface.full_rect()
-        root = restrict(surface, rect)
+        root = restrict(surface, surface.param_range)
         self.degrees = (root.degree_u, root.degree_v)
-        self.rects = np.array([[rect.u_min, rect.u_max, rect.v_min, rect.v_max]])
-        self.diag = np.array([rect.diagonal])
+        self.rects = np.array([surface.param_range])
+        self.diag = _diagonals(self.rects)
         self.child = np.full(1, -1)
         self.blocks = [(root.knots_u.knots[None], root.knots_v.knots[None],
                         root.control_points[None])]
@@ -123,7 +139,9 @@ class _PatchStore:
     def split(self, ids: np.ndarray) -> np.ndarray:
         """First-half id of each patch in `ids`, halving those not yet split.
 
-        Each patch is halved by `split_rect`'s rule. The patches are split in
+        This is the one statement of the halving rule: a patch is halved
+        across its longer parameter side, u on a tie, at `0.5*(lo + hi)`,
+        and the two halves tile its rect exactly. The patches are split in
         groups of one axis and one net shape (which fixes the knot counts),
         one batched `_split_net` call per group.
         """
@@ -174,8 +192,7 @@ class _PatchStore:
                 if not self.unsplit[b]:
                     self.blocks[b] = None
             self.rects = np.concatenate([self.rects, halves])
-            self.diag = np.concatenate([self.diag, np.hypot(halves[:, 1] - halves[:, 0],
-                                                            halves[:, 3] - halves[:, 2])])
+            self.diag = np.concatenate([self.diag, _diagonals(halves)])
             self.child = np.concatenate([self.child, np.full(2 * m, -1)])
             self.block = np.concatenate([self.block, block])
             self.row = np.concatenate([self.row, row])
@@ -209,8 +226,8 @@ def intersect_surfaces(
     the terminal cells and their centroids in each domain and one
     correspondence record.
     """
-    if not epsilon > 0:
-        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < np.inf:
+        raise ConfigurationError(f"epsilon must be positive and finite, got {epsilon}")
 
     store1 = _PatchStore(surface1)
     store2 = _PatchStore(surface2)
@@ -258,8 +275,6 @@ def intersect_surfaces(
         cells2=cells2,
         correspondences=correspondences,
         epsilon=float(epsilon),
-        cell_diag1=float(store1.diag[ends1].max()) if ends1.size else 0.0,
-        cell_diag2=float(store2.diag[ends2].max()) if ends2.size else 0.0,
         overlap_suspected=overlap,
     )
 

@@ -4,10 +4,8 @@ import pytest
 from sstopo import (
     BSplineSurface,
     KnotVector,
-    ParamRect,
     ParameterRangeError,
     evaluate,
-    split_rect,
     uniform_clamped_knots,
 )
 from sstopo import _kernels
@@ -19,7 +17,7 @@ from sstopo.geometry import (
     surface_to_dict,
     uniform_periodic_knots,
 )
-from sstopo.subdivision import _boxes, _overlap
+from sstopo.subdivision import _boxes, _overlap, _PatchStore
 
 from corpus import (
     bilinear_corner_patch,
@@ -55,7 +53,9 @@ class TestKnotVector:
         kv = uniform_clamped_knots(3, 6)
         assert kv.count == 6
         assert kv.start == 0.0 and kv.end == 1.0
-        assert kv.is_clamped()
+        ends = kv.degree + 1
+        assert kv.knots[:ends].tolist() == [0.0] * ends
+        assert kv.knots[-ends:].tolist() == [1.0] * ends
 
     def test_grid_mismatch_rejected(self):
         kv = uniform_clamped_knots(1, 2)
@@ -122,13 +122,12 @@ class TestEvaluate:
 class TestSubpatch:
     def test_full_range_is_identity(self):
         s = bilinear_corner_patch()
-        net = restrict(s, s.full_rect()).control_points
+        net = restrict(s, s.param_range).control_points
         np.testing.assert_array_equal(net, s.control_points)
 
     def test_corner_interpolation_after_restriction(self):
         s = bilinear_corner_patch()
-        rect = ParamRect(0.0, 0.5, 0.0, 1.0)
-        net = restrict(s, rect).control_points
+        net = restrict(s, (0.0, 0.5, 0.0, 1.0)).control_points
         np.testing.assert_allclose(net[0, 0], evaluate(s, 0.0, 0.0), atol=1e-15)
         np.testing.assert_allclose(net[-1, 0], evaluate(s, 0.5, 0.0), atol=1e-15)
         np.testing.assert_allclose(net[0, -1], evaluate(s, 0.0, 1.0), atol=1e-15)
@@ -139,8 +138,7 @@ class TestSubpatch:
         s = random_cubic_patch(rng)
         a, b = sorted(rng.uniform(0, 1, 2))
         c, d = sorted(rng.uniform(0, 1, 2))
-        rect = ParamRect(a, b, c, d)
-        sub = restrict(s, rect)
+        sub = restrict(s, (a, b, c, d))
         us = np.linspace(a, b, 10)
         vs = np.linspace(c, d, 10)
         np.testing.assert_allclose(
@@ -150,21 +148,22 @@ class TestSubpatch:
     def test_restriction_fidelity_random_params(self):
         rng = np.random.default_rng(17)
         s = random_cubic_patch(rng)
-        rect = ParamRect(0.21, 0.83, 0.08, 0.67)
+        u0, u1, v0, v1 = rect = (0.21, 0.83, 0.08, 0.67)
         sub = restrict(s, rect)
         for _ in range(100):
-            u = float(rng.uniform(rect.u_min, rect.u_max))
-            v = float(rng.uniform(rect.v_min, rect.v_max))
+            u = float(rng.uniform(u0, u1))
+            v = float(rng.uniform(v0, v1))
             np.testing.assert_allclose(evaluate(sub, u, v), evaluate(s, u, v), atol=1e-10)
 
     def test_periodic_restriction_fidelity(self):
         cyl = cylinder_patch()
         rng = np.random.default_rng(9)
-        for rect in [ParamRect(0.0, 0.35, 0.0, 1.0), ParamRect(0.6, 1.0, 0.2, 0.9)]:
+        for rect in [(0.0, 0.35, 0.0, 1.0), (0.6, 1.0, 0.2, 0.9)]:
             sub = restrict(cyl, rect)
+            u0, u1, v0, v1 = rect
             for _ in range(40):
-                u = float(rng.uniform(rect.u_min, rect.u_max))
-                v = float(rng.uniform(rect.v_min, rect.v_max))
+                u = float(rng.uniform(u0, u1))
+                v = float(rng.uniform(v0, v1))
                 np.testing.assert_allclose(evaluate(sub, u, v), evaluate(cyl, u, v), atol=1e-10)
 
     def test_split_along_v_equals_split_of_transpose(self):
@@ -210,13 +209,13 @@ class TestSubpatch:
                     assert got.tobytes() == alone.tobytes()
 
     def test_degenerate_rect_rejected(self):
-        with pytest.raises(ParameterRangeError):
-            ParamRect(0.5, 0.5, 0.0, 1.0)
+        with pytest.raises(ParameterRangeError, match="degenerate"):
+            restrict(bilinear_corner_patch(), (0.5, 0.5, 0.0, 1.0))
 
     def test_rect_outside_range_rejected(self):
         s = bilinear_corner_patch()
-        with pytest.raises(ParameterRangeError):
-            restrict(s, ParamRect(0.0, 1.5, 0.0, 1.0))
+        with pytest.raises(ParameterRangeError, match="outside"):
+            restrict(s, (0.0, 1.5, 0.0, 1.0))
 
 
 def _patch_box(surface, rect):
@@ -228,13 +227,13 @@ def _patch_box(surface, rect):
 class TestPatchAABB:
     def test_planar_patch_has_flat_z(self):
         s = plane_patch(z=0.0)
-        lo, hi = _patch_box(s, s.full_rect())
+        lo, hi = _patch_box(s, s.param_range)
         pad = 1e-12 * (1.0 + 1.0)  # relative to the largest coordinate, 1
         assert lo[2] == -pad and hi[2] == pad
 
     def test_bilinear_full_range_box(self):
         s = bilinear_corner_patch()
-        lo, hi = _patch_box(s, s.full_rect())
+        lo, hi = _patch_box(s, s.param_range)
         pad = 1e-12 * (1.0 + 1.0)
         np.testing.assert_array_equal(lo, np.zeros(3) - pad)
         np.testing.assert_array_equal(hi, np.ones(3) + pad)
@@ -248,8 +247,7 @@ class TestPatchAABB:
             c, d = sorted(rng.uniform(0, 1, 2))
             if b - a < 1e-3 or d - c < 1e-3:
                 continue
-            rect = ParamRect(a, b, c, d)
-            lo, hi = _patch_box(s, rect)
+            lo, hi = _patch_box(s, (a, b, c, d))
             pts = evaluate_grid(s, np.linspace(a, b, 20), np.linspace(c, d, 20)).reshape(-1, 3)
             assert np.all(pts >= lo - 1e-9)
             assert np.all(pts <= hi + 1e-9)
@@ -257,10 +255,9 @@ class TestPatchAABB:
     def test_containment_400_samples(self):
         rng = np.random.default_rng(100)
         s = random_cubic_patch(rng)
-        rect = ParamRect(0.1, 0.8, 0.3, 0.95)
-        lo, hi = _patch_box(s, rect)
-        us = np.linspace(rect.u_min, rect.u_max, 20)
-        vs = np.linspace(rect.v_min, rect.v_max, 20)
+        lo, hi = _patch_box(s, (0.1, 0.8, 0.3, 0.95))
+        us = np.linspace(0.1, 0.8, 20)
+        vs = np.linspace(0.3, 0.95, 20)
         pts = evaluate_grid(s, us, vs).reshape(-1, 3)
         assert pts.shape[0] == 400
         assert np.all(pts >= lo - 1e-9)
@@ -288,40 +285,52 @@ class TestPatchAABB:
             np.testing.assert_array_equal(row[3:], flat.max(axis=0) + pad)
 
 
+def _halves(rect):
+    """The two halves a one-patch `_PatchStore` makes of `rect`, as tuples."""
+    u0, u1, v0, v1 = rect
+    plane = BSplineSurface(uniform_clamped_knots(1, 2, u0, u1),
+                           uniform_clamped_knots(1, 2, v0, v1), np.zeros((2, 2, 3)))
+    store = _PatchStore(plane)
+    assert store.rects[0].tolist() == list(rect)
+    assert store.split(np.array([0])).tolist() == [1]
+    return tuple(store.rects[1].tolist()), tuple(store.rects[2].tolist())
+
+
 class TestSplitRect:
     def test_longer_side_split(self):
-        a, b = split_rect(ParamRect(0.0, 1.0, 0.0, 0.25))
-        assert (a.u_min, a.u_max) == (0.0, 0.5)
-        assert (b.u_min, b.u_max) == (0.5, 1.0)
-        assert a.v_min == b.v_min == 0.0 and a.v_max == b.v_max == 0.25
+        assert _halves((0.0, 1.0, 0.0, 0.25)) == ((0.0, 0.5, 0.0, 0.25), (0.5, 1.0, 0.0, 0.25))
+        assert _halves((0.0, 0.25, 0.0, 1.0)) == ((0.0, 0.25, 0.0, 0.5), (0.0, 0.25, 0.5, 1.0))
 
     def test_tie_splits_u(self):
-        a, b = split_rect(ParamRect(0.0, 1.0, 0.0, 1.0))
-        assert a.u_max == b.u_min == 0.5
-        assert a.v_max == 1.0
+        assert _halves((0.0, 1.0, 0.0, 1.0)) == ((0.0, 0.5, 0.0, 1.0), (0.5, 1.0, 0.0, 1.0))
 
     def test_exact_tiling(self):
         rng = np.random.default_rng(12)
+        tiled = 0
         for _ in range(50):
             u0, u1 = sorted(rng.uniform(0, 1, 2))
             v0, v1 = sorted(rng.uniform(0, 1, 2))
             if u1 - u0 < 1e-6 or v1 - v0 < 1e-6:
                 continue
-            rect = ParamRect(u0, u1, v0, v1)
-            a, b = split_rect(rect)
-            assert abs(a.area + b.area - rect.area) < 1e-15
-            if a.u_max == b.u_min:
-                assert (a.u_min, b.u_max) == (rect.u_min, rect.u_max)
+            rect = (float(u0), float(u1), float(v0), float(v1))
+            a, b = _halves(rect)
+            area = [(r[1] - r[0]) * (r[3] - r[2]) for r in (rect, a, b)]
+            assert abs(area[1] + area[2] - area[0]) < 1e-15
+            if u1 - u0 >= v1 - v0:
+                assert a[1] == b[0] == 0.5 * (u0 + u1)
+                assert (a[0], b[1]) == (u0, u1) and a[2:] == b[2:] == (v0, v1)
             else:
-                assert a.v_max == b.v_min
-                assert (a.v_min, b.v_max) == (rect.v_min, rect.v_max)
+                assert a[3] == b[2] == 0.5 * (v0 + v1)
+                assert (a[2], b[3]) == (v0, v1) and a[:2] == b[:2] == (u0, u1)
+            tiled += 1
+        assert tiled >= 45
 
 
 class TestDeterminism:
     def test_repeat_calls_bit_identical(self):
         rng = np.random.default_rng(2)
         s = random_cubic_patch(rng)
-        rect = ParamRect(0.2, 0.9, 0.1, 0.7)
+        rect = (0.2, 0.9, 0.1, 0.7)
         p1 = evaluate(s, 0.312, 0.644)
         p2 = evaluate(s, 0.312, 0.644)
         assert np.array_equal(p1, p2)

@@ -497,6 +497,12 @@ class TestMapperParams:
         with pytest.raises(ConfigurationError):
             MapperParams(delta=0.1, alpha=float("nan"))
 
+    @pytest.mark.parametrize("field", ["delta", "alpha"])
+    def test_infinite_rejected(self, field):
+        # An infinite alpha once leaked a ValueError from interval_count.
+        with pytest.raises(ConfigurationError, match=f"{field} must be positive and finite"):
+            MapperParams(**{"delta": 0.1, field: float("inf")})
+
 
 class TestBuildMapperGraph:
     def test_segment_gives_path(self):

@@ -41,11 +41,14 @@ from sstopo.synthetic import (
 from corpus import (
     STEP,
     NOISE,
+    cylinder_patch,
     noisy_circle_cloud,
+    paraboloid_patch,
     performance_cloud,
     plane_patch,
     saddle_patch,
     three_curves_cloud,
+    wrinkle_patch,
 )
 
 DELTA = recommended_delta(STEP, NOISE)
@@ -232,6 +235,23 @@ class TestRunMapperOnly:
         assert len(dom.characteristic.boundary_nodes) >= 2
         assert dom.partition.segment_kinds() == [KIND_OPEN]
 
+    @pytest.mark.parametrize("change", [{"epsilon": 0.5}, {"dump_boxes": True}])
+    def test_refuses_subdivision_settings(self, tmp_path, change):
+        # Both would be ignored, and the epsilon echoed into the digest.
+        pts, _ = three_curves_cloud(seed=3)
+        out = tmp_path / "out"
+        config = PipelineConfig(delta_override=DELTA, out_dir=str(out), **change)
+        with pytest.raises(ConfigurationError, match="no subdivision"):
+            run_mapper_only(config, pts)
+        with pytest.raises(ConfigurationError, match="no subdivision"):
+            sweep_theta(config, [0.2], cloud=pts)
+        assert not out.exists()
+
+    def test_echoes_the_default_epsilon(self):
+        config = PipelineConfig(delta_override=DELTA, epsilon=PipelineConfig.epsilon)
+        doc = run_mapper_only(config, three_curves_cloud(seed=3)[0])
+        assert doc.config["epsilon"] == PipelineConfig().epsilon
+
 
 INVARIANCE_CLOUDS = [("three-curve", s) for s in range(6)] + [("6k", s) for s in (11, 3, 100, 108)]
 
@@ -271,6 +291,57 @@ class TestMapperInvariance:
     def test_translation(self, case, offset):
         pts, delta, expected = _invariance_cloud(*case)
         assert _segment_kinds(pts + np.array(offset), delta) == expected
+
+
+class TestNoiseRedraw:
+    # A new noise draw at the same step samples the same curves, so with
+    # `recommended_delta` the topology must not change.
+    @seed(7054)
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(st.sampled_from([6000, 24000]), st.integers(200, 214))
+    def test_performance_cloud_keeps_five_segments(self, size, noise_seed):
+        pts, _, step = performance_cloud(size, noise_seed)
+        doc = run_mapper_only(PipelineConfig(delta_override=recommended_delta(step, NOISE)), pts)
+        assert len(doc.domains[0].partition.segments) == 5
+
+    @seed(7055)
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(st.integers(200, 229))
+    def test_three_curve_cloud_keeps_three_components(self, noise_seed):
+        pts, _ = three_curves_cloud(seed=noise_seed)
+        doc = run_mapper_only(PipelineConfig(delta_override=DELTA), pts)
+        assert len(doc.domains[0].graph.connected_components()) == 3
+
+
+SWAP_PAIRS = {
+    "saddle": (plane_patch, saddle_patch),
+    "wrinkle": (plane_patch, wrinkle_patch),
+    "cylinders": (lambda: cylinder_patch(axis="y"), lambda: cylinder_patch(axis="x")),
+    "paraboloid": (plane_patch, paraboloid_patch),
+}
+
+
+class TestSurfaceSwap:
+    # Swapping the surfaces swaps the parameter domains: the same point sets
+    # and segment kinds in the other order, and the transposed match.
+    @seed(7056)
+    @settings(max_examples=8, deadline=None, database=None)
+    @given(st.sampled_from(sorted(SWAP_PAIRS)), st.sampled_from([0.02, 0.01]))
+    def test_swap_transposes_match(self, case, epsilon):
+        make1, make2 = SWAP_PAIRS[case]
+        config = PipelineConfig(epsilon=epsilon)
+        doc = run_pipeline(config, make1(), make2())
+        swapped = run_pipeline(config, make2(), make1())
+        assert not doc.no_intersection
+        assert [d.name for d in swapped.domains] == ["uv", "st"]
+        for dom, other in zip(doc.domains, reversed(swapped.domains)):
+            assert np.array_equal(dom.points, other.points)
+            assert dom.partition.segment_kinds() == other.partition.segment_kinds()
+        assert doc.match.pairs
+        assert sorted(doc.match.pairs) == sorted((b, a, n) for a, b, n in swapped.match.pairs)
+        for key in ("cell_diag", "hausdorff_bound", "point_counts"):
+            assert doc.extras[key] == swapped.extras[key][::-1], key
+        assert doc.extras["correspondence_count"] == swapped.extras["correspondence_count"]
 
 
 class TestSweep:
@@ -358,6 +429,12 @@ class TestConfigValidation:
     def test_nan_rejected(self, field):
         with pytest.raises(ConfigurationError):
             PipelineConfig(**{field: float("nan")})
+
+    @pytest.mark.parametrize("field", ["epsilon", "alpha", "delta_override"])
+    def test_inf_rejected(self, field):
+        name = field.replace("_", " ")
+        with pytest.raises(ConfigurationError, match=f"{name} must be positive and finite"):
+            PipelineConfig(**{field: float("inf")})
 
 
 class TestCli:
@@ -578,6 +655,33 @@ class TestCli:
             main(["mapper", str(p), "--delta", "0.1", *flags])
         assert exc.value.code == 2
         assert flags[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("intersect", ["--epsilon", "inf"], "epsilon must be positive"),
+        ("intersect", ["--delta", "inf"], "delta override must be positive"),
+        ("intersect", ["--alpha", "inf"], "alpha must be positive"),
+        ("mapper", ["--delta", "inf"], "delta override must be positive"),
+        ("mapper", ["--delta", "0.1", "--alpha", "inf"], "alpha must be positive"),
+        ("sweep", ["--delta", "0.1", "--alpha", "inf"], "alpha must be positive"),
+    ])
+    def test_infinite_setting_rejected(self, tmp_path, capsys, command, flags, message):
+        if command == "intersect":
+            inputs = [tmp_path / "a.json", tmp_path / "b.json"]
+            save_surface(inputs[0], plane_patch())
+            save_surface(inputs[1], saddle_patch())
+        else:
+            inputs = [tmp_path / "cloud.txt"]
+            save_cloud(inputs[0], three_curves_cloud(seed=3)[0])
+        rc = main([command, *map(str, inputs), *flags])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_sweep_cloud_rejects_epsilon(self, tmp_path, capsys):
+        cloud_path = tmp_path / "cloud.txt"
+        save_cloud(cloud_path, three_curves_cloud(seed=3)[0])
+        rc = main(["sweep", str(cloud_path), "--delta", str(DELTA), "--epsilon", "0.05"])
+        assert rc == 2
+        assert "no subdivision" in capsys.readouterr().err
 
     def test_intersect_disjoint_reports_no_intersection(self, tmp_path, capsys):
         s1 = tmp_path / "a.json"

@@ -16,11 +16,9 @@ from sstopo import (
     EmptyInputError,
     KnotVector,
     ParameterRangeError,
-    ParamRect,
     evaluate,
     hausdorff_bound,
     intersect_surfaces,
-    split_rect,
 )
 from sstopo.geometry import _split_net, restrict
 from sstopo.subdivision import (
@@ -51,6 +49,28 @@ def _net_box(surface, rect):
     return net.min(axis=0), net.max(axis=0)
 
 
+# The rect arithmetic, restated on `(u_min, u_max, v_min, v_max)` tuples so
+# that the references below do not read the code under test.
+
+
+def _halve(rect):
+    """The halving rule: the longer side, u on a tie, at its midpoint."""
+    u0, u1, v0, v1 = rect
+    if u1 - u0 >= v1 - v0:
+        mid = 0.5 * (u0 + u1)
+        return (u0, mid, v0, v1), (mid, u1, v0, v1)
+    mid = 0.5 * (v0 + v1)
+    return (u0, u1, v0, mid), (u0, u1, mid, v1)
+
+
+def _diagonal(rect):
+    return float(np.hypot(rect[1] - rect[0], rect[3] - rect[2]))
+
+
+def _centroid(rect):
+    return (0.5 * (rect[0] + rect[1]), 0.5 * (rect[2] + rect[3]))
+
+
 @pytest.fixture(scope="module")
 def plane_cross():
     """z=0 patch against the vertical plane x=0.5; analytic preimage is u=0.5."""
@@ -72,6 +92,8 @@ class TestBasics:
             intersect_surfaces(plane_patch(), saddle_patch(), -1.0)
         with pytest.raises(ConfigurationError):
             intersect_surfaces(plane_patch(), saddle_patch(), float("nan"))
+        with pytest.raises(ConfigurationError, match="epsilon must be positive and finite"):
+            intersect_surfaces(plane_patch(), saddle_patch(), float("inf"))
 
     def test_coincident_patches_terminate_with_overlap_flag(self):
         sets = intersect_surfaces(plane_patch(), plane_patch(), 0.1)
@@ -89,9 +111,8 @@ class TestPlaneCross:
         s1 = plane_patch()
         assert sets.cells1.shape == (sets.points1.shape[0], 4)
         for (u, v), cell in zip(sets.points1.tolist(), sets.cells1.tolist()):
-            rect = ParamRect(*cell)
-            assert (u, v) == rect.centroid
-            lo, hi = _net_box(s1, rect)
+            assert (u, v) == _centroid(cell)
+            lo, hi = _net_box(s1, cell)
             p = evaluate(s1, u, v)
             assert abs(p[0] - 0.5) <= 0.5 * float(np.linalg.norm(hi - lo))
 
@@ -115,8 +136,8 @@ class TestPlaneCross:
         slack = 1e-9
         sets = plane_cross
         for i, j in sets.correspondences.tolist():
-            b1 = np.concatenate(_net_box(s1, ParamRect(*sets.cells1[i])))[None]
-            lo2, hi2 = _net_box(s2, ParamRect(*sets.cells2[j]))
+            b1 = np.concatenate(_net_box(s1, sets.cells1[i]))[None]
+            lo2, hi2 = _net_box(s2, sets.cells2[j])
             inflated = np.concatenate([lo2 - slack, hi2 + slack])[None]
             assert _overlap(b1, inflated)[0]
 
@@ -124,7 +145,7 @@ class TestPlaneCross:
         sets = plane_cross
         assert sets.cells2.shape == (sets.points2.shape[0], 4)
         for cell in np.concatenate([sets.cells1, sets.cells2]).tolist():
-            diagonal = ParamRect(*cell).diagonal
+            diagonal = _diagonal(cell)
             assert diagonal <= EPS
             # bounded depth: a cell is only split while its diagonal exceeds eps
             assert diagonal > EPS / 4
@@ -165,9 +186,8 @@ class TestHausdorffBound:
             cells2=np.array([[-0.008, 0.008, -0.006, 0.006]]),
             correspondences=np.zeros((1, 2), dtype=np.int64),
             epsilon=0.1,
-            cell_diag1=0.05,
-            cell_diag2=0.02,
         )
+        assert (sets.cell_diag1, sets.cell_diag2) == (0.05, 0.02)
         b1, b2 = hausdorff_bound(sets)
         assert b1 == 0.025 and b2 == 0.01
 
@@ -180,12 +200,26 @@ class TestHausdorffBound:
             cells2=np.array([[-h / 2, h / 2, -h / 2, h / 2]]),
             correspondences=np.zeros((1, 2), dtype=np.int64),
             epsilon=h * 2,
-            cell_diag1=h * np.sqrt(2),
-            cell_diag2=h * np.sqrt(2),
         )
         b1, b2 = hausdorff_bound(sets)
         assert b1 == pytest.approx(h * np.sqrt(2) / 2)
         assert b2 == b1
+
+    def test_largest_cell_sets_the_bound(self):
+        # Cells of several sizes: the diagonals are read from the largest
+        # cell of each domain, wherever it sits in the rows.
+        sets = IntersectionPointSets(
+            points1=np.zeros((3, 2)),
+            points2=np.zeros((2, 2)),
+            cells1=np.array([[0.0, 0.02, 0.0, 0.02], [0.1, 0.14, 0.2, 0.23],
+                             [0.5, 0.51, 0.5, 0.51]]),
+            cells2=np.array([[0.0, 0.008, 0.0, 0.006], [0.3, 0.302, 0.3, 0.301]]),
+            correspondences=np.array([[0, 0], [1, 0], [2, 1]]),
+            epsilon=0.1,
+        )
+        expected = (_diagonal((0.1, 0.14, 0.2, 0.23)), _diagonal((0.0, 0.008, 0.0, 0.006)))
+        assert (sets.cell_diag1, sets.cell_diag2) == expected
+        assert hausdorff_bound(sets) == (0.5 * expected[0], 0.5 * expected[1])
 
     def test_empty_raises(self):
         sets = IntersectionPointSets(
@@ -195,9 +229,8 @@ class TestHausdorffBound:
             cells2=np.empty((0, 4)),
             correspondences=np.empty((0, 2), dtype=np.int64),
             epsilon=0.1,
-            cell_diag1=0.0,
-            cell_diag2=0.0,
         )
+        assert (sets.cell_diag1, sets.cell_diag2) == (0.0, 0.0)
         with pytest.raises(EmptyInputError):
             hausdorff_bound(sets)
 
@@ -254,9 +287,11 @@ def _uncached_intersection(surface1, surface2, epsilon):
     An independent reference for the level loop: it keeps its own stack of
     patches, halves v by transposing the net, pads each box by its net's
     largest absolute coordinate and deduplicates centroids on a quantised
-    grid. Returns the fields of `IntersectionPointSets` that the traversal
-    decides, the set of rects it split and the set of `(rect1, rect2)`
-    rows of its terminal pairs.
+    grid. Rects are tuples, halved by `_halve`. Returns the fields of
+    `IntersectionPointSets` that the traversal decides, the set of
+    `(surface index, rect)` keys of the rects it split (the rects of the two
+    surfaces can coincide) and the set of `(rect1, rect2)` rows of its
+    terminal pairs.
     """
     degrees = {1: (surface1.degree_u, surface1.degree_v),
                2: (surface2.degree_u, surface2.degree_v)}
@@ -266,22 +301,21 @@ def _uncached_intersection(surface1, surface2, epsilon):
         pad = 1e-12 * (1.0 + float(np.abs(flat).max()))
         return rect, knots_u, knots_v, net, flat.min(axis=0) - pad, flat.max(axis=0) + pad
 
-    def root(surface, surface_id):
-        rect = surface.full_rect(surface_id)
+    def root(surface):
+        rect = tuple(surface.param_range)
         r = restrict(surface, rect)
         return patch(rect, r.knots_u.knots, r.knots_v.knots, r.control_points)
 
-    def halves(p):
+    def halves(p, surface_id):
         rect, knots_u, knots_v, net = p[:4]
-        degree_u, degree_v = degrees[rect.surface_id]
-        split.add(rect)
-        ra, rb = split_rect(rect)
-        if ra.u_max != rect.u_max:
-            [(_, (ka, na), (kb, nb))] = _split_net(knots_u[None], net[None], degree_u,
-                                                   [ra.u_max])
+        degree_u, degree_v = degrees[surface_id]
+        split.add((surface_id, rect))
+        ra, rb = _halve(rect)
+        if ra[1] != rect[1]:
+            [(_, (ka, na), (kb, nb))] = _split_net(knots_u[None], net[None], degree_u, [ra[1]])
             return patch(ra, ka[0], knots_v, na[0]), patch(rb, kb[0], knots_v, nb[0])
         net_t = np.ascontiguousarray(net.transpose(1, 0, 2))
-        [(_, (ka, na), (kb, nb))] = _split_net(knots_v[None], net_t[None], degree_v, [ra.v_max])
+        [(_, (ka, na), (kb, nb))] = _split_net(knots_v[None], net_t[None], degree_v, [ra[3]])
         return (patch(ra, knots_u, ka[0], na[0].transpose(1, 0, 2)),
                 patch(rb, knots_u, kb[0], nb[0].transpose(1, 0, 2)))
 
@@ -290,7 +324,7 @@ def _uncached_intersection(surface1, surface2, epsilon):
 
     split = set()
     terminal = set()
-    root1, root2 = root(surface1, 1), root(surface2, 2)
+    root1, root2 = root(surface1), root(surface2)
     raw1, raw2, raw_pairs = [], [], []
     cell_diag1 = cell_diag2 = 0.0
     seen_rect1 = {}
@@ -298,21 +332,22 @@ def _uncached_intersection(surface1, surface2, epsilon):
     while stack:
         p1, p2 = stack.pop()
         r1, r2 = p1[0], p2[0]
-        if r1.diagonal <= epsilon and r2.diagonal <= epsilon:
-            c1, c2 = r1.centroid, r2.centroid
+        d1, d2 = _diagonal(r1), _diagonal(r2)
+        if d1 <= epsilon and d2 <= epsilon:
+            c1, c2 = _centroid(r1), _centroid(r2)
             raw_pairs.append((len(raw1), len(raw2)))
-            terminal.add(((r1.u_min, r1.u_max, r1.v_min, r1.v_max),
-                          (r2.u_min, r2.u_max, r2.v_min, r2.v_max)))
+            terminal.add((r1, r2))
             raw1.append(c1)
             raw2.append(c2)
-            cell_diag1 = max(cell_diag1, r1.diagonal)
-            cell_diag2 = max(cell_diag2, r2.diagonal)
-            seen_rect1[(_quantize(c1[0]), _quantize(c1[1]))] = r1.area
+            cell_diag1 = max(cell_diag1, d1)
+            cell_diag2 = max(cell_diag2, d2)
+            seen_rect1[(_quantize(c1[0]), _quantize(c1[1]))] = (r1[1] - r1[0]) * (r1[3] - r1[2])
             continue
-        if r1.diagonal >= r2.diagonal:
-            stack.extend((c, p2) for c in halves(p1) if meet(c, p2))
+        if d1 >= d2:
+            stack.extend((c, p2) for c in halves(p1, 1) if meet(c, p2))
         else:
-            stack.extend((p1, c) for c in halves(p2) if meet(p1, c))
+            stack.extend((p1, c) for c in halves(p2, 2) if meet(p1, c))
+    u0, u1, v0, v1 = root1[0]
     points1, index1 = _dedup_sorted(raw1)
     points2, index2 = _dedup_sorted(raw2)
     pairs = sorted({(index1[i], index2[j]) for i, j in raw_pairs})
@@ -323,15 +358,15 @@ def _uncached_intersection(surface1, surface2, epsilon):
         "cell_diag1": cell_diag1,
         "cell_diag2": cell_diag2,
         "overlap_suspected":
-            sum(seen_rect1.values()) > OVERLAP_WARN_RATIO * root1[0].area,
+            sum(seen_rect1.values()) > OVERLAP_WARN_RATIO * (u1 - u0) * (v1 - v0),
         "split": split,
         "terminal": terminal,
     }
 
 
-def _rect(store, i, surface_id=1):
-    """Patch `i` of a `_PatchStore` as a `ParamRect` of surface `surface_id`."""
-    return ParamRect(*store.rects[i].tolist(), surface_id)
+def _rect(store, i):
+    """The rect of patch `i` of a `_PatchStore`, as a tuple."""
+    return tuple(store.rects[i].tolist())
 
 
 @functools.lru_cache(maxsize=None)
@@ -346,7 +381,7 @@ class TestSplitCache:
         # The rects of the patches with a child are the rects the reference
         # split, each split once: every patch but the root is a child, and
         # the children number twice the distinct split rects. Each split
-        # makes the halves of `split_rect`.
+        # makes the halves of `_halve`.
         make1, make2, eps = CACHE_CASES[case]
         stores = []
 
@@ -361,12 +396,11 @@ class TestSplitCache:
         split = set()
         for surface_id, store in enumerate(stores, 1):
             parents = np.flatnonzero(store.child >= 0).tolist()
-            rects = {_rect(store, i, surface_id) for i in parents}
+            rects = {(surface_id, _rect(store, i)) for i in parents}
             assert len(store.rects) - 1 == 2 * len(rects)
             for i in parents:
                 first = int(store.child[i])
-                halves = (_rect(store, first, surface_id), _rect(store, first + 1, surface_id))
-                assert halves == split_rect(_rect(store, i, surface_id))
+                assert (_rect(store, first), _rect(store, first + 1)) == _halve(_rect(store, i))
             split |= rects
         assert split
         assert split == _reference(case)["split"]
@@ -419,7 +453,7 @@ class TestSplitCache:
         assert store.blocks[store.block[2]] is not None
         assert store.split(np.array([0])).tolist() == [1]
         assert len(store.rects) == 3
-        assert [_rect(store, 1), _rect(store, 2)] == list(split_rect(_rect(store, 0)))
+        assert (_rect(store, 1), _rect(store, 2)) == _halve(_rect(store, 0))
         # Patches 1 and 2 split together: their first halves, 3 and 5, share
         # a block, which is freed only once both are split.
         assert store.split(np.array([2, 1])).tolist() == [5, 3]
@@ -432,7 +466,7 @@ class TestSplitCache:
 
     def test_degenerate_half_raises(self):
         # A one-ulp-wide domain cannot be halved: the midpoint rounds onto
-        # an end, and the split refuses the empty half as ParamRect would.
+        # an end, and the split refuses the empty half as `restrict` would.
         end = math.nextafter(1.0, 2.0)
         kv = KnotVector(np.array([1.0, 1.0, end, end]), 1)
         store = _PatchStore(BSplineSurface(kv, kv, plane_patch().control_points))
