@@ -29,7 +29,7 @@ def write_gml(path, graph: MapperGraph) -> None:
     """Undirected GML description; node `points` lists the member indices."""
     lines = ["graph [", "  directed 0"]
     for node in graph.nodes:
-        pts = " ".join(str(i) for i in node.sorted_points())
+        pts = " ".join(map(str, node.points.tolist()))
         lines += [
             "  node [",
             f"    id {node.id}",
@@ -82,9 +82,9 @@ def write_svg(path, points: np.ndarray, colors: list[str], size: int = 640) -> N
         f'height="{height:.1f}" viewBox="0 0 {width:.1f} {height:.1f}">',
         f'<rect width="{width:.1f}" height="{height:.1f}" fill="white"/>',
     ]
-    for (x, y), color in zip(points, colors):
-        cx = (x - lo[0]) * scale
-        cy = height - (y - lo[1]) * scale
+    cxs = ((points[:, 0] - lo[0]) * scale).tolist()
+    cys = (height - (points[:, 1] - lo[1]) * scale).tolist()
+    for cx, cy, color in zip(cxs, cys, colors):
         parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{radius:.2f}" fill="{color}"/>')
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

@@ -138,15 +138,6 @@ def evaluate(surface: BSplineSurface, u: float, v: float) -> np.ndarray:
     )
 
 
-def evaluate_grid(surface: BSplineSurface, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Points at the tensor grid us x vs, shape (len(us), len(vs), 3)."""
-    out = np.empty((len(us), len(vs), 3))
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
-            out[i, j] = evaluate(surface, float(u), float(v))
-    return out
-
-
 def _split_net(knots: np.ndarray, nets: np.ndarray, degree: int, t: np.ndarray,
                axis: int = 0):
     """Split G control nets along net axis `axis`, net g at t[g].

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -81,17 +80,22 @@ class MapperParams:
             raise ConfigurationError(f"alpha must be positive and finite, got {self.alpha}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MapperNode:
-    """One cluster: a set of point indices plus the interval(s) it came from."""
+    """One cluster: its point indices plus the interval(s) it came from.
+
+    `points` is held as a read-only int64 array; the caller passes the
+    indices strictly increasing."""
 
     id: int
-    points: frozenset[int]
+    points: np.ndarray
     intervals: tuple[int, ...] = ()
     refined: bool = False
 
-    def sorted_points(self) -> tuple[int, ...]:
-        return tuple(sorted(self.points))
+    def __post_init__(self):
+        points = np.asarray(self.points, dtype=np.int64).reshape(-1)
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
 
 
 @dataclass(frozen=True)
@@ -123,30 +127,54 @@ class MapperGraph:
         return components(self.adjacency())
 
     def point_union(self) -> frozenset[int]:
-        out: set[int] = set()
-        for n in self.nodes:
-            out |= n.points
-        return frozenset(out)
+        return frozenset().union(*(n.points.tolist() for n in self.nodes))
 
 
-def _edges_from_nodes(nodes: list[MapperNode]) -> frozenset[tuple[int, int]]:
-    """Edge iff two nodes share a point: the (point, node) memberships are
-    sorted by point and then node, so the nodes of each point form a run."""
-    sizes = [len(node.points) for node in nodes]
-    point = np.fromiter(chain.from_iterable(node.points for node in nodes),
-                        dtype=np.int64, count=sum(sizes))
-    owner = np.repeat(np.array([node.id for node in nodes], dtype=np.int64), sizes)
+def membership_table(point_sets, owners=None) -> tuple[np.ndarray, np.ndarray]:
+    """One (owner, point) row per member of each set, set by set: `owner` is
+    the set's entry in `owners`, by default its position."""
+    sizes = [len(s) for s in point_sets]
+    if owners is None:
+        owners = range(len(sizes))
+    owner = np.repeat(np.asarray(owners, dtype=np.int64), sizes)
+    point = np.concatenate([np.empty(0, dtype=np.int64), *point_sets]).astype(np.int64,
+                                                                              copy=False)
+    return owner, point
+
+
+def run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the one before.
+    numpy's `unique` hashes, which is slower than this on sorted ids."""
+    starts = np.empty(values.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
+
+
+def shared_counts(nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, shared) for each pair of node ids a < b whose point sets meet,
+    ordered by (a, b), with the number of points they share. The memberships
+    sorted by point and then owner put the nodes of each point in a run."""
+    owner, point = membership_table([n.points for n in nodes], [n.id for n in nodes])
     order = np.lexsort((owner, point))
     point, owner = point[order], owner[order]
-    width = int(owner.max(initial=0)) + 1
+    width = max((n.id for n in nodes), default=0) + 1
     keys = [np.empty(0, dtype=np.int64)]
     # Pair each membership with the one d places later in its run.
     for d in range(1, len(nodes)):
-        same = point[d:] == point[:-d]
-        if not same.any():
+        same = np.flatnonzero(point[d:] == point[:-d])
+        if not same.size:
             break
-        keys.append(owner[:-d][same] * width + owner[d:][same])
-    lo, hi = np.divmod(np.unique(np.concatenate(keys)), width)
+        keys.append(owner[same] * width + owner[same + d])
+    keys = np.sort(np.concatenate(keys))
+    starts = np.flatnonzero(run_starts(keys))
+    lo, hi = np.divmod(keys[starts], width)
+    return lo, hi, np.diff(np.append(starts, keys.size))
+
+
+def _edges_from_nodes(nodes: list[MapperNode]) -> frozenset[tuple[int, int]]:
+    """Edge iff two nodes share a point."""
+    lo, hi, _ = shared_counts(nodes)
     return frozenset(zip(lo.tolist(), hi.tolist()))
 
 
@@ -353,7 +381,7 @@ def build_mapper_graph(cloud: np.ndarray, filt: LinearFilter, params: MapperPara
     if cloud.shape[0] == 0:
         raise EmptyInputError("cannot build a Mapper graph from an empty cloud")
     if cloud.shape[0] == 1:
-        node = MapperNode(0, frozenset([0]), intervals=(0,))
+        node = MapperNode(0, [0], intervals=(0,))
         return MapperGraph(nodes=(node,), edges=frozenset())
 
     values = eval_filter(filt, cloud)
@@ -380,7 +408,7 @@ def build_mapper_graph(cloud: np.ndarray, filt: LinearFilter, params: MapperPara
     groups = np.repeat(np.arange(cover.size), [m.size for m in members])
     clusters, first = _clusters(cloud, indices, params.delta, groups)
     nodes = [
-        MapperNode(k, frozenset(cluster.tolist()), intervals=(interval,))
+        MapperNode(k, cluster, intervals=(interval,))
         for k, (cluster, interval) in enumerate(zip(clusters, groups[first].tolist()))
     ]
     return MapperGraph(nodes=tuple(nodes), edges=_edges_from_nodes(nodes))

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .mapper import MapperGraph, components
+from .mapper import MapperGraph, components, membership_table, run_starts
 
 log = logging.getLogger(__name__)
 
@@ -112,10 +111,11 @@ def classify_characteristic_nodes(
     graph: MapperGraph, boundary_indices: np.ndarray
 ) -> CharacteristicNodes:
     """Boundary nodes meet the boundary point set; singular nodes have degree > 2."""
-    boundary = frozenset(int(i) for i in np.asarray(boundary_indices).ravel())
-    boundary_nodes = frozenset(
-        n.id for n in graph.nodes if n.points & boundary
-    )
+    owner, point = membership_table([n.points for n in graph.nodes], [n.id for n in graph.nodes])
+    boundary = np.asarray(boundary_indices).ravel().astype(np.int64)
+    in_boundary = np.zeros(max(point.max(initial=-1), boundary.max(initial=-1)) + 1, dtype=bool)
+    in_boundary[boundary] = True
+    boundary_nodes = frozenset(owner[in_boundary[point]].tolist())
     degrees = graph.degrees()
     singular_nodes = frozenset(nid for nid, d in degrees.items() if d > 2)
     if singular_nodes:
@@ -134,37 +134,47 @@ def partition(graph: MapperGraph, characteristic: CharacteristicNodes) -> Partit
 
     Points shared between a removed node and a survivor stay with the
     survivor; only points exclusive to removed nodes land in the removed sets.
+    Node ids are positions in `graph.nodes`.
     """
     removed_ids = characteristic.all_nodes
-    survivors = [n for n in graph.nodes if n.id not in removed_ids]
-    surviving_points: set[int] = set()
-    for n in survivors:
-        surviving_points |= n.points
-
     adj = {nid: nbrs - removed_ids for nid, nbrs in graph.adjacency().items()
            if nid not in removed_ids}
-    segments: list[Segment] = []
-    for comp in components(adj):
-        kind = _classify_component([len(adj[nid]) for nid in comp])
-        pts: set[int] = set()
+    comps = components(adj)
+    # Each node's component, -1 for a removed node, read per membership.
+    label = [-1] * len(graph.nodes)
+    for ci, comp in enumerate(comps):
         for nid in comp:
-            pts |= graph.nodes[nid].points
-        segments.append(Segment(tuple(sorted(pts)), kind, tuple(comp)))
+            label[nid] = ci
+    member_label, point = membership_table([n.points for n in graph.nodes], label)
+    survives = member_label >= 0
+    width = int(point.max(initial=0)) + 1
 
+    # One sort by (component, point) gives every segment's points ascending.
+    keys = np.sort(member_label[survives] * width + point[survives])
+    seg_label, seg_point = np.divmod(keys[run_starts(keys)], width)
+    bounds = np.searchsorted(seg_label, np.arange(len(comps) + 1)).tolist()
+    seg_point = seg_point.tolist()
+    segments = [
+        Segment(tuple(seg_point[bounds[ci]:bounds[ci + 1]]),
+                _classify_component([len(adj[nid]) for nid in comp]), tuple(comp))
+        for ci, comp in enumerate(comps)
+    ]
     # Deterministic report order: by smallest point index, then node id.
     segments.sort(key=lambda s: (s.point_indices[0] if s.point_indices else -1, s.node_ids))
 
-    removed_boundary: set[int] = set()
-    for nid in characteristic.boundary_nodes:
-        removed_boundary |= graph.nodes[nid].points
-    removed_singular: set[int] = set()
-    for nid in characteristic.singular_nodes:
-        removed_singular |= graph.nodes[nid].points
+    surviving = np.zeros(width, dtype=bool)
+    surviving[point[survives]] = True
+
+    def removed_points(node_ids) -> frozenset[int]:
+        if not node_ids:
+            return frozenset()
+        pts = np.concatenate([graph.nodes[nid].points for nid in node_ids])
+        return frozenset(pts[~surviving[pts]].tolist())
 
     return PartitionResult(
         segments=tuple(segments),
-        removed_boundary_points=frozenset(removed_boundary - surviving_points),
-        removed_singular_points=frozenset(removed_singular - surviving_points),
+        removed_boundary_points=removed_points(characteristic.boundary_nodes),
+        removed_singular_points=removed_points(characteristic.singular_nodes),
     )
 
 
@@ -205,9 +215,7 @@ def match_across_domains(
 def _segment_of(part: PartitionResult, points: np.ndarray) -> np.ndarray:
     """Segment id of each point index, -1 for a point in no segment. The
     segments are disjoint: survivors sharing a point are adjacent."""
-    sizes = [len(seg.point_indices) for seg in part.segments]
-    members = np.fromiter(chain.from_iterable(seg.point_indices for seg in part.segments),
-                          dtype=np.int64, count=sum(sizes))
+    owner, members = membership_table([seg.point_indices for seg in part.segments])
     ids = np.full(max(members.max(initial=-1), points.max()) + 1, -1)
-    ids[members] = np.repeat(np.arange(len(sizes)), sizes)
+    ids[members] = owner
     return ids[points]

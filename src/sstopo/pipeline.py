@@ -86,7 +86,7 @@ class DomainResult:
                 "nodes": [
                     {
                         "id": n.id,
-                        "points": list(n.sorted_points()),
+                        "points": n.points.tolist(),
                         "intervals": list(n.intervals),
                         "refined": n.refined,
                     }
@@ -116,7 +116,7 @@ class DomainResult:
         nodes = tuple(
             MapperNode(
                 n["id"],
-                frozenset(n["points"]),
+                n["points"],
                 intervals=tuple(n["intervals"]),
                 refined=bool(n["refined"]),
             )
@@ -355,10 +355,15 @@ def sweep_theta(
 
     Every theta is validated before any work runs. On surfaces the subdivision,
     which does not depend on theta, runs once and is shared: each entry's
-    `seconds` is that run's total, the shared subdivision included.
+    `seconds` is that run's total, the shared subdivision included. A sweep
+    writes only `sweep.json`, so it refuses `emit_graph`, `emit_svg` and, on
+    surfaces, `dump_boxes`; on a cloud `run_mapper_only` refuses `dump_boxes`.
     """
     if (cloud is None) == (surfaces is None):
         raise ConfigurationError("sweep needs exactly one of cloud or surfaces")
+    if config.emit_graph or config.emit_svg or (surfaces is not None and config.dump_boxes):
+        raise ConfigurationError("a sweep writes only sweep.json: emit_graph, emit_svg "
+                                 "and dump_boxes must keep their defaults")
     configs = [dataclasses.replace(config, theta_ov=theta, out_dir=None)
                for theta in theta_list]
     if surfaces is not None:

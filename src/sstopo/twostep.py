@@ -34,6 +34,9 @@ from .mapper import (
     compute_l0,
     interval_count,
     make_pca_filter,
+    membership_table,
+    run_starts,
+    shared_counts,
 )
 
 
@@ -65,15 +68,21 @@ def orthogonal_filter(filt: LinearFilter) -> LinearFilter:
 def split_interval_count(
     node_points, cloud: np.ndarray, f_perp: LinearFilter, params: MapperParams
 ) -> int:
-    """Orthogonal interval count of one node's point set; 1 for degenerate sets."""
-    ids = sorted(node_points)
-    if len(ids) < 2:
+    """Orthogonal interval count of one node's point set, given as ascending
+    indices; 1 for degenerate sets."""
+    if len(node_points) < 2:
         return 1
-    sub = np.asarray(cloud, dtype=np.float64)[ids]
+    sub = np.asarray(cloud, dtype=np.float64)[node_points]
     l0 = compute_l0(sub, f_perp, params.delta, params.theta_ov, params.alpha)
     if l0 <= 0.0:
         return 1
     return interval_count(sub, f_perp, (1.0 + params.alpha) * l0, params.theta_ov)
+
+
+def _sorted_union(arrays) -> np.ndarray:
+    """Distinct members of int64 arrays, ascending."""
+    merged = np.sort(np.concatenate(arrays))
+    return merged[run_starts(merged)]
 
 
 def _cloud_filter(cloud: np.ndarray) -> LinearFilter:
@@ -115,45 +124,46 @@ def run_two_step(cloud: np.ndarray, params: MapperParams) -> TwoStepResult:
 
 
 def _refine(initial: MapperGraph, groups, cloud: np.ndarray, f_perp: LinearFilter,
-            params: MapperParams) -> MapperGraph:
-    """Replace each group of initial nodes by its orthogonal subgraph."""
+            params: MapperParams) -> list[MapperNode]:
+    """Replace each group of initial nodes by its orthogonal subgraph: the
+    nodes of the refined graph, numbered in order."""
     adj = initial.adjacency()
     by_id = initial.nodes
     flagged = {m for group in groups for m in group}
     # Unflagged nodes keep their order; each group's new nodes follow.
     out = [(n.points, n.intervals, n.refined) for n in by_id if n.id not in flagged]
     for group in groups:
-        ids_sorted = sorted(frozenset().union(*(by_id[m].points for m in group)))
+        ids_sorted = _sorted_union([by_id[m].points for m in group])
         # A flagged neighbor would be in the group, so these are all unflagged.
         neighbors = set().union(*(adj[m] for m in group)) - set(group)
         subgraph = build_mapper_graph(cloud[ids_sorted], f_perp, params)
-        local_sets = [
-            frozenset(ids_sorted[i] for i in node.points) for node in subgraph.nodes
-        ]
+        local_sets = [ids_sorted[node.points] for node in subgraph.nodes]
 
         # Nodes of the subgraph touching one same neighbor collapse together;
         # overlapping sets of touching nodes from different neighbors chain.
+        owner, point = membership_table(local_sets)
         touch: dict[int, set[int]] = {i: set() for i in range(len(local_sets))}
         for nb in neighbors:
-            touching = [i for i, s in enumerate(local_sets) if s & by_id[nb].points]
+            in_nb = np.zeros(cloud.shape[0], dtype=bool)
+            in_nb[by_id[nb].points] = True
+            hits = owner[in_nb[point]]
+            touching = hits[run_starts(hits)].tolist()
             for a, b in zip(touching, touching[1:]):
                 touch[a].add(b)
                 touch[b].add(a)
         for members in components(touch):
-            new_points = frozenset().union(*(local_sets[i] for i in members))
+            new_points = _sorted_union([local_sets[i] for i in members])
             new_intervals = {k for i in members for k in subgraph.nodes[i].intervals}
             out.append((new_points, tuple(sorted(new_intervals)), True))
 
-    nodes = tuple(
-        MapperNode(new_id, pts, intervals=intervals, refined=refined)
-        for new_id, (pts, intervals, refined) in enumerate(out)
-    )
-    return MapperGraph(nodes=nodes, edges=_edges_from_nodes(list(nodes)))
+    return [MapperNode(new_id, pts, intervals=intervals, refined=refined)
+            for new_id, (pts, intervals, refined) in enumerate(out)]
 
 
-def _collapse(graph: MapperGraph) -> MapperGraph:
-    """Drop every node whose point set lies in an adjacent node's set; of
-    equal sets the lowest id stays. The rest are renumbered in order.
+def _collapse(nodes: list[MapperNode]) -> MapperGraph:
+    """The graph of `nodes`, numbered in order, without every node whose
+    point set lies in an adjacent node's set; of equal sets the lowest id
+    stays. The rest are renumbered in order.
 
     Such a node is a dominated vertex of the nerve, so dropping it is a
     strong collapse and keeps the homotopy type (Barmak & Minian, DCG 2012).
@@ -161,17 +171,17 @@ def _collapse(graph: MapperGraph) -> MapperGraph:
     not depend on the other nodes, and two nested nonempty sets are always
     adjacent. So one pass drops exactly the nodes that are not maximal: each
     lies in a kept node, and no kept node lies in another, so a second pass
-    would drop nothing.
+    would drop nothing. Node b lies in node a exactly when they share as
+    many points as b has, so one pass over the memberships gives both the
+    edges and the dropped nodes.
     """
-    nodes = graph.nodes
-    dropped = set()
-    for a, b in graph.edges:  # a < b
-        if nodes[b].points <= nodes[a].points:
-            dropped.add(b)
-        elif nodes[a].points < nodes[b].points:
-            dropped.add(a)
+    a, b, shared = shared_counts(nodes)
+    sizes = np.array([n.points.size for n in nodes], dtype=np.int64)
+    b_in_a = shared == sizes[b]
+    a_in_b = ~b_in_a & (shared == sizes[a])
+    dropped = set(b[b_in_a].tolist()) | set(a[a_in_b].tolist())
     if not dropped:
-        return graph
+        return MapperGraph(nodes=tuple(nodes), edges=frozenset(zip(a.tolist(), b.tolist())))
     kept = [MapperNode(k, n.points, intervals=n.intervals, refined=n.refined)
             for k, n in enumerate(n for n in nodes if n.id not in dropped)]
     return MapperGraph(nodes=tuple(kept), edges=_edges_from_nodes(kept))

@@ -116,15 +116,20 @@ def distance_to_curve(p: np.ndarray, curve) -> float:
     raise TypeError(f"no distance oracle for {type(curve)!r}")
 
 
+def point_set(node) -> frozenset[int]:
+    """A Mapper node's points as a set of ints, for set-based references."""
+    return frozenset(node.points.tolist())
+
+
 def assert_edges_match_intersections(graph) -> None:
     """Exhaustive edge <=> nonempty-cluster-intersection check."""
-    by_id = {n.id: n for n in graph.nodes}
+    by_id = {n.id: point_set(n) for n in graph.nodes}
     ids = sorted(by_id)
     edges = {tuple(sorted(e)) for e in graph.edges}
     for i in range(len(ids)):
         for j in range(i + 1, len(ids)):
             a, b = ids[i], ids[j]
-            shared = bool(by_id[a].points & by_id[b].points)
+            shared = bool(by_id[a] & by_id[b])
             assert shared == ((a, b) in edges), (
                 f"edge rule violated for nodes {a}, {b}: shared={shared}"
             )

@@ -35,6 +35,7 @@ from corpus import (
     paraboloid_patch,
     performance_cloud,
     plane_patch,
+    point_set,
     saddle_patch,
     three_curves_cloud,
     wrinkle_patch,
@@ -73,10 +74,10 @@ def test_criterion_2_two_step_refinement():
     by_id = {n.id: n for n in res.initial_graph.nodes}
     flagged_points = set()
     for nid in (group[0] for group in res.groups):
-        flagged_points |= by_id[nid].points
+        flagged_points |= point_set(by_id[nid])
     assert flagged_points & middle, "flagged node must aggregate the middle curve"
 
-    carriers = [n.id for n in res.graph.nodes if n.points & flagged_points]
+    carriers = [n.id for n in res.graph.nodes if point_set(n) & flagged_points]
     assert len(carriers) >= 2, "refinement must split the aggregated node"
     assert len(res.graph.connected_components()) == 3
     assert_edges_match_intersections(res.graph)

@@ -11,7 +11,6 @@ from sstopo import (
 from sstopo import _kernels
 from sstopo.geometry import (
     _split_net,
-    evaluate_grid,
     restrict,
     surface_from_dict,
     surface_to_dict,
@@ -26,6 +25,16 @@ from corpus import (
     plane_patch,
     random_cubic_patch,
 )
+
+
+def evaluate_grid(surface: BSplineSurface, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Reference evaluator: the points at the tensor grid us x vs, one
+    `evaluate` call each, shape (len(us), len(vs), 3)."""
+    out = np.empty((len(us), len(vs), 3))
+    for i, u in enumerate(us):
+        for j, v in enumerate(vs):
+            out[i, j] = evaluate(surface, float(u), float(v))
+    return out
 
 
 class TestKnotVector:

@@ -593,7 +593,7 @@ class TestBuildMapperGraph:
         ]
         g = build_mapper_graph(pts, filt, params)
         assert [n.id for n in g.nodes] == list(range(len(expected)))
-        assert [(n.sorted_points(), n.intervals) for n in g.nodes] == expected
+        assert [(tuple(n.points.tolist()), n.intervals) for n in g.nodes] == expected
 
     def test_translation_invariance(self):
         pts, _ = noisy_circle_cloud(seed=13)
@@ -603,7 +603,7 @@ class TestBuildMapperGraph:
         g2 = build_mapper_graph(moved, make_pca_filter(moved), params)
 
         def canon(g):
-            key = {n.id: n.sorted_points() for n in g.nodes}
+            key = {n.id: tuple(n.points.tolist()) for n in g.nodes}
             nodes = sorted(key.values())
             edges = sorted(tuple(sorted((key[a], key[b]))) for a, b in g.edges)
             return nodes, edges

@@ -1,0 +1,160 @@
+"""Property tests of the array-based node-set operations against frozenset
+references written here: edges, the dominated-node collapse, characteristic
+classification and the partition, on random graphs of nested, equal and
+singleton node sets."""
+
+import numpy as np
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from sstopo.mapper import MapperGraph, MapperNode, _edges_from_nodes
+from sstopo.partition import (
+    KIND_ANOMALOUS,
+    KIND_CLOSED,
+    KIND_ISOLATED,
+    KIND_OPEN,
+    classify_characteristic_nodes,
+    partition,
+)
+from sstopo.twostep import _collapse
+
+from corpus import point_set
+
+PROPERTY = settings(max_examples=80, deadline=None, database=None)
+
+
+@st.composite
+def node_sets(draw):
+    """Nonempty point sets over a few points; later sets may be subsets or
+    copies of earlier ones, or singletons."""
+    n_points = draw(st.integers(1, 24))
+    point = st.integers(0, n_points - 1)
+    sets = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["fresh", "subset", "copy", "singleton"]))
+        if kind == "fresh" or not sets:
+            sets.append(draw(st.frozensets(point, min_size=1, max_size=8)))
+        elif kind == "subset":
+            base = sorted(draw(st.sampled_from(sets)))
+            sets.append(frozenset(draw(st.lists(st.sampled_from(base), min_size=1,
+                                                unique=True))))
+        elif kind == "copy":
+            sets.append(draw(st.sampled_from(sets)))
+        else:
+            sets.append(frozenset([draw(point)]))
+    boundary = draw(st.frozensets(point, min_size=1, max_size=n_points))
+    return sets, boundary
+
+
+def _nodes(sets):
+    return [MapperNode(i, sorted(s)) for i, s in enumerate(sets)]
+
+
+def _ref_edges(sets):
+    return frozenset((i, j) for i in range(len(sets)) for j in range(i + 1, len(sets))
+                     if sets[i] & sets[j])
+
+
+def _ref_collapse(sets):
+    """The kept sets in order: a set is dropped when an adjacent set holds it
+    strictly, or equals it and has a lower index."""
+    edges = _ref_edges(sets)
+    adjacent = {(i, j) for i, j in edges} | {(j, i) for i, j in edges}
+    kept = [s for i, s in enumerate(sets)
+            if not any((i, j) in adjacent and (s < t or (s == t and j < i))
+                       for j, t in enumerate(sets))]
+    return kept, _ref_edges(kept)
+
+
+def _ref_components(ids, edges):
+    left = set(ids)
+    comps = []
+    for start in sorted(ids):
+        if start not in left:
+            continue
+        comp, stack = {start}, [start]
+        left.discard(start)
+        while stack:
+            cur = stack.pop()
+            for a, b in edges:
+                for x, y in ((a, b), (b, a)):
+                    if x == cur and y in left:
+                        left.discard(y)
+                        comp.add(y)
+                        stack.append(y)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _ref_kind(comp, edges):
+    inside = [(a, b) for a, b in edges if a in comp and b in comp]
+    degrees = [sum(n in e for e in inside) for n in comp]
+    if len(comp) == 1:
+        return KIND_ISOLATED
+    if len(inside) == len(comp) - 1 and max(degrees) <= 2 and degrees.count(1) == 2:
+        return KIND_OPEN
+    if len(comp) >= 3 and len(inside) == len(comp) and set(degrees) == {2}:
+        return KIND_CLOSED
+    return KIND_ANOMALOUS
+
+
+def _ref_partition(sets, edges, boundary):
+    degree = [sum(i in e for e in edges) for i in range(len(sets))]
+    boundary_nodes = {i for i, s in enumerate(sets) if s & boundary}
+    singular_nodes = {i for i, d in enumerate(degree) if d > 2}
+    removed = boundary_nodes | singular_nodes
+    survivors = [i for i in range(len(sets)) if i not in removed]
+    kept_edges = {(a, b) for a, b in edges if a not in removed and b not in removed}
+    segments = []
+    for comp in _ref_components(survivors, kept_edges):
+        points = frozenset().union(*(sets[i] for i in comp))
+        segments.append((tuple(sorted(points)), _ref_kind(comp, kept_edges), tuple(comp)))
+    segments.sort(key=lambda s: (s[0][0], s[2]))
+    surviving = frozenset().union(*(sets[i] for i in survivors))
+
+    def removed_points(ids):
+        return frozenset().union(*(sets[i] for i in ids)) - surviving
+
+    return (boundary_nodes, singular_nodes, segments,
+            removed_points(boundary_nodes), removed_points(singular_nodes))
+
+
+@seed(7071)
+@PROPERTY
+@given(node_sets())
+def test_edges_match_set_reference(case):
+    sets, _ = case
+    nodes = _nodes(sets)
+    assert _edges_from_nodes(nodes) == _ref_edges(sets)
+    assert _edges_from_nodes(nodes[::-1]) == _ref_edges(sets)
+
+
+@seed(7072)
+@PROPERTY
+@given(node_sets())
+def test_collapse_matches_set_reference(case):
+    sets, _ = case
+    kept, edges = _ref_collapse(sets)
+    got = _collapse(_nodes(sets))
+    assert [n.id for n in got.nodes] == list(range(len(kept)))
+    assert [n.points.tolist() for n in got.nodes] == [sorted(s) for s in kept]
+    assert got.edges == edges
+
+
+@seed(7073)
+@PROPERTY
+@given(node_sets())
+def test_classify_and_partition_match_set_reference(case):
+    sets, drawn = case
+    graph = MapperGraph(nodes=tuple(_nodes(sets)), edges=_ref_edges(sets))
+    assert frozenset().union(*(point_set(n) for n in graph.nodes)) == frozenset().union(*sets)
+    for boundary in (frozenset(), drawn):
+        want = _ref_partition(sets, graph.edges, boundary)
+        characteristic = classify_characteristic_nodes(
+            graph, np.array(sorted(boundary), dtype=np.int64))
+        assert characteristic.boundary_nodes == want[0]
+        assert characteristic.singular_nodes == want[1]
+        got = partition(graph, characteristic)
+        assert [(s.point_indices, s.kind, s.node_ids) for s in got.segments] == want[2]
+        assert got.removed_boundary_points == want[3]
+        assert got.removed_singular_points == want[4]

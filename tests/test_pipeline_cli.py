@@ -28,6 +28,7 @@ from sstopo import (
     uniform_clamped_knots,
 )
 from sstopo.cli import main
+from sstopo.exports import SEGMENT_PALETTE, write_svg
 from sstopo.geometry import surface_to_dict
 from sstopo.partition import KIND_CLOSED, KIND_ISOLATED, KIND_OPEN
 from sstopo.synthetic import (
@@ -156,6 +157,46 @@ class TestRunPipeline:
             assert len(dom.characteristic.singular_nodes) == 1
             assert dom.partition.segment_kinds() == [KIND_OPEN] * 4
         assert len(doc.match.pairs) == 4
+
+
+def _svg_by_point_loop(points, colors, size=640):
+    """The SVG that `write_svg` wrote when it formatted one point at a time."""
+    points = np.asarray(points, dtype=np.float64)
+    lo = points.min(axis=0)
+    hi = points.max(axis=0)
+    span = np.maximum(hi - lo, 1e-9)
+    pad = 0.05 * float(span.max())
+    lo = lo - pad
+    span = span + 2 * pad
+    scale = size / float(span.max())
+    width = span[0] * scale
+    height = span[1] * scale
+    radius = max(1.5, 0.004 * size)
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.1f}" '
+        f'height="{height:.1f}" viewBox="0 0 {width:.1f} {height:.1f}">',
+        f'<rect width="{width:.1f}" height="{height:.1f}" fill="white"/>',
+    ]
+    for (x, y), color in zip(points, colors):
+        cx = (x - lo[0]) * scale
+        cy = height - (y - lo[1]) * scale
+        parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{radius:.2f}" fill="{color}"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+class TestSvg:
+    @pytest.mark.parametrize("offset", [(0.0, 0.0), (-3.7e6, 2.9e7), (-1e9, -1e9)])
+    def test_bytes_match_point_loop(self, tmp_path, offset):
+        rng = np.random.default_rng(17)
+        points = np.concatenate([
+            rng.normal(scale=[250.0, 40.0], size=(300, 2)),
+            [[-1e4, 0.0], [3e4, -2e3], [0.0, 1e-7]],
+        ]) + offset
+        colors = [SEGMENT_PALETTE[i % len(SEGMENT_PALETTE)] for i in range(len(points))]
+        path = tmp_path / "points.svg"
+        write_svg(path, points, colors)
+        assert path.read_bytes() == _svg_by_point_loop(points, colors).encode("utf-8")
 
 
 class TestRunMapperOnly:
@@ -398,6 +439,19 @@ class TestSweep:
             sweep_theta(PipelineConfig(epsilon=0.05), [0.2, 0.5],
                         surfaces=(plane_patch(), saddle_patch()))
         assert subdivision_calls == []
+
+    @pytest.mark.parametrize("flag", ["emit_graph", "emit_svg", "dump_boxes"])
+    @pytest.mark.parametrize("mode", ["cloud", "surfaces"])
+    def test_refuses_output_flags(self, tmp_path, subdivision_calls, flag, mode):
+        # A sweep writes only sweep.json; these flags would be dropped.
+        out = tmp_path / "out"
+        config = PipelineConfig(delta_override=DELTA, out_dir=str(out), **{flag: True})
+        inputs = ({"cloud": three_curves_cloud(seed=3)[0]} if mode == "cloud"
+                  else {"surfaces": (plane_patch(), saddle_patch())})
+        with pytest.raises(ConfigurationError, match=flag):
+            sweep_theta(config, [0.2, 0.3], **inputs)
+        assert subdivision_calls == []
+        assert not out.exists()
 
     def test_requires_exactly_one_input(self):
         pts, _ = three_curves_cloud(seed=3)

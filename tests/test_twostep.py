@@ -31,6 +31,7 @@ from corpus import (
     performance_cloud,
     plane_patch,
     plus_cloud,
+    point_set,
     saddle_patch,
     three_curves_cloud,
 )
@@ -93,7 +94,7 @@ class TestTwoStep:
         assert set(res.counts) == {1}
 
         def canon(g):
-            return sorted(n.sorted_points() for n in g.nodes)
+            return sorted(n.points.tolist() for n in g.nodes)
 
         assert canon(res.graph) == canon(res.initial_graph)
 
@@ -110,11 +111,11 @@ class TestTwoStep:
         flagged_points = set()
         by_id = {n.id: n for n in res.initial_graph.nodes}
         for nid in (group[0] for group in res.groups):
-            flagged_points |= by_id[nid].points
+            flagged_points |= point_set(by_id[nid])
         assert flagged_points & middle
 
         # the flagged node's points end up split over >= 2 final nodes
-        carriers = [n.id for n in res.graph.nodes if n.points & flagged_points]
+        carriers = [n.id for n in res.graph.nodes if point_set(n) & flagged_points]
         assert len(carriers) >= 2
 
         # ground truth: three generating curves, three components
@@ -211,7 +212,7 @@ def _reference_edges(nodes):
     """Edge iff two nodes share a point, via an inverted point -> nodes dict."""
     owners: dict[int, list[int]] = {}
     for node in nodes:
-        for p in node.points:
+        for p in point_set(node):
             owners.setdefault(p, []).append(node.id)
     edges: set[tuple[int, int]] = set()
     for ids in owners.values():
@@ -229,7 +230,7 @@ def _reference_refine(initial, cloud, f_perp, params):
     same neighbor. Also returns the groups, each sorted and in order of its
     least id, every node's interval count in id order, and how many subgraph
     nodes were joined away."""
-    points = {n.id: n.points for n in initial.nodes}
+    points = {n.id: point_set(n) for n in initial.nodes}
     intervals = {n.id: n.intervals for n in initial.nodes}
     refined = {n.id: n.refined for n in initial.nodes}
     edges = set(initial.edges)
@@ -264,7 +265,7 @@ def _reference_refine(initial, cloud, f_perp, params):
         ids_sorted = sorted(points[vid])
         subgraph = build_mapper_graph(cloud[ids_sorted], f_perp, params)
         local_sets = [
-            frozenset(ids_sorted[i] for i in node.points) for node in subgraph.nodes
+            frozenset(ids_sorted[i] for i in node.points.tolist()) for node in subgraph.nodes
         ]
         local_intervals = [node.intervals for node in subgraph.nodes]
         parent = list(range(len(local_sets)))
@@ -297,7 +298,7 @@ def _reference_refine(initial, cloud, f_perp, params):
         del points[vid], intervals[vid], refined[vid]
 
     nodes = tuple(
-        MapperNode(new_id, pts, intervals=intervals[old_id], refined=refined[old_id])
+        MapperNode(new_id, sorted(pts), intervals=intervals[old_id], refined=refined[old_id])
         for new_id, (old_id, pts) in enumerate(points.items())
     )
     graph = _reference_collapse(MapperGraph(nodes=nodes, edges=_reference_edges(nodes)))
@@ -311,16 +312,17 @@ def _reference_collapse(graph):
     changes."""
     while True:
         nodes = graph.nodes
+        sets = {n.id: point_set(n) for n in nodes}
         drop = {
             n.id for n in nodes
             for m in nodes
             if (n.id, m.id) in graph.edges or (m.id, n.id) in graph.edges
-            if n.points < m.points or (n.points == m.points and n.id > m.id)
+            if sets[n.id] < sets[m.id] or (sets[n.id] == sets[m.id] and n.id > m.id)
         }
         if not drop:
             return graph
         kept = tuple(
-            MapperNode(k, n.points, intervals=n.intervals, refined=n.refined)
+            MapperNode(k, sorted(sets[n.id]), intervals=n.intervals, refined=n.refined)
             for k, n in enumerate(n for n in nodes if n.id not in drop)
         )
         graph = MapperGraph(nodes=kept, edges=_reference_edges(kept))
@@ -361,8 +363,8 @@ class TestRefineReference:
         )
         assert len(res.graph.nodes) == len(expected.nodes)
         for got, want in zip(res.graph.nodes, expected.nodes):
-            assert (got.id, got.points, got.intervals, got.refined) == (
-                want.id, want.points, want.intervals, want.refined
+            assert (got.id, got.points.tolist(), got.intervals, got.refined) == (
+                want.id, sorted(point_set(want)), want.intervals, want.refined
             )
         assert res.graph.edges == expected.edges
         assert res.groups == expected_groups
@@ -407,7 +409,7 @@ class TestEdgesReference:
         # Point 7 lies in four nodes, so its run has six pairs; ids need not
         # be contiguous or in order.
         sets = [{7, 1}, {7, 2}, {3}, {7, 3, 2}, {7}, set()]
-        nodes = [MapperNode(i * 3, frozenset(p)) for i, p in enumerate(sets)]
+        nodes = [MapperNode(i * 3, sorted(p)) for i, p in enumerate(sets)]
         want = _reference_edges(nodes)
         assert _edges_from_nodes(nodes) == want
         assert _edges_from_nodes(nodes[::-1]) == want
@@ -416,7 +418,7 @@ class TestEdgesReference:
 
 
 def _graph(sets):
-    nodes = tuple(MapperNode(i, frozenset(p), intervals=(i,)) for i, p in enumerate(sets))
+    nodes = tuple(MapperNode(i, sorted(p), intervals=(i,)) for i, p in enumerate(sets))
     return MapperGraph(nodes=nodes, edges=_reference_edges(nodes))
 
 
@@ -435,16 +437,19 @@ class TestCollapse:
     ])
     def test_drops_dominated_nodes(self, sets, kept):
         graph = _graph(sets)
-        got = _collapse(graph)
+        got = _collapse(list(graph.nodes))
         want = _reference_collapse(graph)
         assert [n.intervals for n in got.nodes] == [(i,) for i in kept]
-        assert [(n.id, n.points) for n in got.nodes] == [(n.id, n.points) for n in want.nodes]
+        assert ([(n.id, n.points.tolist()) for n in got.nodes]
+                == [(n.id, sorted(point_set(n))) for n in want.nodes])
         assert got.edges == want.edges
         assert got.point_union() == graph.point_union()
 
     def test_nothing_dominated_returns_the_graph(self):
         graph = _graph([{1, 2}, {2, 3}])
-        assert _collapse(graph) is graph
+        got = _collapse(list(graph.nodes))
+        assert got.nodes == graph.nodes  # the same node objects: none rebuilt
+        assert got.edges == graph.edges
 
     @pytest.mark.parametrize("noise_seed", [100, 108])
     def test_noisy_24k_cloud_has_five_segments(self, noise_seed):
