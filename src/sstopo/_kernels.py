@@ -13,11 +13,20 @@ the far extent from above. A cell pair whose lower bound is not below delta
 is dropped. One whose upper bound is below delta is fully near: the
 supremum takes its bound as exact, and the components join it through a
 probe of the two points nearest its boxes' centres, the probe every pair
-gets first. The other pairs are tested point by point while they can still
-change the answer. Every distance test is ``dx*dx + dy*dy < delta*delta``.
-IEEE rounding is monotone, so box bounds computed the same way bound the
-computed point distances exactly, and both kernels return bit for bit what
-a loop over all pairs returns.
+gets first. Each cell's probe point is a segment minimum of the squared
+offsets over the points sorted by cell. The other pairs are tested point by
+point while they can still change the answer; the components drop the pairs
+that the probes already joined before ordering the rest. Every distance test
+is ``dx*dx + dy*dy < delta*delta``. IEEE rounding is monotone, so box bounds
+computed the same way bound the computed point distances exactly, and both
+kernels return bit for bit what a loop over all pairs returns.
+
+The grid's sorts use numpy's default sort, which need not keep ties in
+input order: no result depends on the order of the points within a cell or
+of cell pairs with equal bounds, since the component labels are renumbered
+by first input index and the supremum is a maximum. The witness order below
+is the exception, as its ties decide which pairs are tested; it stays the
+stable order, and only runs of equal keys are re-sorted by index.
 
 The component labels take an optional group id per point, and cells are
 keyed by group as well as position, so that one grid clusters every
@@ -159,7 +168,8 @@ class _Grid:
         width = int(ij[:, 1].max()) + 2 * reach + 1
         key = ij[:, 0] * width + ij[:, 1]
 
-        self.order = np.argsort(key, kind="stable")
+        # No result depends on the order of the points within a cell.
+        self.order = np.argsort(key)
         key = key[self.order]
         self.head = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
         self.count = np.diff(np.append(self.head, n))
@@ -239,6 +249,15 @@ def _slices(size):
     return [slice(x, y) for x, y in zip(bounds[:-1], bounds[1:]) if y > x]
 
 
+def run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the one before.
+    numpy's `unique` hashes, which is slower than this on sorted ids."""
+    starts = np.empty(values.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
+
+
 def _join(root, u, v):
     """Merge the sets holding u[k] and v[k] in a forest of stars, where
     root[p] is the root of p's set; returns the merged forest of stars."""
@@ -276,16 +295,24 @@ def neighbor_components(points: np.ndarray, delta: float, groups=None) -> np.nda
     # Probe each pair through the points nearest its boxes' centres; that
     # joins most neighboring cells of a dense cloud at once, and every fully
     # near pair of tight cells.
-    off = g.xy - ((g.lo + g.hi) / 2)[cell]
-    probe = np.lexsort((_sq(off), cell))[g.head]
+    # The sorted positions are grouped by cell, so a segment minimum finds
+    # each cell's probe, the first position on a tie.
+    d = _sq(g.xy - ((g.lo + g.hi) / 2)[cell])
+    hit = np.flatnonzero(d == np.minimum.reduceat(d, g.head)[cell])
+    probe = hit[run_starts(cell[hit])]
     i, j = probe[a], probe[b]
     near = g.near(i, j)
     root = _join(root, i[near], j[near])
+
+    def unjoined(k):
+        # Two tight cells with one root need no point test.
+        return k[~(g.tight[a[k]] & g.tight[b[k]]) | (root[g.head[a[k]]] != root[g.head[b[k]]])]
+
     # Test the pairs closest first, skipping cells that are already joined.
-    rest = np.argsort(g.lower, kind="stable")
+    rest = unjoined(np.arange(a.size))
+    rest = rest[np.argsort(g.lower[rest])]
     for s in _slices(g.count[a[rest]] * g.count[b[rest]]):
-        k = rest[s]
-        k = k[~(g.tight[a[k]] & g.tight[b[k]]) | (root[g.head[a[k]]] != root[g.head[b[k]]])]
+        k = unjoined(rest[s])
         for i, j in g.point_pairs(a[k], b[k]):
             near = g.near(i, j)
             root = _join(root, i[near], j[near])
@@ -296,10 +323,23 @@ def neighbor_components(points: np.ndarray, delta: float, groups=None) -> np.nda
     return rank[inverse]
 
 
+def _stable_order(key):
+    """``np.argsort(key, kind="stable")`` for a key without NaN, from the
+    default sort: only the runs of equal keys are put back in index order."""
+    order = np.argsort(key)
+    sorted_key = key[order]
+    if (sorted_key[1:] == sorted_key[:-1]).any():
+        # Each position's run is named by the run's first position; sorting
+        # the (run, index) pairs as one integer puts each run in index order.
+        run = np.searchsorted(sorted_key, sorted_key) * key.size
+        order = np.sort(run + order) - run
+    return order
+
+
 def _witness(pts, vals, delta, key) -> float:
     """Max |vals[i]-vals[j]| over the pairs closer than delta among each
     point and its next _WITNESS_REACH points in ``key`` order; 0.0 if none."""
-    order = np.argsort(key, kind="stable")
+    order = _stable_order(key)
     xy, v = pts[order], vals[order]
     d2 = delta * delta
     best = 0.0
@@ -344,7 +384,7 @@ def neighbor_sup_abs_diff(
     best = bound[g.full].max() if found else -np.inf
     # Test the rest by decreasing bound until no bound can beat the best.
     rest = np.flatnonzero(~g.full & (bound > best))
-    rest = rest[np.argsort(-bound[rest], kind="stable")]
+    rest = rest[np.argsort(-bound[rest])]
     for s in _slices(g.count[a[rest]] * g.count[b[rest]]):
         k = rest[s]
         k = k[bound[k] > best]

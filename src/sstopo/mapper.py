@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import neighbor_components, neighbor_sup_abs_diff
+from ._kernels import neighbor_components, neighbor_sup_abs_diff, run_starts
 from .errors import ConfigurationError, DegenerateCloudError, EmptyInputError
 
 log = logging.getLogger(__name__)
@@ -140,15 +140,6 @@ def membership_table(point_sets, owners=None) -> tuple[np.ndarray, np.ndarray]:
     point = np.concatenate([np.empty(0, dtype=np.int64), *point_sets]).astype(np.int64,
                                                                               copy=False)
     return owner, point
-
-
-def run_starts(values: np.ndarray) -> np.ndarray:
-    """Mask of the entries of a sorted array that differ from the one before.
-    numpy's `unique` hashes, which is slower than this on sorted ids."""
-    starts = np.empty(values.size, dtype=bool)
-    starts[:1] = True
-    np.not_equal(values[1:], values[:-1], out=starts[1:])
-    return starts
 
 
 def shared_counts(nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import run_starts
 from .errors import ConfigurationError
-from .mapper import MapperGraph, components, membership_table, run_starts
+from .mapper import MapperGraph, components, membership_table
 
 log = logging.getLogger(__name__)
 
@@ -111,11 +112,14 @@ def classify_characteristic_nodes(
     graph: MapperGraph, boundary_indices: np.ndarray
 ) -> CharacteristicNodes:
     """Boundary nodes meet the boundary point set; singular nodes have degree > 2."""
-    owner, point = membership_table([n.points for n in graph.nodes], [n.id for n in graph.nodes])
     boundary = np.asarray(boundary_indices).ravel().astype(np.int64)
-    in_boundary = np.zeros(max(point.max(initial=-1), boundary.max(initial=-1)) + 1, dtype=bool)
-    in_boundary[boundary] = True
-    boundary_nodes = frozenset(owner[in_boundary[point]].tolist())
+    boundary_nodes = frozenset()
+    if boundary.size:
+        owner, point = membership_table([n.points for n in graph.nodes],
+                                        [n.id for n in graph.nodes])
+        in_boundary = np.zeros(max(point.max(initial=-1), boundary.max()) + 1, dtype=bool)
+        in_boundary[boundary] = True
+        boundary_nodes = frozenset(owner[in_boundary[point]].tolist())
     degrees = graph.degrees()
     singular_nodes = frozenset(nid for nid, d in degrees.items() if d > 2)
     if singular_nodes:

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import run_starts
 from .errors import ConfigurationError, EmptyInputError, ParameterRangeError
 from .geometry import BSplineSurface, _split_net, restrict
 
@@ -145,7 +146,8 @@ class _PatchStore:
         groups of one axis and one net shape (which fixes the knot counts),
         one batched `_split_net` call per group.
         """
-        todo = np.unique(ids[self.child[ids] < 0])
+        todo = np.sort(ids[self.child[ids] < 0])
+        todo = todo[run_starts(todo)]
         if todo.size:
             m = todo.size
             self.child[todo] = len(self.rects) + 2 * np.arange(m)
@@ -169,7 +171,8 @@ class _PatchStore:
             # patches from several blocks.
             src = self.block[todo]
             key = 2 * np.asarray(self.block_shape)[src] + along_v
-            for k in np.unique(key).tolist():
+            keys = np.sort(key)
+            for k in keys[run_starts(keys)].tolist():
                 axis = k % 2
                 members = np.flatnonzero(key == k)
                 members = members[np.argsort(src[members], kind="stable")]
@@ -187,7 +190,9 @@ class _PatchStore:
                         block[at + side] = len(self.blocks) - 1
                         row[at + side] = np.arange(rows.size)
                         box[at + side] = _boxes(half)
-            for b, count in zip(*np.unique(src, return_counts=True)):
+            drawn = np.sort(src)
+            at = np.flatnonzero(run_starts(drawn))
+            for b, count in zip(drawn[at].tolist(), np.diff(at, append=drawn.size).tolist()):
                 self.unsplit[b] -= count
                 if not self.unsplit[b]:
                     self.blocks[b] = None

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import run_starts
 from .errors import DegenerateCloudError
 from .mapper import (
     LinearFilter,
@@ -35,7 +36,6 @@ from .mapper import (
     interval_count,
     make_pca_filter,
     membership_table,
-    run_starts,
     shared_counts,
 )
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from sstopo._kernels import neighbor_components, neighbor_sup_abs_diff
+from sstopo._kernels import _stable_order, neighbor_components, neighbor_sup_abs_diff
 
 
 def oracle(pts, vals, delta):
@@ -215,6 +215,29 @@ class TestWitness:
                                      lambda w: True) == (0.0, False)
 
 
+class TestStableOrder:
+    """The witness order is the stable sort's, which the oracle above pins,
+    however the keys tie."""
+
+    @seed(6091)
+    @PROPERTY
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 400),
+           st.sampled_from(["lattice", "integers", "duplicates", "signed_zeros", "distinct"]))
+    def test_equals_stable_argsort(self, s, n, kind):
+        rng = np.random.default_rng(s)
+        if kind == "lattice":  # a few values, each met many times
+            key = rng.integers(-4, 5, n) * 0.125
+        elif kind == "integers":
+            key = rng.integers(-3, 3, n)
+        elif kind == "duplicates":
+            key = rng.normal(size=max(1, n // 5))[rng.integers(0, max(1, n // 5), n)]
+        elif kind == "signed_zeros":  # -0.0 == 0.0, so they tie
+            key = rng.choice([-0.0, 0.0, 1.0, -1.0], n)
+        else:
+            key = rng.normal(size=n)
+        assert np.array_equal(_stable_order(key), np.argsort(key, kind="stable"))
+
+
 GROUPED = settings(max_examples=40, deadline=None, database=None)
 
 
@@ -265,6 +288,22 @@ class TestGroupedComponents:
         pts = corner[groups] + rng.uniform(0, 2 * delta, (groups.size, 2))
         perm = rng.permutation(groups.size)
         assert_groups_match_oracle(pts[perm], groups[perm], delta)
+
+    @seed(6075)
+    @GROUPED
+    @given(st.integers(0, 2**32 - 1), DELTAS, st.integers(1, 10), st.integers(1, 10),
+           st.integers(1, 4), st.integers(1, 4), st.sampled_from([1.0, 0.5, 0.25]))
+    def test_lattice_with_duplicated_points(self, s, delta, nx, ny, copies, count, spacing):
+        # Copies of one point tie for the point nearest their cell's centre,
+        # and at spacing < delta the probes join every cell.
+        rng = np.random.default_rng(s)
+        ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+        lattice = np.column_stack([ix.ravel(), iy.ravel()]) * (spacing * delta)
+        pts = np.repeat(lattice, rng.integers(1, copies + 1, len(lattice)), axis=0)
+        pts = rng.permutation(pts) + rng.integers(-3, 4, size=2) * delta
+        assert np.array_equal(neighbor_components(pts, delta),
+                              oracle(pts, np.zeros(len(pts)), delta)[0])
+        assert_groups_match_oracle(pts, rng.integers(0, count, len(pts)), delta)
 
     def test_one_group_equals_no_groups(self):
         rng = np.random.default_rng(8)
