@@ -2,7 +2,11 @@
 strict-<delta neighbor queries.
 
 The spline kernels work on whole control rows: de Boor's recursion and
-Boehm's knot insertion each blend a run of adjacent rows per step.
+Boehm's knot insertion each blend a run of adjacent rows per step. A batch
+of single clamped spans ``[a]*(p+1) + [b]*(p+1)`` with each t inside its
+span, the nets a subdivision splits almost always, skips the span search:
+there Boehm's insertion is de Casteljau's algorithm, whose blends it
+computes in the same order, so both paths give the same bits.
 
 The neighbor queries never list every close pair. As in grid DBSCAN
 (Gunawan 2013; de Berg, Gunawan & Roeloffzen 2017), they bucket the points
@@ -82,13 +86,26 @@ def deboor_point(knots_u, degree_u, knots_v, degree_v, ctrl, u, v):
     return np.array(_deboor_rows(knots_v, degree_v, sv, column, v))
 
 
+def single_span(knots, degree, t) -> bool:
+    """Whether every row g of the (G, L) nondecreasing `knots` is one clamped
+    span ``[a]*(degree+1) + [b]*(degree+1)`` with a < t[g] < b."""
+    if knots.shape[1] != 2 * degree + 2:
+        return False
+    a, b = knots[:, degree], knots[:, degree + 1]
+    return bool(((knots[:, 0] == a) & (knots[:, -1] == b) & (a < t) & (t < b)).all())
+
+
 def insert_knot(knots, ctrl, degree, t, times):
     # Boehm insertion of t[g], `times` times, along axis 1 of G nets at once:
     # knots (G, L), ctrl (G, n, w). Row g's span k is the last index with
     # knots[g, k] <= t[g], clamped to the top control row so inserting at the
     # valid end of an unclamped vector stays in bounds. Rows k-degree+1..k
     # become blends of their old row and the one before; every row and knot
-    # above them moves up by one, and t lands after knot k.
+    # above them moves up by one, and t lands after knot k. A batch of single
+    # clamped spans with each t inside takes `_insert_in_span`, the same
+    # blends without the span search and the row gathers.
+    if single_span(knots, degree, t):
+        return _insert_in_span(knots, ctrl, degree, t, times)
     g = np.arange(knots.shape[0])[:, None]
     tc = t[:, None]
     for _ in range(times):
@@ -105,6 +122,32 @@ def insert_knot(knots, ctrl, degree, t, times):
         at = np.where(i <= k, i, np.where(i == k + 1, size, i - 1))
         knots = np.concatenate([knots, tc], axis=1)[g, at]
     return knots, ctrl
+
+
+def _insert_in_span(knots, ctrl, degree, t, times):
+    # insert_knot on single spans. The general step on knots [a]*(degree+1)
+    # + [t]*r + [b]*(degree+1), the vector after r insertions, has span
+    # k = degree + r: it blends rows r+1..r+degree, its first degree - r
+    # alphas are (t - a)/(b - a) and the rest (t - t)/(b - t) = 0.0, and only
+    # the top row moves up. That is de Casteljau's algorithm, one column of
+    # the triangle per insertion. The alpha = 0 rows are blended as the
+    # general step blends them, (1.0 - 0.0)*x + 0.0*y, not copied, so the
+    # bits match with no argument about signed zeros.
+    count = ctrl.shape[0]
+    a, b = knots[:, :1], knots[:, -1:]
+    tc = t[:, None]
+    alpha = np.zeros((count, degree + times, 1))
+    alpha[:, :degree, 0] = (tc - a) / (b - a)
+    beta = 1.0 - alpha
+    out = np.concatenate([ctrl, np.empty((count, times, ctrl.shape[2]))], axis=1)
+    for r in range(times):
+        top = r + degree
+        out[:, top + 1] = out[:, top]
+        out[:, r + 1 : top + 1] = (beta[:, r:top] * out[:, r:top]
+                                   + alpha[:, r:top] * out[:, r + 1 : top + 1])
+    knots = np.concatenate([knots[:, : degree + 1], np.repeat(tc, times, axis=1),
+                            knots[:, degree + 1 :]], axis=1)
+    return knots, out
 
 
 # ---------------------------------------------------------------------------

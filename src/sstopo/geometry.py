@@ -143,10 +143,13 @@ def _split_net(knots: np.ndarray, nets: np.ndarray, degree: int, t: np.ndarray,
     """Split G control nets along net axis `axis`, net g at t[g].
 
     `knots` is (G, L) and `nets` is (G, ...) with the split direction at
-    `1 + axis`. Rows are grouped by how often t must be inserted (degree
-    minus its multiplicity), then by the span it lands in, which fixes the
-    shapes of the two sides. Returns one `(rows, (left_knots, left_nets),
-    (right_knots, right_nets))` per group, `rows` indexing the inputs.
+    `1 + axis`. Returns one `(rows, (left_knots, left_nets), (right_knots,
+    right_nets))` per group of rows whose two sides have one shape, `rows`
+    indexing the inputs. A batch of single clamped spans with each t inside
+    its span, as almost every patch of a subdivision is, is one group: t is
+    inserted `degree` times and the two sides are the first and the last
+    `degree + 1` rows. Any other batch is grouped by how often t must be
+    inserted (degree minus its multiplicity), then by the span it lands in.
     """
     t = np.asarray(t, dtype=np.float64)
     nets = np.moveaxis(nets, 1 + axis, 1)
@@ -157,24 +160,30 @@ def _split_net(knots: np.ndarray, nets: np.ndarray, degree: int, t: np.ndarray,
         rows = flat_rows.reshape(flat_rows.shape[:2] + tail)
         return knots_rows, np.moveaxis(rows, 1, 1 + axis)
 
+    def halves(rows, kn, fl, k):
+        # The sides of nets with t inserted to full multiplicity after knot k.
+        ts = t[rows, None]
+        return (rows,
+                side(np.concatenate([kn[:, : k + 1], ts], axis=1), fl[:, : k - degree + 1]),
+                side(np.concatenate([np.repeat(ts, degree + 1, axis=1), kn[:, k + 1 :]], axis=1),
+                     fl[:, k - degree :]))
+
+    if _kernels.single_span(knots, degree, t):
+        # Every t lands after knot 2 * degree, so this is one group.
+        if degree:
+            knots, flat = _kernels.insert_knot(knots, flat, degree, t, degree)
+        return [halves(np.arange(t.size), knots, flat, 2 * degree)]
     times = np.maximum(degree - np.count_nonzero(knots == t[:, None], axis=1), 0)
     out = []
     for n_times in np.unique(times).tolist():
         rows = np.flatnonzero(times == n_times)
-        tr = t[rows, None]
         kn, fl = knots[rows], flat[rows]
         if n_times:
             kn, fl = _kernels.insert_knot(kn, fl, degree, t[rows], n_times)
-        span = np.count_nonzero(kn <= tr, axis=1) - 1
+        span = np.count_nonzero(kn <= t[rows, None], axis=1) - 1
         for k in np.unique(span).tolist():
             sub = np.flatnonzero(span == k)
-            ts = tr[sub]
-            out.append((
-                rows[sub],
-                side(np.concatenate([kn[sub, : k + 1], ts], axis=1), fl[sub, : k - degree + 1]),
-                side(np.concatenate([np.repeat(ts, degree + 1, axis=1), kn[sub, k + 1 :]], axis=1),
-                     fl[sub, k - degree :]),
-            ))
+            out.append(halves(rows[sub], kn[sub], fl[sub], k))
     return out
 
 

@@ -185,8 +185,10 @@ class ResultDocument:
         )
 
     def save(self, path) -> None:
+        # One line with no indent: only `json.dumps` without an indent runs
+        # CPython's C encoder, two to three times faster on these documents.
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.to_dict(), indent=1))
+            fh.write(json.dumps(self.to_dict()))
 
     @classmethod
     def load(cls, path) -> "ResultDocument":
@@ -387,7 +389,7 @@ def sweep_theta(
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "sweep.json", "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=1)
+            fh.write(json.dumps(report))
     return report
 
 

@@ -8,7 +8,12 @@ side, happens at most once per patch, and its two halves get consecutive
 ids, which every pair that holds the parent then shares. A level's splits
 run as a few batched knot insertions, one per group of patches with the
 same split axis and net shape, and the nets they make are kept as arrays,
-one block per batch, freed once every patch in the block is split.
+one block per batch, freed once every patch in the block is split. A group
+of single clamped spans, which is almost every group once the first few
+levels have cut the patches between their knots, is split in one piece by
+de Casteljau's recurrence, and both halves' boxes come from one call. The
+boxes are stored column by column, so that the per-level box test runs
+along long rows.
 
 The active pairs of one level are two id arrays. Each level drops the pairs
 whose padded boxes do not overlap (one vectorised closed-box test), ends the
@@ -90,25 +95,39 @@ def _boxes(nets) -> np.ndarray:
     net itself carries ulp-level insertion roundoff, and tangential contacts
     (boxes touching exactly) must never be lost to it. `max(-lo, hi)` is the
     net's largest absolute coordinate, since negation is exact.
+
+    The work runs on a (point, coordinate, net) copy and the result is the
+    transpose of a (6, m) array: numpy is several times faster along a long
+    axis than along the short ones of a net. A min or max is exact, and a
+    signed zero it picks changes no box bit, so the layout is free.
     """
     flat = np.reshape(nets, (len(nets), -1, 3))
-    lo = flat.min(axis=1)
-    hi = flat.max(axis=1)
-    pad = 1e-12 * (1.0 + np.maximum(-lo, hi).max(axis=1, keepdims=True))
-    return np.hstack([lo - pad, hi + pad])
+    cols = np.ascontiguousarray(flat.transpose(1, 2, 0))
+    lo = cols.min(axis=0)
+    hi = cols.max(axis=0)
+    pad = 1e-12 * (1.0 + np.maximum(-lo, hi).max(axis=0))
+    return np.concatenate([lo - pad, hi + pad]).T
 
 
 def _overlap(box1: np.ndarray, box2: np.ndarray) -> np.ndarray:
-    """Row-wise closed-box test of two `_boxes` arrays: touching boxes overlap."""
+    """Row-wise closed-box test of two `_boxes` arrays: touching boxes overlap.
+    Arrays stored column by column, as the transpose of a `(6, m)` array,
+    are tested fastest."""
     k = box1.shape[1] // 2
-    return ((box1[:, :k] <= box2[:, k:]) & (box2[:, :k] <= box1[:, k:])).all(axis=1)
+    near = (box1[:, :k] <= box2[:, k:]) & (box2[:, :k] <= box1[:, k:])
+    # One `&` per axis: numpy's `all(axis=1)` over three columns is slower.
+    out = near[:, 0]
+    for axis in range(1, k):
+        out = out & near[:, axis]
+    return out
 
 
 class _PatchStore:
     """The patches of one surface's split tree, addressed by integer id.
 
     Patch `i` covers the rect `rects[i] = [u_min, u_max, v_min, v_max]` and
-    has parameter diagonal `diag[i]` and box `box[i]`. Until it is split it
+    has parameter diagonal `diag[i]` and box `box[:, i]`, a `(6, n)` array
+    holding the transpose of `_boxes` rows. Until it is split it
     holds clamped knots and a control net: row `row[i]` of block
     `blocks[block[i]]`, a `(knots_u, knots_v, nets)` triple of arrays for
     patches of one net shape made by one batched split. Once split, its
@@ -129,12 +148,15 @@ class _PatchStore:
         self.block_shape = [0]
         self.block = np.zeros(1, dtype=np.int64)
         self.row = np.zeros(1, dtype=np.int64)
-        self.box = _boxes(root.control_points[None])
+        self.box = _boxes(root.control_points[None]).T
 
     def _gather(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stacked `(knots_u, knots_v, nets)` of patches `ids`, given in block order."""
-        runs = np.split(ids, np.flatnonzero(np.diff(self.block[ids])) + 1)
-        parts = [[a[self.row[run]] for a in self.blocks[self.block[run[0]]]] for run in runs]
+        blocks, rows = self.block[ids], self.row[ids]
+        if blocks[0] == blocks[-1]:
+            return tuple(a[rows] for a in self.blocks[blocks[0]])
+        cuts = np.flatnonzero(run_starts(blocks)).tolist() + [ids.size]
+        parts = [[a[rows[i:j]] for a in self.blocks[blocks[i]]] for i, j in zip(cuts, cuts[1:])]
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
     def split(self, ids: np.ndarray) -> np.ndarray:
@@ -166,21 +188,27 @@ class _PatchStore:
 
             block = np.empty(2 * m, dtype=np.int64)
             row = np.empty(2 * m, dtype=np.int64)
-            box = np.empty((2 * m, 6))
-            # One group per (net shape, split axis); a group may draw its
-            # patches from several blocks.
+            box = np.empty((6, 2 * m))
+            # One group per (net shape, split axis), its members in block
+            # order; a group may draw its patches from several blocks.
             src = self.block[todo]
             key = 2 * np.asarray(self.block_shape)[src] + along_v
-            keys = np.sort(key)
-            for k in keys[run_starts(keys)].tolist():
-                axis = k % 2
-                members = np.flatnonzero(key == k)
-                members = members[np.argsort(src[members], kind="stable")]
+            order = np.argsort(key * len(self.blocks) + src, kind="stable")
+            cuts = np.flatnonzero(run_starts(key[order])).tolist() + [m]
+            for i, j in zip(cuts, cuts[1:]):
+                members = order[i:j]
+                axis = int(key[members[0]]) % 2
                 knots_u, knots_v, nets = self._gather(todo[members])
                 other = (knots_v, knots_u)[axis]
                 for rows, *sides in _split_net((knots_u, knots_v)[axis], nets,
                                                self.degrees[axis], mid[members], axis):
                     at = 2 * members[rows]
+                    (_, left), (_, right) = sides
+                    if left.shape == right.shape:
+                        boxes = _boxes(np.concatenate([left, right])).T
+                        box[:, at], box[:, at + 1] = boxes[:, : rows.size], boxes[:, rows.size :]
+                    else:
+                        box[:, at], box[:, at + 1] = _boxes(left).T, _boxes(right).T
                     for side, (knots, half) in enumerate(sides):
                         self.blocks.append((knots, other[rows], half) if axis == 0
                                            else (other[rows], knots, half))
@@ -189,7 +217,6 @@ class _PatchStore:
                         self.block_shape.append(shape)
                         block[at + side] = len(self.blocks) - 1
                         row[at + side] = np.arange(rows.size)
-                        box[at + side] = _boxes(half)
             drawn = np.sort(src)
             at = np.flatnonzero(run_starts(drawn))
             for b, count in zip(drawn[at].tolist(), np.diff(at, append=drawn.size).tolist()):
@@ -201,7 +228,7 @@ class _PatchStore:
             self.child = np.concatenate([self.child, np.full(2 * m, -1)])
             self.block = np.concatenate([self.block, block])
             self.row = np.concatenate([self.row, row])
-            self.box = np.concatenate([self.box, box])
+            self.box = np.concatenate([self.box, box], axis=1)
         return self.child[ids]
 
     def leaves(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -240,7 +267,8 @@ def intersect_surfaces(
     ended1: list[np.ndarray] = []
     ended2: list[np.ndarray] = []
     while a.size:
-        keep = _overlap(store1.box[a], store2.box[b])
+        # `take` keeps the gathered columns contiguous; `box[:, a]` need not.
+        keep = _overlap(store1.box.take(a, axis=1).T, store2.box.take(b, axis=1).T)
         a, b = a[keep], b[keep]
         d1, d2 = store1.diag[a], store2.diag[b]
         done = (d1 <= epsilon) & (d2 <= epsilon)

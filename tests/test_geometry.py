@@ -498,3 +498,108 @@ class TestKernelsMatchScalarLoops:
                     assert got_nets[r].tobytes() == expected[1].tobytes()
                     top_row_clamps += int(np.count_nonzero(knots <= t[g])) > flat.shape[0]
         assert top_row_clamps > 0
+
+
+def _loop_split(knots, net, degree, t, axis):
+    # One net split at t by the scalar loop: t inserted up to full
+    # multiplicity after knot k, the left side ending and the right side
+    # starting with degree + 1 copies of t.
+    rows = np.moveaxis(net, axis, 0)
+    flat = rows.reshape(rows.shape[0], -1)
+    times = max(degree - int(np.count_nonzero(knots == t)), 0)
+    kn, fl = _loop_insert_knot(knots, flat, degree, t, times)
+    k = int(np.count_nonzero(kn <= t)) - 1
+
+    def side(side_knots, side_flat):
+        return side_knots, np.moveaxis(side_flat.reshape((-1,) + rows.shape[1:]), 0, axis)
+
+    return (side(np.append(kn[: k + 1], t), fl[: k - degree + 1]),
+            side(np.append(np.full(degree + 1, t), kn[k + 1 :]), fl[k - degree :]))
+
+
+class TestSingleSpanSplit:
+    # A batch of single clamped spans [a]*(p+1) + [b]*(p+1) with a < t < b
+    # takes the de Casteljau branch of `insert_knot` and `_split_net`; every
+    # other batch takes the general Boehm path. Both must equal the scalar
+    # loop by bytes. A quarter of the net coordinates are 0.0 and a quarter
+    # -0.0, so signed zeros must come out as the loop makes them.
+    SPANS = np.array([[0.0, 1.0], [-0.5, 2.0], [0.25, 0.3], [-3.0, -0.0]])
+
+    @staticmethod
+    def _nets(rng, count, rows, axis):
+        nets = rng.normal(size=(count, rows, 3, 3))
+        zeros = rng.random(nets.shape)
+        nets[zeros < 0.25] = 0.0
+        nets[zeros > 0.75] = -0.0
+        return nets.transpose(0, 2, 1, 3) if axis else nets
+
+    @staticmethod
+    def _check_split(knots, nets, degree, t, axis):
+        got = _split_net(knots, nets, degree, t, axis)
+        seen = np.concatenate([rows for rows, _, _ in got])
+        assert sorted(seen.tolist()) == list(range(t.size))
+        for rows, *sides in got:
+            for r, g in enumerate(rows.tolist()):
+                expected = _loop_split(knots[g], nets[g], degree, float(t[g]), axis)
+                for (side_knots, side_nets), (want_knots, want_net) in zip(sides, expected):
+                    assert side_knots[r].tobytes() == want_knots.tobytes()
+                    assert side_nets[r].shape == want_net.shape
+                    assert side_nets[r].tobytes() == want_net.tobytes()
+        return got
+
+    @staticmethod
+    def _check_insert(knots, ctrl, degree, t, times):
+        got_knots, got_ctrl = _kernels.insert_knot(knots, ctrl, degree, t, times)
+        for g in range(t.size):
+            want_knots, want_ctrl = _loop_insert_knot(knots[g], ctrl[g], degree, float(t[g]),
+                                                      times)
+            assert got_knots[g].tobytes() == want_knots.tobytes()
+            assert got_ctrl[g].tobytes() == want_ctrl.tobytes()
+
+    def _single_spans(self, rng, degree, count):
+        ends = self.SPANS[rng.integers(0, len(self.SPANS), size=count)]
+        a, b = ends[:, 0], ends[:, 1]
+        t = a + (b - a) * rng.uniform(0.05, 0.95, size=count)
+        # One ulp inside each end, where (t - a)/(b - a) is at its extremes.
+        t[0::3] = np.nextafter(a, b)[0::3]
+        t[1::3] = np.nextafter(b, a)[1::3]
+        return np.repeat(ends, degree + 1, axis=1), t
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_single_spans_match_scalar_loop(self, degree, axis):
+        rng = np.random.default_rng(40 + 2 * degree + axis)
+        knots, t = self._single_spans(rng, degree, 36)
+        nets = self._nets(rng, t.size, degree + 1, axis)
+        assert _kernels.single_span(knots, degree, t)
+        [(rows, _, _)] = self._check_split(knots, nets, degree, t, axis)
+        assert rows.tolist() == list(range(t.size))
+        ctrl = np.moveaxis(nets, 1 + axis, 1).reshape(t.size, degree + 1, -1)
+        for times in range(1, degree + 2):
+            self._check_insert(knots, ctrl, degree, t, times)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_other_batches_match_scalar_loop(self, degree):
+        rng = np.random.default_rng(50 + degree)
+        count = 12
+        # An unclamped single-span vector: as long as a clamped one, but
+        # its valid range [-0.5, 2.0] is only its middle span.
+        periodic = np.tile(uniform_periodic_knots(degree, degree + 1, -0.5, 2.0).knots,
+                           (count, 1))
+        assert periodic.shape[1] == 2 * degree + 2
+        t = rng.uniform(-0.4, 1.9, size=count)
+        t[:2] = np.nextafter(-0.5, 1.0), np.nextafter(2.0, 0.0)
+        # Clamped single spans, some split on an end knot.
+        clamped, t_clamped = self._single_spans(rng, degree, count)
+        t_clamped[::4] = clamped[::4, 0]
+        t_clamped[1::4] = clamped[1::4, -1]
+        # A second insertion of b into a clamped span divides 0 by 0, in the
+        # loop too, so those batches take one insertion.
+        for knots, t, most in ((periodic, t, degree), (clamped, t_clamped, 1)):
+            assert not _kernels.single_span(knots, degree, t)
+            for axis in (0, 1):
+                nets = self._nets(rng, count, degree + 1, axis)
+                self._check_split(knots, nets, degree, t, axis)
+            ctrl = self._nets(rng, count, degree + 1, 0).reshape(count, degree + 1, -1)
+            for times in range(1, most + 1):
+                self._check_insert(knots, ctrl, degree, t, times)

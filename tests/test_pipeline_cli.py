@@ -122,6 +122,13 @@ class TestRunPipeline:
         loaded = ResultDocument.load(path)
         assert loaded.to_dict() == data
 
+    def test_saved_document_is_one_unindented_dump(self, crossed_doc, tmp_path):
+        # No indent, so CPython encodes the document with its C encoder.
+        path = tmp_path / "result.json"
+        crossed_doc.save(path)
+        assert path.read_bytes() == json.dumps(crossed_doc.to_dict()).encode("utf-8")
+        assert result_digest(ResultDocument.load(path)) == result_digest(crossed_doc)
+
     def test_determinism_digest(self):
         cfg = PipelineConfig(epsilon=0.03)
         d1 = run_pipeline(cfg, plane_patch(), saddle_patch())
@@ -393,6 +400,12 @@ class TestSweep:
         entry = report["entries"][0]
         assert entry["theta_ov"] == 0.2
         assert entry["nodes"] > 0 and entry["edges"] > 0 and entry["seconds"] >= 0
+
+    def test_report_file_is_one_unindented_dump(self, tmp_path):
+        pts, _ = three_curves_cloud(seed=3)
+        config = PipelineConfig(delta_override=DELTA, out_dir=str(tmp_path))
+        report = sweep_theta(config, [0.2, 0.3], cloud=pts)
+        assert (tmp_path / "sweep.json").read_bytes() == json.dumps(report).encode("utf-8")
 
     def test_out_of_range_theta_rejected(self):
         pts, _ = three_curves_cloud(seed=3)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import sstopo._kernels
 import sstopo.subdivision
 
 from sstopo import (
@@ -489,6 +490,48 @@ class TestSplitCache:
                  for i, j in sets.correspondences.tolist()]
         assert len(pairs) == len(expected["terminal"])
         assert set(pairs) == expected["terminal"]
+
+
+class TestSplitPaths:
+    # Which of `_split_net`'s two paths each group of a run takes.
+    @staticmethod
+    def _split_paths(monkeypatch, case):
+        # One record per `_split_net` call of a run: its rows, whether its
+        # knots hold more than one span, and how many rows it sent through
+        # the single-span branch of `insert_knot`.
+        calls, active = [], []
+        real_split_net = sstopo.subdivision._split_net
+        real_in_span = sstopo._kernels._insert_in_span
+
+        def record_group(knots, nets, degree, t, axis=0):
+            active.append({"rows": len(t), "multi": knots.shape[1] > 2 * degree + 2,
+                           "in_span": 0})
+            calls.append(active[-1])
+            try:
+                return real_split_net(knots, nets, degree, t, axis)
+            finally:
+                active.pop()
+
+        def record_in_span(knots, ctrl, degree, t, times):
+            if active:
+                active[-1]["in_span"] += t.size
+            return real_in_span(knots, ctrl, degree, t, times)
+
+        monkeypatch.setattr(sstopo.subdivision, "_split_net", record_group)
+        monkeypatch.setattr(sstopo._kernels, "_insert_in_span", record_in_span)
+        make1, make2, eps = CACHE_CASES[case]
+        assert not intersect_surfaces(make1(), make2(), eps).is_empty
+        return calls
+
+    def test_knotted_run_takes_both_split_paths(self, monkeypatch):
+        calls = self._split_paths(monkeypatch, "knotted-1-2")
+        assert any(not c["multi"] and c["in_span"] == c["rows"] for c in calls)
+        assert any(c["multi"] and c["in_span"] == 0 for c in calls)
+
+    def test_saddle_splits_every_patch_in_one_span(self, monkeypatch):
+        calls = self._split_paths(monkeypatch, "saddle")
+        assert calls
+        assert all(not c["multi"] and c["in_span"] == c["rows"] for c in calls)
 
 
 SIGNED_PERMUTATIONS = [
