@@ -1,12 +1,11 @@
-"""Hot numeric kernels: B-spline evaluation, knot insertion and the
-strict-<delta neighbor queries.
+"""Hot numeric kernels: B-spline knot insertion and the strict-<delta
+neighbor queries.
 
-The spline kernels work on whole control rows: de Boor's recursion and
-Boehm's knot insertion each blend a run of adjacent rows per step. A batch
-of single clamped spans ``[a]*(p+1) + [b]*(p+1)`` with each t inside its
-span, the nets a subdivision splits almost always, skips the span search:
-there Boehm's insertion is de Casteljau's algorithm, whose blends it
-computes in the same order, so both paths give the same bits.
+Knot insertion (Boehm 1980) works on whole control rows of a batch of nets:
+each step blends a run of adjacent rows with slices of the rows and knots,
+one slice per group of nets that share a span. The same kernel splits
+patches, restricts surfaces and evaluates them, since inserting a knot to
+full multiplicity is de Boor's algorithm.
 
 The neighbor queries never list every close pair. As in grid DBSCAN
 (Gunawan 2013; de Berg, Gunawan & Roeloffzen 2017), they bucket the points
@@ -55,99 +54,47 @@ def backend() -> str:
 
 
 # ---------------------------------------------------------------------------
-# B-spline span search / de Boor / knot insertion
+# B-spline knot insertion
 # ---------------------------------------------------------------------------
-
-
-def _span(knots, degree, t):
-    # Largest k in [degree, len(knots)-degree-2] with knots[k] <= t.
-    k = int(np.searchsorted(knots, t, side="right")) - 1
-    return min(max(k, degree), knots.shape[0] - degree - 2)
-
-
-def _deboor_rows(knots, degree, span, rows, t):
-    # de Boor's recursion along axis 0 of the degree+1 rows that act at t.
-    d = rows.reshape(degree + 1, -1)
-    for r in range(1, degree + 1):
-        lo = knots[span - degree + r : span + 1]
-        hi = knots[span + 1 : span + degree + 2 - r]
-        alpha = ((t - lo) / (hi - lo))[:, None]
-        d = (1.0 - alpha) * d[:-1] + alpha * d[1:]
-    return d[0].reshape(rows.shape[1:])
-
-
-def deboor_point(knots_u, degree_u, knots_v, degree_v, ctrl, u, v):
-    su = _span(knots_u, degree_u, u)
-    sv = _span(knots_v, degree_v, v)
-    net = ctrl[su - degree_u : su + 1, sv - degree_v : sv + 1, :]
-    column = _deboor_rows(knots_u, degree_u, su, net, u)
-    # A copy: with both degrees 0 no row is blended and the result is a view
-    # of the read-only control net.
-    return np.array(_deboor_rows(knots_v, degree_v, sv, column, v))
-
-
-def single_span(knots, degree, t) -> bool:
-    """Whether every row g of the (G, L) nondecreasing `knots` is one clamped
-    span ``[a]*(degree+1) + [b]*(degree+1)`` with a < t[g] < b."""
-    if knots.shape[1] != 2 * degree + 2:
-        return False
-    a, b = knots[:, degree], knots[:, degree + 1]
-    return bool(((knots[:, 0] == a) & (knots[:, -1] == b) & (a < t) & (t < b)).all())
 
 
 def insert_knot(knots, ctrl, degree, t, times):
     # Boehm insertion of t[g], `times` times, along axis 1 of G nets at once:
     # knots (G, L), ctrl (G, n, w). Row g's span k is the last index with
     # knots[g, k] <= t[g], clamped to the top control row so inserting at the
-    # valid end of an unclamped vector stays in bounds. Rows k-degree+1..k
-    # become blends of their old row and the one before; every row and knot
-    # above them moves up by one, and t lands after knot k. A batch of single
-    # clamped spans with each t inside takes `_insert_in_span`, the same
-    # blends without the span search and the row gathers.
-    if single_span(knots, degree, t):
-        return _insert_in_span(knots, ctrl, degree, t, times)
-    g = np.arange(knots.shape[0])[:, None]
+    # valid end of an unclamped vector stays in bounds. Rows that share a
+    # span are stepped together by `_insert_at`; a batch whose rows differ is
+    # split by span first.
     tc = t[:, None]
+    k = np.minimum(np.count_nonzero(knots <= tc, axis=1) - 1, ctrl.shape[1] - 1)
+    if (k == k[0]).all():
+        return _insert_at(knots, ctrl, degree, tc, int(k[0]), times)
+    out_knots = np.empty((knots.shape[0], knots.shape[1] + times))
+    out_ctrl = np.empty((ctrl.shape[0], ctrl.shape[1] + times, ctrl.shape[2]))
+    for span in np.unique(k).tolist():
+        rows = np.flatnonzero(k == span)
+        out_knots[rows], out_ctrl[rows] = _insert_at(knots[rows], ctrl[rows], degree, tc[rows],
+                                                     span, times)
+    return out_knots, out_ctrl
+
+
+def _insert_at(knots, ctrl, degree, tc, k, times):
+    # insert_knot on rows whose span is k. Each step blends rows k-degree+1..k
+    # with the row before, alpha = (t - knots[i]) / (knots[i+degree] -
+    # knots[i]) for row i, moves every row above them up by one and puts t
+    # after knot k, which makes k + 1 the next step's span. The blend is
+    # `(1.0 - alpha)*ctrl[i-1] + alpha*ctrl[i]`, as in de Boor's recursion,
+    # so inserting t to full multiplicity makes de Boor's point at t a
+    # control row.
+    lo = k - degree + 1
     for _ in range(times):
-        n, size = ctrl.shape[1], knots.shape[1]
-        k = np.minimum(np.count_nonzero(knots <= tc, axis=1) - 1, n - 1)[:, None]
-        lo_i = k - degree + 1 + np.arange(degree)
-        lo = knots[g, lo_i]
-        alpha = ((tc - lo) / (knots[g, lo_i + degree] - lo))[:, :, None]
-        blended = (1.0 - alpha) * ctrl[g, lo_i - 1] + alpha * ctrl[g, lo_i]
-        i = np.arange(n + 1)
-        rows = np.where(i <= k - degree, i, np.where(i <= k, i - (k - degree + 1) + n, i - 1))
-        ctrl = np.concatenate([ctrl, blended], axis=1)[g, rows]
-        i = np.arange(size + 1)
-        at = np.where(i <= k, i, np.where(i == k + 1, size, i - 1))
-        knots = np.concatenate([knots, tc], axis=1)[g, at]
+        left = knots[:, lo : k + 1]
+        alpha = ((tc - left) / (knots[:, k + 1 : k + degree + 1] - left))[:, :, None]
+        blended = (1.0 - alpha) * ctrl[:, lo - 1 : k] + alpha * ctrl[:, lo : k + 1]
+        ctrl = np.concatenate([ctrl[:, :lo], blended, ctrl[:, k:]], axis=1)
+        knots = np.concatenate([knots[:, : k + 1], tc, knots[:, k + 1 :]], axis=1)
+        lo, k = lo + 1, k + 1
     return knots, ctrl
-
-
-def _insert_in_span(knots, ctrl, degree, t, times):
-    # insert_knot on single spans. The general step on knots [a]*(degree+1)
-    # + [t]*r + [b]*(degree+1), the vector after r insertions, has span
-    # k = degree + r: it blends rows r+1..r+degree, its first degree - r
-    # alphas are (t - a)/(b - a) and the rest (t - t)/(b - t) = 0.0, and only
-    # the top row moves up. That is de Casteljau's algorithm, one column of
-    # the triangle per insertion. The alpha = 0 rows are blended as the
-    # general step blends them, (1.0 - 0.0)*x + 0.0*y, not copied, so the
-    # bits match with no argument about signed zeros.
-    count = ctrl.shape[0]
-    a, b = knots[:, :1], knots[:, -1:]
-    tc = t[:, None]
-    alpha = np.zeros((count, degree + times, 1))
-    alpha[:, :degree, 0] = (tc - a) / (b - a)
-    beta = 1.0 - alpha
-    out = np.concatenate([ctrl, np.empty((count, times, ctrl.shape[2]))], axis=1)
-    for r in range(times):
-        top = r + degree
-        out[:, top + 1] = out[:, top]
-        out[:, r + 1 : top + 1] = (beta[:, r:top] * out[:, r:top]
-                                   + alpha[:, r:top] * out[:, r + 1 : top + 1])
-    knots = np.concatenate([knots[:, : degree + 1], np.repeat(tc, times, axis=1),
-                            knots[:, degree + 1 :]], axis=1)
-    return knots, out
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 rectangle is a `(u_min, u_max, v_min, v_max)` sequence, as `param_range` gives.
 
 Surfaces are immutable after construction and all operations are pure, so
-callers may evaluate/split concurrently without coordination. Patch
-restriction works by knot insertion, one axis-generic split of a batch of
-nets along either parameter direction; the control net of a restricted
-patch encloses the patch by the convex-hull property, which is what makes
-the subdivision bounding boxes conservative.
+callers may evaluate/split concurrently without coordination. Evaluation,
+patch restriction and the subdivision's splits all work by knot insertion,
+through one axis-generic split of a batch of nets along either parameter
+direction; the control net of a restricted patch encloses the patch by the
+convex-hull property, which is what makes the subdivision bounding boxes
+conservative.
 """
 
 from __future__ import annotations
@@ -123,19 +124,22 @@ class BSplineSurface:
 
 
 def evaluate(surface: BSplineSurface, u: float, v: float) -> np.ndarray:
-    """Surface point at (u, v) by the de Boor recursion. Exact at clamped corners."""
+    """Surface point at (u, v), by knot insertion to full multiplicity: the
+    net is split at u, the left half's last row is the control row of the
+    v-curve at u, and splitting that at v leaves the point as its last
+    control point. De Boor's recursion gives equal values; where it blends
+    with a weight of 0 or 1 that the insertion skips, a zero may differ in
+    sign. Exact at clamped corners."""
     u0, u1, v0, v1 = surface.param_range
     if not (u0 <= u <= u1 and v0 <= v <= v1):
         raise ParameterRangeError(f"({u}, {v}) outside parameter range {surface.param_range}")
-    return _kernels.deboor_point(
-        surface.knots_u.knots,
-        surface.degree_u,
-        surface.knots_v.knots,
-        surface.degree_v,
-        surface.control_points,
-        float(u),
-        float(v),
-    )
+    [(_, (_, column), _)] = _split_net(surface.knots_u.knots[None], surface.control_points[None],
+                                       surface.degree_u, [float(u)])
+    [(_, (_, point), _)] = _split_net(surface.knots_v.knots[None], column[:, -1],
+                                      surface.degree_v, [float(v)])
+    # A copy: where no knot is inserted the point is a view of the read-only
+    # control net.
+    return np.array(point[0, -1])
 
 
 def _split_net(knots: np.ndarray, nets: np.ndarray, degree: int, t: np.ndarray,
@@ -145,11 +149,10 @@ def _split_net(knots: np.ndarray, nets: np.ndarray, degree: int, t: np.ndarray,
     `knots` is (G, L) and `nets` is (G, ...) with the split direction at
     `1 + axis`. Returns one `(rows, (left_knots, left_nets), (right_knots,
     right_nets))` per group of rows whose two sides have one shape, `rows`
-    indexing the inputs. A batch of single clamped spans with each t inside
-    its span, as almost every patch of a subdivision is, is one group: t is
-    inserted `degree` times and the two sides are the first and the last
-    `degree + 1` rows. Any other batch is grouped by how often t must be
-    inserted (degree minus its multiplicity), then by the span it lands in.
+    indexing the inputs. t is inserted `degree` minus its multiplicity
+    times, and its last index after that fixes where the sides part, so the
+    rows are grouped by that pair. A batch that is one group, as every batch
+    of a subdivision past its first levels is, goes to `insert_knot` whole.
     """
     t = np.asarray(t, dtype=np.float64)
     nets = np.moveaxis(nets, 1 + axis, 1)
@@ -168,22 +171,20 @@ def _split_net(knots: np.ndarray, nets: np.ndarray, degree: int, t: np.ndarray,
                 side(np.concatenate([np.repeat(ts, degree + 1, axis=1), kn[:, k + 1 :]], axis=1),
                      fl[:, k - degree :]))
 
-    if _kernels.single_span(knots, degree, t):
-        # Every t lands after knot 2 * degree, so this is one group.
-        if degree:
-            knots, flat = _kernels.insert_knot(knots, flat, degree, t, degree)
-        return [halves(np.arange(t.size), knots, flat, 2 * degree)]
-    times = np.maximum(degree - np.count_nonzero(knots == t[:, None], axis=1), 0)
+    tc = t[:, None]
+    times = np.maximum(degree - np.count_nonzero(knots == tc, axis=1), 0)
+    last = np.count_nonzero(knots <= tc, axis=1) - 1 + times
+    # last < L + degree + 1, so the key orders the groups by times, then last.
+    key = times * (knots.shape[1] + degree + 1) + last
+    groups = ([np.arange(t.size)] if (key == key[0]).all()
+              else [np.flatnonzero(key == g) for g in np.unique(key).tolist()])
     out = []
-    for n_times in np.unique(times).tolist():
-        rows = np.flatnonzero(times == n_times)
-        kn, fl = knots[rows], flat[rows]
+    for rows in groups:
+        n_times, k = int(times[rows[0]]), int(last[rows[0]])
+        kn, fl = (knots, flat) if rows.size == t.size else (knots[rows], flat[rows])
         if n_times:
             kn, fl = _kernels.insert_knot(kn, fl, degree, t[rows], n_times)
-        span = np.count_nonzero(kn <= t[rows, None], axis=1) - 1
-        for k in np.unique(span).tolist():
-            sub = np.flatnonzero(span == k)
-            out.append(halves(rows[sub], kn[sub], fl[sub], k))
+        out.append(halves(rows, kn, fl, k))
     return out
 
 

@@ -8,10 +8,9 @@ side, happens at most once per patch, and its two halves get consecutive
 ids, which every pair that holds the parent then shares. A level's splits
 run as a few batched knot insertions, one per group of patches with the
 same split axis and net shape, and the nets they make are kept as arrays,
-one block per batch, freed once every patch in the block is split. A group
-of single clamped spans, which is almost every group once the first few
-levels have cut the patches between their knots, is split in one piece by
-de Casteljau's recurrence, and both halves' boxes come from one call. The
+one block per batch, freed once every patch in the block is split. Once the
+first few levels have cut the patches between their knots, each group is
+one knot insertion call, and both halves' boxes come from one call. The
 boxes are stored column by column, so that the per-level box test runs
 along long rows.
 
@@ -330,5 +329,6 @@ def dump_box_pairs(path, sets: IntersectionPointSets) -> None:
         {"rect1": sets.cells1[i].tolist(), "rect2": sets.cells2[j].tolist()}
         for i, j in sets.correspondences.tolist()
     ]
+    # json.dumps runs CPython's C encoder; json.dump to a file does not.
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(records, fh)
+        fh.write(json.dumps(records))

@@ -242,6 +242,7 @@ def test_box_dump(tmp_path, plane_cross):
     dump_box_pairs(path, sets)
     with open(path) as fh:
         records = json.load(fh)
+    assert path.read_bytes() == json.dumps(records).encode()
     assert len(records) == sets.correspondences.shape[0] > 0
     assert records == [{"rect1": sets.cells1[i].tolist(), "rect2": sets.cells2[j].tolist()}
                        for i, j in sets.correspondences.tolist()]
@@ -492,46 +493,47 @@ class TestSplitCache:
         assert set(pairs) == expected["terminal"]
 
 
-class TestSplitPaths:
-    # Which of `_split_net`'s two paths each group of a run takes.
+class TestSplitGroups:
+    # How `_split_net` hands the patches of a run to `insert_knot`.
     @staticmethod
-    def _split_paths(monkeypatch, case):
-        # One record per `_split_net` call of a run: its rows, whether its
-        # knots hold more than one span, and how many rows it sent through
-        # the single-span branch of `insert_knot`.
+    def _insert_calls(monkeypatch, case):
+        # One record per `_split_net` call of a run: its row count and the
+        # row count of each `insert_knot` call it makes.
         calls, active = [], []
         real_split_net = sstopo.subdivision._split_net
-        real_in_span = sstopo._kernels._insert_in_span
+        real_insert = sstopo._kernels.insert_knot
 
-        def record_group(knots, nets, degree, t, axis=0):
-            active.append({"rows": len(t), "multi": knots.shape[1] > 2 * degree + 2,
-                           "in_span": 0})
+        def record_split(knots, nets, degree, t, axis=0):
+            active.append((len(t), []))
             calls.append(active[-1])
             try:
                 return real_split_net(knots, nets, degree, t, axis)
             finally:
                 active.pop()
 
-        def record_in_span(knots, ctrl, degree, t, times):
+        def record_insert(knots, ctrl, degree, t, times):
             if active:
-                active[-1]["in_span"] += t.size
-            return real_in_span(knots, ctrl, degree, t, times)
+                active[-1][1].append(t.size)
+            return real_insert(knots, ctrl, degree, t, times)
 
-        monkeypatch.setattr(sstopo.subdivision, "_split_net", record_group)
-        monkeypatch.setattr(sstopo._kernels, "_insert_in_span", record_in_span)
+        monkeypatch.setattr(sstopo.subdivision, "_split_net", record_split)
+        monkeypatch.setattr(sstopo._kernels, "insert_knot", record_insert)
         make1, make2, eps = CACHE_CASES[case]
         assert not intersect_surfaces(make1(), make2(), eps).is_empty
         return calls
 
-    def test_knotted_run_takes_both_split_paths(self, monkeypatch):
-        calls = self._split_paths(monkeypatch, "knotted-1-2")
-        assert any(not c["multi"] and c["in_span"] == c["rows"] for c in calls)
-        assert any(c["multi"] and c["in_span"] == 0 for c in calls)
-
-    def test_saddle_splits_every_patch_in_one_span(self, monkeypatch):
-        calls = self._split_paths(monkeypatch, "saddle")
+    def test_saddle_inserts_each_split_in_one_call(self, monkeypatch):
+        calls = self._insert_calls(monkeypatch, "saddle")
         assert calls
-        assert all(not c["multi"] and c["in_span"] == c["rows"] for c in calls)
+        assert all(inserts == [rows] for rows, inserts in calls)
+
+    def test_knotted_run_groups_some_splits(self, monkeypatch):
+        # Patches that still hold an interior knot are grouped by where t
+        # lands, one insertion per group.
+        calls = self._insert_calls(monkeypatch, "knotted-1-2")
+        assert any(inserts == [rows] for rows, inserts in calls)
+        assert any(len(inserts) > 1 for _, inserts in calls)
+        assert all(sum(inserts) <= rows for rows, inserts in calls)
 
 
 SIGNED_PERMUTATIONS = [
