@@ -27,7 +27,6 @@ from .mapper import (
     build_cover,
     build_mapper_graph,
     centroid,
-    cluster_preimage,
     compute_l0,
     default_delta,
     eval_filter,

@@ -1,9 +1,9 @@
 """Hot numeric kernels: B-spline knot insertion and the strict-<delta
 neighbor queries.
 
-Knot insertion (Boehm 1980) works on whole control rows of a batch of nets:
-each step blends a run of adjacent rows with slices of the rows and knots,
-one slice per group of nets that share a span. The same kernel splits
+Knot insertion (Boehm 1980) works on whole control rows of a batch of nets
+that share one span, which the caller passes: each step blends a run of
+adjacent rows with slices of the rows and knots. The same kernel splits
 patches, restricts surfaces and evaluates them, since inserting a knot to
 full multiplicity is de Boor's algorithm.
 
@@ -58,34 +58,20 @@ def backend() -> str:
 # ---------------------------------------------------------------------------
 
 
-def insert_knot(knots, ctrl, degree, t, times):
+def insert_knot(knots, ctrl, degree, t, k, times):
     # Boehm insertion of t[g], `times` times, along axis 1 of G nets at once:
-    # knots (G, L), ctrl (G, n, w). Row g's span k is the last index with
-    # knots[g, k] <= t[g], clamped to the top control row so inserting at the
-    # valid end of an unclamped vector stays in bounds. Rows that share a
-    # span are stepped together by `_insert_at`; a batch whose rows differ is
-    # split by span first.
+    # knots (G, L), ctrl (G, n, w), every row in span k. A row's span is the
+    # last index with knots[g, k] <= t[g], clamped to the top control row so
+    # inserting at the valid end of an unclamped vector stays in bounds; the
+    # caller groups rows by it. t's multiplicity in each row must be at most
+    # degree - times, so that no blend divides by a zero-length knot span.
+    # Each step blends rows k-degree+1..k with the row before, alpha = (t -
+    # knots[i]) / (knots[i+degree] - knots[i]) for row i, moves every row
+    # above them up by one and puts t after knot k, which makes k + 1 the
+    # next step's span. The blend is `(1.0 - alpha)*ctrl[i-1] +
+    # alpha*ctrl[i]`, as in de Boor's recursion, so inserting t to full
+    # multiplicity makes de Boor's point at t a control row.
     tc = t[:, None]
-    k = np.minimum(np.count_nonzero(knots <= tc, axis=1) - 1, ctrl.shape[1] - 1)
-    if (k == k[0]).all():
-        return _insert_at(knots, ctrl, degree, tc, int(k[0]), times)
-    out_knots = np.empty((knots.shape[0], knots.shape[1] + times))
-    out_ctrl = np.empty((ctrl.shape[0], ctrl.shape[1] + times, ctrl.shape[2]))
-    for span in np.unique(k).tolist():
-        rows = np.flatnonzero(k == span)
-        out_knots[rows], out_ctrl[rows] = _insert_at(knots[rows], ctrl[rows], degree, tc[rows],
-                                                     span, times)
-    return out_knots, out_ctrl
-
-
-def _insert_at(knots, ctrl, degree, tc, k, times):
-    # insert_knot on rows whose span is k. Each step blends rows k-degree+1..k
-    # with the row before, alpha = (t - knots[i]) / (knots[i+degree] -
-    # knots[i]) for row i, moves every row above them up by one and puts t
-    # after knot k, which makes k + 1 the next step's span. The blend is
-    # `(1.0 - alpha)*ctrl[i-1] + alpha*ctrl[i]`, as in de Boor's recursion,
-    # so inserting t to full multiplicity makes de Boor's point at t a
-    # control row.
     lo = k - degree + 1
     for _ in range(times):
         left = knots[:, lo : k + 1]

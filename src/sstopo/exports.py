@@ -28,12 +28,12 @@ SEGMENT_PALETTE = (
 def write_gml(path, graph: MapperGraph) -> None:
     """Undirected GML description; node `points` lists the member indices."""
     lines = ["graph [", "  directed 0"]
-    for node in graph.nodes:
+    for i, node in enumerate(graph.nodes):
         pts = " ".join(map(str, node.points.tolist()))
         lines += [
             "  node [",
-            f"    id {node.id}",
-            f'    label "{node.id}"',
+            f"    id {i}",
+            f'    label "{i}"',
             f'    points "{pts}"',
             "  ]",
         ]

@@ -151,8 +151,10 @@ def _split_net(knots: np.ndarray, nets: np.ndarray, degree: int, t: np.ndarray,
     right_nets))` per group of rows whose two sides have one shape, `rows`
     indexing the inputs. t is inserted `degree` minus its multiplicity
     times, and its last index after that fixes where the sides part, so the
-    rows are grouped by that pair. A batch that is one group, as every batch
-    of a subdivision past its first levels is, goes to `insert_knot` whole.
+    rows are grouped by that pair. The rows of a group share one span, that
+    last index less the insertions, which `insert_knot` is given. A batch
+    that is one group, as every batch of a subdivision past its first
+    levels is, goes to `insert_knot` whole.
     """
     t = np.asarray(t, dtype=np.float64)
     nets = np.moveaxis(nets, 1 + axis, 1)
@@ -183,7 +185,8 @@ def _split_net(knots: np.ndarray, nets: np.ndarray, degree: int, t: np.ndarray,
         n_times, k = int(times[rows[0]]), int(last[rows[0]])
         kn, fl = (knots, flat) if rows.size == t.size else (knots[rows], flat[rows])
         if n_times:
-            kn, fl = _kernels.insert_knot(kn, fl, degree, t[rows], n_times)
+            span = min(k - n_times, flat.shape[1] - 1)
+            kn, fl = _kernels.insert_knot(kn, fl, degree, t[rows], span, n_times)
         out.append(halves(rows, kn, fl, k))
     return out
 

@@ -83,11 +83,11 @@ class MapperParams:
 @dataclass(frozen=True, eq=False)
 class MapperNode:
     """One cluster: its point indices plus the interval(s) it came from.
+    A node is named by its position in its graph's `nodes`.
 
     `points` is held as a read-only int64 array; the caller passes the
     indices strictly increasing."""
 
-    id: int
     points: np.ndarray
     intervals: tuple[int, ...] = ()
     refined: bool = False
@@ -100,7 +100,8 @@ class MapperNode:
 
 @dataclass(frozen=True)
 class MapperGraph:
-    """Undirected unweighted graph over clusters; edge iff point sets intersect."""
+    """Undirected unweighted graph over clusters; edge iff point sets intersect.
+    Each edge is a pair a < b of positions in `nodes`."""
 
     nodes: tuple[MapperNode, ...]
     edges: frozenset[tuple[int, int]]
@@ -114,7 +115,7 @@ class MapperGraph:
         return len(self.edges)
 
     def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {n.id: set() for n in self.nodes}
+        adj: dict[int, set[int]] = {i: set() for i in range(len(self.nodes))}
         for a, b in self.edges:
             adj[a].add(b)
             adj[b].add(a)
@@ -125,9 +126,6 @@ class MapperGraph:
 
     def connected_components(self) -> list[list[int]]:
         return components(self.adjacency())
-
-    def point_union(self) -> frozenset[int]:
-        return frozenset().union(*(n.points.tolist() for n in self.nodes))
 
 
 def membership_table(point_sets, owners=None) -> tuple[np.ndarray, np.ndarray]:
@@ -143,13 +141,14 @@ def membership_table(point_sets, owners=None) -> tuple[np.ndarray, np.ndarray]:
 
 
 def shared_counts(nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, shared) for each pair of node ids a < b whose point sets meet,
-    ordered by (a, b), with the number of points they share. The memberships
-    sorted by point and then owner put the nodes of each point in a run."""
-    owner, point = membership_table([n.points for n in nodes], [n.id for n in nodes])
+    """(a, b, shared) for each pair of node positions a < b whose point sets
+    meet, ordered by (a, b), with the number of points they share. The
+    memberships sorted by point and then owner put the nodes of each point in
+    a run."""
+    owner, point = membership_table([n.points for n in nodes])
     order = np.lexsort((owner, point))
     point, owner = point[order], owner[order]
-    width = max((n.id for n in nodes), default=0) + 1
+    width = len(nodes)
     keys = [np.empty(0, dtype=np.int64)]
     # Pair each membership with the one d places later in its run.
     for d in range(1, len(nodes)):
@@ -340,17 +339,6 @@ def build_cover(f_min: float, f_max: float, count: int, theta_ov: float) -> Cove
     return Cover(intervals=intervals, length=float(length), overlap_ratio=float(theta_ov))
 
 
-def cluster_preimage(indices: np.ndarray, cloud: np.ndarray, delta: float) -> list[np.ndarray]:
-    """Partition the given point indices into connected components of the
-    strict-<delta neighborhood graph, each sorted. Clusters are ordered by
-    their first member's position in `indices`. This is the one-group case
-    of the clustering that `build_mapper_graph` runs on a whole cover."""
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size == 0:
-        return []
-    return _clusters(cloud, indices, delta)[0]
-
-
 def _clusters(cloud, indices: np.ndarray, delta: float, groups=None):
     """Components of the strict-<delta graph on cloud[indices], joining only
     points of one group: the sorted indices of each, in order of their first
@@ -372,7 +360,7 @@ def build_mapper_graph(cloud: np.ndarray, filt: LinearFilter, params: MapperPara
     if cloud.shape[0] == 0:
         raise EmptyInputError("cannot build a Mapper graph from an empty cloud")
     if cloud.shape[0] == 1:
-        node = MapperNode(0, [0], intervals=(0,))
+        node = MapperNode([0], intervals=(0,))
         return MapperGraph(nodes=(node,), edges=frozenset())
 
     values = eval_filter(filt, cloud)
@@ -398,8 +386,6 @@ def build_mapper_graph(cloud: np.ndarray, filt: LinearFilter, params: MapperPara
     indices = np.concatenate(members)
     groups = np.repeat(np.arange(cover.size), [m.size for m in members])
     clusters, first = _clusters(cloud, indices, params.delta, groups)
-    nodes = [
-        MapperNode(k, cluster, intervals=(interval,))
-        for k, (cluster, interval) in enumerate(zip(clusters, groups[first].tolist()))
-    ]
+    nodes = [MapperNode(cluster, intervals=(interval,))
+             for cluster, interval in zip(clusters, groups[first].tolist())]
     return MapperGraph(nodes=tuple(nodes), edges=_edges_from_nodes(nodes))

@@ -115,8 +115,7 @@ def classify_characteristic_nodes(
     boundary = np.asarray(boundary_indices).ravel().astype(np.int64)
     boundary_nodes = frozenset()
     if boundary.size:
-        owner, point = membership_table([n.points for n in graph.nodes],
-                                        [n.id for n in graph.nodes])
+        owner, point = membership_table([n.points for n in graph.nodes])
         in_boundary = np.zeros(max(point.max(initial=-1), boundary.max()) + 1, dtype=bool)
         in_boundary[boundary] = True
         boundary_nodes = frozenset(owner[in_boundary[point]].tolist())
@@ -138,7 +137,7 @@ def partition(graph: MapperGraph, characteristic: CharacteristicNodes) -> Partit
 
     Points shared between a removed node and a survivor stay with the
     survivor; only points exclusive to removed nodes land in the removed sets.
-    Node ids are positions in `graph.nodes`.
+    A node is named by its position in `graph.nodes`.
     """
     removed_ids = characteristic.all_nodes
     adj = {nid: nbrs - removed_ids for nid, nbrs in graph.adjacency().items()

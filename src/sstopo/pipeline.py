@@ -85,12 +85,12 @@ class DomainResult:
             "graph": {
                 "nodes": [
                     {
-                        "id": n.id,
+                        "id": i,
                         "points": n.points.tolist(),
                         "intervals": list(n.intervals),
                         "refined": n.refined,
                     }
-                    for n in self.graph.nodes
+                    for i, n in enumerate(self.graph.nodes)
                 ],
                 "edges": [list(e) for e in sorted(self.graph.edges)],
             },
@@ -114,12 +114,7 @@ class DomainResult:
     @classmethod
     def from_dict(cls, data: dict) -> "DomainResult":
         nodes = tuple(
-            MapperNode(
-                n["id"],
-                n["points"],
-                intervals=tuple(n["intervals"]),
-                refined=bool(n["refined"]),
-            )
+            MapperNode(n["points"], intervals=tuple(n["intervals"]), refined=bool(n["refined"]))
             for n in data["graph"]["nodes"]
         )
         edges = frozenset((int(a), int(b)) for a, b in data["graph"]["edges"])

@@ -28,7 +28,6 @@ from .mapper import (
     MapperGraph,
     MapperNode,
     MapperParams,
-    _edges_from_nodes,
     build_mapper_graph,
     centroid,
     components,
@@ -46,7 +45,7 @@ class TwoStepResult:
 
     `counts[i]` is the orthogonal interval count of initial node i. `groups`
     are the connected groups of the nodes counted two or more, each sorted,
-    in order of their least id; each group was rebuilt as one subgraph.
+    in order of their least position; each group was rebuilt as one subgraph.
     `graph` holds no node whose point set lies in another node's.
     """
 
@@ -107,9 +106,9 @@ def run_two_step(cloud: np.ndarray, params: MapperParams) -> TwoStepResult:
         split_interval_count(n.points, cloud, f_perp, params) for n in initial.nodes
     )
     adj = initial.adjacency()
-    flagged = {n.id: adj[n.id] for n, s in zip(initial.nodes, counts) if s >= 2}
+    flagged = {i: adj[i] for i, s in enumerate(counts) if s >= 2}
     groups = tuple(tuple(g) for g in components(flagged))
-    final = _collapse(_refine(initial, groups, cloud, f_perp, params))
+    final = _collapse(_refine(initial.nodes, adj, groups, cloud, f_perp, params))
     t2 = time.perf_counter()
 
     return TwoStepResult(
@@ -123,17 +122,15 @@ def run_two_step(cloud: np.ndarray, params: MapperParams) -> TwoStepResult:
     )
 
 
-def _refine(initial: MapperGraph, groups, cloud: np.ndarray, f_perp: LinearFilter,
+def _refine(nodes, adj, groups, cloud: np.ndarray, f_perp: LinearFilter,
             params: MapperParams) -> list[MapperNode]:
     """Replace each group of initial nodes by its orthogonal subgraph: the
-    nodes of the refined graph, numbered in order."""
-    adj = initial.adjacency()
-    by_id = initial.nodes
+    unflagged node objects in their order, then each group's new nodes.
+    `adj` is the initial graph's adjacency."""
     flagged = {m for group in groups for m in group}
-    # Unflagged nodes keep their order; each group's new nodes follow.
-    out = [(n.points, n.intervals, n.refined) for n in by_id if n.id not in flagged]
+    out = [n for i, n in enumerate(nodes) if i not in flagged]
     for group in groups:
-        ids_sorted = _sorted_union([by_id[m].points for m in group])
+        ids_sorted = _sorted_union([nodes[m].points for m in group])
         # A flagged neighbor would be in the group, so these are all unflagged.
         neighbors = set().union(*(adj[m] for m in group)) - set(group)
         subgraph = build_mapper_graph(cloud[ids_sorted], f_perp, params)
@@ -145,7 +142,7 @@ def _refine(initial: MapperGraph, groups, cloud: np.ndarray, f_perp: LinearFilte
         touch: dict[int, set[int]] = {i: set() for i in range(len(local_sets))}
         for nb in neighbors:
             in_nb = np.zeros(cloud.shape[0], dtype=bool)
-            in_nb[by_id[nb].points] = True
+            in_nb[nodes[nb].points] = True
             hits = owner[in_nb[point]]
             touching = hits[run_starts(hits)].tolist()
             for a, b in zip(touching, touching[1:]):
@@ -154,34 +151,34 @@ def _refine(initial: MapperGraph, groups, cloud: np.ndarray, f_perp: LinearFilte
         for members in components(touch):
             new_points = _sorted_union([local_sets[i] for i in members])
             new_intervals = {k for i in members for k in subgraph.nodes[i].intervals}
-            out.append((new_points, tuple(sorted(new_intervals)), True))
-
-    return [MapperNode(new_id, pts, intervals=intervals, refined=refined)
-            for new_id, (pts, intervals, refined) in enumerate(out)]
+            out.append(MapperNode(new_points, tuple(sorted(new_intervals)), refined=True))
+    return out
 
 
 def _collapse(nodes: list[MapperNode]) -> MapperGraph:
-    """The graph of `nodes`, numbered in order, without every node whose
-    point set lies in an adjacent node's set; of equal sets the lowest id
-    stays. The rest are renumbered in order.
+    """The graph of `nodes` without every node whose point set lies in an
+    adjacent node's set; of equal sets the earliest stays. The kept node
+    objects are returned as they are, in order.
 
     Such a node is a dominated vertex of the nerve, so dropping it is a
     strong collapse and keeps the homotopy type (Barmak & Minian, DCG 2012).
-    Containment, with equal sets ordered by id, is a partial order that does
-    not depend on the other nodes, and two nested nonempty sets are always
-    adjacent. So one pass drops exactly the nodes that are not maximal: each
-    lies in a kept node, and no kept node lies in another, so a second pass
-    would drop nothing. Node b lies in node a exactly when they share as
-    many points as b has, so one pass over the memberships gives both the
-    edges and the dropped nodes.
+    Containment, with equal sets ordered by position, is a partial order
+    that does not depend on the other nodes, and two nested nonempty sets
+    are always adjacent. So one pass drops exactly the nodes that are not
+    maximal: each lies in a kept node, and no kept node lies in another, so
+    a second pass would drop nothing. Node b lies in node a exactly when
+    they share as many points as b has, so one pass over the memberships
+    gives the edges and the dropped nodes; the kept edges are those with
+    both ends kept, renumbered to the kept nodes' new positions.
     """
     a, b, shared = shared_counts(nodes)
     sizes = np.array([n.points.size for n in nodes], dtype=np.int64)
     b_in_a = shared == sizes[b]
     a_in_b = ~b_in_a & (shared == sizes[a])
-    dropped = set(b[b_in_a].tolist()) | set(a[a_in_b].tolist())
-    if not dropped:
-        return MapperGraph(nodes=tuple(nodes), edges=frozenset(zip(a.tolist(), b.tolist())))
-    kept = [MapperNode(k, n.points, intervals=n.intervals, refined=n.refined)
-            for k, n in enumerate(n for n in nodes if n.id not in dropped)]
-    return MapperGraph(nodes=tuple(kept), edges=_edges_from_nodes(kept))
+    kept = np.ones(len(nodes), dtype=bool)
+    kept[b[b_in_a]] = False
+    kept[a[a_in_b]] = False
+    both = kept[a] & kept[b]
+    position = np.cumsum(kept) - 1
+    edges = frozenset(zip(position[a[both]].tolist(), position[b[both]].tolist()))
+    return MapperGraph(nodes=tuple(n for n, k in zip(nodes, kept.tolist()) if k), edges=edges)

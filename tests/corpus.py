@@ -57,7 +57,9 @@ def oracle_surface_point(surface: BSplineSurface, u: float, v: float) -> np.ndar
 
 
 def brute_force_clusters(indices, cloud: np.ndarray, delta: float) -> list[np.ndarray]:
-    """All-pairs union-find clustering, canonicalized like cluster_preimage.
+    """All-pairs union-find clustering, canonicalized like the one-group case
+    of `mapper._clusters`: each cluster sorted, the clusters in order of their
+    first member's position in `indices`.
 
     Distances come from an explicit hypot matrix (not the squared comparison
     the library uses), so the arithmetic path differs too.
@@ -123,13 +125,11 @@ def point_set(node) -> frozenset[int]:
 
 def assert_edges_match_intersections(graph) -> None:
     """Exhaustive edge <=> nonempty-cluster-intersection check."""
-    by_id = {n.id: point_set(n) for n in graph.nodes}
-    ids = sorted(by_id)
+    sets = [point_set(n) for n in graph.nodes]
     edges = {tuple(sorted(e)) for e in graph.edges}
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            a, b = ids[i], ids[j]
-            shared = bool(by_id[a] & by_id[b])
+    for a in range(len(sets)):
+        for b in range(a + 1, len(sets)):
+            shared = bool(sets[a] & sets[b])
             assert shared == ((a, b) in edges), (
                 f"edge rule violated for nodes {a}, {b}: shared={shared}"
             )

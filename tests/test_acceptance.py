@@ -13,7 +13,6 @@ from sstopo import (
     MapperParams,
     PipelineConfig,
     build_cover,
-    cluster_preimage,
     interval_count,
     result_digest,
     run_mapper_only,
@@ -21,7 +20,7 @@ from sstopo import (
     run_two_step,
     sweep_theta,
 )
-from sstopo.mapper import LinearFilter
+from sstopo.mapper import LinearFilter, _clusters
 from sstopo.partition import KIND_CLOSED, KIND_ISOLATED, KIND_OPEN
 from sstopo.synthetic import recommended_delta
 
@@ -71,13 +70,12 @@ def test_criterion_2_two_step_refinement():
     assert len(res.counts) == res.initial_graph.node_count
     assert all(res.counts[nid] >= 2 for group in res.groups for nid in group)
     middle = set(np.nonzero(labels == 2)[0].tolist())
-    by_id = {n.id: n for n in res.initial_graph.nodes}
     flagged_points = set()
     for nid in (group[0] for group in res.groups):
-        flagged_points |= point_set(by_id[nid])
+        flagged_points |= point_set(res.initial_graph.nodes[nid])
     assert flagged_points & middle, "flagged node must aggregate the middle curve"
 
-    carriers = [n.id for n in res.graph.nodes if point_set(n) & flagged_points]
+    carriers = [i for i, n in enumerate(res.graph.nodes) if point_set(n) & flagged_points]
     assert len(carriers) >= 2, "refinement must split the aggregated node"
     assert len(res.graph.connected_components()) == 3
     assert_edges_match_intersections(res.graph)
@@ -158,12 +156,12 @@ def test_criterion_6_clustering_oracle():
         cloud = rng.uniform(0, 1, (n, 2)) * rng.uniform(0.5, 3.0)
         delta = float(rng.uniform(0.02, 0.3))
         subset = np.sort(rng.choice(n, size=max(2, int(n * 0.9)), replace=False))
-        got = cluster_preimage(subset, cloud, delta)
+        got = _clusters(cloud, subset, delta)[0]
         expected = brute_force_clusters(subset, cloud, delta)
         assert len(got) == len(expected), f"trial {trial}"
         for a, b in zip(got, expected):
             assert np.array_equal(a, b), f"trial {trial}"
-    ok(6, "cluster_preimage equals brute-force union-find on 50 randomized clouds")
+    ok(6, "one-group clustering equals brute-force union-find on 50 randomized clouds")
 
 
 def test_criterion_7_cover_arithmetic():

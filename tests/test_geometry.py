@@ -426,10 +426,16 @@ def _loop_deboor(knots_u, degree_u, knots_v, degree_v, ctrl, u, v):
     return row[degree_v].copy()
 
 
+def _insert_span(knots, ctrl, t):
+    # The span the scalar loop inserts t after: the last knot <= t, clamped
+    # to the top control row.
+    return min(int(np.searchsorted(knots, t, side="right")) - 1, ctrl.shape[0] - 1)
+
+
 def _loop_insert_knot(knots, ctrl, degree, t, times):
     # Scalar Boehm insertion; the reference for the row-wise kernel.
     for _ in range(times):
-        k = min(int(np.searchsorted(knots, t, side="right")) - 1, ctrl.shape[0] - 1)
+        k = _insert_span(knots, ctrl, t)
         n, w = ctrl.shape
         out = np.empty((n + 1, w))
         for i in range(n + 1):
@@ -506,10 +512,11 @@ class TestKernelsMatchScalarLoops:
         assert zeros > 0
 
     def test_insert_knot_bit_identical(self):
-        # One batch per surface: rows with different t and so different
-        # spans, t on an existing knot, and t at both ends of the valid
-        # range, where an unclamped periodic vector clamps the span to the
-        # top control row. Each row must equal the scalar loop on its own.
+        # Rows with different t and so different spans, t on an existing
+        # knot, and t at both ends of the valid range, where an unclamped
+        # periodic vector clamps the span to the top control row. The rows
+        # go to the kernel one span at a time, the span as the scalar loop
+        # finds it; each row must equal the scalar loop on its own.
         rng = np.random.default_rng(12)
         top_row_clamps = 0
         for s in self._surfaces(rng):
@@ -520,18 +527,20 @@ class TestKernelsMatchScalarLoops:
             flat = s.control_points.reshape(s.control_points.shape[0], -1)
             nets = flat + rng.normal(scale=0.1, size=(t.size,) + flat.shape)
             room = s.degree_u - np.count_nonzero(knots == t[:, None], axis=1)
+            spans = np.array([_insert_span(knots, flat, float(x)) for x in t])
             for times in range(1, s.degree_u + 1):
-                rows = np.flatnonzero(room >= times)
-                if not rows.size:
-                    continue
-                got_knots, got_nets = _kernels.insert_knot(
-                    np.tile(knots, (rows.size, 1)), nets[rows], s.degree_u, t[rows], times)
-                for r, g in enumerate(rows.tolist()):
-                    expected = _loop_insert_knot(knots, nets[g], s.degree_u, float(t[g]), times)
-                    assert got_knots[r].tobytes() == expected[0].tobytes()
-                    assert got_nets[r].shape == expected[1].shape
-                    assert got_nets[r].tobytes() == expected[1].tobytes()
-                    top_row_clamps += int(np.count_nonzero(knots <= t[g])) > flat.shape[0]
+                for k in np.unique(spans[room >= times]).tolist():
+                    rows = np.flatnonzero((room >= times) & (spans == k))
+                    got_knots, got_nets = _kernels.insert_knot(
+                        np.tile(knots, (rows.size, 1)), nets[rows], s.degree_u, t[rows], k,
+                        times)
+                    for r, g in enumerate(rows.tolist()):
+                        expected = _loop_insert_knot(knots, nets[g], s.degree_u, float(t[g]),
+                                                     times)
+                        assert got_knots[r].tobytes() == expected[0].tobytes()
+                        assert got_nets[r].shape == expected[1].shape
+                        assert got_nets[r].tobytes() == expected[1].tobytes()
+                        top_row_clamps += int(np.count_nonzero(knots <= t[g])) > flat.shape[0]
         assert top_row_clamps > 0
 
 
@@ -585,12 +594,17 @@ class TestSingleSpanSplit:
 
     @staticmethod
     def _check_insert(knots, ctrl, degree, t, times):
-        got_knots, got_ctrl = _kernels.insert_knot(knots, ctrl, degree, t, times)
-        for g in range(t.size):
-            want_knots, want_ctrl = _loop_insert_knot(knots[g], ctrl[g], degree, float(t[g]),
-                                                      times)
-            assert got_knots[g].tobytes() == want_knots.tobytes()
-            assert got_ctrl[g].tobytes() == want_ctrl.tobytes()
+        # One kernel call per span, the span as the scalar loop finds it.
+        spans = np.array([_insert_span(knots[g], ctrl[g], float(t[g])) for g in range(t.size)])
+        for k in np.unique(spans).tolist():
+            rows = np.flatnonzero(spans == k)
+            got_knots, got_ctrl = _kernels.insert_knot(knots[rows], ctrl[rows], degree, t[rows],
+                                                       k, times)
+            for r, g in enumerate(rows.tolist()):
+                want_knots, want_ctrl = _loop_insert_knot(knots[g], ctrl[g], degree,
+                                                          float(t[g]), times)
+                assert got_knots[r].tobytes() == want_knots.tobytes()
+                assert got_ctrl[r].tobytes() == want_ctrl.tobytes()
 
     def _single_spans(self, rng, degree, count):
         ends = self.SPANS[rng.integers(0, len(self.SPANS), size=count)]

@@ -12,14 +12,13 @@ from sstopo import (
     build_cover,
     build_mapper_graph,
     centroid,
-    cluster_preimage,
     compute_l0,
     default_delta,
     eval_filter,
     interval_count,
     principal_direction,
 )
-from sstopo.mapper import _sup_cap, make_pca_filter
+from sstopo.mapper import _clusters, _sup_cap, make_pca_filter
 from sstopo.synthetic import recommended_delta
 
 from corpus import (
@@ -29,6 +28,7 @@ from corpus import (
     brute_force_clusters,
     closed_form_leading_eigenvector,
     noisy_circle_cloud,
+    point_set,
     three_curves_cloud,
 )
 
@@ -440,23 +440,21 @@ class TestBuildCover:
 
 
 class TestClusterPreimage:
+    # `_clusters` with one group: the clustering of one interval's preimage.
     def test_gap_splits_clusters(self):
         cloud = np.array([[0.0, 0], [0.1, 0], [0.2, 0], [5.0, 0], [5.1, 0]])
-        clusters = cluster_preimage(np.arange(5), cloud, 0.5)
+        clusters = _clusters(cloud, np.arange(5), 0.5)[0]
         assert [c.tolist() for c in clusters] == [[0, 1, 2], [3, 4]]
 
     def test_large_delta_single_cluster(self):
         cloud = np.array([[0.0, 0], [0.1, 0], [0.2, 0], [5.0, 0], [5.1, 0]])
-        clusters = cluster_preimage(np.arange(5), cloud, 10.0)
+        clusters = _clusters(cloud, np.arange(5), 10.0)[0]
         assert [c.tolist() for c in clusters] == [[0, 1, 2, 3, 4]]
 
     def test_strict_inequality_at_delta(self):
         cloud = np.array([[0.0, 0.0], [0.5, 0.0]])
-        assert len(cluster_preimage(np.arange(2), cloud, 0.5)) == 2
-        assert len(cluster_preimage(np.arange(2), cloud, 0.5 + 1e-9)) == 1
-
-    def test_empty_preimage(self):
-        assert cluster_preimage(np.array([], dtype=int), np.zeros((3, 2)), 0.5) == []
+        assert len(_clusters(cloud, np.arange(2), 0.5)[0]) == 2
+        assert len(_clusters(cloud, np.arange(2), 0.5 + 1e-9)[0]) == 1
 
     @pytest.mark.parametrize("n", [60, 200, 300, 500])
     def test_matches_brute_force_union_find(self, n):
@@ -465,7 +463,7 @@ class TestClusterPreimage:
         cloud = rng.uniform(0, 1, (n, 2))
         delta = float(rng.uniform(0.02, 0.2))
         subset = np.sort(rng.choice(n, size=max(2, int(0.8 * n)), replace=False))
-        got = cluster_preimage(subset, cloud, delta)
+        got = _clusters(cloud, subset, delta)[0]
         expected = brute_force_clusters(subset, cloud, delta)
         assert len(got) == len(expected)
         for a, b in zip(got, expected):
@@ -475,7 +473,7 @@ class TestClusterPreimage:
         rng = np.random.default_rng(21)
         cloud = rng.uniform(0, 1, (300, 2))
         subset = rng.permutation(300)[:250]
-        got = cluster_preimage(subset, cloud, 0.06)
+        got = _clusters(cloud, subset, 0.06)[0]
         expected = brute_force_clusters(subset, cloud, 0.06)
         assert len(got) == len(expected) > 1
         for a, b in zip(got, expected):
@@ -540,7 +538,7 @@ class TestBuildMapperGraph:
         cloud = rng.uniform(0, 1, (300, 2))
         params = MapperParams(delta=0.15)
         g = build_mapper_graph(cloud, make_pca_filter(cloud), params)
-        assert g.point_union() == frozenset(range(300))
+        assert frozenset().union(*(point_set(n) for n in g.nodes)) == frozenset(range(300))
 
     def test_single_point_cloud(self):
         g = build_mapper_graph(
@@ -592,7 +590,6 @@ class TestBuildMapperGraph:
             for cluster in brute_force_clusters(members, pts, params.delta)
         ]
         g = build_mapper_graph(pts, filt, params)
-        assert [n.id for n in g.nodes] == list(range(len(expected)))
         assert [(tuple(n.points.tolist()), n.intervals) for n in g.nodes] == expected
 
     def test_translation_invariance(self):
@@ -603,8 +600,8 @@ class TestBuildMapperGraph:
         g2 = build_mapper_graph(moved, make_pca_filter(moved), params)
 
         def canon(g):
-            key = {n.id: tuple(n.points.tolist()) for n in g.nodes}
-            nodes = sorted(key.values())
+            key = [tuple(n.points.tolist()) for n in g.nodes]
+            nodes = sorted(key)
             edges = sorted(tuple(sorted((key[a], key[b]))) for a, b in g.edges)
             return nodes, edges
 

@@ -47,7 +47,7 @@ def node_sets(draw):
 
 
 def _nodes(sets):
-    return [MapperNode(i, sorted(s)) for i, s in enumerate(sets)]
+    return [MapperNode(sorted(s)) for s in sets]
 
 
 def _ref_edges(sets):
@@ -55,14 +55,19 @@ def _ref_edges(sets):
                      if sets[i] & sets[j])
 
 
-def _ref_collapse(sets):
-    """The kept sets in order: a set is dropped when an adjacent set holds it
-    strictly, or equals it and has a lower index."""
+def _ref_kept(sets):
+    """The positions of the kept sets, ascending: a set is dropped when an
+    adjacent set holds it strictly, or equals it and has a lower index."""
     edges = _ref_edges(sets)
     adjacent = {(i, j) for i, j in edges} | {(j, i) for i, j in edges}
-    kept = [s for i, s in enumerate(sets)
+    return [i for i, s in enumerate(sets)
             if not any((i, j) in adjacent and (s < t or (s == t and j < i))
                        for j, t in enumerate(sets))]
+
+
+def _ref_collapse(sets):
+    """The kept sets in order and their edges."""
+    kept = [sets[i] for i in _ref_kept(sets)]
     return kept, _ref_edges(kept)
 
 
@@ -126,7 +131,7 @@ def test_edges_match_set_reference(case):
     sets, _ = case
     nodes = _nodes(sets)
     assert _edges_from_nodes(nodes) == _ref_edges(sets)
-    assert _edges_from_nodes(nodes[::-1]) == _ref_edges(sets)
+    assert _edges_from_nodes(nodes[::-1]) == _ref_edges(sets[::-1])
 
 
 @seed(7072)
@@ -136,9 +141,20 @@ def test_collapse_matches_set_reference(case):
     sets, _ = case
     kept, edges = _ref_collapse(sets)
     got = _collapse(_nodes(sets))
-    assert [n.id for n in got.nodes] == list(range(len(kept)))
     assert [n.points.tolist() for n in got.nodes] == [sorted(s) for s in kept]
     assert got.edges == edges
+
+
+@seed(7074)
+@PROPERTY
+@given(node_sets())
+def test_collapse_keeps_the_input_node_objects(case):
+    sets, _ = case
+    nodes = _nodes(sets)
+    kept = _ref_kept(sets)
+    got = _collapse(nodes)
+    assert len(got.nodes) == len(kept)
+    assert all(g is nodes[i] for g, i in zip(got.nodes, kept))
 
 
 @seed(7073)

@@ -16,9 +16,7 @@ from sstopo.partition import KIND_ANOMALOUS, KIND_CLOSED, KIND_ISOLATED, KIND_OP
 
 
 def graph_of(point_sets, edges):
-    nodes = tuple(
-        MapperNode(i, sorted(pts)) for i, pts in enumerate(point_sets)
-    )
+    nodes = tuple(MapperNode(sorted(pts)) for pts in point_sets)
     return MapperGraph(nodes=nodes, edges=frozenset(tuple(sorted(e)) for e in edges))
 
 

@@ -498,7 +498,9 @@ class TestSplitGroups:
     @staticmethod
     def _insert_calls(monkeypatch, case):
         # One record per `_split_net` call of a run: its row count and the
-        # row count of each `insert_knot` call it makes.
+        # row count of each `insert_knot` call it makes. Every row a call
+        # gets must lie in the span it is given: the last knot <= t,
+        # clamped to the top control row.
         calls, active = [], []
         real_split_net = sstopo.subdivision._split_net
         real_insert = sstopo._kernels.insert_knot
@@ -511,10 +513,13 @@ class TestSplitGroups:
             finally:
                 active.pop()
 
-        def record_insert(knots, ctrl, degree, t, times):
+        def record_insert(knots, ctrl, degree, t, k, times):
+            spans = np.minimum(np.count_nonzero(knots <= t[:, None], axis=1) - 1,
+                               ctrl.shape[1] - 1)
+            assert (spans == k).all()
             if active:
                 active[-1][1].append(t.size)
-            return real_insert(knots, ctrl, degree, t, times)
+            return real_insert(knots, ctrl, degree, t, k, times)
 
         monkeypatch.setattr(sstopo.subdivision, "_split_net", record_split)
         monkeypatch.setattr(sstopo._kernels, "insert_knot", record_insert)

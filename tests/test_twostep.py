@@ -109,13 +109,12 @@ class TestTwoStep:
 
         middle = set(np.nonzero(labels == 2)[0].tolist())
         flagged_points = set()
-        by_id = {n.id: n for n in res.initial_graph.nodes}
         for nid in (group[0] for group in res.groups):
-            flagged_points |= point_set(by_id[nid])
+            flagged_points |= point_set(res.initial_graph.nodes[nid])
         assert flagged_points & middle
 
         # the flagged node's points end up split over >= 2 final nodes
-        carriers = [n.id for n in res.graph.nodes if point_set(n) & flagged_points]
+        carriers = [i for i, n in enumerate(res.graph.nodes) if point_set(n) & flagged_points]
         assert len(carriers) >= 2
 
         # ground truth: three generating curves, three components
@@ -136,8 +135,8 @@ class TestTwoStep:
         pts, _ = three_curves_cloud(seed=5)
         params = MapperParams(delta=DELTA)
         res = run_two_step(pts, params)
-        assert res.graph.point_union() == frozenset(range(len(pts)))
-        assert res.graph.point_union() == res.initial_graph.point_union()
+        assert _point_union(res.graph) == frozenset(range(len(pts)))
+        assert _point_union(res.graph) == _point_union(res.initial_graph)
 
     def test_plus_cloud_single_degree_four_node(self):
         pts, _ = plus_cloud()
@@ -171,7 +170,7 @@ class TestTwoStep:
         assert g1.node_count == 1 and g1.edge_count == 0
         g2 = run_two_step(np.tile([[0.2, 0.3]], (4, 1)), params).graph
         assert g2.node_count == 1
-        assert g2.point_union() == frozenset(range(4))
+        assert _point_union(g2) == frozenset(range(4))
 
     def test_timings_nonnegative(self):
         pts, _ = plus_cloud()
@@ -180,11 +179,16 @@ class TestTwoStep:
         assert res.seconds_refine >= 0.0
 
 
+def _point_union(graph):
+    return frozenset().union(*(point_set(n) for n in graph.nodes))
+
+
 def _reference_groups(graph, cloud, f_perp, params):
     """Flagged nodes merged by a depth-first search over the flagged subgraph,
     plus every node's orthogonal interval count."""
     counts = {
-        n.id: split_interval_count(n.points, cloud, f_perp, params) for n in graph.nodes
+        i: split_interval_count(n.points, cloud, f_perp, params)
+        for i, n in enumerate(graph.nodes)
     }
     flagged = sorted(nid for nid, s in counts.items() if s >= 2)
     flagged_set = set(flagged)
@@ -211,9 +215,9 @@ def _reference_groups(graph, cloud, f_perp, params):
 def _reference_edges(nodes):
     """Edge iff two nodes share a point, via an inverted point -> nodes dict."""
     owners: dict[int, list[int]] = {}
-    for node in nodes:
+    for i, node in enumerate(nodes):
         for p in point_set(node):
-            owners.setdefault(p, []).append(node.id)
+            owners.setdefault(p, []).append(i)
     edges: set[tuple[int, int]] = set()
     for ids in owners.values():
         ids = sorted(ids)
@@ -228,11 +232,11 @@ def _reference_refine(initial, cloud, f_perp, params):
     flagged nodes becomes one node with rewired edges, then every merged node
     is split, its subgraph nodes joined by union-find when they touch one
     same neighbor. Also returns the groups, each sorted and in order of its
-    least id, every node's interval count in id order, and how many subgraph
-    nodes were joined away."""
-    points = {n.id: point_set(n) for n in initial.nodes}
-    intervals = {n.id: n.intervals for n in initial.nodes}
-    refined = {n.id: n.refined for n in initial.nodes}
+    least position, every node's interval count in order, and how many
+    subgraph nodes were joined away."""
+    points = {i: point_set(n) for i, n in enumerate(initial.nodes)}
+    intervals = {i: n.intervals for i, n in enumerate(initial.nodes)}
+    refined = {i: n.refined for i, n in enumerate(initial.nodes)}
     edges = set(initial.edges)
 
     groups, counts = _reference_groups(initial, cloud, f_perp, params)
@@ -298,32 +302,30 @@ def _reference_refine(initial, cloud, f_perp, params):
         del points[vid], intervals[vid], refined[vid]
 
     nodes = tuple(
-        MapperNode(new_id, sorted(pts), intervals=intervals[old_id], refined=refined[old_id])
-        for new_id, (old_id, pts) in enumerate(points.items())
+        MapperNode(sorted(pts), intervals=intervals[old_id], refined=refined[old_id])
+        for old_id, pts in points.items()
     )
     graph = _reference_collapse(MapperGraph(nodes=nodes, edges=_reference_edges(nodes)))
     sorted_groups = tuple(sorted(tuple(sorted(g)) for g in groups))
-    return graph, sorted_groups, tuple(counts[n.id] for n in initial.nodes), joined
+    return graph, sorted_groups, tuple(counts[i] for i in range(len(initial.nodes))), joined
 
 
 def _reference_collapse(graph):
     """Drop the nodes whose points lie in an adjacent node's (of equal sets
-    the higher id), renumber, rebuild the edges, and repeat until nothing
-    changes."""
+    the later one), rebuild the edges, and repeat until nothing changes."""
     while True:
-        nodes = graph.nodes
-        sets = {n.id: point_set(n) for n in nodes}
+        sets = [point_set(n) for n in graph.nodes]
         drop = {
-            n.id for n in nodes
-            for m in nodes
-            if (n.id, m.id) in graph.edges or (m.id, n.id) in graph.edges
-            if sets[n.id] < sets[m.id] or (sets[n.id] == sets[m.id] and n.id > m.id)
+            i for i in range(len(sets))
+            for j in range(len(sets))
+            if (i, j) in graph.edges or (j, i) in graph.edges
+            if sets[i] < sets[j] or (sets[i] == sets[j] and i > j)
         }
         if not drop:
             return graph
         kept = tuple(
-            MapperNode(k, sorted(sets[n.id]), intervals=n.intervals, refined=n.refined)
-            for k, n in enumerate(n for n in nodes if n.id not in drop)
+            MapperNode(sorted(sets[i]), intervals=n.intervals, refined=n.refined)
+            for i, n in enumerate(graph.nodes) if i not in drop
         )
         graph = MapperGraph(nodes=kept, edges=_reference_edges(kept))
 
@@ -363,8 +365,8 @@ class TestRefineReference:
         )
         assert len(res.graph.nodes) == len(expected.nodes)
         for got, want in zip(res.graph.nodes, expected.nodes):
-            assert (got.id, got.points.tolist(), got.intervals, got.refined) == (
-                want.id, sorted(point_set(want)), want.intervals, want.refined
+            assert (got.points.tolist(), got.intervals, got.refined) == (
+                sorted(point_set(want)), want.intervals, want.refined
             )
         assert res.graph.edges == expected.edges
         assert res.groups == expected_groups
@@ -406,19 +408,18 @@ class TestEdgesReference:
             assert _edges_from_nodes(list(graph.nodes)) == _reference_edges(graph.nodes)
 
     def test_point_in_many_nodes(self):
-        # Point 7 lies in four nodes, so its run has six pairs; ids need not
-        # be contiguous or in order.
+        # Point 7 lies in four nodes, so its run has six pairs.
         sets = [{7, 1}, {7, 2}, {3}, {7, 3, 2}, {7}, set()]
-        nodes = [MapperNode(i * 3, sorted(p)) for i, p in enumerate(sets)]
+        nodes = [MapperNode(sorted(p)) for p in sets]
         want = _reference_edges(nodes)
         assert _edges_from_nodes(nodes) == want
-        assert _edges_from_nodes(nodes[::-1]) == want
+        assert _edges_from_nodes(nodes[::-1]) == _reference_edges(nodes[::-1])
         assert len(want) == 7
         assert _edges_from_nodes([]) == frozenset()
 
 
 def _graph(sets):
-    nodes = tuple(MapperNode(i, sorted(p), intervals=(i,)) for i, p in enumerate(sets))
+    nodes = tuple(MapperNode(sorted(p), intervals=(i,)) for i, p in enumerate(sets))
     return MapperGraph(nodes=nodes, edges=_reference_edges(nodes))
 
 
@@ -426,7 +427,7 @@ class TestCollapse:
     @pytest.mark.parametrize("sets, kept", [
         # a chain a < b < c beside an unrelated node
         ([{1}, {1, 2}, {1, 2, 3}, {9}], [2, 3]),
-        # equal sets: the lowest id stays
+        # equal sets: the earliest stays
         ([{4, 5}, {1, 2}, {1, 2}, {2, 3}, {1, 2}], [0, 1, 3]),
         # a path, where no node lies in another
         ([{1, 2}, {2, 3}, {3, 4}], [0, 1, 2]),
@@ -440,10 +441,10 @@ class TestCollapse:
         got = _collapse(list(graph.nodes))
         want = _reference_collapse(graph)
         assert [n.intervals for n in got.nodes] == [(i,) for i in kept]
-        assert ([(n.id, n.points.tolist()) for n in got.nodes]
-                == [(n.id, sorted(point_set(n))) for n in want.nodes])
+        assert ([n.points.tolist() for n in got.nodes]
+                == [sorted(point_set(n)) for n in want.nodes])
         assert got.edges == want.edges
-        assert got.point_union() == graph.point_union()
+        assert _point_union(got) == _point_union(graph)
 
     def test_nothing_dominated_returns_the_graph(self):
         graph = _graph([{1, 2}, {2, 3}])
