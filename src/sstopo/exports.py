@@ -37,7 +37,7 @@ def write_gml(path, graph: MapperGraph) -> None:
             f'    points "{pts}"',
             "  ]",
         ]
-    for a, b in sorted(graph.edges):
+    for a, b in graph.edges.tolist():
         lines += ["  edge [", f"    source {a}", f"    target {b}", "  ]"]
     lines.append("]")
     with open(path, "w", encoding="utf-8") as fh:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import neighbor_components, neighbor_sup_abs_diff, run_starts
+from ._kernels import _join, neighbor_components, neighbor_sup_abs_diff, run_starts
 from .errors import ConfigurationError, DegenerateCloudError, EmptyInputError
 
 log = logging.getLogger(__name__)
@@ -98,13 +98,20 @@ class MapperNode:
         object.__setattr__(self, "points", points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MapperGraph:
     """Undirected unweighted graph over clusters; edge iff point sets intersect.
-    Each edge is a pair a < b of positions in `nodes`."""
+    A node is named by its position in `nodes`. `edges` is held as a
+    read-only (m, 2) int64 array of position pairs a < b; the caller passes
+    the rows strictly increasing by (a, b)."""
 
     nodes: tuple[MapperNode, ...]
-    edges: frozenset[tuple[int, int]]
+    edges: np.ndarray
+
+    def __post_init__(self):
+        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
 
     @property
     def node_count(self) -> int:
@@ -114,18 +121,11 @@ class MapperGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {i: set() for i in range(len(self.nodes))}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
+    def degrees(self) -> np.ndarray:
+        return np.bincount(self.edges.ravel(), minlength=len(self.nodes))
 
-    def degrees(self) -> dict[int, int]:
-        return {nid: len(nb) for nid, nb in self.adjacency().items()}
-
-    def connected_components(self) -> list[list[int]]:
-        return components(self.adjacency())
+    def connected_components(self) -> list[np.ndarray]:
+        return components(len(self.nodes), self.edges)
 
 
 def membership_table(point_sets, owners=None) -> tuple[np.ndarray, np.ndarray]:
@@ -162,33 +162,27 @@ def shared_counts(nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lo, hi, np.diff(np.append(starts, keys.size))
 
 
-def _edges_from_nodes(nodes: list[MapperNode]) -> frozenset[tuple[int, int]]:
-    """Edge iff two nodes share a point."""
+def _edges_from_nodes(nodes: list[MapperNode]) -> np.ndarray:
+    """Edge iff two nodes share a point: the (m, 2) pairs ordered by (a, b)."""
     lo, hi, _ = shared_counts(nodes)
-    return frozenset(zip(lo.tolist(), hi.tolist()))
+    return np.column_stack((lo, hi))
 
 
-def components(adj: dict[int, set[int]]) -> list[list[int]]:
-    """Connected components of an adjacency map, skipping neighbours that are
-    not keys. Each component is sorted; components come in the order of their
-    first key."""
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for start in adj:
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            cur = stack.pop()
-            comp.append(cur)
-            for nxt in adj[cur]:
-                if nxt in adj and nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        comps.append(sorted(comp))
-    return comps
+def components(n: int, edges: np.ndarray, keep=None) -> list[np.ndarray]:
+    """Connected components of the graph on nodes 0..n-1 with the (m, 2)
+    edge rows `edges`, among the nodes where the mask `keep` holds (all by
+    default). Each comes ascending, in order of least node: `_join` roots a
+    set at its least node, so a stable sort by root gives that order."""
+    u, v = edges.T
+    nodes = np.arange(n)
+    if keep is not None:
+        both = keep[u] & keep[v]
+        u, v, nodes = u[both], v[both], nodes[keep]
+    root = _join(np.arange(n), u, v)[nodes]
+    order = np.argsort(root, kind="stable")
+    starts = np.flatnonzero(run_starts(root[order]))
+    # np.split of an empty array gives one empty piece; no nodes, no component.
+    return np.split(nodes[order], starts[1:]) if nodes.size else []
 
 
 def centroid(cloud: np.ndarray) -> np.ndarray:
@@ -361,7 +355,7 @@ def build_mapper_graph(cloud: np.ndarray, filt: LinearFilter, params: MapperPara
         raise EmptyInputError("cannot build a Mapper graph from an empty cloud")
     if cloud.shape[0] == 1:
         node = MapperNode([0], intervals=(0,))
-        return MapperGraph(nodes=(node,), edges=frozenset())
+        return MapperGraph(nodes=(node,), edges=np.empty((0, 2), dtype=np.int64))
 
     values = eval_filter(filt, cloud)
     l0 = compute_l0(cloud, filt, params.delta, params.theta_ov, params.alpha)

@@ -5,7 +5,9 @@ singular nodes have graph degree above two. Removing both leaves only paths,
 cycles, and isolated nodes, which classify the point subsets as open curve
 segments, closed curve segments, and isolated intersection points. Each
 connected component of the surviving subgraph is classified from its node
-degrees alone, its edge count being half its degree sum.
+degrees alone, its edge count being half its degree sum. A single surviving
+node is an isolated point only if it has no neighbor in the whole graph;
+one whose neighbors were all removed is an arc cut short, so open.
 """
 
 from __future__ import annotations
@@ -119,8 +121,7 @@ def classify_characteristic_nodes(
         in_boundary = np.zeros(max(point.max(initial=-1), boundary.max()) + 1, dtype=bool)
         in_boundary[boundary] = True
         boundary_nodes = frozenset(owner[in_boundary[point]].tolist())
-    degrees = graph.degrees()
-    singular_nodes = frozenset(nid for nid, d in degrees.items() if d > 2)
+    singular_nodes = frozenset(np.flatnonzero(graph.degrees() > 2).tolist())
     if singular_nodes:
         # Near curve crossings the sampled set has no positive reach, so the
         # clustering-radius admissibility condition cannot be verified there.
@@ -139,15 +140,17 @@ def partition(graph: MapperGraph, characteristic: CharacteristicNodes) -> Partit
     survivor; only points exclusive to removed nodes land in the removed sets.
     A node is named by its position in `graph.nodes`.
     """
-    removed_ids = characteristic.all_nodes
-    adj = {nid: nbrs - removed_ids for nid, nbrs in graph.adjacency().items()
-           if nid not in removed_ids}
-    comps = components(adj)
+    n_nodes = len(graph.nodes)
+    keep = np.ones(n_nodes, dtype=bool)
+    keep[list(characteristic.all_nodes)] = False
+    comps = components(n_nodes, graph.edges, keep)
+    kept_edges = graph.edges[keep[graph.edges].all(axis=1)]
+    degree = np.bincount(kept_edges.ravel(), minlength=n_nodes)
+    full_degree = graph.degrees()
     # Each node's component, -1 for a removed node, read per membership.
-    label = [-1] * len(graph.nodes)
+    label = np.full(n_nodes, -1, dtype=np.int64)
     for ci, comp in enumerate(comps):
-        for nid in comp:
-            label[nid] = ci
+        label[comp] = ci
     member_label, point = membership_table([n.points for n in graph.nodes], label)
     survives = member_label >= 0
     width = int(point.max(initial=0)) + 1
@@ -159,7 +162,8 @@ def partition(graph: MapperGraph, characteristic: CharacteristicNodes) -> Partit
     seg_point = seg_point.tolist()
     segments = [
         Segment(tuple(seg_point[bounds[ci]:bounds[ci + 1]]),
-                _classify_component([len(adj[nid]) for nid in comp]), tuple(comp))
+                _classify_component(degree[comp].tolist(), int(full_degree[comp].sum())),
+                tuple(comp.tolist()))
         for ci, comp in enumerate(comps)
     ]
     # Deterministic report order: by smallest point index, then node id.
@@ -181,11 +185,12 @@ def partition(graph: MapperGraph, characteristic: CharacteristicNodes) -> Partit
     )
 
 
-def _classify_component(degs: list[int]) -> str:
+def _classify_component(degs: list[int], full_degree: int) -> str:
+    """Kind from the survivor degrees and the whole graph's degree sum."""
     n = len(degs)
     n_edges = sum(degs) // 2
     if n == 1 and n_edges == 0:
-        return KIND_ISOLATED
+        return KIND_OPEN if full_degree else KIND_ISOLATED
     if max(degs) <= 2 and degs.count(1) == 2 and n_edges == n - 1:
         return KIND_OPEN
     if n >= 3 and all(d == 2 for d in degs) and n_edges == n:

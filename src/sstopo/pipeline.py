@@ -92,7 +92,7 @@ class DomainResult:
                     }
                     for i, n in enumerate(self.graph.nodes)
                 ],
-                "edges": [list(e) for e in sorted(self.graph.edges)],
+                "edges": self.graph.edges.tolist(),
             },
             "boundary_nodes": sorted(self.characteristic.boundary_nodes),
             "singular_nodes": sorted(self.characteristic.singular_nodes),
@@ -117,7 +117,6 @@ class DomainResult:
             MapperNode(n["points"], intervals=tuple(n["intervals"]), refined=bool(n["refined"]))
             for n in data["graph"]["nodes"]
         )
-        edges = frozenset((int(a), int(b)) for a, b in data["graph"]["edges"])
         segments = tuple(
             Segment(tuple(s["points"]), s["kind"], tuple(s["nodes"]))
             for s in data["segments"]
@@ -126,7 +125,7 @@ class DomainResult:
             name=data["name"],
             points=np.asarray(data["points"], dtype=np.float64).reshape(-1, 2),
             delta=float(data["delta"]),
-            graph=MapperGraph(nodes=nodes, edges=edges),
+            graph=MapperGraph(nodes=nodes, edges=data["graph"]["edges"]),
             characteristic=CharacteristicNodes(
                 frozenset(data["boundary_nodes"]), frozenset(data["singular_nodes"])
             ),

@@ -105,10 +105,10 @@ def run_two_step(cloud: np.ndarray, params: MapperParams) -> TwoStepResult:
     counts = tuple(
         split_interval_count(n.points, cloud, f_perp, params) for n in initial.nodes
     )
-    adj = initial.adjacency()
-    flagged = {i: adj[i] for i, s in enumerate(counts) if s >= 2}
-    groups = tuple(tuple(g) for g in components(flagged))
-    final = _collapse(_refine(initial.nodes, adj, groups, cloud, f_perp, params))
+    flagged = np.array(counts) >= 2
+    groups = tuple(tuple(g.tolist())
+                   for g in components(initial.node_count, initial.edges, flagged))
+    final = _collapse(_refine(initial, groups, cloud, f_perp, params))
     t2 = time.perf_counter()
 
     return TwoStepResult(
@@ -122,33 +122,34 @@ def run_two_step(cloud: np.ndarray, params: MapperParams) -> TwoStepResult:
     )
 
 
-def _refine(nodes, adj, groups, cloud: np.ndarray, f_perp: LinearFilter,
+def _refine(initial: MapperGraph, groups, cloud: np.ndarray, f_perp: LinearFilter,
             params: MapperParams) -> list[MapperNode]:
     """Replace each group of initial nodes by its orthogonal subgraph: the
-    unflagged node objects in their order, then each group's new nodes.
-    `adj` is the initial graph's adjacency."""
+    unflagged node objects in their order, then each group's new nodes. A
+    group's outside neighbors are the far ends of the initial edges with
+    exactly one end in the group."""
+    nodes = initial.nodes
     flagged = {m for group in groups for m in group}
     out = [n for i, n in enumerate(nodes) if i not in flagged]
     for group in groups:
         ids_sorted = _sorted_union([nodes[m].points for m in group])
         # A flagged neighbor would be in the group, so these are all unflagged.
-        neighbors = set().union(*(adj[m] for m in group)) - set(group)
+        ends = np.isin(initial.edges, group)
+        neighbors = np.unique(initial.edges[~ends & ends[:, ::-1]])
         subgraph = build_mapper_graph(cloud[ids_sorted], f_perp, params)
         local_sets = [ids_sorted[node.points] for node in subgraph.nodes]
 
         # Nodes of the subgraph touching one same neighbor collapse together;
         # overlapping sets of touching nodes from different neighbors chain.
         owner, point = membership_table(local_sets)
-        touch: dict[int, set[int]] = {i: set() for i in range(len(local_sets))}
-        for nb in neighbors:
+        touch = [np.empty((0, 2), dtype=np.int64)]
+        for nb in neighbors.tolist():
             in_nb = np.zeros(cloud.shape[0], dtype=bool)
             in_nb[nodes[nb].points] = True
             hits = owner[in_nb[point]]
-            touching = hits[run_starts(hits)].tolist()
-            for a, b in zip(touching, touching[1:]):
-                touch[a].add(b)
-                touch[b].add(a)
-        for members in components(touch):
+            touching = hits[run_starts(hits)]
+            touch.append(np.column_stack((touching[:-1], touching[1:])))
+        for members in components(len(local_sets), np.concatenate(touch)):
             new_points = _sorted_union([local_sets[i] for i in members])
             new_intervals = {k for i in members for k in subgraph.nodes[i].intervals}
             out.append(MapperNode(new_points, tuple(sorted(new_intervals)), refined=True))
@@ -180,5 +181,5 @@ def _collapse(nodes: list[MapperNode]) -> MapperGraph:
     kept[a[a_in_b]] = False
     both = kept[a] & kept[b]
     position = np.cumsum(kept) - 1
-    edges = frozenset(zip(position[a[both]].tolist(), position[b[both]].tolist()))
+    edges = np.column_stack((position[a[both]], position[b[both]]))
     return MapperGraph(nodes=tuple(n for n, k in zip(nodes, kept.tolist()) if k), edges=edges)

@@ -123,10 +123,27 @@ def point_set(node) -> frozenset[int]:
     return frozenset(node.points.tolist())
 
 
+def edge_set(edges) -> set[tuple[int, int]]:
+    """A graph's edge rows as a set of int pairs, for set-based references."""
+    return set(map(tuple, np.asarray(edges).tolist()))
+
+
+def assert_edge_record(edges) -> None:
+    """The edge record's invariant: a read-only (m, 2) int64 array of pairs
+    a < b whose rows strictly increase by (a, b)."""
+    assert edges.dtype == np.int64 and edges.ndim == 2 and edges.shape[1] == 2
+    assert not edges.flags.writeable
+    rows = edges.tolist()
+    assert all(a < b for a, b in rows)
+    assert all(r < s for r, s in zip(rows, rows[1:]))
+
+
 def assert_edges_match_intersections(graph) -> None:
-    """Exhaustive edge <=> nonempty-cluster-intersection check."""
+    """Exhaustive edge <=> nonempty-cluster-intersection check, on a graph
+    whose edge record holds its invariant."""
+    assert_edge_record(graph.edges)
     sets = [point_set(n) for n in graph.nodes]
-    edges = {tuple(sorted(e)) for e in graph.edges}
+    edges = edge_set(graph.edges)
     for a in range(len(sets)):
         for b in range(a + 1, len(sets)):
             shared = bool(sets[a] & sets[b])

@@ -24,6 +24,7 @@ from sstopo.synthetic import recommended_delta
 from corpus import (
     NOISE,
     STEP,
+    assert_edge_record,
     assert_edges_match_intersections,
     brute_force_clusters,
     closed_form_leading_eigenvector,
@@ -508,8 +509,7 @@ class TestBuildMapperGraph:
         cloud = np.column_stack([xs, np.zeros_like(xs)])
         params = MapperParams(delta=0.08)
         g = build_mapper_graph(cloud, make_pca_filter(cloud), params)
-        degrees = list(g.degrees().values())
-        assert max(degrees) <= 2
+        assert g.degrees().max() <= 2
         assert len(g.connected_components()) == 1
         assert g.edge_count == g.node_count - 1
         assert_edges_match_intersections(g)
@@ -547,6 +547,8 @@ class TestBuildMapperGraph:
             MapperParams(delta=0.1),
         )
         assert g.node_count == 1 and g.edge_count == 0
+        assert g.edges.shape == (0, 2)
+        assert_edge_record(g.edges)
 
     def test_empty_cloud_raises(self):
         with pytest.raises(EmptyInputError):

@@ -1,13 +1,14 @@
 """Property tests of the array-based node-set operations against frozenset
 references written here: edges, the dominated-node collapse, characteristic
 classification and the partition, on random graphs of nested, equal and
-singleton node sets."""
+singleton node sets; and the one component routine against a depth-first
+search on random graphs."""
 
 import numpy as np
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from sstopo.mapper import MapperGraph, MapperNode, _edges_from_nodes
+from sstopo.mapper import MapperGraph, MapperNode, _edges_from_nodes, components
 from sstopo.partition import (
     KIND_ANOMALOUS,
     KIND_CLOSED,
@@ -18,7 +19,7 @@ from sstopo.partition import (
 )
 from sstopo.twostep import _collapse
 
-from corpus import point_set
+from corpus import assert_edge_record, edge_set, point_set
 
 PROPERTY = settings(max_examples=80, deadline=None, database=None)
 
@@ -91,11 +92,13 @@ def _ref_components(ids, edges):
     return comps
 
 
-def _ref_kind(comp, edges):
+def _ref_kind(comp, edges, all_edges):
+    """Kind of a surviving component from its surviving `edges`; a single
+    node is isolated only if no edge of the whole graph, `all_edges`, meets it."""
     inside = [(a, b) for a, b in edges if a in comp and b in comp]
     degrees = [sum(n in e for e in inside) for n in comp]
     if len(comp) == 1:
-        return KIND_ISOLATED
+        return KIND_OPEN if any(comp[0] in e for e in all_edges) else KIND_ISOLATED
     if len(inside) == len(comp) - 1 and max(degrees) <= 2 and degrees.count(1) == 2:
         return KIND_OPEN
     if len(comp) >= 3 and len(inside) == len(comp) and set(degrees) == {2}:
@@ -113,7 +116,8 @@ def _ref_partition(sets, edges, boundary):
     segments = []
     for comp in _ref_components(survivors, kept_edges):
         points = frozenset().union(*(sets[i] for i in comp))
-        segments.append((tuple(sorted(points)), _ref_kind(comp, kept_edges), tuple(comp)))
+        segments.append((tuple(sorted(points)), _ref_kind(comp, kept_edges, edges),
+                         tuple(comp)))
     segments.sort(key=lambda s: (s[0][0], s[2]))
     surviving = frozenset().union(*(sets[i] for i in survivors))
 
@@ -130,8 +134,9 @@ def _ref_partition(sets, edges, boundary):
 def test_edges_match_set_reference(case):
     sets, _ = case
     nodes = _nodes(sets)
-    assert _edges_from_nodes(nodes) == _ref_edges(sets)
-    assert _edges_from_nodes(nodes[::-1]) == _ref_edges(sets[::-1])
+    assert edge_set(_edges_from_nodes(nodes)) == _ref_edges(sets)
+    assert edge_set(_edges_from_nodes(nodes[::-1])) == _ref_edges(sets[::-1])
+    assert_edge_record(MapperGraph(nodes=tuple(nodes), edges=_edges_from_nodes(nodes)).edges)
 
 
 @seed(7072)
@@ -142,7 +147,8 @@ def test_collapse_matches_set_reference(case):
     kept, edges = _ref_collapse(sets)
     got = _collapse(_nodes(sets))
     assert [n.points.tolist() for n in got.nodes] == [sorted(s) for s in kept]
-    assert got.edges == edges
+    assert edge_set(got.edges) == edges
+    assert_edge_record(got.edges)
 
 
 @seed(7074)
@@ -162,10 +168,11 @@ def test_collapse_keeps_the_input_node_objects(case):
 @given(node_sets())
 def test_classify_and_partition_match_set_reference(case):
     sets, drawn = case
-    graph = MapperGraph(nodes=tuple(_nodes(sets)), edges=_ref_edges(sets))
+    edges = _ref_edges(sets)
+    graph = MapperGraph(nodes=tuple(_nodes(sets)), edges=sorted(edges))
     assert frozenset().union(*(point_set(n) for n in graph.nodes)) == frozenset().union(*sets)
     for boundary in (frozenset(), drawn):
-        want = _ref_partition(sets, graph.edges, boundary)
+        want = _ref_partition(sets, edges, boundary)
         characteristic = classify_characteristic_nodes(
             graph, np.array(sorted(boundary), dtype=np.int64))
         assert characteristic.boundary_nodes == want[0]
@@ -174,3 +181,37 @@ def test_classify_and_partition_match_set_reference(case):
         assert [(s.point_indices, s.kind, s.node_ids) for s in got.segments] == want[2]
         assert got.removed_boundary_points == want[3]
         assert got.removed_singular_points == want[4]
+
+
+@st.composite
+def graphs(draw):
+    """A node count, edges as unordered distinct pairs in any order, and a
+    keep mask."""
+    n = draw(st.integers(0, 12))
+    edges = []
+    if n >= 2:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda p: p[0] != p[1])
+        edges = draw(st.lists(pairs, max_size=2 * n, unique_by=frozenset))
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return n, edges, keep
+
+
+@seed(7075)
+@PROPERTY
+@given(graphs())
+@example((0, [], []))
+@example((4, [], [True] * 4))
+@example((4, [(0, 3), (1, 2)], [False] * 4))
+@example((5, [(4, 0), (2, 1)], [True, True, True, False, True]))
+def test_components_match_depth_first_reference(case):
+    n, edges, keep = case
+    rows = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    got = components(n, rows)
+    assert [c.tolist() for c in got] == _ref_components(range(n), edges)
+    assert all(c.dtype == np.int64 for c in got)
+    mask = np.array(keep, dtype=bool)
+    kept = [i for i in range(n) if keep[i]]
+    kept_edges = [(a, b) for a, b in edges if keep[a] and keep[b]]
+    # Each component ascending, the components in order of their least node.
+    assert [c.tolist() for c in components(n, rows, mask)] == _ref_components(kept, kept_edges)

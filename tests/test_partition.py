@@ -17,7 +17,7 @@ from sstopo.partition import KIND_ANOMALOUS, KIND_CLOSED, KIND_ISOLATED, KIND_OP
 
 def graph_of(point_sets, edges):
     nodes = tuple(MapperNode(sorted(pts)) for pts in point_sets)
-    return MapperGraph(nodes=nodes, edges=frozenset(tuple(sorted(e)) for e in edges))
+    return MapperGraph(nodes=nodes, edges=sorted(tuple(sorted(e)) for e in edges))
 
 
 def path_graph(n, points_per_node=1):
@@ -117,12 +117,40 @@ class TestPartition:
         res = partition(g, self.EMPTY)
         assert [s.kind for s in res.segments] == [KIND_ANOMALOUS]
 
-    def test_star_removal_gives_four_isolated(self):
+    def test_star_removal_gives_four_open_arms(self):
+        # Each arm lost its one neighbor, the singular center: an arc cut
+        # short, not an isolated point.
         g = graph_of([[0, 9], [1, 9], [2, 9], [3, 9], [4, 9]],
                      [(0, 1), (0, 2), (0, 3), (0, 4)])
         char = classify_characteristic_nodes(g, np.array([], dtype=int))
         res = partition(g, char)
-        assert [s.kind for s in res.segments] == [KIND_ISOLATED] * 4
+        assert [s.kind for s in res.segments] == [KIND_OPEN] * 4
+        assert [s.node_ids for s in res.segments] == [(1,), (2,), (3,), (4,)]
+
+    def test_one_node_arm_between_removed_nodes_is_open(self):
+        # boundary node 0 - arm 1 - singular node 2 with two more arms
+        g = graph_of([[0], [0, 1], [1, 2], [2, 3], [2, 4]],
+                     [(0, 1), (1, 2), (2, 3), (2, 4)])
+        res = partition(g, CharacteristicNodes(frozenset({0}), frozenset({2})))
+        assert [(s.node_ids, s.kind) for s in res.segments] == [
+            ((1,), KIND_OPEN), ((3,), KIND_OPEN), ((4,), KIND_OPEN)]
+
+    def test_node_without_neighbors_stays_isolated_beside_removal(self):
+        g = graph_of([[0], [1], [2], [3], [0, 1, 2, 3], [7]],
+                     [(0, 4), (1, 4), (2, 4), (3, 4)])
+        char = classify_characteristic_nodes(g, np.array([], dtype=int))
+        res = partition(g, char)
+        assert [(s.node_ids, s.kind) for s in res.segments] == [
+            ((0,), KIND_OPEN), ((1,), KIND_OPEN), ((2,), KIND_OPEN), ((3,), KIND_OPEN),
+            ((5,), KIND_ISOLATED)]
+
+    def test_every_node_removed_gives_no_segment(self):
+        g = path_graph(3, points_per_node=2)
+        char = CharacteristicNodes(frozenset({0, 1, 2}), frozenset())
+        res = partition(g, char)
+        assert res.segments == ()
+        assert res.removed_boundary_points == frozenset(range(6))
+        assert partition(graph_of([], []), self.EMPTY).segments == ()
 
     def test_shared_points_stay_with_survivors(self):
         # node 1 removed as boundary; point 10 shared with surviving node 0

@@ -42,6 +42,7 @@ from sstopo.synthetic import (
 from corpus import (
     STEP,
     NOISE,
+    assert_edge_record,
     cylinder_patch,
     noisy_circle_cloud,
     paraboloid_patch,
@@ -121,6 +122,9 @@ class TestRunPipeline:
         crossed_doc.save(path)
         loaded = ResultDocument.load(path)
         assert loaded.to_dict() == data
+        for got, want in zip(loaded.domains, crossed_doc.domains):
+            assert_edge_record(got.graph.edges)
+            assert np.array_equal(got.graph.edges, want.graph.edges)
 
     def test_saved_document_is_one_unindented_dump(self, crossed_doc, tmp_path):
         # No indent, so CPython encodes the document with its C encoder.
@@ -359,6 +363,22 @@ class TestNoiseRedraw:
         pts, _ = three_curves_cloud(seed=noise_seed)
         doc = run_mapper_only(PipelineConfig(delta_override=DELTA), pts)
         assert len(doc.domains[0].graph.connected_components()) == 3
+
+
+class TestCutArcs:
+    def test_plane_near_paraboloid_rim_reads_four_open_arcs(self):
+        # z=0.4 cuts the paraboloid in four corner arcs, each about 18 delta
+        # long at this epsilon. The boundary band takes the nodes at both
+        # ends of an arc, so each arc survives as one node that lost its
+        # neighbors: an arc cut short, which is open, not an isolated point.
+        doc = run_pipeline(PipelineConfig(epsilon=0.005), plane_patch(0.4), paraboloid_patch())
+        for dom in doc.domains:
+            assert dom.partition.segment_kinds() == [KIND_OPEN] * 4
+            degrees = dom.graph.degrees()
+            assert all(degrees[nid] > 0 for seg in dom.partition.segments
+                       for nid in seg.node_ids)
+        assert sorted(a for a, _, _ in doc.match.pairs) == [0, 1, 2, 3]
+        assert sorted(b for _, b, _ in doc.match.pairs) == [0, 1, 2, 3]
 
 
 SWAP_PAIRS = {

@@ -26,7 +26,9 @@ from sstopo.twostep import _collapse
 from corpus import (
     STEP,
     NOISE,
+    assert_edge_record,
     assert_edges_match_intersections,
+    edge_set,
     noisy_circle_cloud,
     performance_cloud,
     plane_patch,
@@ -125,7 +127,7 @@ class TestTwoStep:
         pts, _ = three_curves_cloud(seed=3)
         params = MapperParams(delta=DELTA)
         res = run_two_step(pts, params)
-        adj = res.initial_graph.adjacency()
+        adj = _adjacency(res.initial_graph)
         for g in res.groups:
             for h in res.groups:
                 if g != h:
@@ -142,7 +144,7 @@ class TestTwoStep:
         pts, _ = plus_cloud()
         params = MapperParams(delta=recommended_delta(STEP, 0.0))
         g = run_two_step(pts, params).graph
-        degrees = sorted(g.degrees().values(), reverse=True)
+        degrees = sorted(g.degrees().tolist(), reverse=True)
         assert degrees.count(4) == 1
         assert degrees[1] <= 2
         assert_edges_match_intersections(g)
@@ -183,6 +185,15 @@ def _point_union(graph):
     return frozenset().union(*(point_set(n) for n in graph.nodes))
 
 
+def _adjacency(graph):
+    """Each node's neighbor set, by position."""
+    adj = {i: set() for i in range(graph.node_count)}
+    for a, b in edge_set(graph.edges):
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
 def _reference_groups(graph, cloud, f_perp, params):
     """Flagged nodes merged by a depth-first search over the flagged subgraph,
     plus every node's orthogonal interval count."""
@@ -192,7 +203,7 @@ def _reference_groups(graph, cloud, f_perp, params):
     }
     flagged = sorted(nid for nid, s in counts.items() if s >= 2)
     flagged_set = set(flagged)
-    adj = graph.adjacency()
+    adj = _adjacency(graph)
     seen: set[int] = set()
     groups: list[set[int]] = []
     for nid in flagged:
@@ -237,7 +248,7 @@ def _reference_refine(initial, cloud, f_perp, params):
     points = {i: point_set(n) for i, n in enumerate(initial.nodes)}
     intervals = {i: n.intervals for i, n in enumerate(initial.nodes)}
     refined = {i: n.refined for i, n in enumerate(initial.nodes)}
-    edges = set(initial.edges)
+    edges = edge_set(initial.edges)
 
     groups, counts = _reference_groups(initial, cloud, f_perp, params)
 
@@ -305,7 +316,7 @@ def _reference_refine(initial, cloud, f_perp, params):
         MapperNode(sorted(pts), intervals=intervals[old_id], refined=refined[old_id])
         for old_id, pts in points.items()
     )
-    graph = _reference_collapse(MapperGraph(nodes=nodes, edges=_reference_edges(nodes)))
+    graph = _reference_collapse(MapperGraph(nodes=nodes, edges=sorted(_reference_edges(nodes))))
     sorted_groups = tuple(sorted(tuple(sorted(g)) for g in groups))
     return graph, sorted_groups, tuple(counts[i] for i in range(len(initial.nodes))), joined
 
@@ -315,10 +326,11 @@ def _reference_collapse(graph):
     the later one), rebuild the edges, and repeat until nothing changes."""
     while True:
         sets = [point_set(n) for n in graph.nodes]
+        edges = edge_set(graph.edges)
         drop = {
             i for i in range(len(sets))
             for j in range(len(sets))
-            if (i, j) in graph.edges or (j, i) in graph.edges
+            if (i, j) in edges or (j, i) in edges
             if sets[i] < sets[j] or (sets[i] == sets[j] and i > j)
         }
         if not drop:
@@ -327,7 +339,7 @@ def _reference_collapse(graph):
             MapperNode(sorted(sets[i]), intervals=n.intervals, refined=n.refined)
             for i, n in enumerate(graph.nodes) if i not in drop
         )
-        graph = MapperGraph(nodes=kept, edges=_reference_edges(kept))
+        graph = MapperGraph(nodes=kept, edges=sorted(_reference_edges(kept)))
 
 
 def _refine_case(name):
@@ -368,7 +380,8 @@ class TestRefineReference:
             assert (got.points.tolist(), got.intervals, got.refined) == (
                 sorted(point_set(want)), want.intervals, want.refined
             )
-        assert res.graph.edges == expected.edges
+        assert edge_set(res.graph.edges) == edge_set(expected.edges)
+        assert_edge_record(res.graph.edges)
         assert res.groups == expected_groups
         assert res.counts == expected_counts
 
@@ -404,23 +417,23 @@ class TestEdgesReference:
         pts, params = _refine_case(case)
         res = run_two_step(pts, params)
         for graph in (res.initial_graph, res.graph):
-            assert graph.edges
-            assert _edges_from_nodes(list(graph.nodes)) == _reference_edges(graph.nodes)
+            assert graph.edge_count
+            assert edge_set(_edges_from_nodes(list(graph.nodes))) == _reference_edges(graph.nodes)
 
     def test_point_in_many_nodes(self):
         # Point 7 lies in four nodes, so its run has six pairs.
         sets = [{7, 1}, {7, 2}, {3}, {7, 3, 2}, {7}, set()]
         nodes = [MapperNode(sorted(p)) for p in sets]
         want = _reference_edges(nodes)
-        assert _edges_from_nodes(nodes) == want
-        assert _edges_from_nodes(nodes[::-1]) == _reference_edges(nodes[::-1])
+        assert edge_set(_edges_from_nodes(nodes)) == want
+        assert edge_set(_edges_from_nodes(nodes[::-1])) == _reference_edges(nodes[::-1])
         assert len(want) == 7
-        assert _edges_from_nodes([]) == frozenset()
+        assert _edges_from_nodes([]).shape == (0, 2)
 
 
 def _graph(sets):
     nodes = tuple(MapperNode(sorted(p), intervals=(i,)) for i, p in enumerate(sets))
-    return MapperGraph(nodes=nodes, edges=_reference_edges(nodes))
+    return MapperGraph(nodes=nodes, edges=sorted(_reference_edges(nodes)))
 
 
 class TestCollapse:
@@ -443,14 +456,15 @@ class TestCollapse:
         assert [n.intervals for n in got.nodes] == [(i,) for i in kept]
         assert ([n.points.tolist() for n in got.nodes]
                 == [sorted(point_set(n)) for n in want.nodes])
-        assert got.edges == want.edges
+        assert edge_set(got.edges) == edge_set(want.edges)
+        assert_edge_record(got.edges)
         assert _point_union(got) == _point_union(graph)
 
     def test_nothing_dominated_returns_the_graph(self):
         graph = _graph([{1, 2}, {2, 3}])
         got = _collapse(list(graph.nodes))
         assert got.nodes == graph.nodes  # the same node objects: none rebuilt
-        assert got.edges == graph.edges
+        assert np.array_equal(got.edges, graph.edges)
 
     @pytest.mark.parametrize("noise_seed", [100, 108])
     def test_noisy_24k_cloud_has_five_segments(self, noise_seed):
