@@ -40,7 +40,6 @@ from .twostep import (
     split_interval_count,
 )
 from .partition import (
-    BoundarySpec,
     CharacteristicNodes,
     CrossDomainMatch,
     PartitionResult,

@@ -24,12 +24,16 @@ is ``dx*dx + dy*dy < delta*delta``. IEEE rounding is monotone, so box bounds
 computed the same way bound the computed point distances exactly, and both
 kernels return bit for bit what a loop over all pairs returns.
 
-The grid's sorts use numpy's default sort, which need not keep ties in
-input order: no result depends on the order of the points within a cell or
-of cell pairs with equal bounds, since the component labels are renumbered
-by first input index and the supremum is a maximum. The witness order below
-is the exception, as its ties decide which pairs are tested; it stays the
-stable order, and only runs of equal keys are re-sorted by index.
+The grid's sorts and the witness's use numpy's default sort, which need
+not keep ties in input order: no result depends on the order of the points
+within a cell or of cell pairs with equal bounds, since the component labels
+are renumbered by first input index and the supremum is a maximum. The
+witness order below is the one sort whose ties can move what is returned:
+they decide which pairs are tested, so the lower bound may differ. But the
+caller's predicate accepts a bound only where the monotone function the
+caller keeps, such as the Mapper's interval count, takes the value it takes
+at the upper cap and so at the exact supremum. A tie can decide whether a
+grid is built, never that function's value.
 
 The component labels take an optional group id per point, and cells are
 keyed by group as well as position, so that one grid clusters every
@@ -299,23 +303,10 @@ def neighbor_components(points: np.ndarray, delta: float, groups=None) -> np.nda
     return rank[inverse]
 
 
-def _stable_order(key):
-    """``np.argsort(key, kind="stable")`` for a key without NaN, from the
-    default sort: only the runs of equal keys are put back in index order."""
-    order = np.argsort(key)
-    sorted_key = key[order]
-    if (sorted_key[1:] == sorted_key[:-1]).any():
-        # Each position's run is named by the run's first position; sorting
-        # the (run, index) pairs as one integer puts each run in index order.
-        run = np.searchsorted(sorted_key, sorted_key) * key.size
-        order = np.sort(run + order) - run
-    return order
-
-
 def _witness(pts, vals, delta, key) -> float:
     """Max |vals[i]-vals[j]| over the pairs closer than delta among each
     point and its next _WITNESS_REACH points in ``key`` order; 0.0 if none."""
-    order = _stable_order(key)
+    order = np.argsort(key)
     xy, v = pts[order], vals[order]
     d2 = delta * delta
     best = 0.0

@@ -22,7 +22,6 @@ from pathlib import Path
 
 from .errors import SstopoError
 from .geometry import load_surface
-from .partition import BoundarySpec
 from .pipeline import PipelineConfig, run_mapper_only, run_pipeline, sweep_theta
 from .synthetic import generate_synthetic, load_cloud, save_cloud, spec_from_dict
 
@@ -130,8 +129,7 @@ def _dispatch(args) -> int:
     if args.command == "mapper":
         points, _ = load_cloud(args.cloud)
         config = _config(args)
-        bounds = None if args.bounds is None else BoundarySpec(*args.bounds)
-        doc = run_mapper_only(config, points, bounds=bounds)
+        doc = run_mapper_only(config, points, bounds=args.bounds)
         _summarize(doc)
         return 0
 

@@ -47,16 +47,13 @@ def write_gml(path, graph: MapperGraph) -> None:
 def segment_colors(n_points: int, part: PartitionResult) -> list[str]:
     """Per-point fill colors: segments cycle the palette, characteristic points
     use the reserved boundary/singular colors."""
-    colors = [UNASSIGNED_COLOR] * n_points
+    palette = (*SEGMENT_PALETTE, BOUNDARY_COLOR, SINGULAR_COLOR, UNASSIGNED_COLOR)
+    code = np.full(n_points, len(palette) - 1)
     for si, seg in enumerate(part.segments):
-        color = SEGMENT_PALETTE[si % len(SEGMENT_PALETTE)]
-        for p in seg.point_indices:
-            colors[p] = color
-    for p in part.removed_boundary_points:
-        colors[p] = BOUNDARY_COLOR
-    for p in part.removed_singular_points:
-        colors[p] = SINGULAR_COLOR
-    return colors
+        code[seg.point_indices] = si % len(SEGMENT_PALETTE)
+    code[part.removed_boundary_points] = len(SEGMENT_PALETTE)
+    code[part.removed_singular_points] = len(SEGMENT_PALETTE) + 1
+    return [palette[c] for c in code.tolist()]
 
 
 def write_svg(path, points: np.ndarray, colors: list[str], size: int = 640) -> None:

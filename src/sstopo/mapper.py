@@ -80,6 +80,16 @@ class MapperParams:
             raise ConfigurationError(f"alpha must be positive and finite, got {self.alpha}")
 
 
+def freeze_ids(record, *names, shape=(-1,)) -> None:
+    """Hold each named field of a frozen record as a read-only int64 array
+    of `shape`. The caller passes the ids in the record's stated order; the
+    records holding them compare by identity."""
+    for name in names:
+        ids = np.asarray(getattr(record, name), dtype=np.int64).reshape(shape)
+        ids.flags.writeable = False
+        object.__setattr__(record, name, ids)
+
+
 @dataclass(frozen=True, eq=False)
 class MapperNode:
     """One cluster: its point indices plus the interval(s) it came from.
@@ -93,9 +103,7 @@ class MapperNode:
     refined: bool = False
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=np.int64).reshape(-1)
-        points.flags.writeable = False
-        object.__setattr__(self, "points", points)
+        freeze_ids(self, "points")
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,9 +117,7 @@ class MapperGraph:
     edges: np.ndarray
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        edges.flags.writeable = False
-        object.__setattr__(self, "edges", edges)
+        freeze_ids(self, "edges", shape=(-1, 2))
 
     @property
     def node_count(self) -> int:

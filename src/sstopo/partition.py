@@ -19,7 +19,7 @@ import numpy as np
 
 from ._kernels import run_starts
 from .errors import ConfigurationError
-from .mapper import MapperGraph, components, membership_table
+from .mapper import MapperGraph, components, freeze_ids, membership_table
 
 log = logging.getLogger(__name__)
 
@@ -31,46 +31,41 @@ KIND_ISOLATED = "isolated"
 KIND_ANOMALOUS = "anomalous"
 
 
-@dataclass(frozen=True)
-class BoundarySpec:
-    """Domain bounds whose sides `approximate_boundary_set` bands."""
+@dataclass(frozen=True, eq=False)
+class CharacteristicNodes:
+    """Node positions, each set a read-only int64 array, ascending."""
 
-    u_min: float
-    u_max: float
-    v_min: float
-    v_max: float
-    periodic_u: bool = False
-    periodic_v: bool = False
+    boundary_nodes: np.ndarray
+    singular_nodes: np.ndarray
 
     def __post_init__(self):
-        if not (self.u_min < self.u_max and self.v_min < self.v_max):
-            raise ConfigurationError("degenerate domain bounds")
+        freeze_ids(self, "boundary_nodes", "singular_nodes")
 
 
-@dataclass(frozen=True)
-class CharacteristicNodes:
-    boundary_nodes: frozenset[int]
-    singular_nodes: frozenset[int]
-
-    @property
-    def all_nodes(self) -> frozenset[int]:
-        return self.boundary_nodes | self.singular_nodes
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Segment:
-    """One partition subset with the graph shape that produced it."""
+    """One partition subset with the graph shape that produced it: its point
+    indices and node positions, each a read-only int64 array, ascending."""
 
-    point_indices: tuple[int, ...]
+    point_indices: np.ndarray
     kind: str
-    node_ids: tuple[int, ...]
+    node_ids: np.ndarray
+
+    def __post_init__(self):
+        freeze_ids(self, "point_indices", "node_ids")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionResult:
+    """Segments in order of least point; the removed point sets are
+    read-only int64 arrays, ascending."""
+
     segments: tuple[Segment, ...]
-    removed_boundary_points: frozenset[int]
-    removed_singular_points: frozenset[int]
+    removed_boundary_points: np.ndarray
+    removed_singular_points: np.ndarray
+
+    def __post_init__(self):
+        freeze_ids(self, "removed_boundary_points", "removed_singular_points")
 
     def segment_kinds(self) -> list[str]:
         return [seg.kind for seg in self.segments]
@@ -83,30 +78,25 @@ class CrossDomainMatch:
     pairs: tuple[tuple[int, int, int], ...]
 
 
-def approximate_boundary_set(points: np.ndarray, spec: BoundarySpec,
-                             delta: float) -> np.ndarray:
+def approximate_boundary_set(points: np.ndarray, rect, delta: float) -> np.ndarray:
     """Indices of points strictly inside the dilated boundary bands.
 
-    The four domain sides are banded by the clustering radius `delta`; for a
-    periodic axis the two bands are the two unrollings of the seam.
+    The four sides of the domain box `rect`, a `(u_min, u_max, v_min, v_max)`
+    sequence, are banded by the clustering radius `delta`.
     """
+    u_min, u_max, v_min, v_max = rect
+    if not (np.isfinite(rect).all() and u_min < u_max and v_min < v_max):
+        raise ConfigurationError("degenerate domain bounds")
     if not 0 < delta < np.inf:
         raise ConfigurationError(f"dilation radius must be positive and finite, got {delta}")
-    half_u = 0.5 * (spec.u_max - spec.u_min)
-    half_v = 0.5 * (spec.v_max - spec.v_min)
-    if delta >= half_u or delta >= half_v:
+    if delta >= 0.5 * (u_max - u_min) or delta >= 0.5 * (v_max - v_min):
         raise ConfigurationError(
             f"dilation radius {delta} covers the whole domain; nothing would survive"
         )
     pts = np.asarray(points, dtype=np.float64)
     u = pts[:, 0]
     v = pts[:, 1]
-    mask = (
-        (u < spec.u_min + delta)
-        | (u > spec.u_max - delta)
-        | (v < spec.v_min + delta)
-        | (v > spec.v_max - delta)
-    )
+    mask = (u < u_min + delta) | (u > u_max - delta) | (v < v_min + delta) | (v > v_max - delta)
     return np.nonzero(mask)[0]
 
 
@@ -115,22 +105,22 @@ def classify_characteristic_nodes(
 ) -> CharacteristicNodes:
     """Boundary nodes meet the boundary point set; singular nodes have degree > 2."""
     boundary = np.asarray(boundary_indices).ravel().astype(np.int64)
-    boundary_nodes = frozenset()
+    meets = np.zeros(len(graph.nodes), dtype=bool)
     if boundary.size:
         owner, point = membership_table([n.points for n in graph.nodes])
         in_boundary = np.zeros(max(point.max(initial=-1), boundary.max()) + 1, dtype=bool)
         in_boundary[boundary] = True
-        boundary_nodes = frozenset(owner[in_boundary[point]].tolist())
-    singular_nodes = frozenset(np.flatnonzero(graph.degrees() > 2).tolist())
-    if singular_nodes:
+        meets[owner[in_boundary[point]]] = True
+    singular_nodes = np.flatnonzero(graph.degrees() > 2)
+    if singular_nodes.size:
         # Near curve crossings the sampled set has no positive reach, so the
         # clustering-radius admissibility condition cannot be verified there.
         log.warning(
             "%d singular node(s) detected; graph connectivity near them "
             "reflects the crossing region, not a regular curve",
-            len(singular_nodes),
+            singular_nodes.size,
         )
-    return CharacteristicNodes(boundary_nodes, singular_nodes)
+    return CharacteristicNodes(np.flatnonzero(meets), singular_nodes)
 
 
 def partition(graph: MapperGraph, characteristic: CharacteristicNodes) -> PartitionResult:
@@ -138,11 +128,14 @@ def partition(graph: MapperGraph, characteristic: CharacteristicNodes) -> Partit
 
     Points shared between a removed node and a survivor stay with the
     survivor; only points exclusive to removed nodes land in the removed sets.
-    A node is named by its position in `graph.nodes`.
+    A node is named by its position in `graph.nodes`. Survivors that share a
+    point are adjacent, so the segments are disjoint, and none is empty: the
+    least point alone orders them.
     """
     n_nodes = len(graph.nodes)
     keep = np.ones(n_nodes, dtype=bool)
-    keep[list(characteristic.all_nodes)] = False
+    keep[characteristic.boundary_nodes] = False
+    keep[characteristic.singular_nodes] = False
     comps = components(n_nodes, graph.edges, keep)
     kept_edges = graph.edges[keep[graph.edges].all(axis=1)]
     degree = np.bincount(kept_edges.ravel(), minlength=n_nodes)
@@ -151,35 +144,37 @@ def partition(graph: MapperGraph, characteristic: CharacteristicNodes) -> Partit
     label = np.full(n_nodes, -1, dtype=np.int64)
     for ci, comp in enumerate(comps):
         label[comp] = ci
-    member_label, point = membership_table([n.points for n in graph.nodes], label)
+    owner, point = membership_table([n.points for n in graph.nodes])
+    member_label = label[owner]
     survives = member_label >= 0
     width = int(point.max(initial=0)) + 1
 
     # One sort by (component, point) gives every segment's points ascending.
     keys = np.sort(member_label[survives] * width + point[survives])
     seg_label, seg_point = np.divmod(keys[run_starts(keys)], width)
-    bounds = np.searchsorted(seg_label, np.arange(len(comps) + 1)).tolist()
-    seg_point = seg_point.tolist()
-    segments = [
-        Segment(tuple(seg_point[bounds[ci]:bounds[ci + 1]]),
-                _classify_component(degree[comp].tolist(), int(full_degree[comp].sum())),
-                tuple(comp.tolist()))
-        for ci, comp in enumerate(comps)
-    ]
-    # Deterministic report order: by smallest point index, then node id.
-    segments.sort(key=lambda s: (s.point_indices[0] if s.point_indices else -1, s.node_ids))
+    bounds = np.searchsorted(seg_label, np.arange(len(comps) + 1))
+    segments = tuple(
+        Segment(seg_point[bounds[ci]:bounds[ci + 1]],
+                _classify_component(degree[comps[ci]].tolist(),
+                                    int(full_degree[comps[ci]].sum())),
+                comps[ci])
+        # A stable sort leaves a tie, possible only on a graph that lacks an
+        # edge between two nodes sharing a point, in order of least node.
+        for ci in np.argsort(seg_point[bounds[:-1]], kind="stable").tolist()
+    )
 
     surviving = np.zeros(width, dtype=bool)
     surviving[point[survives]] = True
 
-    def removed_points(node_ids) -> frozenset[int]:
-        if not node_ids:
-            return frozenset()
-        pts = np.concatenate([graph.nodes[nid].points for nid in node_ids])
-        return frozenset(pts[~surviving[pts]].tolist())
+    def removed_points(node_ids) -> np.ndarray:
+        in_class = np.zeros(n_nodes, dtype=bool)
+        in_class[node_ids] = True
+        marked = np.zeros(width, dtype=bool)
+        marked[point[in_class[owner]]] = True
+        return np.flatnonzero(marked & ~surviving)
 
     return PartitionResult(
-        segments=tuple(segments),
+        segments=segments,
         removed_boundary_points=removed_points(characteristic.boundary_nodes),
         removed_singular_points=removed_points(characteristic.singular_nodes),
     )

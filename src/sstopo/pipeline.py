@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import json
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,7 +18,6 @@ from .exports import segment_colors, write_gml, write_svg
 from .geometry import BSplineSurface
 from .mapper import MapperGraph, MapperNode, MapperParams, default_delta
 from .partition import (
-    BoundarySpec,
     CharacteristicNodes,
     CrossDomainMatch,
     PartitionResult,
@@ -94,19 +94,19 @@ class DomainResult:
                 ],
                 "edges": self.graph.edges.tolist(),
             },
-            "boundary_nodes": sorted(self.characteristic.boundary_nodes),
-            "singular_nodes": sorted(self.characteristic.singular_nodes),
+            "boundary_nodes": self.characteristic.boundary_nodes.tolist(),
+            "singular_nodes": self.characteristic.singular_nodes.tolist(),
             "segments": [
                 {
                     "id": si,
                     "kind": seg.kind,
-                    "points": list(seg.point_indices),
-                    "nodes": list(seg.node_ids),
+                    "points": seg.point_indices.tolist(),
+                    "nodes": seg.node_ids.tolist(),
                 }
                 for si, seg in enumerate(self.partition.segments)
             ],
-            "removed_boundary_points": sorted(self.partition.removed_boundary_points),
-            "removed_singular_points": sorted(self.partition.removed_singular_points),
+            "removed_boundary_points": self.partition.removed_boundary_points.tolist(),
+            "removed_singular_points": self.partition.removed_singular_points.tolist(),
             "seconds_initial": self.seconds_initial,
             "seconds_refine": self.seconds_refine,
         }
@@ -117,22 +117,17 @@ class DomainResult:
             MapperNode(n["points"], intervals=tuple(n["intervals"]), refined=bool(n["refined"]))
             for n in data["graph"]["nodes"]
         )
-        segments = tuple(
-            Segment(tuple(s["points"]), s["kind"], tuple(s["nodes"]))
-            for s in data["segments"]
-        )
+        segments = tuple(Segment(s["points"], s["kind"], s["nodes"]) for s in data["segments"])
         return cls(
             name=data["name"],
             points=np.asarray(data["points"], dtype=np.float64).reshape(-1, 2),
             delta=float(data["delta"]),
             graph=MapperGraph(nodes=nodes, edges=data["graph"]["edges"]),
-            characteristic=CharacteristicNodes(
-                frozenset(data["boundary_nodes"]), frozenset(data["singular_nodes"])
-            ),
+            characteristic=CharacteristicNodes(data["boundary_nodes"], data["singular_nodes"]),
             partition=PartitionResult(
                 segments=segments,
-                removed_boundary_points=frozenset(data["removed_boundary_points"]),
-                removed_singular_points=frozenset(data["removed_singular_points"]),
+                removed_boundary_points=data["removed_boundary_points"],
+                removed_singular_points=data["removed_singular_points"],
             ),
             seconds_initial=float(data["seconds_initial"]),
             seconds_refine=float(data["seconds_refine"]),
@@ -205,13 +200,14 @@ def _analyze_domain(
     name: str,
     points: np.ndarray,
     params: MapperParams,
-    bounds: BoundarySpec | None,
+    bounds: Sequence[float] | None,
 ) -> DomainResult:
-    two_step = run_two_step(points, params)
+    # The box is checked before the Mapper runs, so a bad one fails fast.
     if bounds is not None:
         boundary_idx = approximate_boundary_set(points, bounds, params.delta)
     else:
         boundary_idx = np.empty(0, dtype=np.int64)
+    two_step = run_two_step(points, params)
     characteristic = classify_characteristic_nodes(two_step.graph, boundary_idx)
     part = partition(two_step.graph, characteristic)
     return DomainResult(
@@ -262,9 +258,8 @@ def _analyze_pair(
             delta = config.delta_override
             if delta is None:
                 delta = default_delta(cell_diag)
-            spec = BoundarySpec(*surface.param_range, surface.periodic_u, surface.periodic_v)
             params = MapperParams(delta, config.theta_ov, config.alpha)
-            domains.append(_analyze_domain(name, points, params, spec))
+            domains.append(_analyze_domain(name, points, params, surface.param_range))
         match = match_across_domains(
             domains[0].partition, domains[1].partition, sets.correspondences
         )
@@ -298,14 +293,14 @@ def run_mapper_only(
     config: PipelineConfig,
     points: np.ndarray,
     *,
-    bounds: BoundarySpec | None = None,
+    bounds: Sequence[float] | None = None,
 ) -> ResultDocument:
     """Two-step Mapper plus partition on a raw planar cloud.
 
     Requires `delta_override` (there are no subdivision cells to derive the
     clustering radius from) and refuses a non-default `epsilon` or
     `dump_boxes`, which need one; boundary classification happens only when a
-    domain box is supplied. An empty cloud gives the document `run_pipeline`
+    domain box, a `(u_min, u_max, v_min, v_max)` sequence, is supplied. An empty cloud gives the document `run_pipeline`
     gives for an empty intersection: `no_intersection` and no domains.
     Raises `DegenerateCloudError` when a coordinate is NaN or infinite.
     """

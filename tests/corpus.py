@@ -128,6 +128,13 @@ def edge_set(edges) -> set[tuple[int, int]]:
     return set(map(tuple, np.asarray(edges).tolist()))
 
 
+def assert_id_array(ids) -> None:
+    """An id set's invariant: a read-only 1-D int64 array, strictly increasing."""
+    assert ids.dtype == np.int64 and ids.ndim == 1
+    assert not ids.flags.writeable
+    assert (np.diff(ids) > 0).all()
+
+
 def assert_edge_record(edges) -> None:
     """The edge record's invariant: a read-only (m, 2) int64 array of pairs
     a < b whose rows strictly increase by (a, b)."""

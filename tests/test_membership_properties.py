@@ -19,7 +19,7 @@ from sstopo.partition import (
 )
 from sstopo.twostep import _collapse
 
-from corpus import assert_edge_record, edge_set, point_set
+from corpus import assert_edge_record, assert_id_array, edge_set, point_set
 
 PROPERTY = settings(max_examples=80, deadline=None, database=None)
 
@@ -175,12 +175,38 @@ def test_classify_and_partition_match_set_reference(case):
         want = _ref_partition(sets, edges, boundary)
         characteristic = classify_characteristic_nodes(
             graph, np.array(sorted(boundary), dtype=np.int64))
-        assert characteristic.boundary_nodes == want[0]
-        assert characteristic.singular_nodes == want[1]
+        assert set(characteristic.boundary_nodes.tolist()) == want[0]
+        assert set(characteristic.singular_nodes.tolist()) == want[1]
         got = partition(graph, characteristic)
-        assert [(s.point_indices, s.kind, s.node_ids) for s in got.segments] == want[2]
-        assert got.removed_boundary_points == want[3]
-        assert got.removed_singular_points == want[4]
+        assert [(tuple(s.point_indices.tolist()), s.kind, tuple(s.node_ids.tolist()))
+                for s in got.segments] == want[2]
+        assert set(got.removed_boundary_points.tolist()) == want[3]
+        assert set(got.removed_singular_points.tolist()) == want[4]
+        for ids in (characteristic.boundary_nodes, characteristic.singular_nodes,
+                    got.removed_boundary_points, got.removed_singular_points,
+                    *(s.point_indices for s in got.segments),
+                    *(s.node_ids for s in got.segments)):
+            assert_id_array(ids)
+
+
+@seed(7076)
+@PROPERTY
+@given(node_sets())
+def test_segments_disjoint_ordered_and_apart_from_removed_points(case):
+    sets, drawn = case
+    graph = MapperGraph(nodes=tuple(_nodes(sets)), edges=sorted(_ref_edges(sets)))
+    got = partition(graph, classify_characteristic_nodes(
+        graph, np.array(sorted(drawn), dtype=np.int64)))
+    removed = set(got.removed_boundary_points.tolist()) | set(got.removed_singular_points.tolist())
+    seen = set()
+    firsts = []
+    for seg in got.segments:
+        points = seg.point_indices.tolist()
+        assert not set(points) & seen
+        assert not set(points) & removed
+        seen |= set(points)
+        firsts.append(points[0])
+    assert firsts == sorted(firsts)
 
 
 @st.composite

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sstopo import (
-    BoundarySpec,
     CharacteristicNodes,
     ConfigurationError,
     CrossDomainMatch,
@@ -13,6 +12,8 @@ from sstopo import (
 )
 from sstopo.mapper import MapperGraph, MapperNode
 from sstopo.partition import KIND_ANOMALOUS, KIND_CLOSED, KIND_ISOLATED, KIND_OPEN, PartitionResult, Segment
+
+from corpus import assert_id_array
 
 
 def graph_of(point_sets, edges):
@@ -30,8 +31,33 @@ def cycle_graph(n):
     return graph_of(sets, [(i, (i + 1) % n) for i in range(n)])
 
 
+def ids(array) -> set[int]:
+    """An id array as a set of ints, for set-based references."""
+    return set(array.tolist())
+
+
+def node_ids(res):
+    return [s.node_ids.tolist() for s in res.segments]
+
+
+def assert_partition_records(res):
+    """Every id set is an id array; the segments are disjoint, ordered by
+    least point, and share no point with the removed sets."""
+    seen = set()
+    for s in res.segments:
+        assert_id_array(s.point_indices)
+        assert_id_array(s.node_ids)
+        assert not ids(s.point_indices) & seen
+        seen |= ids(s.point_indices)
+    assert_id_array(res.removed_boundary_points)
+    assert_id_array(res.removed_singular_points)
+    firsts = [s.point_indices.tolist()[0] for s in res.segments]
+    assert firsts == sorted(firsts)
+    assert not seen & (ids(res.removed_boundary_points) | ids(res.removed_singular_points))
+
+
 class TestBoundarySet:
-    SPEC = BoundarySpec(0.0, 1.0, 0.0, 1.0)
+    SPEC = (0.0, 1.0, 0.0, 1.0)
     DELTA = 0.1
 
     def test_left_band_included(self):
@@ -58,32 +84,55 @@ class TestBoundarySet:
         for delta in (0.0, -0.1, float("nan"), float("inf")):
             with pytest.raises(ConfigurationError):
                 approximate_boundary_set(np.zeros((1, 2)), self.SPEC, delta)
-        with pytest.raises(ConfigurationError):
-            BoundarySpec(1.0, 0.0, 0.0, 1.0)
+        with pytest.raises(ConfigurationError, match="degenerate domain bounds"):
+            approximate_boundary_set(np.zeros((1, 2)), (1.0, 0.0, 0.0, 1.0), self.DELTA)
+
+    @pytest.mark.parametrize("rect", [
+        (0.0, float("inf"), 0.0, 1.0),
+        (float("-inf"), 1.0, 0.0, 1.0),
+        (float("nan"), 1.0, 0.0, 1.0),
+        (0.0, 1.0, 0.0, float("nan")),
+        (0.0, 1.0, 1.0, 1.0),
+    ])
+    def test_non_finite_or_empty_box_rejected(self, rect):
+        with pytest.raises(ConfigurationError, match="degenerate domain bounds"):
+            approximate_boundary_set(np.zeros((1, 2)), rect, self.DELTA)
 
 
 class TestClassifyCharacteristic:
     def test_clean_path_has_none(self):
         g = path_graph(4)
         res = classify_characteristic_nodes(g, np.array([], dtype=int))
-        assert res.boundary_nodes == frozenset()
-        assert res.singular_nodes == frozenset()
+        assert ids(res.boundary_nodes) == set()
+        assert ids(res.singular_nodes) == set()
+        assert_id_array(res.boundary_nodes)
+        assert_id_array(res.singular_nodes)
 
     def test_star_center_is_singular(self):
         g = graph_of([[0], [1], [2], [3], [4]], [(0, 1), (0, 2), (0, 3), (0, 4)])
         res = classify_characteristic_nodes(g, np.array([], dtype=int))
-        assert res.singular_nodes == frozenset({0})
+        assert ids(res.singular_nodes) == {0}
 
     def test_boundary_membership(self):
         g = path_graph(3)
         res = classify_characteristic_nodes(g, np.array([2]))
-        assert res.boundary_nodes == frozenset({2})
+        assert ids(res.boundary_nodes) == {2}
+
+    def test_boundary_nodes_ascend_whatever_the_point_order(self):
+        # Node 3 holds the lowest boundary point, node 0 the highest.
+        g = graph_of([[9], [5, 6], [7], [1, 4]], [])
+        res = classify_characteristic_nodes(g, np.array([9, 1, 6, 4]))
+        assert res.boundary_nodes.tolist() == [0, 1, 3]
+        assert_id_array(res.boundary_nodes)
 
     def test_node_can_be_both(self):
         g = graph_of([[0], [1], [2], [3], [4]], [(0, 1), (0, 2), (0, 3), (0, 4)])
         res = classify_characteristic_nodes(g, np.array([0]))
-        assert 0 in res.boundary_nodes and 0 in res.singular_nodes
-        assert res.all_nodes == frozenset({0, 1, 2, 3, 4}) - frozenset({1, 2, 3, 4}) | frozenset({0})
+        assert ids(res.boundary_nodes) == {0} and ids(res.singular_nodes) == {0}
+        res = partition(g, res)
+        assert node_ids(res) == [[1], [2], [3], [4]]
+        assert ids(res.removed_boundary_points) == {0}
+        assert ids(res.removed_singular_points) == {0}
 
     def test_singular_detection_warns(self, caplog):
         g = graph_of([[0], [1], [2], [3], [4]], [(0, 1), (0, 2), (0, 3), (0, 4)])
@@ -93,12 +142,19 @@ class TestClassifyCharacteristic:
 
 
 class TestPartition:
-    EMPTY = CharacteristicNodes(frozenset(), frozenset())
+    EMPTY = CharacteristicNodes([], [])
 
     def test_path_is_open(self):
         res = partition(path_graph(5), self.EMPTY)
         assert [s.kind for s in res.segments] == [KIND_OPEN]
-        assert res.segments[0].point_indices == tuple(range(5))
+        assert res.segments[0].point_indices.tolist() == list(range(5))
+        assert_partition_records(res)
+
+    def test_a_segment_indexes_point_rows(self):
+        # Two points index two rows, not one element of a multi-axis index.
+        pts = np.arange(10.0).reshape(5, 2)
+        res = partition(graph_of([[3, 1]], []), self.EMPTY)
+        assert pts[res.segments[0].point_indices].tolist() == [[2.0, 3.0], [6.0, 7.0]]
 
     def test_cycle_is_closed(self):
         res = partition(cycle_graph(6), self.EMPTY)
@@ -125,63 +181,87 @@ class TestPartition:
         char = classify_characteristic_nodes(g, np.array([], dtype=int))
         res = partition(g, char)
         assert [s.kind for s in res.segments] == [KIND_OPEN] * 4
-        assert [s.node_ids for s in res.segments] == [(1,), (2,), (3,), (4,)]
+        assert node_ids(res) == [[1], [2], [3], [4]]
 
     def test_one_node_arm_between_removed_nodes_is_open(self):
         # boundary node 0 - arm 1 - singular node 2 with two more arms
         g = graph_of([[0], [0, 1], [1, 2], [2, 3], [2, 4]],
                      [(0, 1), (1, 2), (2, 3), (2, 4)])
-        res = partition(g, CharacteristicNodes(frozenset({0}), frozenset({2})))
-        assert [(s.node_ids, s.kind) for s in res.segments] == [
-            ((1,), KIND_OPEN), ((3,), KIND_OPEN), ((4,), KIND_OPEN)]
+        res = partition(g, CharacteristicNodes([0], [2]))
+        assert [(s.node_ids.tolist(), s.kind) for s in res.segments] == [
+            ([1], KIND_OPEN), ([3], KIND_OPEN), ([4], KIND_OPEN)]
 
     def test_node_without_neighbors_stays_isolated_beside_removal(self):
         g = graph_of([[0], [1], [2], [3], [0, 1, 2, 3], [7]],
                      [(0, 4), (1, 4), (2, 4), (3, 4)])
         char = classify_characteristic_nodes(g, np.array([], dtype=int))
         res = partition(g, char)
-        assert [(s.node_ids, s.kind) for s in res.segments] == [
-            ((0,), KIND_OPEN), ((1,), KIND_OPEN), ((2,), KIND_OPEN), ((3,), KIND_OPEN),
-            ((5,), KIND_ISOLATED)]
+        assert [(s.node_ids.tolist(), s.kind) for s in res.segments] == [
+            ([0], KIND_OPEN), ([1], KIND_OPEN), ([2], KIND_OPEN), ([3], KIND_OPEN),
+            ([5], KIND_ISOLATED)]
+        assert_partition_records(res)
 
     def test_every_node_removed_gives_no_segment(self):
         g = path_graph(3, points_per_node=2)
-        char = CharacteristicNodes(frozenset({0, 1, 2}), frozenset())
+        char = CharacteristicNodes([0, 1, 2], [])
         res = partition(g, char)
         assert res.segments == ()
-        assert res.removed_boundary_points == frozenset(range(6))
+        assert ids(res.removed_boundary_points) == set(range(6))
+        assert ids(res.removed_singular_points) == set()
+        assert_partition_records(res)
         assert partition(graph_of([], []), self.EMPTY).segments == ()
 
     def test_shared_points_stay_with_survivors(self):
         # node 1 removed as boundary; point 10 shared with surviving node 0
         g = graph_of([[0, 10], [10, 11, 20], [20, 2]], [(0, 1), (1, 2)])
-        char = CharacteristicNodes(frozenset({1}), frozenset())
+        char = CharacteristicNodes([1], [])
         res = partition(g, char)
         seg_points = set()
         for s in res.segments:
-            seg_points |= set(s.point_indices)
+            seg_points |= ids(s.point_indices)
         assert 10 in seg_points and 20 in seg_points
-        assert res.removed_boundary_points == frozenset({11})
+        assert ids(res.removed_boundary_points) == {11}
+        assert_partition_records(res)
 
     def test_disjoint_and_covering(self):
         g = graph_of([[0, 1], [1, 2], [2, 3], [5], [6, 7]],
                      [(0, 1), (1, 2), (3, 4)])
-        char = CharacteristicNodes(frozenset({4}), frozenset())
+        char = CharacteristicNodes([4], [])
         res = partition(g, char)
         all_pts = set()
         for s in res.segments:
-            pts = set(s.point_indices)
+            pts = ids(s.point_indices)
             assert not (pts & all_pts)
             all_pts |= pts
-        covered = all_pts | set(res.removed_boundary_points) | set(res.removed_singular_points)
+        covered = all_pts | ids(res.removed_boundary_points) | ids(res.removed_singular_points)
         assert covered >= {0, 1, 2, 3, 5, 6, 7}
+        assert_partition_records(res)
+
+    def test_segments_ordered_by_least_point_not_by_node(self):
+        # Node 0's component holds points 5..6, node 1's holds 0..1, and the
+        # last point of node 2's component, 9, is above node 3's, 8.
+        g = graph_of([[5, 6], [0, 1], [2, 9], [3, 8]], [])
+        res = partition(g, self.EMPTY)
+        assert node_ids(res) == [[1], [2], [3], [0]]
+        assert_partition_records(res)
+
+    def test_removed_points_exclude_every_survivors_points(self):
+        # Boundary node 1 and singular node 3 share points 1, 3, 4 and 6 with
+        # the survivors, and point 8 with each other.
+        g = graph_of([[0, 1], [1, 2, 3, 8], [3, 4], [4, 5, 6, 8], [6, 7]],
+                     [(0, 1), (1, 2), (1, 3), (2, 3), (3, 4)])
+        res = partition(g, CharacteristicNodes([1], [3]))
+        assert node_ids(res) == [[0], [2], [4]]
+        assert ids(res.removed_boundary_points) == {2, 8}
+        assert ids(res.removed_singular_points) == {5, 8}
+        assert_partition_records(res)
 
     def test_max_degree_after_singular_removal(self):
         g = graph_of([[0], [1], [2], [3], [0, 1, 2, 3, 4]],
                      [(0, 4), (1, 4), (2, 4), (3, 4)])
         char = classify_characteristic_nodes(g, np.array([], dtype=int))
         res = partition(g, char)
-        assert char.singular_nodes == frozenset({4})
+        assert ids(char.singular_nodes) == {4}
         # all surviving components have degree <= 2
         for seg in res.segments:
             assert seg.kind in (KIND_OPEN, KIND_CLOSED, KIND_ISOLATED)
@@ -190,9 +270,9 @@ class TestPartition:
 class TestMatch:
     def _single_segment(self, points):
         return PartitionResult(
-            segments=(Segment(tuple(points), KIND_OPEN, (0,)),),
-            removed_boundary_points=frozenset(),
-            removed_singular_points=frozenset(),
+            segments=(Segment(points, KIND_OPEN, [0]),),
+            removed_boundary_points=[],
+            removed_singular_points=[],
         )
 
     def test_single_pair(self):
@@ -204,17 +284,17 @@ class TestMatch:
     def test_periodic_seam_one_to_two(self):
         # one closed segment on side 1, two open halves on side 2
         p1 = PartitionResult(
-            segments=(Segment(tuple(range(8)), KIND_CLOSED, (0,)),),
-            removed_boundary_points=frozenset(),
-            removed_singular_points=frozenset(),
+            segments=(Segment(range(8), KIND_CLOSED, [0]),),
+            removed_boundary_points=[],
+            removed_singular_points=[],
         )
         p2 = PartitionResult(
             segments=(
-                Segment((0, 1, 2, 3), KIND_OPEN, (0,)),
-                Segment((4, 5, 6, 7), KIND_OPEN, (1,)),
+                Segment([0, 1, 2, 3], KIND_OPEN, [0]),
+                Segment([4, 5, 6, 7], KIND_OPEN, [1]),
             ),
-            removed_boundary_points=frozenset(),
-            removed_singular_points=frozenset(),
+            removed_boundary_points=[],
+            removed_singular_points=[],
         )
         corr = np.array([[i, i] for i in range(8)])
         match = match_across_domains(p1, p2, corr)
@@ -222,9 +302,9 @@ class TestMatch:
 
     def test_removed_points_do_not_vote(self):
         p1 = PartitionResult(
-            segments=(Segment((0,), KIND_ISOLATED, (0,)),),
-            removed_boundary_points=frozenset({1}),
-            removed_singular_points=frozenset(),
+            segments=(Segment([0], KIND_ISOLATED, [0]),),
+            removed_boundary_points=[1],
+            removed_singular_points=[],
         )
         p2 = self._single_segment([0, 1])
         match = match_across_domains(p1, p2, np.array([[1, 0]]))
@@ -232,12 +312,12 @@ class TestMatch:
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)
-        seg1 = [Segment(tuple(range(0, 5)), KIND_OPEN, (0,)),
-                Segment(tuple(range(5, 9)), KIND_OPEN, (1,))]
-        seg2 = [Segment(tuple(range(0, 3)), KIND_OPEN, (0,)),
-                Segment(tuple(range(3, 9)), KIND_OPEN, (1,))]
-        p1 = PartitionResult(tuple(seg1), frozenset(), frozenset())
-        p2 = PartitionResult(tuple(seg2), frozenset(), frozenset())
+        seg1 = [Segment(range(0, 5), KIND_OPEN, [0]),
+                Segment(range(5, 9), KIND_OPEN, [1])]
+        seg2 = [Segment(range(0, 3), KIND_OPEN, [0]),
+                Segment(range(3, 9), KIND_OPEN, [1])]
+        p1 = PartitionResult(tuple(seg1), [], [])
+        p2 = PartitionResult(tuple(seg2), [], [])
         corr = np.column_stack([rng.integers(0, 9, 30), rng.integers(0, 9, 30)])
         fwd = match_across_domains(p1, p2, corr)
         rev = match_across_domains(p2, p1, corr[:, ::-1])

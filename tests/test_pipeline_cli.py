@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import sstopo
 import sstopo.pipeline
 from sstopo import (
-    BoundarySpec,
     BSplineSurface,
     ConfigurationError,
     DegenerateCloudError,
@@ -43,6 +42,7 @@ from corpus import (
     STEP,
     NOISE,
     assert_edge_record,
+    assert_id_array,
     cylinder_patch,
     noisy_circle_cloud,
     paraboloid_patch,
@@ -125,6 +125,20 @@ class TestRunPipeline:
         for got, want in zip(loaded.domains, crossed_doc.domains):
             assert_edge_record(got.graph.edges)
             assert np.array_equal(got.graph.edges, want.graph.edges)
+            assert len(got.partition.segments) == len(want.partition.segments)
+            pairs = [(got.characteristic.boundary_nodes, want.characteristic.boundary_nodes),
+                     (got.characteristic.singular_nodes, want.characteristic.singular_nodes),
+                     (got.partition.removed_boundary_points,
+                      want.partition.removed_boundary_points),
+                     (got.partition.removed_singular_points,
+                      want.partition.removed_singular_points)]
+            for a, b in zip(got.partition.segments, want.partition.segments):
+                assert a.kind == b.kind
+                pairs += [(a.point_indices, b.point_indices), (a.node_ids, b.node_ids)]
+            for a, b in pairs:
+                assert_id_array(a)
+                assert_id_array(b)
+                assert np.array_equal(a, b)
 
     def test_saved_document_is_one_unindented_dump(self, crossed_doc, tmp_path):
         # No indent, so CPython encodes the document with its C encoder.
@@ -279,7 +293,7 @@ class TestRunMapperOnly:
         delta = recommended_delta(STEP, 0.0)
         xs = np.arange(0.0, 1.00001, STEP)
         cloud = np.column_stack([xs, np.full_like(xs, 0.5)])
-        bounds = BoundarySpec(0.0, 1.0, 0.0, 1.0)
+        bounds = (0.0, 1.0, 0.0, 1.0)
         doc = run_mapper_only(
             PipelineConfig(delta_override=delta), cloud, bounds=bounds
         )
@@ -620,6 +634,27 @@ class TestCli:
         )
         assert rc == 0
         assert "open" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bounds", [
+        ["1", "0", "0", "1"],
+        ["0", "inf", "0", "1"],
+        ["nan", "1", "0", "1"],
+        ["0", "1", "0", str(1.5 * DELTA)],  # narrower than two bands
+    ], ids=["reversed", "infinite", "nan", "narrow"])
+    def test_mapper_rejects_bad_bounds_before_the_mapper(self, tmp_path, capsys, monkeypatch,
+                                                         bounds):
+        def refuse(*args):
+            raise AssertionError("the Mapper ran before the box was checked")
+
+        monkeypatch.setattr(sstopo.pipeline, "run_two_step", refuse)
+        cloud_path = tmp_path / "cloud.txt"
+        save_cloud(cloud_path, three_curves_cloud(seed=3)[0])
+        out = tmp_path / "out"
+        rc = main(["mapper", str(cloud_path), "--delta", str(DELTA), "--out-dir", str(out),
+                   "--bounds", *bounds])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_bounds_without_delta_rejected(self, tmp_path, capsys):
         p = tmp_path / "line.txt"
