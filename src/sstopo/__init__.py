@@ -19,7 +19,6 @@ from .geometry import (
 )
 from .subdivision import IntersectionPointSets, hausdorff_bound, intersect_surfaces
 from .mapper import (
-    Cover,
     LinearFilter,
     MapperGraph,
     MapperNode,

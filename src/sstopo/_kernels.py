@@ -238,6 +238,19 @@ def run_starts(values: np.ndarray) -> np.ndarray:
     return starts
 
 
+def freeze(record, dtype, *names, shape=None) -> None:
+    """Hold each named field of a frozen record as a read-only copy of
+    `dtype`, reshaped to `shape` where one is given, so that a later write
+    to the caller's array does not reach the record."""
+    for name in names:
+        value = getattr(record, name)
+        if shape is not None:
+            value = np.reshape(value, shape)
+        value = np.array(value, dtype=dtype)
+        value.flags.writeable = False
+        object.__setattr__(record, name, value)
+
+
 def _join(root, u, v):
     """Merge the sets holding u[k] and v[k] in a forest of stars, where
     root[p] is the root of p's set; returns the merged forest of stars."""

@@ -11,6 +11,9 @@ BOUNDARY_COLOR = "#f5c518"  # yellow
 SINGULAR_COLOR = "#2457e6"  # blue
 UNASSIGNED_COLOR = "#9a9a9a"
 
+# Length in pixels of the longer side of an SVG plot.
+SVG_SIZE = 640
+
 SEGMENT_PALETTE = (
     "#d62728",
     "#2ca02c",
@@ -56,7 +59,7 @@ def segment_colors(n_points: int, part: PartitionResult) -> list[str]:
     return [palette[c] for c in code.tolist()]
 
 
-def write_svg(path, points: np.ndarray, colors: list[str], size: int = 640) -> None:
+def write_svg(path, points: np.ndarray, colors: list[str]) -> None:
     """Scatter plot of a planar cloud; y grows upward as in the parameter domain."""
     points = np.asarray(points, dtype=np.float64)
     if points.shape[0] == 0:
@@ -69,10 +72,10 @@ def write_svg(path, points: np.ndarray, colors: list[str], size: int = 640) -> N
     pad = 0.05 * float(span.max())
     lo = lo - pad
     span = span + 2 * pad
-    scale = size / float(span.max())
+    scale = SVG_SIZE / float(span.max())
     width = span[0] * scale
     height = span[1] * scale
-    radius = max(1.5, 0.004 * size)
+    radius = max(1.5, 0.004 * SVG_SIZE)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.1f}" '

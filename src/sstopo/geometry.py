@@ -22,12 +22,6 @@ from . import _kernels
 from .errors import ParameterRangeError
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class KnotVector:
     """Nondecreasing knot sequence with its polynomial degree.
@@ -41,7 +35,7 @@ class KnotVector:
     periodic: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "knots", _readonly(np.ravel(self.knots)))
+        _kernels.freeze(self, np.float64, "knots", shape=(-1,))
         if self.degree < 0:
             raise ParameterRangeError("degree must be nonnegative")
         if self.knots.size < self.degree + 2:
@@ -99,7 +93,7 @@ class BSplineSurface:
     periodic_v: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "control_points", _readonly(self.control_points))
+        _kernels.freeze(self, np.float64, "control_points")
         object.__setattr__(self, "periodic_u", self.knots_u.periodic)
         object.__setattr__(self, "periodic_v", self.knots_v.periodic)
         cp = self.control_points

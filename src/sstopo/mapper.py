@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _join, neighbor_components, neighbor_sup_abs_diff, run_starts
+from ._kernels import _join, freeze, neighbor_components, neighbor_sup_abs_diff, run_starts
 from .errors import ConfigurationError, DegenerateCloudError, EmptyInputError
 
 log = logging.getLogger(__name__)
@@ -27,38 +27,17 @@ EIGEN_TIE_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class LinearFilter:
-    """Projection filter f(x) = <x - center, direction>, with unit direction."""
+    """Projection filter f(x) = <x - center, direction>, with unit direction.
+    Both are held as read-only float64 copies, so the norm checked here is
+    the one `_sup_cap` relies on."""
 
     center: np.ndarray
     direction: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64))
-        object.__setattr__(self, "direction", np.asarray(self.direction, dtype=np.float64))
+        freeze(self, np.float64, "center", "direction")
         if abs(float(np.linalg.norm(self.direction)) - 1.0) > 1e-12:
             raise ConfigurationError("filter direction must be a unit vector")
-
-
-@dataclass(frozen=True, eq=False)
-class Cover:
-    """Ordered equal-length overlapping intervals spanning a filter's range."""
-
-    intervals: np.ndarray  # (S, 2)
-    length: float
-    overlap_ratio: float
-
-    @property
-    def size(self) -> int:
-        return self.intervals.shape[0]
-
-    def membership(self, values: np.ndarray) -> list[np.ndarray]:
-        """Indices of values inside each interval (closed bounds, so points on
-        a shared endpoint belong to both)."""
-        values = np.asarray(values)
-        return [
-            np.nonzero((values >= a) & (values <= b))[0]
-            for a, b in self.intervals
-        ]
 
 
 @dataclass(frozen=True)
@@ -80,22 +59,12 @@ class MapperParams:
             raise ConfigurationError(f"alpha must be positive and finite, got {self.alpha}")
 
 
-def freeze_ids(record, *names, shape=(-1,)) -> None:
-    """Hold each named field of a frozen record as a read-only int64 array
-    of `shape`. The caller passes the ids in the record's stated order; the
-    records holding them compare by identity."""
-    for name in names:
-        ids = np.asarray(getattr(record, name), dtype=np.int64).reshape(shape)
-        ids.flags.writeable = False
-        object.__setattr__(record, name, ids)
-
-
 @dataclass(frozen=True, eq=False)
 class MapperNode:
     """One cluster: its point indices plus the interval(s) it came from.
     A node is named by its position in its graph's `nodes`.
 
-    `points` is held as a read-only int64 array; the caller passes the
+    `points` is held as a read-only int64 copy; the caller passes the
     indices strictly increasing."""
 
     points: np.ndarray
@@ -103,21 +72,21 @@ class MapperNode:
     refined: bool = False
 
     def __post_init__(self):
-        freeze_ids(self, "points")
+        freeze(self, np.int64, "points")
 
 
 @dataclass(frozen=True, eq=False)
 class MapperGraph:
     """Undirected unweighted graph over clusters; edge iff point sets intersect.
     A node is named by its position in `nodes`. `edges` is held as a
-    read-only (m, 2) int64 array of position pairs a < b; the caller passes
+    read-only (m, 2) int64 copy of position pairs a < b; the caller passes
     the rows strictly increasing by (a, b)."""
 
     nodes: tuple[MapperNode, ...]
     edges: np.ndarray
 
     def __post_init__(self):
-        freeze_ids(self, "edges", shape=(-1, 2))
+        freeze(self, np.int64, "edges", shape=(-1, 2))
 
     @property
     def node_count(self) -> int:
@@ -134,13 +103,11 @@ class MapperGraph:
         return components(len(self.nodes), self.edges)
 
 
-def membership_table(point_sets, owners=None) -> tuple[np.ndarray, np.ndarray]:
+def membership_table(point_sets) -> tuple[np.ndarray, np.ndarray]:
     """One (owner, point) row per member of each set, set by set: `owner` is
-    the set's entry in `owners`, by default its position."""
+    the set's position."""
     sizes = [len(s) for s in point_sets]
-    if owners is None:
-        owners = range(len(sizes))
-    owner = np.repeat(np.asarray(owners, dtype=np.int64), sizes)
+    owner = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
     point = np.concatenate([np.empty(0, dtype=np.int64), *point_sets]).astype(np.int64,
                                                                               copy=False)
     return owner, point
@@ -322,10 +289,11 @@ def interval_count(cloud: np.ndarray, filt: LinearFilter, l_prime: float, theta_
     return int(_count(_span(values), l_prime, theta_ov))
 
 
-def build_cover(f_min: float, f_max: float, count: int, theta_ov: float) -> Cover:
-    """`count` equal-length intervals over [f_min, f_max] with adjacent overlap
-    theta_ov * length. Endpoints of the first/last interval are pinned to the
-    range exactly so coverage survives floating point."""
+def build_cover(f_min: float, f_max: float, count: int, theta_ov: float) -> np.ndarray:
+    """The (count, 2) intervals [a, b]: `count` equal-length intervals over
+    [f_min, f_max] with adjacent overlap theta_ov * length. Endpoints of the
+    first/last interval are pinned to the range exactly so coverage survives
+    floating point."""
     if count < 1:
         raise ConfigurationError(f"interval count must be >= 1, got {count}")
     if f_max < f_min:
@@ -336,7 +304,7 @@ def build_cover(f_min: float, f_max: float, count: int, theta_ov: float) -> Cove
     intervals = np.column_stack([starts, starts + length])
     intervals[0, 0] = f_min
     intervals[-1, 1] = f_max
-    return Cover(intervals=intervals, length=float(length), overlap_ratio=float(theta_ov))
+    return intervals
 
 
 def _clusters(cloud, indices: np.ndarray, delta: float, groups=None):
@@ -379,12 +347,13 @@ def build_mapper_graph(cloud: np.ndarray, filt: LinearFilter, params: MapperPara
         count = cap
     cover = build_cover(float(values.min()), float(values.max()), count, params.theta_ov)
 
-    # One group per interval. The memberships are concatenated in interval
-    # order, so the clusters, which follow first positions, come interval by
-    # interval.
-    members = cover.membership(values)
+    # One group per interval. Bounds are closed, so a point on a shared
+    # endpoint belongs to both intervals. The memberships are concatenated in
+    # interval order, so the clusters, which follow first positions, come
+    # interval by interval.
+    members = [np.flatnonzero((values >= a) & (values <= b)) for a, b in cover]
     indices = np.concatenate(members)
-    groups = np.repeat(np.arange(cover.size), [m.size for m in members])
+    groups = np.repeat(np.arange(len(cover)), [m.size for m in members])
     clusters, first = _clusters(cloud, indices, params.delta, groups)
     nodes = [MapperNode(cluster, intervals=(interval,))
              for cluster, interval in zip(clusters, groups[first].tolist())]

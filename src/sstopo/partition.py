@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import run_starts
+from ._kernels import freeze, run_starts
 from .errors import ConfigurationError
-from .mapper import MapperGraph, components, freeze_ids, membership_table
+from .mapper import MapperGraph, components, membership_table
 
 log = logging.getLogger(__name__)
 
@@ -33,39 +33,39 @@ KIND_ANOMALOUS = "anomalous"
 
 @dataclass(frozen=True, eq=False)
 class CharacteristicNodes:
-    """Node positions, each set a read-only int64 array, ascending."""
+    """Node positions, each set a read-only int64 copy, ascending."""
 
     boundary_nodes: np.ndarray
     singular_nodes: np.ndarray
 
     def __post_init__(self):
-        freeze_ids(self, "boundary_nodes", "singular_nodes")
+        freeze(self, np.int64, "boundary_nodes", "singular_nodes")
 
 
 @dataclass(frozen=True, eq=False)
 class Segment:
     """One partition subset with the graph shape that produced it: its point
-    indices and node positions, each a read-only int64 array, ascending."""
+    indices and node positions, each a read-only int64 copy, ascending."""
 
     point_indices: np.ndarray
     kind: str
     node_ids: np.ndarray
 
     def __post_init__(self):
-        freeze_ids(self, "point_indices", "node_ids")
+        freeze(self, np.int64, "point_indices", "node_ids")
 
 
 @dataclass(frozen=True, eq=False)
 class PartitionResult:
     """Segments in order of least point; the removed point sets are
-    read-only int64 arrays, ascending."""
+    read-only int64 copies, ascending."""
 
     segments: tuple[Segment, ...]
     removed_boundary_points: np.ndarray
     removed_singular_points: np.ndarray
 
     def __post_init__(self):
-        freeze_ids(self, "removed_boundary_points", "removed_singular_points")
+        freeze(self, np.int64, "removed_boundary_points", "removed_singular_points")
 
     def segment_kinds(self) -> list[str]:
         return [seg.kind for seg in self.segments]

@@ -200,13 +200,8 @@ def _analyze_domain(
     name: str,
     points: np.ndarray,
     params: MapperParams,
-    bounds: Sequence[float] | None,
+    boundary_idx: np.ndarray,
 ) -> DomainResult:
-    # The box is checked before the Mapper runs, so a bad one fails fast.
-    if bounds is not None:
-        boundary_idx = approximate_boundary_set(points, bounds, params.delta)
-    else:
-        boundary_idx = np.empty(0, dtype=np.int64)
     two_step = run_two_step(points, params)
     characteristic = classify_characteristic_nodes(two_step.graph, boundary_idx)
     part = partition(two_step.graph, characteristic)
@@ -259,7 +254,8 @@ def _analyze_pair(
             if delta is None:
                 delta = default_delta(cell_diag)
             params = MapperParams(delta, config.theta_ov, config.alpha)
-            domains.append(_analyze_domain(name, points, params, surface.param_range))
+            boundary_idx = approximate_boundary_set(points, surface.param_range, params.delta)
+            domains.append(_analyze_domain(name, points, params, boundary_idx))
         match = match_across_domains(
             domains[0].partition, domains[1].partition, sets.correspondences
         )
@@ -300,25 +296,33 @@ def run_mapper_only(
     Requires `delta_override` (there are no subdivision cells to derive the
     clustering radius from) and refuses a non-default `epsilon` or
     `dump_boxes`, which need one; boundary classification happens only when a
-    domain box, a `(u_min, u_max, v_min, v_max)` sequence, is supplied. An empty cloud gives the document `run_pipeline`
-    gives for an empty intersection: `no_intersection` and no domains.
-    Raises `DegenerateCloudError` when a coordinate is NaN or infinite.
+    domain box, a `(u_min, u_max, v_min, v_max)` sequence, is supplied. The
+    box is checked before the Mapper runs, on an empty cloud too. An empty
+    cloud gives the document `run_pipeline` gives for an empty intersection:
+    `no_intersection` and no domains. Raises `DegenerateCloudError` unless
+    `points` is an `(n, 2)` array of finite coordinates.
     """
     if config.delta_override is None:
         raise ConfigurationError("mapper-only runs need an explicit delta")
     if config.epsilon != PipelineConfig.epsilon or config.dump_boxes:
         raise ConfigurationError("mapper-only runs have no subdivision: epsilon and "
                                  "dump_boxes must keep their defaults")
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise DegenerateCloudError(f"a cloud is an (n, 2) array, got shape {points.shape}")
     if not np.isfinite(points).all():
         raise DegenerateCloudError("cloud coordinates must be finite")
     t_start = time.perf_counter()
+    params = MapperParams(config.delta_override, config.theta_ov, config.alpha)
+    if bounds is not None:
+        boundary_idx = approximate_boundary_set(points, bounds, params.delta)
+    else:
+        boundary_idx = np.empty(0, dtype=np.int64)
     if points.shape[0] == 0:
         domains = []
         timings = {"initial": 0.0, "subdivision": 0.0}
     else:
-        params = MapperParams(config.delta_override, config.theta_ov, config.alpha)
-        dom = _analyze_domain("cloud", points, params, bounds)
+        dom = _analyze_domain("cloud", points, params, boundary_idx)
         domains = [dom]
         timings = {"initial": dom.seconds_initial, "subdivision": dom.seconds_refine}
     timings["total"] = time.perf_counter() - t_start

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import run_starts
+from ._kernels import freeze, run_starts
 from .errors import ConfigurationError, EmptyInputError, ParameterRangeError
 from .geometry import BSplineSurface, _split_net, restrict
 
@@ -53,6 +53,7 @@ class IntersectionPointSets:
     whose centroid is `points1[i]`, and likewise for domain 2; a
     correspondence row `(i, j)` pairs cell `cells1[i]` with `cells2[j]`.
     The largest cell diagonals `cell_diag1/2` are read from the cells.
+    Every array is held as a read-only copy.
     """
 
     points1: np.ndarray  # (n1, 2) lexicographically sorted, deduplicated
@@ -62,6 +63,10 @@ class IntersectionPointSets:
     correspondences: np.ndarray  # (m, 2) index pairs into points1/points2
     epsilon: float
     overlap_suspected: bool = False
+
+    def __post_init__(self):
+        freeze(self, np.float64, "points1", "points2", "cells1", "cells2")
+        freeze(self, np.int64, "correspondences")
 
     @property
     def is_empty(self) -> bool:

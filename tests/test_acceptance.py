@@ -172,15 +172,19 @@ def test_criterion_7_cover_arithmetic():
         s = int(rng.integers(1, 50))
         theta = float(rng.uniform(0.01, 0.49))
         cover = build_cover(f_min, f_min + span, s, theta)
-        lengths = cover.intervals[:, 1] - cover.intervals[:, 0]
-        assert np.all(np.abs(lengths - cover.length) < 1e-9)
+        # s intervals of length l, adjacent ones overlapping by theta * l,
+        # span s * l - (s - 1) * theta * l.
+        length = span / (s - (s - 1) * theta)
+        assert cover.shape == (s, 2)
+        lengths = cover[:, 1] - cover[:, 0]
+        assert np.all(np.abs(lengths - length) < 1e-9)
         if s > 1:
-            overlaps = cover.intervals[:-1, 1] - cover.intervals[1:, 0]
-            assert np.all(np.abs(overlaps - theta * cover.length) < 1e-9)
+            overlaps = cover[:-1, 1] - cover[1:, 0]
+            assert np.all(np.abs(overlaps - theta * length) < 1e-9)
         if s > 2:
-            assert np.all(cover.intervals[2:, 0] > cover.intervals[:-2, 1] - 1e-12)
-        assert cover.intervals[0, 0] <= f_min
-        assert cover.intervals[-1, 1] >= f_min + span
+            assert np.all(cover[2:, 0] > cover[:-2, 1] - 1e-12)
+        assert cover[0, 0] <= f_min
+        assert cover[-1, 1] >= f_min + span
 
     cloud = np.column_stack([np.linspace(0, 10, 400), np.zeros(400)])
     f = LinearFilter(np.array([0.0, 0.0]), np.array([1.0, 0.0]))

@@ -71,6 +71,8 @@ CASES = {
     "saddle-z-0.1-eps0.02": (saddle_at(-0.1), 0.02, 0.2, [KIND_OPEN] * 2),
     "cylinders-theta0.1-eps0.02": (crossed_cylinders, 0.02, 0.1, [KIND_OPEN] * 4),
     "cylinders-theta0.4-eps0.01": (crossed_cylinders, 0.01, 0.4, [KIND_OPEN] * 4),
+    "cylinders-theta0.3-eps0.005": (crossed_cylinders, 0.005, 0.3, [KIND_OPEN] * 4),
+    "cylinders-theta0.45-eps0.01": (crossed_cylinders, 0.01, 0.45, [KIND_OPEN] * 4),
     # Controls, right today.
     "paraboloid-z0.01-eps0.005": (paraboloid_at(0.01), 0.005, 0.2, [KIND_CLOSED]),
     "paraboloid-z0.1-eps0.02": (paraboloid_at(0.1), 0.02, 0.2, [KIND_CLOSED]),
@@ -78,6 +80,8 @@ CASES = {
     "paraboloid-z0.35-eps0.005": (paraboloid_at(0.35), 0.005, 0.2, [KIND_OPEN] * 4),
     "saddle-z0.1-eps0.01": (saddle_at(0.1), 0.01, 0.2, [KIND_OPEN] * 2),
     "saddle-z-0.1-eps0.01": (saddle_at(-0.1), 0.01, 0.2, [KIND_OPEN] * 2),
+    "cylinders-theta0.35-eps0.01": (crossed_cylinders, 0.01, 0.35, [KIND_OPEN] * 4),
+    "cylinders-theta0.2-eps0.005": (crossed_cylinders, 0.005, 0.2, [KIND_OPEN] * 4),
 }
 
 
@@ -100,6 +104,12 @@ def run_case(case_id):
     defect("cylinders-theta0.4-eps0.01",
            "5 open per domain and 13 match pairs: the crossing resolves as two "
            "degree-3 singular nodes joined by a 2-node, 64-point open segment"),
+    defect("cylinders-theta0.3-eps0.005",
+           "5 open per domain, matched one to one in 5 pairs: a 1-node, 44-point "
+           "open segment joins the crossing's two singular nodes"),
+    defect("cylinders-theta0.45-eps0.01",
+           "5 open per domain and 13 match pairs: a 1-node, 28-point open segment "
+           "joins the crossing's two singular nodes"),
 ])
 def test_known_defect_reads_the_analytic_answer(case_id):
     run_case(case_id)
@@ -112,6 +122,8 @@ def test_known_defect_reads_the_analytic_answer(case_id):
     "paraboloid-z0.35-eps0.005",
     "saddle-z0.1-eps0.01",
     "saddle-z-0.1-eps0.01",
+    "cylinders-theta0.35-eps0.01",
+    "cylinders-theta0.2-eps0.005",
 ])
 def test_control_reads_the_analytic_answer(case_id):
     run_case(case_id)

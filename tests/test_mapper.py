@@ -393,21 +393,29 @@ class TestIntervalCount:
             interval_count(np.zeros((2, 2)), self.F, 0.0, 0.2)
 
 
+def closed_form_length(span, s, theta):
+    # s intervals of length l, adjacent ones overlapping by theta * l, span
+    # s * l - (s - 1) * theta * l.
+    return span / (s - (s - 1) * theta)
+
+
 class TestBuildCover:
     def test_single_interval(self):
         cover = build_cover(0.0, 3.0, 1, 0.2)
-        assert cover.size == 1
-        np.testing.assert_array_equal(cover.intervals, [[0.0, 3.0]])
-        assert cover.length == 3.0
+        assert len(cover) == 1
+        np.testing.assert_array_equal(cover, [[0.0, 3.0]])
+        assert cover[0, 1] - cover[0, 0] == closed_form_length(3.0, 1, 0.2) == 3.0
 
     def test_two_interval_hand_solution(self):
         cover = build_cover(0.0, 1.0, 2, 0.2)
         # l solves 2l - 0.2 l = 1
-        assert cover.length == pytest.approx(1 / 1.8)
-        np.testing.assert_allclose(cover.intervals[0], [0.0, 1 / 1.8], atol=1e-12)
-        np.testing.assert_allclose(cover.intervals[1], [1 - 1 / 1.8, 1.0], atol=1e-12)
-        overlap = cover.intervals[0, 1] - cover.intervals[1, 0]
-        assert overlap == pytest.approx(0.2 * cover.length)
+        length = 1 / 1.8
+        assert cover.shape == (2, 2)
+        np.testing.assert_allclose(cover[:, 1] - cover[:, 0], [length, length], atol=1e-12)
+        np.testing.assert_allclose(cover[0], [0.0, length], atol=1e-12)
+        np.testing.assert_allclose(cover[1], [1 - length, 1.0], atol=1e-12)
+        overlap = cover[0, 1] - cover[1, 0]
+        assert overlap == pytest.approx(0.2 * length)
 
     def test_last_endpoint_exact(self):
         rng = np.random.default_rng(5)
@@ -417,8 +425,8 @@ class TestBuildCover:
             s = int(rng.integers(1, 40))
             theta = float(rng.uniform(0.01, 0.49))
             cover = build_cover(f_min, f_min + span, s, theta)
-            assert cover.intervals[-1, 1] == f_min + span
-            assert cover.intervals[0, 0] == f_min
+            assert cover[-1, 1] == f_min + span
+            assert cover[0, 0] == f_min
 
     def test_invariant_sweep(self):
         # cover arithmetic across 1000 random draws, tolerance 1e-9
@@ -429,15 +437,17 @@ class TestBuildCover:
             s = int(rng.integers(1, 60))
             theta = float(rng.uniform(0.01, 0.49))
             cover = build_cover(f_min, f_min + span, s, theta)
-            lengths = cover.intervals[:, 1] - cover.intervals[:, 0]
-            assert np.all(np.abs(lengths - cover.length) < 1e-9)
+            length = closed_form_length(span, s, theta)
+            assert cover.shape == (s, 2)
+            lengths = cover[:, 1] - cover[:, 0]
+            assert np.all(np.abs(lengths - length) < 1e-9)
             if s > 1:
-                overlaps = cover.intervals[:-1, 1] - cover.intervals[1:, 0]
-                assert np.all(np.abs(overlaps - theta * cover.length) < 1e-9)
+                overlaps = cover[:-1, 1] - cover[1:, 0]
+                assert np.all(np.abs(overlaps - theta * length) < 1e-9)
             if s > 2:
                 # no point lies in three intervals
-                assert np.all(cover.intervals[2:, 0] > cover.intervals[:-2, 1] - 1e-12)
-            assert cover.intervals[0, 0] <= f_min and cover.intervals[-1, 1] >= f_min + span
+                assert np.all(cover[2:, 0] > cover[:-2, 1] - 1e-12)
+            assert cover[0, 0] <= f_min and cover[-1, 1] >= f_min + span
 
 
 class TestClusterPreimage:
@@ -585,11 +595,13 @@ class TestBuildMapperGraph:
         l0 = compute_l0(pts, filt, params.delta, params.theta_ov)
         count = interval_count(pts, filt, (1.0 + params.alpha) * l0, params.theta_ov)
         cover = build_cover(float(values.min()), float(values.max()), count, params.theta_ov)
-        assert cover.size > 1
+        assert len(cover) > 1
+        # Closed bounds: a value on a shared endpoint is in both intervals.
         expected = [
             (tuple(cluster.tolist()), (k,))
-            for k, members in enumerate(cover.membership(values))
-            for cluster in brute_force_clusters(members, pts, params.delta)
+            for k, (a, b) in enumerate(cover)
+            for cluster in brute_force_clusters(np.flatnonzero((values >= a) & (values <= b)),
+                                                pts, params.delta)
         ]
         g = build_mapper_graph(pts, filt, params)
         assert [(tuple(n.points.tolist()), n.intervals) for n in g.nodes] == expected

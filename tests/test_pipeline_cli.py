@@ -255,6 +255,23 @@ class TestRunMapperOnly:
         assert doc.domains == []
         assert set(doc.timings) == {"initial", "subdivision", "total"}
 
+    @pytest.mark.parametrize("bounds", [(1, 0, 0, np.nan), (1, 0, 0, 1), (0, 0.1, 0, 1)],
+                             ids=["nan", "reversed", "narrow"])
+    def test_empty_cloud_still_checks_the_box(self, bounds):
+        with pytest.raises(ConfigurationError):
+            run_mapper_only(PipelineConfig(delta_override=0.1), np.empty((0, 2)), bounds=bounds)
+
+    @pytest.mark.parametrize("points", [
+        np.random.default_rng(4).uniform(0, 1, (30, 3)),  # once read as 45 planar points
+        np.linspace(0.0, 1.0, 5),
+    ], ids=["three-columns", "one-dimensional"])
+    def test_cloud_must_be_n_by_2(self, points):
+        config = PipelineConfig(delta_override=0.1)
+        with pytest.raises(DegenerateCloudError, match=r"\(n, 2\) array"):
+            run_mapper_only(config, points)
+        with pytest.raises(DegenerateCloudError, match=r"\(n, 2\) array"):
+            sweep_theta(config, [0.2], cloud=points)
+
     @pytest.mark.parametrize("n", [255, 300])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_cloud_rejected(self, n, bad):
@@ -288,6 +305,22 @@ class TestRunMapperOnly:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=120).stdout
         assert out.strip() == "False"
+
+    def test_import_adds_only_stdlib_modules_to_numpy(self):
+        # The benchmark's setup time is mostly numpy's import; a third-party
+        # import in sstopo would add to it.
+        src = Path(sstopo.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+
+        def loaded(statement):
+            code = f"import sys\n{statement}\nprint(*sorted(sys.modules))"
+            return set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                      capture_output=True, text=True, timeout=120).stdout.split())
+
+        added = loaded("import sstopo") - loaded("import numpy")
+        roots = {name.partition(".")[0] for name in added}
+        assert "sstopo" in roots
+        assert roots - {"sstopo"} <= sys.stdlib_module_names, sorted(added)
 
     def test_bounds_enable_boundary_classification(self):
         delta = recommended_delta(STEP, 0.0)
@@ -609,6 +642,18 @@ class TestCli:
         rc = main(["mapper", str(p), "--delta", "0.1"])
         assert rc == 0
         assert "no intersection" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bounds", [["1", "0", "0", "1"], ["0", "0.1", "0", "1"]],
+                             ids=["reversed", "narrow"])
+    def test_mapper_rejects_bad_bounds_on_an_empty_cloud(self, tmp_path, capsys, bounds):
+        p = tmp_path / "empty.txt"
+        p.write_text("")
+        out = tmp_path / "out"
+        rc = main(["mapper", str(p), "--delta", "0.1", "--out-dir", str(out),
+                   "--bounds", *bounds])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_sweep_command(self, tmp_path, capsys):
         pts, _ = three_curves_cloud(seed=3)

@@ -1,0 +1,116 @@
+"""Every frozen record that holds arrays holds read-only copies of them.
+
+Each case builds one record from writeable arrays of the record's own dtype,
+so a record that kept the caller's array (or a view of it) would see the
+later writes. After the writes, every array field must still equal what was
+passed, be a different array from the caller's, be read-only and have the
+stated dtype and shape.
+"""
+
+import numpy as np
+import pytest
+
+from sstopo import (
+    BSplineSurface,
+    CharacteristicNodes,
+    IntersectionPointSets,
+    KnotVector,
+    LinearFilter,
+    MapperGraph,
+    MapperNode,
+    PartitionResult,
+    Segment,
+    uniform_clamped_knots,
+)
+from sstopo.partition import KIND_OPEN
+
+F8, I8 = np.float64, np.int64
+
+
+def knot_vector():
+    knots = np.array([0.0, 0.0, 0.5, 1.0, 1.0])
+    return KnotVector(knots, 1), {"knots": (knots, F8)}
+
+
+def surface():
+    kv = uniform_clamped_knots(1, 2)
+    ctrl = np.arange(12, dtype=F8).reshape(2, 2, 3)
+    return BSplineSurface(kv, kv, ctrl), {"control_points": (ctrl, F8)}
+
+
+def linear_filter():
+    center = np.array([0.5, -0.5])
+    direction = np.array([0.6, 0.8])
+    return LinearFilter(center, direction), {"center": (center, F8),
+                                             "direction": (direction, F8)}
+
+
+def mapper_node():
+    points = np.array([1, 4, 7], dtype=I8)
+    return MapperNode(points, intervals=(0,)), {"points": (points, I8)}
+
+
+def mapper_graph():
+    nodes = (MapperNode([0, 1]), MapperNode([1, 2]), MapperNode([2, 3]))
+    edges = np.array([[0, 1], [1, 2]], dtype=I8)
+    return MapperGraph(nodes, edges), {"edges": (edges, I8)}
+
+
+def characteristic_nodes():
+    boundary = np.array([0, 3], dtype=I8)
+    singular = np.array([2], dtype=I8)
+    return CharacteristicNodes(boundary, singular), {"boundary_nodes": (boundary, I8),
+                                                     "singular_nodes": (singular, I8)}
+
+
+def segment():
+    points = np.array([2, 3, 5], dtype=I8)
+    node_ids = np.array([1, 4], dtype=I8)
+    return Segment(points, KIND_OPEN, node_ids), {"point_indices": (points, I8),
+                                                  "node_ids": (node_ids, I8)}
+
+
+def partition_result():
+    removed_boundary = np.array([0, 9], dtype=I8)
+    removed_singular = np.array([4], dtype=I8)
+    seg = Segment([1, 2], KIND_OPEN, [0])
+    return (PartitionResult((seg,), removed_boundary, removed_singular),
+            {"removed_boundary_points": (removed_boundary, I8),
+             "removed_singular_points": (removed_singular, I8)})
+
+
+def point_sets():
+    points1 = np.array([[0.1, 0.2], [0.3, 0.4]])
+    points2 = np.array([[0.5, 0.6]])
+    cells1 = np.array([[0.0, 0.2, 0.1, 0.3], [0.2, 0.4, 0.3, 0.5]])
+    cells2 = np.array([[0.4, 0.6, 0.5, 0.7]])
+    corr = np.array([[0, 0], [1, 0]], dtype=I8)
+    sets = IntersectionPointSets(points1, points2, cells1, cells2, corr, epsilon=0.3)
+    return sets, {"points1": (points1, F8), "points2": (points2, F8), "cells1": (cells1, F8),
+                  "cells2": (cells2, F8), "correspondences": (corr, I8)}
+
+
+@pytest.mark.parametrize("build", [
+    knot_vector, surface, linear_filter, mapper_node, mapper_graph, characteristic_nodes,
+    segment, partition_result, point_sets,
+])
+def test_record_holds_read_only_copies(build):
+    record, fields = build()
+    passed = {name: array.copy() for name, (array, _) in fields.items()}
+    for array, _ in fields.values():
+        assert array.flags.writeable
+        array += 1
+    for name, (array, dtype) in fields.items():
+        held = getattr(record, name)
+        assert held.dtype == dtype, name
+        assert held.shape == passed[name].shape, name
+        assert np.array_equal(held, passed[name]), name
+        assert not np.shares_memory(held, array), name
+        assert not held.flags.writeable, name
+        with pytest.raises(ValueError):
+            held[...] = 0
+
+
+def test_knots_are_held_one_dimensional():
+    knots = np.array([[0.0, 0.0], [1.0, 1.0]])
+    assert KnotVector(knots, 1).knots.shape == (4,)
