@@ -13,7 +13,7 @@ conservative.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
@@ -89,13 +89,9 @@ class BSplineSurface:
     knots_u: KnotVector
     knots_v: KnotVector
     control_points: np.ndarray  # (count_u, count_v, 3)
-    periodic_u: bool = field(init=False)
-    periodic_v: bool = field(init=False)
 
     def __post_init__(self):
         _kernels.freeze(self, np.float64, "control_points")
-        object.__setattr__(self, "periodic_u", self.knots_u.periodic)
-        object.__setattr__(self, "periodic_v", self.knots_v.periodic)
         cp = self.control_points
         if cp.ndim != 3 or cp.shape[2] != 3:
             raise ParameterRangeError("control_points must have shape (count_u, count_v, 3)")
@@ -227,8 +223,8 @@ def surface_to_dict(surface: BSplineSurface) -> dict:
         "knots_u": surface.knots_u.knots.tolist(),
         "knots_v": surface.knots_v.knots.tolist(),
         "control_points": surface.control_points.tolist(),
-        "periodic_u": surface.periodic_u,
-        "periodic_v": surface.periodic_v,
+        "periodic_u": surface.knots_u.periodic,
+        "periodic_v": surface.knots_v.periodic,
     }
 
 

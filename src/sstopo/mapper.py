@@ -277,13 +277,16 @@ def _span(values: np.ndarray) -> float:
 
 def _count(span: float, l_prime: float, theta_ov: float) -> float:
     """Cover intervals over a filter range `span` at working length l_prime,
-    clamped to >= 1; a float, so that counts compare without overflow."""
+    clamped to >= 1; a float, so that counts compare without overflow. An
+    infinite l_prime, as a huge alpha gives, takes the formula's limit: one."""
+    if l_prime == np.inf:
+        return 1.0
     return max(np.floor((span - theta_ov * l_prime) / ((1.0 - theta_ov) * l_prime)), 1.0)
 
 
 def interval_count(cloud: np.ndarray, filt: LinearFilter, l_prime: float, theta_ov: float) -> int:
     """Number of cover intervals for the given working length, clamped to >= 1."""
-    if l_prime <= 0:
+    if not l_prime > 0:
         raise ConfigurationError(f"l_prime must be positive, got {l_prime}")
     values = eval_filter(filt, np.asarray(cloud, dtype=np.float64))
     return int(_count(_span(values), l_prime, theta_ov))

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from .errors import ConfigurationError, DegenerateCloudError
 from .exports import segment_colors, write_gml, write_svg
 from .geometry import BSplineSurface
@@ -69,13 +70,16 @@ class PipelineConfig:
 @dataclass
 class DomainResult:
     name: str
-    points: np.ndarray
+    points: np.ndarray  # (n, 2), held as a read-only copy
     delta: float
     graph: MapperGraph
     characteristic: CharacteristicNodes
     partition: PartitionResult
     seconds_initial: float
     seconds_refine: float
+
+    def __post_init__(self):
+        _kernels.freeze(self, np.float64, "points", shape=(-1, 2))
 
     def to_dict(self) -> dict:
         return {
@@ -120,7 +124,7 @@ class DomainResult:
         segments = tuple(Segment(s["points"], s["kind"], s["nodes"]) for s in data["segments"])
         return cls(
             name=data["name"],
-            points=np.asarray(data["points"], dtype=np.float64).reshape(-1, 2),
+            points=data["points"],
             delta=float(data["delta"]),
             graph=MapperGraph(nodes=nodes, edges=data["graph"]["edges"]),
             characteristic=CharacteristicNodes(data["boundary_nodes"], data["singular_nodes"]),
@@ -138,12 +142,15 @@ class DomainResult:
 class ResultDocument:
     kind: str  # "intersect" or "mapper"
     config: dict
-    no_intersection: bool
     overlap_suspected: bool
     domains: list[DomainResult]
     match: CrossDomainMatch | None
     timings: dict  # initial / subdivision / total (+ surface_subdivision)
     extras: dict = field(default_factory=dict)
+
+    @property
+    def no_intersection(self) -> bool:
+        return not self.domains
 
     def to_dict(self) -> dict:
         return {
@@ -163,7 +170,6 @@ class ResultDocument:
         return cls(
             kind=data["kind"],
             config=data["config"],
-            no_intersection=bool(data["no_intersection"]),
             overlap_suspected=bool(data["overlap_suspected"]),
             domains=[DomainResult.from_dict(d) for d in data["domains"]],
             match=None if match is None else CrossDomainMatch(
@@ -215,6 +221,12 @@ def _analyze_domain(
         seconds_initial=two_step.seconds_initial,
         seconds_refine=two_step.seconds_refine,
     )
+
+
+def _stage_seconds(domains: list[DomainResult]) -> dict:
+    """Initial graph and orthogonal refinement seconds, summed over the domains."""
+    return {"initial": sum((d.seconds_initial for d in domains), 0.0),
+            "subdivision": sum((d.seconds_refine for d in domains), 0.0)}
 
 
 def run_pipeline(
@@ -269,16 +281,12 @@ def _analyze_pair(
     doc = ResultDocument(
         kind="intersect",
         config=config.echo(),
-        no_intersection=sets.is_empty,
         overlap_suspected=sets.overlap_suspected,
         domains=domains,
         match=match,
-        timings={
-            "initial": sum((d.seconds_initial for d in domains), 0.0),
-            "subdivision": sum((d.seconds_refine for d in domains), 0.0),
-            "total": seconds_subdivision + time.perf_counter() - t_start,
-            "surface_subdivision": seconds_subdivision,
-        },
+        timings={**_stage_seconds(domains),
+                 "total": seconds_subdivision + time.perf_counter() - t_start,
+                 "surface_subdivision": seconds_subdivision},
         extras=extras,
     )
     _emit(doc, config, sets=sets)
@@ -318,22 +326,14 @@ def run_mapper_only(
         boundary_idx = approximate_boundary_set(points, bounds, params.delta)
     else:
         boundary_idx = np.empty(0, dtype=np.int64)
-    if points.shape[0] == 0:
-        domains = []
-        timings = {"initial": 0.0, "subdivision": 0.0}
-    else:
-        dom = _analyze_domain("cloud", points, params, boundary_idx)
-        domains = [dom]
-        timings = {"initial": dom.seconds_initial, "subdivision": dom.seconds_refine}
-    timings["total"] = time.perf_counter() - t_start
+    domains = [_analyze_domain("cloud", points, params, boundary_idx)] if len(points) else []
     doc = ResultDocument(
         kind="mapper",
         config=config.echo(),
-        no_intersection=not domains,
         overlap_suspected=False,
         domains=domains,
         match=None,
-        timings=timings,
+        timings={**_stage_seconds(domains), "total": time.perf_counter() - t_start},
     )
     _emit(doc, config)
     return doc
@@ -348,11 +348,12 @@ def sweep_theta(
 ) -> dict:
     """Run the pipeline once per overlap ratio; report node/edge counts and time.
 
-    Every theta is validated before any work runs. On surfaces the subdivision,
-    which does not depend on theta, runs once and is shared: each entry's
-    `seconds` is that run's total, the shared subdivision included. A sweep
-    writes only `sweep.json`, so it refuses `emit_graph`, `emit_svg` and, on
-    surfaces, `dump_boxes`; on a cloud `run_mapper_only` refuses `dump_boxes`.
+    Every theta is validated, and an empty list refused, before any work
+    runs. On surfaces the subdivision, which does not depend on theta, runs
+    once and is shared: each entry's `seconds` is that run's total, the
+    shared subdivision included. A sweep writes only `sweep.json`, so it
+    refuses `emit_graph`, `emit_svg` and, on surfaces, `dump_boxes`; on a
+    cloud `run_mapper_only` refuses `dump_boxes`.
     """
     if (cloud is None) == (surfaces is None):
         raise ConfigurationError("sweep needs exactly one of cloud or surfaces")
@@ -361,6 +362,8 @@ def sweep_theta(
                                  "and dump_boxes must keep their defaults")
     configs = [dataclasses.replace(config, theta_ov=theta, out_dir=None)
                for theta in theta_list]
+    if not configs:
+        raise ConfigurationError("a sweep needs at least one theta_ov")
     if surfaces is not None:
         t_start = time.perf_counter()
         sets = intersect_surfaces(*surfaces, config.epsilon)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,27 +50,30 @@ class IntersectionPointSets:
     """The two parameter-domain point clouds with their pairing records.
 
     Row `i` of `cells1` is the terminal cell `[u_min, u_max, v_min, v_max]`
-    whose centroid is `points1[i]`, and likewise for domain 2; a
+    and `points1[i]` is its centroid, and likewise for domain 2; a
     correspondence row `(i, j)` pairs cell `cells1[i]` with `cells2[j]`.
-    The largest cell diagonals `cell_diag1/2` are read from the cells.
-    Every array is held as a read-only copy.
+    The points and the largest cell diagonals `cell_diag1/2` are read from
+    the cells. Every array is held as a read-only copy.
     """
 
-    points1: np.ndarray  # (n1, 2) lexicographically sorted, deduplicated
-    points2: np.ndarray  # (n2, 2)
-    cells1: np.ndarray  # (n1, 4)
+    cells1: np.ndarray  # (n1, 4) sorted lexicographically by centroid
     cells2: np.ndarray  # (n2, 4)
-    correspondences: np.ndarray  # (m, 2) index pairs into points1/points2
+    correspondences: np.ndarray  # (m, 2) index pairs into cells1/cells2
     epsilon: float
     overlap_suspected: bool = False
+    points1: np.ndarray = field(init=False)  # (n1, 2) centroids of cells1
+    points2: np.ndarray = field(init=False)  # (n2, 2)
 
     def __post_init__(self):
-        freeze(self, np.float64, "points1", "points2", "cells1", "cells2")
+        freeze(self, np.float64, "cells1", "cells2")
+        object.__setattr__(self, "points1", _centroids(self.cells1))
+        object.__setattr__(self, "points2", _centroids(self.cells2))
+        freeze(self, np.float64, "points1", "points2")
         freeze(self, np.int64, "correspondences")
 
     @property
     def is_empty(self) -> bool:
-        return self.points1.shape[0] == 0
+        return self.cells1.shape[0] == 0
 
     @property
     def cell_diag1(self) -> float:
@@ -79,6 +82,11 @@ class IntersectionPointSets:
     @property
     def cell_diag2(self) -> float:
         return _largest_diagonal(self.cells2)
+
+
+def _centroids(rects: np.ndarray) -> np.ndarray:
+    """Centroid `(u, v)` of each `[u_min, u_max, v_min, v_max]` row."""
+    return 0.5 * (rects[:, 0::2] + rects[:, 1::2])
 
 
 def _diagonals(rects: np.ndarray) -> np.ndarray:
@@ -235,17 +243,16 @@ class _PatchStore:
             self.box = np.concatenate([self.box, box], axis=1)
         return self.child[ids]
 
-    def leaves(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Distinct patches of `ids`: their rects and rect centroids, both
-        sorted lexicographically by centroid, and the row of each entry of
-        `ids`."""
+    def leaves(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct patches of `ids`: their rects, sorted lexicographically
+        by centroid, and the row of each entry of `ids`."""
         distinct, inverse = np.unique(ids, return_inverse=True)
         r = self.rects[distinct]
-        centroids = np.stack([0.5 * (r[:, 0] + r[:, 1]), 0.5 * (r[:, 2] + r[:, 3])], axis=1)
+        centroids = _centroids(r)
         order = np.lexsort((centroids[:, 1], centroids[:, 0]))
         row = np.empty_like(order)
         row[order] = np.arange(order.size)
-        return r[order], centroids[order], row[inverse]
+        return r[order], row[inverse]
 
 
 def intersect_surfaces(
@@ -286,10 +293,10 @@ def intersect_surfaces(
                 np.concatenate([b[first], b[first], halves2, halves2 + 1]))
 
     ends1, ends2 = np.concatenate(ended1), np.concatenate(ended2)
-    cells1, points1, rows1 = store1.leaves(ends1)
-    cells2, points2, rows2 = store2.leaves(ends2)
+    cells1, rows1 = store1.leaves(ends1)
+    cells2, rows2 = store2.leaves(ends2)
     # The distinct row pairs, sorted: rows1 * n2 + rows2 sorts as the pair does.
-    n2 = points2.shape[0]
+    n2 = cells2.shape[0]
     correspondences = np.stack(np.divmod(np.unique(rows1 * n2 + rows2), n2), axis=1)
 
     overlap = False
@@ -306,8 +313,6 @@ def intersect_surfaces(
             )
 
     return IntersectionPointSets(
-        points1=points1,
-        points2=points2,
         cells1=cells1,
         cells2=cells2,
         correspondences=correspondences,

@@ -355,7 +355,7 @@ class TestSurfaceIO:
         s2 = surface_from_dict(d)
         assert np.array_equal(s.control_points, s2.control_points)
         assert np.array_equal(s.knots_u.knots, s2.knots_u.knots)
-        assert s2.periodic_u and not s2.periodic_v
+        assert s2.knots_u.periodic and not s2.knots_v.periodic
         path = tmp_path / "surf.json"
         from sstopo import load_surface, save_surface
 

@@ -392,6 +392,17 @@ class TestIntervalCount:
         with pytest.raises(ConfigurationError):
             interval_count(np.zeros((2, 2)), self.F, 0.0, 0.2)
 
+    def test_nan_length_rejected(self):
+        with pytest.raises(ConfigurationError, match="l_prime must be positive"):
+            interval_count(np.zeros((2, 2)), self.F, float("nan"), 0.2)
+
+    def test_infinite_length_gives_one_interval(self):
+        # The formula's limit: (span - theta*l') / ((1 - theta)*l') tends to
+        # -theta / (1 - theta) as l' grows, which clamps to one.
+        cloud = np.column_stack([np.linspace(0, 10, 200), np.zeros(200)])
+        assert interval_count(cloud, self.F, np.inf, 0.2) == 1
+        assert interval_count(cloud, self.F, 1e300, 0.2) == 1
+
 
 def closed_form_length(span, s, theta):
     # s intervals of length l, adjacent ones overlapping by theta * l, span
@@ -400,6 +411,14 @@ def closed_form_length(span, s, theta):
 
 
 class TestBuildCover:
+    def test_refuses_no_intervals(self):
+        with pytest.raises(ConfigurationError, match="interval count must be >= 1"):
+            build_cover(0.0, 1.0, 0, 0.2)
+
+    def test_refuses_reversed_range(self):
+        with pytest.raises(ConfigurationError, match="f_max below f_min"):
+            build_cover(1.0, 0.0, 2, 0.2)
+
     def test_single_interval(self):
         cover = build_cover(0.0, 3.0, 1, 0.2)
         assert len(cover) == 1
@@ -511,6 +530,15 @@ class TestMapperParams:
         # An infinite alpha once leaked a ValueError from interval_count.
         with pytest.raises(ConfigurationError, match=f"{field} must be positive and finite"):
             MapperParams(**{"delta": 0.1, field: float("inf")})
+
+    def test_huge_finite_alpha_gives_one_interval(self):
+        # (1 + alpha) * l0 overflows to infinity; the count is its limit, one.
+        t = np.linspace(0.0, 6.0, 400)
+        cloud = np.column_stack([t, np.sin(t)])
+        graph = build_mapper_graph(cloud, make_pca_filter(cloud),
+                                   MapperParams(delta=1.0, alpha=1e308))
+        assert [n.intervals for n in graph.nodes] == [(0,)]
+        assert graph.nodes[0].points.tolist() == list(range(400))
 
 
 class TestBuildMapperGraph:

@@ -223,6 +223,16 @@ class TestSvg:
         write_svg(path, points, colors)
         assert path.read_bytes() == _svg_by_point_loop(points, colors).encode("utf-8")
 
+    def test_empty_cloud_draws_the_unit_box(self, tmp_path):
+        # No points: the plot spans [0, 1]^2 padded by 5 %, so it is square.
+        path = tmp_path / "points.svg"
+        write_svg(path, np.empty((0, 2)), [])
+        assert path.read_text() == (
+            '<svg xmlns="http://www.w3.org/2000/svg" width="640.0" height="640.0" '
+            'viewBox="0 0 640.0 640.0">\n'
+            '<rect width="640.0" height="640.0" fill="white"/>\n'
+            "</svg>\n")
+
 
 class TestRunMapperOnly:
     def test_requires_delta(self):
@@ -254,6 +264,24 @@ class TestRunMapperOnly:
         assert doc.no_intersection
         assert doc.domains == []
         assert set(doc.timings) == {"initial", "subdivision", "total"}
+
+    def test_document_holds_a_copy_of_the_cloud(self):
+        pts, _ = noisy_circle_cloud(seed=7)
+        doc = run_mapper_only(PipelineConfig(delta_override=DELTA), pts)
+        digest = result_digest(doc)
+        held = doc.domains[0].points
+        pts[0] = (99.0, 99.0)
+        assert result_digest(doc) == digest
+        assert not np.shares_memory(held, pts)
+        assert held.dtype == np.float64 and not held.flags.writeable
+
+    def test_huge_finite_alpha(self):
+        # (1 + alpha) * l0 overflows to infinity, which gives one interval.
+        t = np.linspace(0.0, 6.0, 400)
+        doc = run_mapper_only(PipelineConfig(delta_override=1.0, alpha=1e308),
+                              np.column_stack([t, np.sin(t)]))
+        assert doc.domains[0].graph.node_count == 1
+        assert doc.domains[0].partition.segment_kinds() == [KIND_ISOLATED]
 
     @pytest.mark.parametrize("bounds", [(1, 0, 0, np.nan), (1, 0, 0, 1), (0, 0.1, 0, 1)],
                              ids=["nan", "reversed", "narrow"])
@@ -520,6 +548,19 @@ class TestSweep:
                         surfaces=(plane_patch(), saddle_patch()))
         assert subdivision_calls == []
 
+    @pytest.mark.parametrize("mode", ["cloud", "surfaces"])
+    def test_empty_theta_list_rejected(self, tmp_path, subdivision_calls, mode):
+        out = tmp_path / "out"
+        config = PipelineConfig(delta_override=DELTA, epsilon=0.05, out_dir=str(out))
+        if mode == "cloud":
+            config = dataclasses.replace(config, epsilon=PipelineConfig.epsilon)
+        inputs = ({"cloud": three_curves_cloud(seed=3)[0]} if mode == "cloud"
+                  else {"surfaces": (plane_patch(), saddle_patch())})
+        with pytest.raises(ConfigurationError, match="at least one theta_ov"):
+            sweep_theta(config, [], **inputs)
+        assert subdivision_calls == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["emit_graph", "emit_svg", "dump_boxes"])
     @pytest.mark.parametrize("mode", ["cloud", "surfaces"])
     def test_refuses_output_flags(self, tmp_path, subdivision_calls, flag, mode):
@@ -667,6 +708,45 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count("theta_ov=") == 2
         assert (tmp_path / "sweep.json").exists()
+
+    def test_sweep_surfaces_command(self, tmp_path, capsys):
+        surfaces = (plane_patch(), saddle_patch())
+        paths = [tmp_path / "s1.json", tmp_path / "s2.json"]
+        for path, surface in zip(paths, surfaces):
+            save_surface(path, surface)
+        out = tmp_path / "out"
+        rc = main(["sweep", *map(str, paths), "--thetas", "0.1,0.3", "--epsilon", "0.05",
+                   "--out-dir", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out.count("theta_ov=") == 2
+        with open(out / "sweep.json") as fh:
+            written = json.load(fh)
+        expected = sweep_theta(PipelineConfig(epsilon=0.05), [0.1, 0.3], surfaces=surfaces)
+        assert written["mode"] == expected["mode"] == "surfaces"
+
+        def untimed(report):
+            return [{k: v for k, v in e.items() if k != "seconds"} for e in report["entries"]]
+
+        assert untimed(written) == untimed(expected)
+        assert len(untimed(written)) == 2
+
+    def test_sweep_rejects_empty_thetas(self, tmp_path, capsys):
+        cloud_path = tmp_path / "cloud.txt"
+        save_cloud(cloud_path, three_curves_cloud(seed=3)[0])
+        out = tmp_path / "out"
+        rc = main(["sweep", str(cloud_path), "--thetas", "", "--delta", str(DELTA),
+                   "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_mapper_huge_finite_alpha(self, tmp_path, capsys):
+        t = np.linspace(0.0, 6.0, 400)
+        cloud_path = tmp_path / "sine.txt"
+        save_cloud(cloud_path, np.column_stack([t, np.sin(t)]))
+        rc = main(["mapper", str(cloud_path), "--delta", "1", "--alpha", "1e308"])
+        assert rc == 0
+        assert "1 nodes" in capsys.readouterr().out
 
     def test_mapper_with_bounds(self, tmp_path, capsys):
         delta = recommended_delta(STEP, 0.0)

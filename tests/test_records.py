@@ -1,4 +1,4 @@
-"""Every frozen record that holds arrays holds read-only copies of them.
+"""Every record that holds arrays holds read-only copies of them.
 
 Each case builds one record from writeable arrays of the record's own dtype,
 so a record that kept the caller's array (or a view of it) would see the
@@ -7,9 +7,15 @@ passed, be a different array from the caller's, be read-only and have the
 stated dtype and shape.
 """
 
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
+import sstopo
 from sstopo import (
     BSplineSurface,
     CharacteristicNodes,
@@ -23,6 +29,8 @@ from sstopo import (
     uniform_clamped_knots,
 )
 from sstopo.partition import KIND_OPEN
+from sstopo.pipeline import DomainResult
+from sstopo.subdivision import _centroids
 
 F8, I8 = np.float64, np.int64
 
@@ -80,20 +88,27 @@ def partition_result():
 
 
 def point_sets():
-    points1 = np.array([[0.1, 0.2], [0.3, 0.4]])
-    points2 = np.array([[0.5, 0.6]])
     cells1 = np.array([[0.0, 0.2, 0.1, 0.3], [0.2, 0.4, 0.3, 0.5]])
     cells2 = np.array([[0.4, 0.6, 0.5, 0.7]])
     corr = np.array([[0, 0], [1, 0]], dtype=I8)
-    sets = IntersectionPointSets(points1, points2, cells1, cells2, corr, epsilon=0.3)
-    return sets, {"points1": (points1, F8), "points2": (points2, F8), "cells1": (cells1, F8),
-                  "cells2": (cells2, F8), "correspondences": (corr, I8)}
+    sets = IntersectionPointSets(cells1, cells2, corr, epsilon=0.3)
+    return sets, {"cells1": (cells1, F8), "cells2": (cells2, F8), "correspondences": (corr, I8)}
 
 
-@pytest.mark.parametrize("build", [
-    knot_vector, surface, linear_filter, mapper_node, mapper_graph, characteristic_nodes,
-    segment, partition_result, point_sets,
-])
+def domain_result():
+    points = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    graph = MapperGraph((MapperNode([0, 1, 2]),), np.empty((0, 2), dtype=I8))
+    seg = Segment([0, 1, 2], KIND_OPEN, [0])
+    record = DomainResult("cloud", points, 0.5, graph, CharacteristicNodes([], []),
+                          PartitionResult((seg,), [], []), 0.0, 0.0)
+    return record, {"points": (points, F8)}
+
+
+BUILDERS = [knot_vector, surface, linear_filter, mapper_node, mapper_graph,
+            characteristic_nodes, segment, partition_result, point_sets, domain_result]
+
+
+@pytest.mark.parametrize("build", BUILDERS)
 def test_record_holds_read_only_copies(build):
     record, fields = build()
     passed = {name: array.copy() for name, (array, _) in fields.items()}
@@ -114,3 +129,39 @@ def test_record_holds_read_only_copies(build):
 def test_knots_are_held_one_dimensional():
     knots = np.array([[0.0, 0.0], [1.0, 1.0]])
     assert KnotVector(knots, 1).knots.shape == (4,)
+
+
+def test_point_sets_hold_the_centroids_of_their_cells():
+    sets, fields = point_sets()
+    (cells1, _), (cells2, _) = fields["cells1"], fields["cells2"]
+    expected = _centroids(cells1.copy()), _centroids(cells2.copy())
+    cells1 += 1
+    cells2 += 1
+    for held, want in zip((sets.points1, sets.points2), expected):
+        assert held.dtype == F8
+        assert held.tobytes() == want.tobytes()
+        assert not held.flags.writeable
+    assert sets.points1.tolist() == [[0.5 * (0.0 + 0.2), 0.5 * (0.1 + 0.3)],
+                                     [0.5 * (0.2 + 0.4), 0.5 * (0.3 + 0.5)]]
+
+
+def _array_records():
+    """Every dataclass in `sstopo` with a field annotated `np.ndarray`."""
+    found = set()
+    for info in pkgutil.iter_modules(sstopo.__path__):
+        module = importlib.import_module(f"sstopo.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if (cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls)
+                    and any("np.ndarray" in str(f.type) or f.type is np.ndarray
+                            for f in dataclasses.fields(cls))):
+                found.add(cls)
+    return found
+
+
+def test_every_array_record_has_a_builder():
+    built = {type(build()[0]) for build in BUILDERS}
+    records = _array_records()
+    # The search sees every record that has a case, so it can miss none.
+    assert built <= records
+    missing = sorted(cls.__qualname__ for cls in records - built)
+    assert not missing, f"no read-only copy case for {missing}"

@@ -181,8 +181,6 @@ class TestPlaneCross:
 class TestHausdorffBound:
     def test_half_diagonal(self):
         sets = IntersectionPointSets(
-            points1=np.zeros((1, 2)),
-            points2=np.zeros((1, 2)),
             cells1=np.array([[-0.02, 0.02, -0.015, 0.015]]),
             cells2=np.array([[-0.008, 0.008, -0.006, 0.006]]),
             correspondences=np.zeros((1, 2), dtype=np.int64),
@@ -195,8 +193,6 @@ class TestHausdorffBound:
     def test_square_cells(self):
         h = 0.04
         sets = IntersectionPointSets(
-            points1=np.zeros((1, 2)),
-            points2=np.zeros((1, 2)),
             cells1=np.array([[-h / 2, h / 2, -h / 2, h / 2]]),
             cells2=np.array([[-h / 2, h / 2, -h / 2, h / 2]]),
             correspondences=np.zeros((1, 2), dtype=np.int64),
@@ -210,8 +206,6 @@ class TestHausdorffBound:
         # Cells of several sizes: the diagonals are read from the largest
         # cell of each domain, wherever it sits in the rows.
         sets = IntersectionPointSets(
-            points1=np.zeros((3, 2)),
-            points2=np.zeros((2, 2)),
             cells1=np.array([[0.0, 0.02, 0.0, 0.02], [0.1, 0.14, 0.2, 0.23],
                              [0.5, 0.51, 0.5, 0.51]]),
             cells2=np.array([[0.0, 0.008, 0.0, 0.006], [0.3, 0.302, 0.3, 0.301]]),
@@ -224,8 +218,6 @@ class TestHausdorffBound:
 
     def test_empty_raises(self):
         sets = IntersectionPointSets(
-            points1=np.empty((0, 2)),
-            points2=np.empty((0, 2)),
             cells1=np.empty((0, 4)),
             cells2=np.empty((0, 4)),
             correspondences=np.empty((0, 2), dtype=np.int64),
