@@ -1,13 +1,14 @@
 """Characteristic-node detection, segment partitioning, and cross-domain matching.
 
 Boundary nodes are clusters that reach into the dilated domain boundary;
-singular nodes have graph degree above two. Removing both leaves only paths,
-cycles, and isolated nodes, which classify the point subsets as open curve
-segments, closed curve segments, and isolated intersection points. Each
-connected component of the surviving subgraph is classified from its node
-degrees alone, its edge count being half its degree sum. A single surviving
-node is an isolated point only if it has no neighbor in the whole graph;
-one whose neighbors were all removed is an arc cut short, so open.
+singular nodes have graph degree above two. Removing both leaves paths,
+cycles and single nodes: open curve segments, closed curve segments and
+isolated intersection points. Removal cuts arcs where they meet the
+boundary, so a component of the graph without its singular nodes that has
+no node off the band is all ends, and is kept whole. Counts decide each
+kind: a component with as many edges as nodes is closed; a single node with
+no neighbour in the whole graph, outside the band, is isolated; the rest
+are open.
 """
 
 from __future__ import annotations
@@ -17,18 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import freeze, run_starts
+from ._kernels import _join, freeze, run_starts
 from .errors import ConfigurationError
-from .mapper import MapperGraph, components, membership_table
+from .mapper import MapperGraph, membership_table
 
 log = logging.getLogger(__name__)
 
 KIND_OPEN = "open"
 KIND_CLOSED = "closed"
 KIND_ISOLATED = "isolated"
-# Shape that survives characteristic removal but is neither path, cycle nor
-# single node; reported as-is instead of being misclassified.
-KIND_ANOMALOUS = "anomalous"
+# Indexed by the partition's kind code: 1 for a cycle, 2 for an isolated point.
+_KINDS = (KIND_OPEN, KIND_CLOSED, KIND_ISOLATED)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,74 +123,67 @@ def classify_characteristic_nodes(
     return CharacteristicNodes(np.flatnonzero(meets), singular_nodes)
 
 
-def partition(graph: MapperGraph, characteristic: CharacteristicNodes) -> PartitionResult:
-    """Remove characteristic nodes and classify the remaining components.
+def partition(graph: MapperGraph, boundary_nodes: np.ndarray) -> PartitionResult:
+    """Remove boundary and singular nodes and classify the remaining components.
 
+    A node is named by its position in `graph.nodes`; `boundary_nodes` names
+    those that meet the boundary band, and the singular nodes are derived.
     Points shared between a removed node and a survivor stay with the
-    survivor; only points exclusive to removed nodes land in the removed sets.
-    A node is named by its position in `graph.nodes`. Survivors that share a
-    point are adjacent, so the segments are disjoint, and none is empty: the
-    least point alone orders them.
+    survivor. Survivors that share a point are adjacent, so the segments are
+    disjoint, and none is empty: the least point alone orders them.
     """
     n_nodes = len(graph.nodes)
-    keep = np.ones(n_nodes, dtype=bool)
-    keep[characteristic.boundary_nodes] = False
-    keep[characteristic.singular_nodes] = False
-    comps = components(n_nodes, graph.edges, keep)
-    kept_edges = graph.edges[keep[graph.edges].all(axis=1)]
-    degree = np.bincount(kept_edges.ravel(), minlength=n_nodes)
-    full_degree = graph.degrees()
-    # Each node's component, -1 for a removed node, read per membership.
-    label = np.full(n_nodes, -1, dtype=np.int64)
-    for ci, comp in enumerate(comps):
-        label[comp] = ci
+    degree = graph.degrees()
+    singular = degree > 2
+    band = np.zeros(n_nodes, dtype=bool)
+    band[np.asarray(boundary_nodes, dtype=np.int64)] = True
+    # A component of the graph without its singular nodes that has no node
+    # off the band is all arc ends, so it is kept whole.
+    u, v = graph.edges.T
+    both = ~singular[u] & ~singular[v]
+    root = _join(np.arange(n_nodes), u[both], v[both])
+    off_band = np.bincount(root[~singular & ~band], minlength=n_nodes) > 0
+    keep = ~singular & ~(band & off_band[root])
+    # Each survivor's label is its component's least node.
+    both = keep[u] & keep[v]
+    label = _join(np.arange(n_nodes), u[both], v[both])
+    size = np.bincount(label[keep], minlength=n_nodes)
+    n_edges = np.bincount(label[u[both]], minlength=n_nodes)
+    # No survivor has degree above two, so a component is a cycle, a path or
+    # a single node; a lone node that has neighbours or reaches the band is
+    # an arc's end, not an isolated point.
+    kind = (n_edges == size) + 2 * ((size == 1) & (degree == 0) & ~band)
+    roots = np.flatnonzero(size)
+    nodes = np.flatnonzero(keep)[np.argsort(label[keep], kind="stable")]
     owner, point = membership_table([n.points for n in graph.nodes])
-    member_label = label[owner]
-    survives = member_label >= 0
+    survives = keep[owner]
     width = int(point.max(initial=0)) + 1
 
     # One sort by (component, point) gives every segment's points ascending.
-    keys = np.sort(member_label[survives] * width + point[survives])
+    keys = np.sort(label[owner[survives]] * width + point[survives])
     seg_label, seg_point = np.divmod(keys[run_starts(keys)], width)
-    bounds = np.searchsorted(seg_label, np.arange(len(comps) + 1))
+    ends = np.append(roots, n_nodes)
+    point_at = np.searchsorted(seg_label, ends)
+    node_at = np.searchsorted(label[nodes], ends)
     segments = tuple(
-        Segment(seg_point[bounds[ci]:bounds[ci + 1]],
-                _classify_component(degree[comps[ci]].tolist(),
-                                    int(full_degree[comps[ci]].sum())),
-                comps[ci])
+        Segment(seg_point[point_at[ci]:point_at[ci + 1]], _KINDS[kind[roots[ci]]],
+                nodes[node_at[ci]:node_at[ci + 1]])
         # A stable sort leaves a tie, possible only on a graph that lacks an
         # edge between two nodes sharing a point, in order of least node.
-        for ci in np.argsort(seg_point[bounds[:-1]], kind="stable").tolist()
+        for ci in np.argsort(seg_point[point_at[:-1]], kind="stable").tolist()
     )
 
-    surviving = np.zeros(width, dtype=bool)
-    surviving[point[survives]] = True
-
-    def removed_points(node_ids) -> np.ndarray:
-        in_class = np.zeros(n_nodes, dtype=bool)
-        in_class[node_ids] = True
+    def covered(mask: np.ndarray) -> np.ndarray:
         marked = np.zeros(width, dtype=bool)
-        marked[point[in_class[owner]]] = True
-        return np.flatnonzero(marked & ~surviving)
+        marked[point[mask[owner]]] = True
+        return marked
 
+    surviving = covered(keep)
     return PartitionResult(
         segments=segments,
-        removed_boundary_points=removed_points(characteristic.boundary_nodes),
-        removed_singular_points=removed_points(characteristic.singular_nodes),
+        removed_boundary_points=np.flatnonzero(covered(band) & ~surviving),
+        removed_singular_points=np.flatnonzero(covered(singular) & ~surviving),
     )
-
-
-def _classify_component(degs: list[int], full_degree: int) -> str:
-    """Kind from the survivor degrees and the whole graph's degree sum."""
-    n = len(degs)
-    n_edges = sum(degs) // 2
-    if n == 1 and n_edges == 0:
-        return KIND_OPEN if full_degree else KIND_ISOLATED
-    if max(degs) <= 2 and degs.count(1) == 2 and n_edges == n - 1:
-        return KIND_OPEN
-    if n >= 3 and all(d == 2 for d in degs) and n_edges == n:
-        return KIND_CLOSED
-    return KIND_ANOMALOUS
 
 
 def match_across_domains(

@@ -210,7 +210,7 @@ def _analyze_domain(
 ) -> DomainResult:
     two_step = run_two_step(points, params)
     characteristic = classify_characteristic_nodes(two_step.graph, boundary_idx)
-    part = partition(two_step.graph, characteristic)
+    part = partition(two_step.graph, characteristic.boundary_nodes)
     return DomainResult(
         name=name,
         points=points,
@@ -308,7 +308,8 @@ def run_mapper_only(
     box is checked before the Mapper runs, on an empty cloud too. An empty
     cloud gives the document `run_pipeline` gives for an empty intersection:
     `no_intersection` and no domains. Raises `DegenerateCloudError` unless
-    `points` is an `(n, 2)` array of finite coordinates.
+    `points` is an `(n, 2)` array of finite coordinates, each of magnitude at
+    most m with 8 n m^2 finite.
     """
     if config.delta_override is None:
         raise ConfigurationError("mapper-only runs need an explicit delta")
@@ -320,6 +321,11 @@ def run_mapper_only(
         raise DegenerateCloudError(f"a cloud is an (n, 2) array, got shape {points.shape}")
     if not np.isfinite(points).all():
         raise DegenerateCloudError("cloud coordinates must be finite")
+    # With every |coordinate| at most m, 8 n m^2 bounds the PCA filter's sums:
+    # of the coordinates, and of their squared offsets from the mean.
+    m = float(max(points.max(initial=0.0), -points.min(initial=0.0)))
+    if not np.isfinite(8.0 * len(points) * m * m):
+        raise DegenerateCloudError("cloud coordinates too large: the PCA filter's sums overflow")
     t_start = time.perf_counter()
     params = MapperParams(config.delta_override, config.theta_ov, config.alpha)
     if bounds is not None:

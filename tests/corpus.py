@@ -145,6 +145,19 @@ def assert_edge_record(edges) -> None:
     assert all(r < s for r, s in zip(rows, rows[1:]))
 
 
+def assert_analytic(doc, kinds) -> None:
+    """Both domains read `kinds`, and the match is a bijection between the
+    two domains' segments that pairs equal kinds."""
+    assert not doc.no_intersection
+    for dom in doc.domains:
+        assert sorted(dom.partition.segment_kinds()) == sorted(kinds)
+    kinds1, kinds2 = (dom.partition.segment_kinds() for dom in doc.domains)
+    pairs = [(a, b) for a, b, _ in doc.match.pairs]
+    assert sorted(a for a, _ in pairs) == list(range(len(kinds)))
+    assert sorted(b for _, b in pairs) == list(range(len(kinds)))
+    assert all(kinds1[a] == kinds2[b] for a, b in pairs)
+
+
 def assert_edges_match_intersections(graph) -> None:
     """Exhaustive edge <=> nonempty-cluster-intersection check, on a graph
     whose edge record holds its invariant."""

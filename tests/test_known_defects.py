@@ -5,8 +5,9 @@ today. Its test asserts the analytic answer: the segment kinds the true
 intersection curve has in each parameter domain, and a match that pairs the
 two domains' segments one to one with equal kinds. The tests are marked
 strict xfail, so a change that fixes a case turns it into an XPASS, which
-fails the suite until that change removes the marker. The controls are
-nearby inputs that the program gets right today, held by plain tests.
+fails the suite until that change removes the marker, and the case joins
+the plain tests. The controls are nearby inputs that the program gets right
+today, held by plain tests beside the fixed cases.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from sstopo import BSplineSurface, PipelineConfig, run_pipeline, uniform_clamped_knots
 from sstopo.partition import KIND_CLOSED, KIND_OPEN
 
-from corpus import cylinder_patch, paraboloid_patch, plane_patch, saddle_patch
+from corpus import assert_analytic, cylinder_patch, paraboloid_patch, plane_patch, saddle_patch
 
 
 def plane_y0() -> BSplineSurface:
@@ -39,19 +40,6 @@ def paraboloid_at(z):
 def saddle_at(z):
     # (u - 1/2)(v - 1/2) = c != 0 is a hyperbola, two open arcs in the square.
     return lambda: (plane_patch(z), saddle_patch())
-
-
-def assert_analytic(doc, kinds):
-    """Both domains read `kinds`, and the match is a bijection between the
-    two domains' segments that pairs equal kinds."""
-    assert not doc.no_intersection
-    for dom in doc.domains:
-        assert sorted(dom.partition.segment_kinds()) == sorted(kinds)
-    kinds1, kinds2 = (dom.partition.segment_kinds() for dom in doc.domains)
-    pairs = [(a, b) for a, b, _ in doc.match.pairs]
-    assert sorted(a for a, _ in pairs) == list(range(len(kinds)))
-    assert sorted(b for _, b in pairs) == list(range(len(kinds)))
-    assert all(kinds1[a] == kinds2[b] for a, b in pairs)
 
 
 def defect(case_id, today):
@@ -95,11 +83,6 @@ def run_case(case_id):
     defect("seam", "the seam reads as a domain boundary: open in uv, closed in st"),
     defect("paraboloid-z0.01-eps0.01", "closed in uv, open in st"),
     defect("paraboloid-z0.01-eps0.02", "one isolated point per domain"),
-    defect("paraboloid-z0.3-eps0.02", "every node meets the boundary band: nothing"),
-    defect("paraboloid-z0.35-eps0.01", "nothing in uv, 4 open in st, no match"),
-    defect("paraboloid-z0.45-eps0.005", "every node meets the boundary band: nothing"),
-    defect("saddle-z0.1-eps0.02", "2 open in uv, nothing in st"),
-    defect("saddle-z-0.1-eps0.02", "2 open in uv, nothing in st"),
     defect("cylinders-theta0.1-eps0.02", "a 3-node graph per domain: 1 open segment"),
     defect("cylinders-theta0.4-eps0.01",
            "5 open per domain and 13 match pairs: the crossing resolves as two "
@@ -116,6 +99,14 @@ def test_known_defect_reads_the_analytic_answer(case_id):
 
 
 @pytest.mark.parametrize("case_id", [
+    # Arcs whose every node meets the boundary band, read as nothing before
+    # band-only components were kept whole.
+    "paraboloid-z0.3-eps0.02",
+    "paraboloid-z0.35-eps0.01",
+    "paraboloid-z0.45-eps0.005",
+    "saddle-z0.1-eps0.02",
+    "saddle-z-0.1-eps0.02",
+    # Controls.
     "paraboloid-z0.01-eps0.005",
     "paraboloid-z0.1-eps0.02",
     "paraboloid-z0.3-eps0.01",

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from sstopo.mapper import MapperGraph, MapperNode, _edges_from_nodes, components
 from sstopo.partition import (
-    KIND_ANOMALOUS,
     KIND_CLOSED,
     KIND_ISOLATED,
     KIND_OPEN,
@@ -92,32 +91,41 @@ def _ref_components(ids, edges):
     return comps
 
 
-def _ref_kind(comp, edges, all_edges):
-    """Kind of a surviving component from its surviving `edges`; a single
-    node is isolated only if no edge of the whole graph, `all_edges`, meets it."""
+def _ref_kind(comp, edges, all_edges, band):
+    """Kind of a surviving component from its surviving `edges`, which must
+    make it a path, a cycle or a single node: a cycle is closed, a single
+    node is isolated when no edge of the whole graph, `all_edges`, meets it
+    and it is not in the band nodes `band`, and anything else is open."""
     inside = [(a, b) for a, b in edges if a in comp and b in comp]
     degrees = [sum(n in e for e in inside) for n in comp]
-    if len(comp) == 1:
-        return KIND_OPEN if any(comp[0] in e for e in all_edges) else KIND_ISOLATED
-    if len(inside) == len(comp) - 1 and max(degrees) <= 2 and degrees.count(1) == 2:
-        return KIND_OPEN
-    if len(comp) >= 3 and len(inside) == len(comp) and set(degrees) == {2}:
+    cycle = len(comp) >= 3 and len(inside) == len(comp) and set(degrees) == {2}
+    path = len(inside) == len(comp) - 1 and max(degrees) <= 2
+    assert cycle or path
+    if cycle:
         return KIND_CLOSED
-    return KIND_ANOMALOUS
+    if len(comp) == 1 and comp[0] not in band and not any(comp[0] in e for e in all_edges):
+        return KIND_ISOLATED
+    return KIND_OPEN
 
 
 def _ref_partition(sets, edges, boundary):
     degree = [sum(i in e for e in edges) for i in range(len(sets))]
     boundary_nodes = {i for i, s in enumerate(sets) if s & boundary}
     singular_nodes = {i for i, d in enumerate(degree) if d > 2}
-    removed = boundary_nodes | singular_nodes
+    # A component of the graph without its singular nodes that lies wholly in
+    # the band is kept whole.
+    regular = [i for i in range(len(sets)) if i not in singular_nodes]
+    regular_edges = {(a, b) for a, b in edges if a in regular and b in regular}
+    band_only = {i for comp in _ref_components(regular, regular_edges)
+                 if set(comp) <= boundary_nodes for i in comp}
+    removed = (boundary_nodes - band_only) | singular_nodes
     survivors = [i for i in range(len(sets)) if i not in removed]
     kept_edges = {(a, b) for a, b in edges if a not in removed and b not in removed}
     segments = []
     for comp in _ref_components(survivors, kept_edges):
         points = frozenset().union(*(sets[i] for i in comp))
-        segments.append((tuple(sorted(points)), _ref_kind(comp, kept_edges, edges),
-                         tuple(comp)))
+        segments.append((tuple(sorted(points)),
+                         _ref_kind(comp, kept_edges, edges, boundary_nodes), tuple(comp)))
     segments.sort(key=lambda s: (s[0][0], s[2]))
     surviving = frozenset().union(*(sets[i] for i in survivors))
 
@@ -177,7 +185,7 @@ def test_classify_and_partition_match_set_reference(case):
             graph, np.array(sorted(boundary), dtype=np.int64))
         assert set(characteristic.boundary_nodes.tolist()) == want[0]
         assert set(characteristic.singular_nodes.tolist()) == want[1]
-        got = partition(graph, characteristic)
+        got = partition(graph, characteristic.boundary_nodes)
         assert [(tuple(s.point_indices.tolist()), s.kind, tuple(s.node_ids.tolist()))
                 for s in got.segments] == want[2]
         assert set(got.removed_boundary_points.tolist()) == want[3]
@@ -196,7 +204,7 @@ def test_segments_disjoint_ordered_and_apart_from_removed_points(case):
     sets, drawn = case
     graph = MapperGraph(nodes=tuple(_nodes(sets)), edges=sorted(_ref_edges(sets)))
     got = partition(graph, classify_characteristic_nodes(
-        graph, np.array(sorted(drawn), dtype=np.int64)))
+        graph, np.array(sorted(drawn), dtype=np.int64)).boundary_nodes)
     removed = set(got.removed_boundary_points.tolist()) | set(got.removed_singular_points.tolist())
     seen = set()
     firsts = []

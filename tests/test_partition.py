@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sstopo import (
-    CharacteristicNodes,
     ConfigurationError,
     CrossDomainMatch,
     approximate_boundary_set,
@@ -11,7 +10,7 @@ from sstopo import (
     partition,
 )
 from sstopo.mapper import MapperGraph, MapperNode
-from sstopo.partition import KIND_ANOMALOUS, KIND_CLOSED, KIND_ISOLATED, KIND_OPEN, PartitionResult, Segment
+from sstopo.partition import KIND_CLOSED, KIND_ISOLATED, KIND_OPEN, PartitionResult, Segment
 
 from corpus import assert_id_array
 
@@ -129,7 +128,7 @@ class TestClassifyCharacteristic:
         g = graph_of([[0], [1], [2], [3], [4]], [(0, 1), (0, 2), (0, 3), (0, 4)])
         res = classify_characteristic_nodes(g, np.array([0]))
         assert ids(res.boundary_nodes) == {0} and ids(res.singular_nodes) == {0}
-        res = partition(g, res)
+        res = partition(g, res.boundary_nodes)
         assert node_ids(res) == [[1], [2], [3], [4]]
         assert ids(res.removed_boundary_points) == {0}
         assert ids(res.removed_singular_points) == {0}
@@ -142,10 +141,8 @@ class TestClassifyCharacteristic:
 
 
 class TestPartition:
-    EMPTY = CharacteristicNodes([], [])
-
     def test_path_is_open(self):
-        res = partition(path_graph(5), self.EMPTY)
+        res = partition(path_graph(5), [])
         assert [s.kind for s in res.segments] == [KIND_OPEN]
         assert res.segments[0].point_indices.tolist() == list(range(5))
         assert_partition_records(res)
@@ -153,33 +150,27 @@ class TestPartition:
     def test_a_segment_indexes_point_rows(self):
         # Two points index two rows, not one element of a multi-axis index.
         pts = np.arange(10.0).reshape(5, 2)
-        res = partition(graph_of([[3, 1]], []), self.EMPTY)
+        res = partition(graph_of([[3, 1]], []), [])
         assert pts[res.segments[0].point_indices].tolist() == [[2.0, 3.0], [6.0, 7.0]]
 
     def test_cycle_is_closed(self):
-        res = partition(cycle_graph(6), self.EMPTY)
+        res = partition(cycle_graph(6), [])
         assert [s.kind for s in res.segments] == [KIND_CLOSED]
 
     def test_single_node_is_isolated(self):
-        res = partition(graph_of([[0, 1]], []), self.EMPTY)
+        res = partition(graph_of([[0, 1]], []), [])
         assert [s.kind for s in res.segments] == [KIND_ISOLATED]
 
     def test_two_node_component_is_open(self):
-        res = partition(graph_of([[0, 1], [1, 2]], [(0, 1)]), self.EMPTY)
+        res = partition(graph_of([[0, 1], [1, 2]], [(0, 1)]), [])
         assert [s.kind for s in res.segments] == [KIND_OPEN]
-
-    def test_high_degree_without_removal_is_anomalous(self):
-        g = graph_of([[0], [1], [2], [3]], [(0, 1), (0, 2), (0, 3)])
-        res = partition(g, self.EMPTY)
-        assert [s.kind for s in res.segments] == [KIND_ANOMALOUS]
 
     def test_star_removal_gives_four_open_arms(self):
         # Each arm lost its one neighbor, the singular center: an arc cut
         # short, not an isolated point.
         g = graph_of([[0, 9], [1, 9], [2, 9], [3, 9], [4, 9]],
                      [(0, 1), (0, 2), (0, 3), (0, 4)])
-        char = classify_characteristic_nodes(g, np.array([], dtype=int))
-        res = partition(g, char)
+        res = partition(g, [])
         assert [s.kind for s in res.segments] == [KIND_OPEN] * 4
         assert node_ids(res) == [[1], [2], [3], [4]]
 
@@ -187,35 +178,76 @@ class TestPartition:
         # boundary node 0 - arm 1 - singular node 2 with two more arms
         g = graph_of([[0], [0, 1], [1, 2], [2, 3], [2, 4]],
                      [(0, 1), (1, 2), (2, 3), (2, 4)])
-        res = partition(g, CharacteristicNodes([0], [2]))
+        res = partition(g, [0])
         assert [(s.node_ids.tolist(), s.kind) for s in res.segments] == [
             ([1], KIND_OPEN), ([3], KIND_OPEN), ([4], KIND_OPEN)]
 
     def test_node_without_neighbors_stays_isolated_beside_removal(self):
         g = graph_of([[0], [1], [2], [3], [0, 1, 2, 3], [7]],
                      [(0, 4), (1, 4), (2, 4), (3, 4)])
-        char = classify_characteristic_nodes(g, np.array([], dtype=int))
-        res = partition(g, char)
+        res = partition(g, [])
         assert [(s.node_ids.tolist(), s.kind) for s in res.segments] == [
             ([0], KIND_OPEN), ([1], KIND_OPEN), ([2], KIND_OPEN), ([3], KIND_OPEN),
             ([5], KIND_ISOLATED)]
         assert_partition_records(res)
 
     def test_every_node_removed_gives_no_segment(self):
-        g = path_graph(3, points_per_node=2)
-        char = CharacteristicNodes([0, 1, 2], [])
-        res = partition(g, char)
+        # Every node of the complete graph on four nodes has degree 3, so
+        # every node is singular and removed, band or not.
+        g = graph_of([[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 5]],
+                     [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+        res = partition(g, [0])
         assert res.segments == ()
-        assert ids(res.removed_boundary_points) == set(range(6))
+        assert ids(res.removed_boundary_points) == {0, 1, 2}
+        assert ids(res.removed_singular_points) == set(range(6))
+        assert_partition_records(res)
+        assert partition(graph_of([], []), []).segments == ()
+
+    def test_band_only_path_is_kept_whole_and_open(self):
+        # Removal cuts an arc's ends; an arc that is all ends stays whole.
+        g = path_graph(3, points_per_node=2)
+        res = partition(g, [0, 1, 2])
+        assert [(s.node_ids.tolist(), s.kind) for s in res.segments] == [([0, 1, 2], KIND_OPEN)]
+        assert res.segments[0].point_indices.tolist() == list(range(6))
+        assert ids(res.removed_boundary_points) == set()
         assert ids(res.removed_singular_points) == set()
         assert_partition_records(res)
-        assert partition(graph_of([], []), self.EMPTY).segments == ()
+
+    def test_band_only_cycle_is_closed(self):
+        res = partition(cycle_graph(5), [0, 1, 2, 3, 4])
+        assert [s.kind for s in res.segments] == [KIND_CLOSED]
+
+    def test_band_nodes_go_where_the_component_leaves_the_band(self):
+        # Nodes 0 and 4 end the path in the band and are cut; the band-only
+        # path 5 - 6 beside it is kept.
+        g = graph_of([[0, 10], [0, 1], [1, 2], [2, 3], [3, 11], [7, 8], [8, 9]],
+                     [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)])
+        res = partition(g, [0, 4, 5, 6])
+        assert [(s.node_ids.tolist(), s.kind) for s in res.segments] == [
+            ([1, 2, 3], KIND_OPEN), ([5, 6], KIND_OPEN)]
+        assert ids(res.removed_boundary_points) == {10, 11}
+        assert_partition_records(res)
+
+    def test_lone_band_node_is_open(self):
+        # A band node with no neighbour is an arc's end, not a tangency.
+        res = partition(graph_of([[0, 1], [5]], []), [0])
+        assert [(s.node_ids.tolist(), s.kind) for s in res.segments] == [
+            ([0], KIND_OPEN), ([1], KIND_ISOLATED)]
+
+    def test_band_only_arm_of_a_crossing_is_kept(self):
+        # The singular center goes; arm 1 lies in the band but is its whole
+        # component of the graph without the center, so it stays.
+        g = graph_of([[0, 9], [1, 9], [2, 9], [3, 9], [4, 9]],
+                     [(0, 1), (0, 2), (0, 3), (0, 4)])
+        res = partition(g, [1])
+        assert node_ids(res) == [[1], [2], [3], [4]]
+        assert [s.kind for s in res.segments] == [KIND_OPEN] * 4
+        assert ids(res.removed_singular_points) == {0}
 
     def test_shared_points_stay_with_survivors(self):
         # node 1 removed as boundary; point 10 shared with surviving node 0
         g = graph_of([[0, 10], [10, 11, 20], [20, 2]], [(0, 1), (1, 2)])
-        char = CharacteristicNodes([1], [])
-        res = partition(g, char)
+        res = partition(g, [1])
         seg_points = set()
         for s in res.segments:
             seg_points |= ids(s.point_indices)
@@ -226,8 +258,7 @@ class TestPartition:
     def test_disjoint_and_covering(self):
         g = graph_of([[0, 1], [1, 2], [2, 3], [5], [6, 7]],
                      [(0, 1), (1, 2), (3, 4)])
-        char = CharacteristicNodes([4], [])
-        res = partition(g, char)
+        res = partition(g, [4])
         all_pts = set()
         for s in res.segments:
             pts = ids(s.point_indices)
@@ -241,16 +272,16 @@ class TestPartition:
         # Node 0's component holds points 5..6, node 1's holds 0..1, and the
         # last point of node 2's component, 9, is above node 3's, 8.
         g = graph_of([[5, 6], [0, 1], [2, 9], [3, 8]], [])
-        res = partition(g, self.EMPTY)
+        res = partition(g, [])
         assert node_ids(res) == [[1], [2], [3], [0]]
         assert_partition_records(res)
 
     def test_removed_points_exclude_every_survivors_points(self):
-        # Boundary node 1 and singular node 3 share points 1, 3, 4 and 6 with
-        # the survivors, and point 8 with each other.
-        g = graph_of([[0, 1], [1, 2, 3, 8], [3, 4], [4, 5, 6, 8], [6, 7]],
-                     [(0, 1), (1, 2), (1, 3), (2, 3), (3, 4)])
-        res = partition(g, CharacteristicNodes([1], [3]))
+        # Boundary node 1 (degree 2) and singular node 3 (degree 3) share
+        # points 1, 3, 4 and 6 with the survivors, and point 8 with each other.
+        g = graph_of([[0, 1, 3], [1, 2, 3, 8], [4, 9], [4, 5, 6, 8], [6, 7]],
+                     [(0, 1), (1, 3), (2, 3), (3, 4)])
+        res = partition(g, [1])
         assert node_ids(res) == [[0], [2], [4]]
         assert ids(res.removed_boundary_points) == {2, 8}
         assert ids(res.removed_singular_points) == {5, 8}
@@ -260,8 +291,9 @@ class TestPartition:
         g = graph_of([[0], [1], [2], [3], [0, 1, 2, 3, 4]],
                      [(0, 4), (1, 4), (2, 4), (3, 4)])
         char = classify_characteristic_nodes(g, np.array([], dtype=int))
-        res = partition(g, char)
+        res = partition(g, char.boundary_nodes)
         assert ids(char.singular_nodes) == {4}
+        assert ids(res.removed_singular_points) == {4}
         # all surviving components have degree <= 2
         for seg in res.segments:
             assert seg.kind in (KIND_OPEN, KIND_CLOSED, KIND_ISOLATED)

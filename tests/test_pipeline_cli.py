@@ -308,6 +308,15 @@ class TestRunMapperOnly:
         with pytest.raises(DegenerateCloudError, match="finite"):
             run_mapper_only(PipelineConfig(delta_override=0.1), pts)
 
+    @pytest.mark.parametrize("points", [
+        [[-1e308, 0], [0, 0], [1e308, 0]],  # the span itself overflows
+        [[-1e160, 0], [0, 0], [1e160, 0]],  # a finite span whose square overflows
+        [[1e308, 0], [1e308, 0.5], [1e308, 0.25]],  # the sum for the mean overflows
+    ], ids=["span", "squared-span", "mean"])
+    def test_finite_cloud_whose_sums_overflow_rejected(self, points):
+        with pytest.raises(DegenerateCloudError, match="overflow"):
+            run_mapper_only(PipelineConfig(delta_override=0.1), points)
+
     def test_runs_leave_scipy_unloaded(self):
         code = (
             "import sys\n"
