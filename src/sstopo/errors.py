@@ -26,6 +26,6 @@ class EmptyInputError(SstopoError):
 
 
 class DegenerateCloudError(SstopoError):
-    """A point cloud is too small or too degenerate for the requested statistic,
-    has non-finite coordinates, or comes from a malformed cloud file (a value
-    that does not parse, or a label on some lines but not all)."""
+    """A point cloud is malformed (not an (n, 2) array, non-finite or so large
+    that its sums overflow) or comes from a malformed cloud file (a value that
+    does not parse, or a label on some lines but not all)."""

@@ -16,12 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _join, freeze, neighbor_components, neighbor_sup_abs_diff, run_starts
-from .errors import ConfigurationError, DegenerateCloudError, EmptyInputError
+from .errors import ConfigurationError, EmptyInputError
 
 log = logging.getLogger(__name__)
 
-# Eigenvalue gap below which a cloud counts as isotropic and the principal
-# direction falls back to (1, 0) for determinism.
+# Eigenvalue gap below which a cloud has no dominant axis and the principal
+# direction falls back to (1, 0) for determinism. One point or coincident
+# points have zero covariance, a tie, so they get (1, 0) too.
 EIGEN_TIE_TOL = 1e-9
 
 
@@ -170,14 +171,12 @@ def principal_direction(cloud: np.ndarray) -> np.ndarray:
     """Leading eigenvector of the 2x2 covariance of the centered cloud.
 
     Unit length, sign canonicalized (first nonzero component positive).
-    An isotropic cloud (eigenvalue gap < EIGEN_TIE_TOL) yields (1, 0).
+    A cloud with no dominant axis (eigenvalue gap < EIGEN_TIE_TOL), one
+    point or coincident points included, yields (1, 0). An empty cloud
+    raises `EmptyInputError`.
     """
     cloud = np.asarray(cloud, dtype=np.float64)
-    if cloud.shape[0] < 2:
-        raise DegenerateCloudError("need at least two points for a principal direction")
-    centered = cloud - cloud.mean(axis=0)
-    if not np.any(centered):
-        raise DegenerateCloudError("all points identical; principal direction undefined")
+    centered = cloud - centroid(cloud)
     cov = centered.T @ centered / cloud.shape[0]
     eigvals, eigvecs = np.linalg.eigh(cov)
     if eigvals[1] - eigvals[0] < EIGEN_TIE_TOL:
@@ -217,7 +216,8 @@ def compute_l0(cloud: np.ndarray, filt: LinearFilter, delta: float, theta_ov: fl
                alpha: float | None = None) -> float:
     """Base interval length: sup of |f(xi)-f(xj)| over pairs closer than delta,
     divided by theta_ov. Falls back to the Lipschitz bound delta/theta_ov when
-    no pair qualifies.
+    no pair qualifies, as for a one-point cloud. An empty cloud raises
+    `EmptyInputError`.
 
     With ``alpha``, the result is only as exact as the interval count at
     l' = (1 + alpha) * l0 needs: it may be any l0 that gives the count the
@@ -228,8 +228,8 @@ def compute_l0(cloud: np.ndarray, filt: LinearFilter, delta: float, theta_ov: fl
     theta_ov and no grid is built; otherwise the exact supremum is taken.
     """
     cloud = np.asarray(cloud, dtype=np.float64)
-    if cloud.shape[0] < 2:
-        raise DegenerateCloudError("need at least two points to compute l0")
+    if cloud.shape[0] == 0:
+        raise EmptyInputError("cannot compute l0 for an empty cloud")
     values = eval_filter(filt, cloud)
     if alpha is None:
         sup, found = neighbor_sup_abs_diff(cloud, values, delta)
@@ -285,11 +285,20 @@ def _count(span: float, l_prime: float, theta_ov: float) -> float:
 
 
 def interval_count(cloud: np.ndarray, filt: LinearFilter, l_prime: float, theta_ov: float) -> int:
-    """Number of cover intervals for the given working length, clamped to >= 1."""
+    """Number of cover intervals for the given working length, clamped to
+    [1, 2n + 1] for n points. A point lies in at most two intervals, so more
+    only adds empty preimages; far-apart tight clumps would otherwise request
+    absurd counts, or an infinite one when span / l_prime overflows."""
     if not l_prime > 0:
         raise ConfigurationError(f"l_prime must be positive, got {l_prime}")
-    values = eval_filter(filt, np.asarray(cloud, dtype=np.float64))
-    return int(_count(_span(values), l_prime, theta_ov))
+    cloud = np.asarray(cloud, dtype=np.float64)
+    count = _count(_span(eval_filter(filt, cloud)), l_prime, theta_ov)
+    cap = 2 * cloud.shape[0] + 1
+    if count > cap:
+        log.warning("interval count %g capped at %d; cloud is far from a "
+                    "densely sampled curve", count, cap)
+        count = cap
+    return int(count)
 
 
 def build_cover(f_min: float, f_max: float, count: int, theta_ov: float) -> np.ndarray:
@@ -330,24 +339,12 @@ def build_mapper_graph(cloud: np.ndarray, filt: LinearFilter, params: MapperPara
     cloud = np.asarray(cloud, dtype=np.float64)
     if cloud.shape[0] == 0:
         raise EmptyInputError("cannot build a Mapper graph from an empty cloud")
-    if cloud.shape[0] == 1:
-        node = MapperNode([0], intervals=(0,))
-        return MapperGraph(nodes=(node,), edges=np.empty((0, 2), dtype=np.int64))
-
     values = eval_filter(filt, cloud)
     l0 = compute_l0(cloud, filt, params.delta, params.theta_ov, params.alpha)
     if l0 <= 0.0:
         count = 1
     else:
         count = interval_count(cloud, filt, (1.0 + params.alpha) * l0, params.theta_ov)
-    # A point lies in at most two intervals, so resolution beyond 2n+1
-    # intervals only adds empty preimages; degenerate clouds (far-apart tight
-    # clumps) would otherwise request absurd counts.
-    cap = 2 * cloud.shape[0] + 1
-    if count > cap:
-        log.warning("interval count %d capped at %d; cloud is far from a "
-                    "densely sampled curve", count, cap)
-        count = cap
     cover = build_cover(float(values.min()), float(values.max()), count, params.theta_ov)
 
     # One group per interval. Bounds are closed, so a point on a shared

@@ -8,11 +8,10 @@ side, happens at most once per patch, and its two halves get consecutive
 ids, which every pair that holds the parent then shares. A level's splits
 run as a few batched knot insertions, one per group of patches with the
 same split axis and net shape, and the nets they make are kept as arrays,
-one block per batch, freed once every patch in the block is split. Once the
-first few levels have cut the patches between their knots, each group is
-one knot insertion call, and both halves' boxes come from one call. The
-boxes are stored column by column, so that the per-level box test runs
-along long rows.
+one block per batch, for the whole run. Once the first few levels have cut
+the patches between their knots, each group is one knot insertion call, and
+both halves' boxes come from one call. The boxes are stored column by
+column, so that the per-level box test runs along long rows.
 
 The active pairs of one level are two id arrays. Each level drops the pairs
 whose padded boxes do not overlap (one vectorised closed-box test), ends the
@@ -143,8 +142,7 @@ class _PatchStore:
     holds clamped knots and a control net: row `row[i]` of block
     `blocks[block[i]]`, a `(knots_u, knots_v, nets)` triple of arrays for
     patches of one net shape made by one batched split. Once split, its
-    halves are `child[i]` and `child[i] + 1`; a block is freed when all its
-    patches are split.
+    halves are `child[i]` and `child[i] + 1`; a block is kept for the whole run.
     """
 
     def __init__(self, surface: BSplineSurface):
@@ -155,7 +153,6 @@ class _PatchStore:
         self.child = np.full(1, -1)
         self.blocks = [(root.knots_u.knots[None], root.knots_v.knots[None],
                         root.control_points[None])]
-        self.unsplit = [1]
         self.shapes = {root.control_points.shape: 0}  # net shape -> shape id
         self.block_shape = [0]
         self.block = np.zeros(1, dtype=np.int64)
@@ -165,8 +162,6 @@ class _PatchStore:
     def _gather(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stacked `(knots_u, knots_v, nets)` of patches `ids`, given in block order."""
         blocks, rows = self.block[ids], self.row[ids]
-        if blocks[0] == blocks[-1]:
-            return tuple(a[rows] for a in self.blocks[blocks[0]])
         cuts = np.flatnonzero(run_starts(blocks)).tolist() + [ids.size]
         parts = [[a[rows[i:j]] for a in self.blocks[blocks[i]]] for i, j in zip(cuts, cuts[1:])]
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
@@ -224,17 +219,10 @@ class _PatchStore:
                     for side, (knots, half) in enumerate(sides):
                         self.blocks.append((knots, other[rows], half) if axis == 0
                                            else (other[rows], knots, half))
-                        self.unsplit.append(rows.size)
                         shape = self.shapes.setdefault(half.shape[1:], len(self.shapes))
                         self.block_shape.append(shape)
                         block[at + side] = len(self.blocks) - 1
                         row[at + side] = np.arange(rows.size)
-            drawn = np.sort(src)
-            at = np.flatnonzero(run_starts(drawn))
-            for b, count in zip(drawn[at].tolist(), np.diff(at, append=drawn.size).tolist()):
-                self.unsplit[b] -= count
-                if not self.unsplit[b]:
-                    self.blocks[b] = None
             self.rects = np.concatenate([self.rects, halves])
             self.diag = np.concatenate([self.diag, _diagonals(halves)])
             self.child = np.concatenate([self.child, np.full(2 * m, -1)])
@@ -299,18 +287,16 @@ def intersect_surfaces(
     n2 = cells2.shape[0]
     correspondences = np.stack(np.divmod(np.unique(rows1 * n2 + rows2), n2), axis=1)
 
-    overlap = False
-    if ends1.size:
-        covered = sum(((cells1[:, 1] - cells1[:, 0]) * (cells1[:, 3] - cells1[:, 2])).tolist())
-        u_min, u_max, v_min, v_max = store1.rects[0].tolist()
-        domain_area = (u_max - u_min) * (v_max - v_min)
-        if covered > OVERLAP_WARN_RATIO * domain_area:
-            overlap = True
-            log.warning(
-                "terminal cells cover %.0f%% of domain 1; surfaces likely overlap "
-                "in a 2D region, topology output is not meaningful there",
-                100.0 * covered / domain_area,
-            )
+    covered = sum(((cells1[:, 1] - cells1[:, 0]) * (cells1[:, 3] - cells1[:, 2])).tolist())
+    u_min, u_max, v_min, v_max = store1.rects[0].tolist()
+    domain_area = (u_max - u_min) * (v_max - v_min)
+    overlap = covered > OVERLAP_WARN_RATIO * domain_area
+    if overlap:
+        log.warning(
+            "terminal cells cover %.0f%% of domain 1; surfaces likely overlap "
+            "in a 2D region, topology output is not meaningful there",
+            100.0 * covered / domain_area,
+        )
 
     return IntersectionPointSets(
         cells1=cells1,

@@ -22,14 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import run_starts
-from .errors import DegenerateCloudError
 from .mapper import (
     LinearFilter,
     MapperGraph,
     MapperNode,
     MapperParams,
     build_mapper_graph,
-    centroid,
     components,
     compute_l0,
     interval_count,
@@ -68,9 +66,9 @@ def split_interval_count(
     node_points, cloud: np.ndarray, f_perp: LinearFilter, params: MapperParams
 ) -> int:
     """Orthogonal interval count of one node's point set, given as ascending
-    indices; 1 for degenerate sets."""
-    if len(node_points) < 2:
-        return 1
+    indices. A one-point or coincident set gets 1 by the general rules: no
+    close pair gives l0 = delta/theta_ov, a zero l0 gives one interval, and
+    so does a zero filter span."""
     sub = np.asarray(cloud, dtype=np.float64)[node_points]
     l0 = compute_l0(sub, f_perp, params.delta, params.theta_ov, params.alpha)
     if l0 <= 0.0:
@@ -84,20 +82,11 @@ def _sorted_union(arrays) -> np.ndarray:
     return merged[run_starts(merged)]
 
 
-def _cloud_filter(cloud: np.ndarray) -> LinearFilter:
-    """PCA filter, falling back to direction (1, 0) for degenerate clouds so
-    single-point and coincident clouds still flow through the pipeline."""
-    try:
-        return make_pca_filter(cloud)
-    except DegenerateCloudError:
-        return LinearFilter(centroid(cloud), np.array([1.0, 0.0]))
-
-
 def run_two_step(cloud: np.ndarray, params: MapperParams) -> TwoStepResult:
     """Both phases with wall-clock timings for each."""
     cloud = np.asarray(cloud, dtype=np.float64)
     t0 = time.perf_counter()
-    filt = _cloud_filter(cloud)
+    filt = make_pca_filter(cloud)
     initial = build_mapper_graph(cloud, filt, params)
     t1 = time.perf_counter()
 

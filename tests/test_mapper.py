@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from sstopo import (
     ConfigurationError,
-    DegenerateCloudError,
     EmptyInputError,
     LinearFilter,
     MapperParams,
@@ -83,11 +82,12 @@ class TestPrincipalDirection:
         square = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]])
         np.testing.assert_array_equal(principal_direction(square), [1, 0])
 
-    def test_degenerate_errors(self):
-        with pytest.raises(DegenerateCloudError):
-            principal_direction(np.array([[1.0, 2.0]]))
-        with pytest.raises(DegenerateCloudError):
-            principal_direction(np.ones((5, 2)))
+    def test_degenerate_cloud_takes_the_tie_direction(self):
+        # Zero covariance is a tie: one point and coincident points get (1, 0).
+        np.testing.assert_array_equal(principal_direction(np.array([[1.0, 2.0]])), [1, 0])
+        np.testing.assert_array_equal(principal_direction(np.full((5, 2), 0.1)), [1, 0])
+        with pytest.raises(EmptyInputError):
+            principal_direction(np.empty((0, 2)))
 
     def test_sign_canonical(self):
         cloud = np.array([[0.0, 0], [-1, -1], [-2, -2.1]])
@@ -185,8 +185,12 @@ class TestComputeL0:
             assert compute_l0(cloud, f, delta, 0.2) <= delta / 0.2 + 1e-12
 
     def test_too_small_cloud(self):
-        with pytest.raises(DegenerateCloudError):
-            compute_l0(np.array([[0.0, 0.0]]), self.X_AXIS, 0.5, 0.2)
+        # One point has no close pair, so it takes the Lipschitz fallback.
+        one = np.array([[0.3, 0.7]])
+        assert compute_l0(one, self.X_AXIS, 0.5, 0.2) == 0.5 / 0.2
+        assert compute_l0(one, self.X_AXIS, 0.5, 0.2, alpha=0.001) == 0.5 / 0.2
+        with pytest.raises(EmptyInputError):
+            compute_l0(np.empty((0, 2)), self.X_AXIS, 0.5, 0.2)
 
 
 def brute_force_sup(cloud, values, delta):

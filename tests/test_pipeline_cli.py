@@ -43,6 +43,7 @@ from corpus import (
     NOISE,
     assert_edge_record,
     assert_id_array,
+    brute_force_clusters,
     cylinder_patch,
     noisy_circle_cloud,
     paraboloid_patch,
@@ -316,6 +317,33 @@ class TestRunMapperOnly:
     def test_finite_cloud_whose_sums_overflow_rejected(self, points):
         with pytest.raises(DegenerateCloudError, match="overflow"):
             run_mapper_only(PipelineConfig(delta_override=0.1), points)
+
+    @pytest.mark.parametrize("delta, far", [(1e-300, 1e10), (1e-200, 1e150)])
+    def test_infinite_cover_count_takes_the_cap(self, delta, far, caplog):
+        # span / delta overflows, so the count formula gives inf; the cap of
+        # 2n + 1 intervals holds it, and three far-apart points read as three.
+        doc = run_mapper_only(PipelineConfig(delta_override=delta),
+                              [[-far, 0], [0, 0], [far, 0]])
+        assert doc.domains[0].partition.segment_kinds() == [KIND_ISOLATED] * 3
+        assert any("inf capped at 7" in r.getMessage() for r in caplog.records)
+
+    @seed(7041)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=3),
+           st.lists(st.integers(0, 2), min_size=1, max_size=6))
+    def test_copies_of_few_sites_read_as_isolated_points(self, sites, picks):
+        # Clouds with fewer than two distinct points near each other take the
+        # general path: (1, 0) by the eigenvalue tie, l0 = delta / theta_ov
+        # with no close pair, one interval for a zero span. Sites sit on a
+        # lattice of 0.6 delta, so no two lie near distance delta.
+        delta = 0.1
+        cloud = 0.6 * delta * np.array([sites[k % len(sites)] for k in picks], dtype=float)
+        doc = run_mapper_only(PipelineConfig(delta_override=delta), cloud)
+        segments = doc.domains[0].partition.segments
+        assert [seg.kind for seg in segments] == [KIND_ISOLATED] * len(segments)
+        clusters = brute_force_clusters(np.arange(len(cloud)), cloud, delta)
+        assert ([seg.point_indices.tolist() for seg in segments]
+                == [c.tolist() for c in clusters])
 
     def test_runs_leave_scipy_unloaded(self):
         code = (

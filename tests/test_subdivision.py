@@ -438,24 +438,18 @@ class TestSplitCache:
         b[0, axis] = math.nextafter(1.0, 2.0)
         assert not _overlap(a, b)[0] and not _overlap(b, a)[0]
 
-    def test_split_reuses_halves_and_frees_parent(self):
+    def test_split_reuses_halves(self):
         store = _PatchStore(plane_patch())
         assert store.split(np.array([0, 0])).tolist() == [1, 1]
-        # The root's block, its net and knots, is freed; its halves' are not.
-        assert store.blocks[store.block[0]] is None
-        assert store.blocks[store.block[1]] is not None
-        assert store.blocks[store.block[2]] is not None
         assert store.split(np.array([0])).tolist() == [1]
         assert len(store.rects) == 3
         assert (_rect(store, 1), _rect(store, 2)) == _halve(_rect(store, 0))
         # Patches 1 and 2 split together: their first halves, 3 and 5, share
-        # a block, which is freed only once both are split.
+        # a block.
         assert store.split(np.array([2, 1])).tolist() == [5, 3]
         assert store.block[3] == store.block[5]
         store.split(np.array([3]))
-        assert store.blocks[store.block[5]] is not None
         store.split(np.array([5, 3]))
-        assert store.blocks[store.block[5]] is None
         assert len(store.rects) == 11
 
     def test_degenerate_half_raises(self):
