@@ -18,9 +18,10 @@ supremum takes its bound as exact, and the components join it through a
 probe of the two points nearest its boxes' centres, the probe every pair
 gets first. Each cell's probe point is a segment minimum of the squared
 offsets over the points sorted by cell. The other pairs are tested point by
-point while they can still change the answer; the components drop the pairs
-that the probes already joined before ordering the rest. Every distance test
-is ``dx*dx + dy*dy < delta*delta``. IEEE rounding is monotone, so box bounds
+point in one pass that both kernels share: before each block the components
+skip cells already joined, and the supremum drops every cell pair whose
+bound cannot beat the best value found. Every distance test is
+``dx*dx + dy*dy < delta*delta``. IEEE rounding is monotone, so box bounds
 computed the same way bound the computed point distances exactly, and both
 kernels return bit for bit what a loop over all pairs returns.
 
@@ -181,16 +182,24 @@ class _Grid:
         self.tight = self.count == 1
         self.tight[multi] = full[: multi.size]
         keep = lower < self.d2
-        self.a, self.b, self.lower, self.full = a[keep], b[keep], lower[keep], full[keep]
+        self.a, self.b, self.full = a[keep], b[keep], full[keep]
 
-    def point_pairs(self, a, b):
-        """Yield sorted positions ``(i, j)`` that pair every point of cell
-        ``a[k]`` with every point of cell ``b[k]``, about _BLOCK at a time."""
-        k, i = _ranges(self.head[a], self.count[a])
-        start, size = self.head[b][k], self.count[b][k]
-        for s in _slices(size):
-            r, j = _ranges(start[s], size[s])
-            yield i[s][r], j
+    def near_pairs(self, pairs, live):
+        """Yield the close point pairs ``(i, j)``, as sorted positions, of
+        the candidate pairs ``pairs``, about _BLOCK point pairs at a time.
+        Just before each block, ``live(k)`` keeps the pairs ``k`` that can
+        still change the caller's answer as it stands after the blocks before."""
+        a, b, head, count = self.a, self.b, self.head, self.count
+        for s in _slices(count[a[pairs]] * count[b[pairs]]):
+            k = live(pairs[s])
+            # Each point of cell a[k] heads a row of the points of cell b[k].
+            r, rows = _ranges(head[a[k]], count[a[k]])
+            start, size = head[b[k]][r], count[b[k]][r]
+            for t in _slices(size):
+                q, j = _ranges(start[t], size[t])
+                i = rows[t][q]
+                near = self.near(i, j)
+                yield i[near], j[near]
 
     def near(self, i, j):
         """Mask of the point pairs (i, j) closer than delta, self pairs excluded."""
@@ -301,14 +310,8 @@ def neighbor_components(points: np.ndarray, delta: float, groups=None) -> np.nda
         # Two tight cells with one root need no point test.
         return k[~(g.tight[a[k]] & g.tight[b[k]]) | (root[g.head[a[k]]] != root[g.head[b[k]]])]
 
-    # Test the pairs closest first, skipping cells that are already joined.
-    rest = unjoined(np.arange(a.size))
-    rest = rest[np.argsort(g.lower[rest])]
-    for s in _slices(g.count[a[rest]] * g.count[b[rest]]):
-        k = unjoined(rest[s])
-        for i, j in g.point_pairs(a[k], b[k]):
-            near = g.near(i, j)
-            root = _join(root, i[near], j[near])
+    for i, j in g.near_pairs(unjoined(np.arange(a.size)), unjoined):
+        root = _join(root, i, j)
     labels = np.empty(n, dtype=np.int64)
     labels[g.order] = root
     _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
@@ -362,19 +365,13 @@ def neighbor_sup_abs_diff(
     bound = np.maximum(vhi[a] - vlo[b], vhi[b] - vlo[a])
     found = bool(g.full.any())
     best = bound[g.full].max() if found else -np.inf
-    # Test the rest by decreasing bound until no bound can beat the best.
+    # Test the rest by decreasing bound while a bound can beat the best.
     rest = np.flatnonzero(~g.full & (bound > best))
     rest = rest[np.argsort(-bound[rest])]
-    for s in _slices(g.count[a[rest]] * g.count[b[rest]]):
-        k = rest[s]
-        k = k[bound[k] > best]
-        if k.size == 0:
-            break
-        for i, j in g.point_pairs(a[k], b[k]):
-            near = g.near(i, j)
-            if near.any():
-                found = True
-                best = max(best, np.abs(v[i[near]] - v[j[near]]).max())
+    for i, j in g.near_pairs(rest, lambda k: k[bound[k] > best]):
+        if i.size:
+            found = True
+            best = max(best, np.abs(v[i] - v[j]).max())
     if not found:
         return 0.0, False
     return float(best), True

@@ -99,6 +99,10 @@ class BSplineSurface:
             raise ParameterRangeError("control grid does not match knot counts")
         if not np.isfinite(cp).all():
             raise ParameterRangeError("control points must be finite")
+        # Insertion blends rows convexly, so sub-nets stay within a few roundings
+        # of this bound, and a box padded by 1e-12 of it stays below 2**1024.
+        if np.abs(cp).max() >= 2.0**1023:
+            raise ParameterRangeError("control points must be below 2**1023 in magnitude")
 
     @property
     def degree_u(self) -> int:

@@ -136,12 +136,6 @@ def shared_counts(nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lo, hi, np.diff(np.append(starts, keys.size))
 
 
-def _edges_from_nodes(nodes: list[MapperNode]) -> np.ndarray:
-    """Edge iff two nodes share a point: the (m, 2) pairs ordered by (a, b)."""
-    lo, hi, _ = shared_counts(nodes)
-    return np.column_stack((lo, hi))
-
-
 def components(n: int, edges: np.ndarray, keep=None) -> list[np.ndarray]:
     """Connected components of the graph on nodes 0..n-1 with the (m, 2)
     edge rows `edges`, among the nodes where the mask `keep` holds (all by
@@ -357,4 +351,6 @@ def build_mapper_graph(cloud: np.ndarray, filt: LinearFilter, params: MapperPara
     clusters, first = _clusters(cloud, indices, params.delta, groups)
     nodes = [MapperNode(cluster, intervals=(interval,))
              for cluster, interval in zip(clusters, groups[first].tolist())]
-    return MapperGraph(nodes=tuple(nodes), edges=_edges_from_nodes(nodes))
+    # Edge iff two nodes share a point.
+    lo, hi, _ = shared_counts(nodes)
+    return MapperGraph(nodes=tuple(nodes), edges=np.column_stack((lo, hi)))

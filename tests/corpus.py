@@ -16,6 +16,7 @@ from sstopo import (
     uniform_clamped_knots,
     uniform_periodic_knots,
 )
+from sstopo.mapper import shared_counts
 from sstopo.synthetic import Circle, SegmentCurve, SyntheticSpec, generate_synthetic
 
 
@@ -126,6 +127,13 @@ def point_set(node) -> frozenset[int]:
 def edge_set(edges) -> set[tuple[int, int]]:
     """A graph's edge rows as a set of int pairs, for set-based references."""
     return set(map(tuple, np.asarray(edges).tolist()))
+
+
+def shared_pairs(nodes) -> np.ndarray:
+    """`shared_counts`' pairs of nodes that share a point, as the (m, 2)
+    edge rows that `build_mapper_graph` makes of them."""
+    lo, hi, _ = shared_counts(nodes)
+    return np.column_stack((lo, hi))
 
 
 def assert_id_array(ids) -> None:

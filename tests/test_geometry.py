@@ -58,6 +58,15 @@ class TestKnotVector:
         with pytest.raises(ParameterRangeError):
             surface_from_dict(data)
 
+    @pytest.mark.parametrize("big", [2.0**1023, -np.finfo(np.float64).max])
+    def test_rejects_control_points_whose_boxes_overflow(self, big):
+        # Finite, but the subdivision's padded box around such a net would
+        # overflow.
+        data = surface_to_dict(plane_patch())
+        data["control_points"][1][0][2] = big
+        with pytest.raises(ParameterRangeError):
+            surface_from_dict(data)
+
     def test_clamped_properties(self):
         kv = uniform_clamped_knots(3, 6)
         assert kv.count == 6

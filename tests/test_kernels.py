@@ -353,3 +353,43 @@ class TestGridEdges:
         assert_matches_oracle(pts, _values(rng, pts), delta)
         distinct = np.unique(pts, axis=0)
         assert_matches_oracle(distinct, _values(rng, distinct), delta)
+
+    def test_components_join_past_the_first_block_of_cell_pairs(self):
+        # 100 dumbbells, far apart: two tight cells two cells apart, each a
+        # 29-point clump at its far side and one point at its near side.
+        # The probes, in the clumps, lie 2.8 cells (over delta) apart, so
+        # every dumbbell is joined only by the residual pass, and its 100
+        # cell pairs of 900 point pairs fill more than one block.
+        rng = np.random.default_rng(1)
+        delta = 1.0
+        side = (1 + 2**-6) * delta / 2  # the components' cell side
+        bells = []
+        for k in range(100):
+            x = np.concatenate([rng.uniform(0.05, 0.10, 29), [0.99, 2.01],
+                                rng.uniform(2.90, 2.95, 29)])
+            bells.append(np.column_stack([x, rng.uniform(0.4, 0.6, 60) + 10 * k]) * side)
+        pts = rng.permutation(np.concatenate(bells))
+        labels = neighbor_components(pts, delta)
+        assert np.array_equal(labels, oracle(pts, np.zeros(len(pts)), delta)[0])
+        assert labels.max() + 1 == 100
+
+    def test_supremum_past_the_first_block_of_cell_pairs(self):
+        # 100 decoy cell pairs, four supremum cells apart, each with bound
+        # 5.0 but close pairs that realize at most 4.5, and one pair of the
+        # same shape whose inner points realize 4.8. The decoys' bounds come
+        # first and fill the first block; the answer is in a later one.
+        rng = np.random.default_rng(1)
+        delta = 1.0
+        side = (1 + 2**-6) * delta / 4  # the supremum's cell side
+        pts, vals = [], []
+        for k in range(101):
+            x = np.concatenate([rng.uniform(0.05, 0.10, 29), [0.99, 4.01],
+                                rng.uniform(4.90, 4.95, 29)])
+            pts.append(np.column_stack([x, rng.uniform(0.4, 0.6, 60) + 10 * k]) * side)
+            # Clump, inner, inner, clump.
+            v = (5.5, 5.0, 1.0, 0.5) if k < 100 else (4.8, 4.8, 0.0, 0.0)
+            vals.append(np.repeat(v, [29, 1, 1, 29]))
+        perm = rng.permutation(101 * 60)
+        pts, vals = np.concatenate(pts)[perm], np.concatenate(vals)[perm]
+        got = neighbor_sup_abs_diff(pts, vals, delta)
+        assert got == oracle(pts, vals, delta)[1] == (4.8, True)

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from sstopo.mapper import MapperGraph, MapperNode, _edges_from_nodes, components
+from sstopo.mapper import MapperGraph, MapperNode, components
 from sstopo.partition import (
     KIND_CLOSED,
     KIND_ISOLATED,
@@ -18,7 +18,7 @@ from sstopo.partition import (
 )
 from sstopo.twostep import _collapse
 
-from corpus import assert_edge_record, assert_id_array, edge_set, point_set
+from corpus import assert_edge_record, assert_id_array, edge_set, point_set, shared_pairs
 
 PROPERTY = settings(max_examples=80, deadline=None, database=None)
 
@@ -142,9 +142,9 @@ def _ref_partition(sets, edges, boundary):
 def test_edges_match_set_reference(case):
     sets, _ = case
     nodes = _nodes(sets)
-    assert edge_set(_edges_from_nodes(nodes)) == _ref_edges(sets)
-    assert edge_set(_edges_from_nodes(nodes[::-1])) == _ref_edges(sets[::-1])
-    assert_edge_record(MapperGraph(nodes=tuple(nodes), edges=_edges_from_nodes(nodes)).edges)
+    assert edge_set(shared_pairs(nodes)) == _ref_edges(sets)
+    assert edge_set(shared_pairs(nodes[::-1])) == _ref_edges(sets[::-1])
+    assert_edge_record(MapperGraph(nodes=tuple(nodes), edges=shared_pairs(nodes)).edges)
 
 
 @seed(7072)

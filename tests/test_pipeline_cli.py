@@ -71,6 +71,20 @@ class TestRunPipeline:
         assert doc.domains == []
         assert doc.match is None
 
+    def test_net_just_below_the_overflow_bound_runs_clean(self):
+        # Scaled up to just below 2**1023, the pair reads as it does at unit
+        # size; under the suite's filterwarnings = error, an overflow
+        # anywhere in the run would raise.
+        small = (plane_patch(), saddle_patch())
+        scale = 2.0**1023 * (1 - 2.0**-40) / max(np.abs(s.control_points).max() for s in small)
+        big = [BSplineSurface(s.knots_u, s.knots_v, s.control_points * scale) for s in small]
+        assert max(np.abs(s.control_points).max() for s in big) < 2.0**1023
+        want = run_pipeline(PipelineConfig(epsilon=0.05), *small)
+        got = run_pipeline(PipelineConfig(epsilon=0.05), *big)
+        assert len(got.domains) == 2
+        assert ([d.partition.segment_kinds() for d in got.domains]
+                == [d.partition.segment_kinds() for d in want.domains])
+
     def test_crossed_planes_topology(self, crossed_doc):
         doc = crossed_doc
         assert not doc.no_intersection
@@ -887,6 +901,17 @@ class TestCli:
     def test_intersect_rejects_non_finite_surface(self, tmp_path, capsys, bad):
         data = surface_to_dict(plane_patch())
         data["control_points"][0][1][2] = bad
+        s1 = tmp_path / "a.json"
+        s2 = tmp_path / "b.json"
+        s1.write_text(json.dumps(data))
+        save_surface(s2, saddle_patch())
+        rc = main(["intersect", str(s1), str(s2), "--epsilon", "0.05"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_intersect_rejects_surface_whose_boxes_overflow(self, tmp_path, capsys):
+        data = surface_to_dict(plane_patch())
+        data["control_points"][0][1][2] = -np.finfo(np.float64).max
         s1 = tmp_path / "a.json"
         s2 = tmp_path / "b.json"
         s1.write_text(json.dumps(data))

@@ -12,7 +12,6 @@ from sstopo import (
     split_interval_count,
 )
 from sstopo.mapper import (
-    _edges_from_nodes,
     build_mapper_graph,
     compute_l0,
     default_delta,
@@ -35,6 +34,7 @@ from corpus import (
     plus_cloud,
     point_set,
     saddle_patch,
+    shared_pairs,
     three_curves_cloud,
 )
 
@@ -418,17 +418,17 @@ class TestEdgesReference:
         res = run_two_step(pts, params)
         for graph in (res.initial_graph, res.graph):
             assert graph.edge_count
-            assert edge_set(_edges_from_nodes(list(graph.nodes))) == _reference_edges(graph.nodes)
+            assert edge_set(shared_pairs(list(graph.nodes))) == _reference_edges(graph.nodes)
 
     def test_point_in_many_nodes(self):
         # Point 7 lies in four nodes, so its run has six pairs.
         sets = [{7, 1}, {7, 2}, {3}, {7, 3, 2}, {7}, set()]
         nodes = [MapperNode(sorted(p)) for p in sets]
         want = _reference_edges(nodes)
-        assert edge_set(_edges_from_nodes(nodes)) == want
-        assert edge_set(_edges_from_nodes(nodes[::-1])) == _reference_edges(nodes[::-1])
+        assert edge_set(shared_pairs(nodes)) == want
+        assert edge_set(shared_pairs(nodes[::-1])) == _reference_edges(nodes[::-1])
         assert len(want) == 7
-        assert _edges_from_nodes([]).shape == (0, 2)
+        assert shared_pairs([]).shape == (0, 2)
 
 
 def _graph(sets):
