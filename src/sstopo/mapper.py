@@ -11,7 +11,7 @@ graph's topology trustworthy away from singular points.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,15 +79,17 @@ class MapperNode:
 @dataclass(frozen=True, eq=False)
 class MapperGraph:
     """Undirected unweighted graph over clusters; edge iff point sets intersect.
-    A node is named by its position in `nodes`. `edges` is held as a
-    read-only (m, 2) int64 copy of position pairs a < b; the caller passes
-    the rows strictly increasing by (a, b)."""
+    A node is named by its position in `nodes`. `edges` is derived from the
+    nodes: a read-only (m, 2) int64 array of the position pairs a < b that
+    share a point, its rows strictly increasing by (a, b)."""
 
     nodes: tuple[MapperNode, ...]
-    edges: np.ndarray
+    edges: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        freeze(self, np.int64, "edges", shape=(-1, 2))
+        lo, hi, _ = shared_counts(self.nodes)
+        object.__setattr__(self, "edges", np.column_stack((lo, hi)))
+        freeze(self, np.int64, "edges")
 
     @property
     def node_count(self) -> int:
@@ -349,8 +351,5 @@ def build_mapper_graph(cloud: np.ndarray, filt: LinearFilter, params: MapperPara
     indices = np.concatenate(members)
     groups = np.repeat(np.arange(len(cover)), [m.size for m in members])
     clusters, first = _clusters(cloud, indices, params.delta, groups)
-    nodes = [MapperNode(cluster, intervals=(interval,))
-             for cluster, interval in zip(clusters, groups[first].tolist())]
-    # Edge iff two nodes share a point.
-    lo, hi, _ = shared_counts(nodes)
-    return MapperGraph(nodes=tuple(nodes), edges=np.column_stack((lo, hi)))
+    return MapperGraph(tuple(MapperNode(cluster, intervals=(interval,))
+                             for cluster, interval in zip(clusters, groups[first].tolist())))

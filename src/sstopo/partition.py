@@ -168,9 +168,7 @@ def partition(graph: MapperGraph, boundary_nodes: np.ndarray) -> PartitionResult
     segments = tuple(
         Segment(seg_point[point_at[ci]:point_at[ci + 1]], _KINDS[kind[roots[ci]]],
                 nodes[node_at[ci]:node_at[ci + 1]])
-        # A stable sort leaves a tie, possible only on a graph that lacks an
-        # edge between two nodes sharing a point, in order of least node.
-        for ci in np.argsort(seg_point[point_at[:-1]], kind="stable").tolist()
+        for ci in np.argsort(seg_point[point_at[:-1]]).tolist()
     )
 
     def covered(mask: np.ndarray) -> np.ndarray:

@@ -126,7 +126,7 @@ class DomainResult:
             name=data["name"],
             points=data["points"],
             delta=float(data["delta"]),
-            graph=MapperGraph(nodes=nodes, edges=data["graph"]["edges"]),
+            graph=MapperGraph(nodes),
             characteristic=CharacteristicNodes(data["boundary_nodes"], data["singular_nodes"]),
             partition=PartitionResult(
                 segments=segments,

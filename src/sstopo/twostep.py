@@ -157,9 +157,7 @@ def _collapse(nodes: list[MapperNode]) -> MapperGraph:
     are always adjacent. So one pass drops exactly the nodes that are not
     maximal: each lies in a kept node, and no kept node lies in another, so
     a second pass would drop nothing. Node b lies in node a exactly when
-    they share as many points as b has, so one pass over the memberships
-    gives the edges and the dropped nodes; the kept edges are those with
-    both ends kept, renumbered to the kept nodes' new positions.
+    they share as many points as b has.
     """
     a, b, shared = shared_counts(nodes)
     sizes = np.array([n.points.size for n in nodes], dtype=np.int64)
@@ -168,7 +166,4 @@ def _collapse(nodes: list[MapperNode]) -> MapperGraph:
     kept = np.ones(len(nodes), dtype=bool)
     kept[b[b_in_a]] = False
     kept[a[a_in_b]] = False
-    both = kept[a] & kept[b]
-    position = np.cumsum(kept) - 1
-    edges = np.column_stack((position[a[both]], position[b[both]]))
-    return MapperGraph(nodes=tuple(n for n, k in zip(nodes, kept.tolist()) if k), edges=edges)
+    return MapperGraph(tuple(n for n, k in zip(nodes, kept.tolist()) if k))

@@ -131,7 +131,7 @@ def edge_set(edges) -> set[tuple[int, int]]:
 
 def shared_pairs(nodes) -> np.ndarray:
     """`shared_counts`' pairs of nodes that share a point, as the (m, 2)
-    edge rows that `build_mapper_graph` makes of them."""
+    edge rows that `MapperGraph` derives from them."""
     lo, hi, _ = shared_counts(nodes)
     return np.column_stack((lo, hi))
 

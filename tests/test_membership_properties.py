@@ -144,7 +144,10 @@ def test_edges_match_set_reference(case):
     nodes = _nodes(sets)
     assert edge_set(shared_pairs(nodes)) == _ref_edges(sets)
     assert edge_set(shared_pairs(nodes[::-1])) == _ref_edges(sets[::-1])
-    assert_edge_record(MapperGraph(nodes=tuple(nodes), edges=shared_pairs(nodes)).edges)
+    for ordered, ordered_sets in ((nodes, sets), (nodes[::-1], sets[::-1])):
+        graph = MapperGraph(tuple(ordered))
+        assert edge_set(graph.edges) == _ref_edges(ordered_sets)
+        assert_edge_record(graph.edges)
 
 
 @seed(7072)
@@ -177,7 +180,8 @@ def test_collapse_keeps_the_input_node_objects(case):
 def test_classify_and_partition_match_set_reference(case):
     sets, drawn = case
     edges = _ref_edges(sets)
-    graph = MapperGraph(nodes=tuple(_nodes(sets)), edges=sorted(edges))
+    graph = MapperGraph(tuple(_nodes(sets)))
+    assert edge_set(graph.edges) == edges
     assert frozenset().union(*(point_set(n) for n in graph.nodes)) == frozenset().union(*sets)
     for boundary in (frozenset(), drawn):
         want = _ref_partition(sets, edges, boundary)
@@ -202,7 +206,7 @@ def test_classify_and_partition_match_set_reference(case):
 @given(node_sets())
 def test_segments_disjoint_ordered_and_apart_from_removed_points(case):
     sets, drawn = case
-    graph = MapperGraph(nodes=tuple(_nodes(sets)), edges=sorted(_ref_edges(sets)))
+    graph = MapperGraph(tuple(_nodes(sets)))
     got = partition(graph, classify_characteristic_nodes(
         graph, np.array(sorted(drawn), dtype=np.int64)).boundary_nodes)
     removed = set(got.removed_boundary_points.tolist()) | set(got.removed_singular_points.tolist())

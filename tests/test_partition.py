@@ -12,22 +12,37 @@ from sstopo import (
 from sstopo.mapper import MapperGraph, MapperNode
 from sstopo.partition import KIND_CLOSED, KIND_ISOLATED, KIND_OPEN, PartitionResult, Segment
 
-from corpus import assert_id_array
+from corpus import assert_id_array, edge_set
 
 
 def graph_of(point_sets, edges):
-    nodes = tuple(MapperNode(sorted(pts)) for pts in point_sets)
-    return MapperGraph(nodes=nodes, edges=sorted(tuple(sorted(e)) for e in edges))
+    """The graph of nodes holding `point_sets`, checked to have exactly the
+    intended `edges`: its nodes realize each edge by a shared point."""
+    graph = MapperGraph(tuple(MapperNode(sorted(pts)) for pts in point_sets))
+    assert edge_set(graph.edges) == {tuple(sorted(e)) for e in edges}
+    return graph
 
 
 def path_graph(n, points_per_node=1):
-    sets = [range(i * points_per_node, (i + 1) * points_per_node) for i in range(n)]
+    """Node i holds points i*p .. (i+1)*p - 1 of its own; edge (i, i+1) is
+    point n*p + i, shared by both ends."""
+    p = points_per_node
+    sets = [[*range(i * p, (i + 1) * p), *(n * p + k for k in (i - 1, i) if 0 <= k < n - 1)]
+            for i in range(n)]
     return graph_of(sets, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n):
-    sets = [[i] for i in range(n)]
+    """Node i holds point i; edge (i, i+1 mod n) is point n + i."""
+    sets = [[i, n + (i - 1) % n, n + i] for i in range(n)]
     return graph_of(sets, [(i, (i + 1) % n) for i in range(n)])
+
+
+def star_graph():
+    """Center 0 holds point 0 and arm k holds point k; edge (0, k) is point
+    4 + k, shared by the center and arm k alone."""
+    return graph_of([[0, 5, 6, 7, 8], [1, 5], [2, 6], [3, 7], [4, 8]],
+                    [(0, 1), (0, 2), (0, 3), (0, 4)])
 
 
 def ids(array) -> set[int]:
@@ -108,7 +123,7 @@ class TestClassifyCharacteristic:
         assert_id_array(res.singular_nodes)
 
     def test_star_center_is_singular(self):
-        g = graph_of([[0], [1], [2], [3], [4]], [(0, 1), (0, 2), (0, 3), (0, 4)])
+        g = star_graph()
         res = classify_characteristic_nodes(g, np.array([], dtype=int))
         assert ids(res.singular_nodes) == {0}
 
@@ -125,7 +140,7 @@ class TestClassifyCharacteristic:
         assert_id_array(res.boundary_nodes)
 
     def test_node_can_be_both(self):
-        g = graph_of([[0], [1], [2], [3], [4]], [(0, 1), (0, 2), (0, 3), (0, 4)])
+        g = star_graph()
         res = classify_characteristic_nodes(g, np.array([0]))
         assert ids(res.boundary_nodes) == {0} and ids(res.singular_nodes) == {0}
         res = partition(g, res.boundary_nodes)
@@ -134,7 +149,7 @@ class TestClassifyCharacteristic:
         assert ids(res.removed_singular_points) == {0}
 
     def test_singular_detection_warns(self, caplog):
-        g = graph_of([[0], [1], [2], [3], [4]], [(0, 1), (0, 2), (0, 3), (0, 4)])
+        g = star_graph()
         with caplog.at_level("WARNING"):
             classify_characteristic_nodes(g, np.array([], dtype=int))
         assert any("singular" in r.message for r in caplog.records)
@@ -144,7 +159,8 @@ class TestPartition:
     def test_path_is_open(self):
         res = partition(path_graph(5), [])
         assert [s.kind for s in res.segments] == [KIND_OPEN]
-        assert res.segments[0].point_indices.tolist() == list(range(5))
+        # Five own points, then the four edge points.
+        assert res.segments[0].point_indices.tolist() == list(range(9))
         assert_partition_records(res)
 
     def test_a_segment_indexes_point_rows(self):
@@ -168,15 +184,13 @@ class TestPartition:
     def test_star_removal_gives_four_open_arms(self):
         # Each arm lost its one neighbor, the singular center: an arc cut
         # short, not an isolated point.
-        g = graph_of([[0, 9], [1, 9], [2, 9], [3, 9], [4, 9]],
-                     [(0, 1), (0, 2), (0, 3), (0, 4)])
-        res = partition(g, [])
+        res = partition(star_graph(), [])
         assert [s.kind for s in res.segments] == [KIND_OPEN] * 4
         assert node_ids(res) == [[1], [2], [3], [4]]
 
     def test_one_node_arm_between_removed_nodes_is_open(self):
         # boundary node 0 - arm 1 - singular node 2 with two more arms
-        g = graph_of([[0], [0, 1], [1, 2], [2, 3], [2, 4]],
+        g = graph_of([[0], [0, 1], [1, 2, 5], [2, 3], [4, 5]],
                      [(0, 1), (1, 2), (2, 3), (2, 4)])
         res = partition(g, [0])
         assert [(s.node_ids.tolist(), s.kind) for s in res.segments] == [
@@ -208,7 +222,8 @@ class TestPartition:
         g = path_graph(3, points_per_node=2)
         res = partition(g, [0, 1, 2])
         assert [(s.node_ids.tolist(), s.kind) for s in res.segments] == [([0, 1, 2], KIND_OPEN)]
-        assert res.segments[0].point_indices.tolist() == list(range(6))
+        # Six own points, then the two edge points.
+        assert res.segments[0].point_indices.tolist() == list(range(8))
         assert ids(res.removed_boundary_points) == set()
         assert ids(res.removed_singular_points) == set()
         assert_partition_records(res)
@@ -237,9 +252,7 @@ class TestPartition:
     def test_band_only_arm_of_a_crossing_is_kept(self):
         # The singular center goes; arm 1 lies in the band but is its whole
         # component of the graph without the center, so it stays.
-        g = graph_of([[0, 9], [1, 9], [2, 9], [3, 9], [4, 9]],
-                     [(0, 1), (0, 2), (0, 3), (0, 4)])
-        res = partition(g, [1])
+        res = partition(star_graph(), [1])
         assert node_ids(res) == [[1], [2], [3], [4]]
         assert [s.kind for s in res.segments] == [KIND_OPEN] * 4
         assert ids(res.removed_singular_points) == {0}
@@ -256,7 +269,7 @@ class TestPartition:
         assert_partition_records(res)
 
     def test_disjoint_and_covering(self):
-        g = graph_of([[0, 1], [1, 2], [2, 3], [5], [6, 7]],
+        g = graph_of([[0, 1], [1, 2], [2, 3], [4, 5], [4, 6, 7]],
                      [(0, 1), (1, 2), (3, 4)])
         res = partition(g, [4])
         all_pts = set()
@@ -265,7 +278,7 @@ class TestPartition:
             assert not (pts & all_pts)
             all_pts |= pts
         covered = all_pts | ids(res.removed_boundary_points) | ids(res.removed_singular_points)
-        assert covered >= {0, 1, 2, 3, 5, 6, 7}
+        assert covered >= set(range(8))
         assert_partition_records(res)
 
     def test_segments_ordered_by_least_point_not_by_node(self):

@@ -59,9 +59,9 @@ def mapper_node():
 
 
 def mapper_graph():
+    # No array is passed: a graph derives its edges from its nodes.
     nodes = (MapperNode([0, 1]), MapperNode([1, 2]), MapperNode([2, 3]))
-    edges = np.array([[0, 1], [1, 2]], dtype=I8)
-    return MapperGraph(nodes, edges), {"edges": (edges, I8)}
+    return MapperGraph(nodes), {}
 
 
 def characteristic_nodes():
@@ -97,7 +97,7 @@ def point_sets():
 
 def domain_result():
     points = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
-    graph = MapperGraph((MapperNode([0, 1, 2]),), np.empty((0, 2), dtype=I8))
+    graph = MapperGraph((MapperNode([0, 1, 2]),))
     seg = Segment([0, 1, 2], KIND_OPEN, [0])
     record = DomainResult("cloud", points, 0.5, graph, CharacteristicNodes([], []),
                           PartitionResult((seg,), [], []), 0.0, 0.0)
@@ -143,6 +143,19 @@ def test_point_sets_hold_the_centroids_of_their_cells():
         assert not held.flags.writeable
     assert sets.points1.tolist() == [[0.5 * (0.0 + 0.2), 0.5 * (0.1 + 0.3)],
                                      [0.5 * (0.2 + 0.4), 0.5 * (0.3 + 0.5)]]
+
+
+def test_graph_derives_read_only_edges():
+    graph, _ = mapper_graph()
+    assert graph.edges.dtype == I8
+    assert graph.edges.shape == (2, 2)
+    assert graph.edges.tolist() == [[0, 1], [1, 2]]
+    assert not graph.edges.flags.writeable
+    with pytest.raises(ValueError):
+        graph.edges[...] = 0
+    lone = MapperGraph((MapperNode([0]), MapperNode([1])))
+    assert lone.edges.dtype == I8 and lone.edges.shape == (0, 2)
+    assert not lone.edges.flags.writeable
 
 
 def _array_records():

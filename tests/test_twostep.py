@@ -316,17 +316,19 @@ def _reference_refine(initial, cloud, f_perp, params):
         MapperNode(sorted(pts), intervals=intervals[old_id], refined=refined[old_id])
         for old_id, pts in points.items()
     )
-    graph = _reference_collapse(MapperGraph(nodes=nodes, edges=sorted(_reference_edges(nodes))))
+    nodes, edges = _reference_collapse(nodes)
     sorted_groups = tuple(sorted(tuple(sorted(g)) for g in groups))
-    return graph, sorted_groups, tuple(counts[i] for i in range(len(initial.nodes))), joined
+    return (nodes, edges, sorted_groups,
+            tuple(counts[i] for i in range(len(initial.nodes))), joined)
 
 
-def _reference_collapse(graph):
+def _reference_collapse(nodes):
     """Drop the nodes whose points lie in an adjacent node's (of equal sets
-    the later one), rebuild the edges, and repeat until nothing changes."""
+    the later one), rebuild the edges, and repeat until nothing changes:
+    the kept nodes and their edges."""
     while True:
-        sets = [point_set(n) for n in graph.nodes]
-        edges = edge_set(graph.edges)
+        sets = [point_set(n) for n in nodes]
+        edges = _reference_edges(nodes)
         drop = {
             i for i in range(len(sets))
             for j in range(len(sets))
@@ -334,12 +336,11 @@ def _reference_collapse(graph):
             if sets[i] < sets[j] or (sets[i] == sets[j] and i > j)
         }
         if not drop:
-            return graph
-        kept = tuple(
+            return nodes, edges
+        nodes = tuple(
             MapperNode(sorted(sets[i]), intervals=n.intervals, refined=n.refined)
-            for i, n in enumerate(graph.nodes) if i not in drop
+            for i, n in enumerate(nodes) if i not in drop
         )
-        graph = MapperGraph(nodes=kept, edges=sorted(_reference_edges(kept)))
 
 
 def _refine_case(name):
@@ -372,15 +373,14 @@ class TestRefineReference:
     def test_matches_merge_then_split_reference(self, case):
         pts, params = _refine_case(case)
         res = run_two_step(pts, params)
-        expected, expected_groups, expected_counts, _ = _reference_refine(
-            res.initial_graph, pts, res.perp_filter, params
-        )
-        assert len(res.graph.nodes) == len(expected.nodes)
-        for got, want in zip(res.graph.nodes, expected.nodes):
+        expected_nodes, expected_edges, expected_groups, expected_counts, _ = (
+            _reference_refine(res.initial_graph, pts, res.perp_filter, params))
+        assert len(res.graph.nodes) == len(expected_nodes)
+        for got, want in zip(res.graph.nodes, expected_nodes):
             assert (got.points.tolist(), got.intervals, got.refined) == (
                 sorted(point_set(want)), want.intervals, want.refined
             )
-        assert edge_set(res.graph.edges) == edge_set(expected.edges)
+        assert edge_set(res.graph.edges) == expected_edges
         assert_edge_record(res.graph.edges)
         assert res.groups == expected_groups
         assert res.counts == expected_counts
@@ -406,7 +406,7 @@ class TestRefineReference:
             res = run_two_step(pts, params)
             groups, _ = _reference_groups(res.initial_graph, pts, res.perp_filter, params)
             group_sizes += [len(g) for g in groups]
-            joined += _reference_refine(res.initial_graph, pts, res.perp_filter, params)[3]
+            joined += _reference_refine(res.initial_graph, pts, res.perp_filter, params)[4]
         assert max(group_sizes) >= 2
         assert joined >= 1
 
@@ -432,8 +432,7 @@ class TestEdgesReference:
 
 
 def _graph(sets):
-    nodes = tuple(MapperNode(sorted(p), intervals=(i,)) for i, p in enumerate(sets))
-    return MapperGraph(nodes=nodes, edges=sorted(_reference_edges(nodes)))
+    return MapperGraph(tuple(MapperNode(sorted(p), intervals=(i,)) for i, p in enumerate(sets)))
 
 
 class TestCollapse:
@@ -452,11 +451,11 @@ class TestCollapse:
     def test_drops_dominated_nodes(self, sets, kept):
         graph = _graph(sets)
         got = _collapse(list(graph.nodes))
-        want = _reference_collapse(graph)
+        want_nodes, want_edges = _reference_collapse(graph.nodes)
         assert [n.intervals for n in got.nodes] == [(i,) for i in kept]
         assert ([n.points.tolist() for n in got.nodes]
-                == [sorted(point_set(n)) for n in want.nodes])
-        assert edge_set(got.edges) == edge_set(want.edges)
+                == [sorted(point_set(n)) for n in want_nodes])
+        assert edge_set(got.edges) == want_edges
         assert_edge_record(got.edges)
         assert _point_union(got) == _point_union(graph)
 
@@ -465,6 +464,7 @@ class TestCollapse:
         got = _collapse(list(graph.nodes))
         assert got.nodes == graph.nodes  # the same node objects: none rebuilt
         assert np.array_equal(got.edges, graph.edges)
+        assert edge_set(got.edges) == _reference_edges(graph.nodes)
 
     @pytest.mark.parametrize("noise_seed", [100, 108])
     def test_noisy_24k_cloud_has_five_segments(self, noise_seed):
