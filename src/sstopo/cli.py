@@ -16,6 +16,7 @@ Synthetic spec (JSON): step, noise, seed, curves: list of
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -27,12 +28,13 @@ from .synthetic import generate_synthetic, load_cloud, save_cloud, spec_from_dic
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta-ov", type=float, default=0.2, dest="theta_ov",
+    p.add_argument("--theta-ov", type=float, dest="theta_ov",
                    help="cover overlap ratio, in (0, 0.5)")
-    p.add_argument("--alpha", type=float, default=0.001, help="interval length margin")
-    p.add_argument("--delta", type=float, default=None, help="clustering radius override")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", default=None)
+    p.add_argument("--alpha", type=float, help="interval length margin")
+    p.add_argument("--delta", type=float, dest="delta_override",
+                   help="clustering radius override")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out-dir", dest="out_dir")
 
 
 def _add_outputs(p: argparse.ArgumentParser) -> None:
@@ -42,17 +44,10 @@ def _add_outputs(p: argparse.ArgumentParser) -> None:
 
 
 def _config(args) -> PipelineConfig:
-    return PipelineConfig(
-        epsilon=getattr(args, "epsilon", PipelineConfig.epsilon),
-        theta_ov=args.theta_ov,
-        alpha=args.alpha,
-        delta_override=args.delta,
-        seed=args.seed,
-        out_dir=args.out_dir,
-        emit_graph=getattr(args, "emit_graph", False),
-        emit_svg=getattr(args, "emit_svg", False),
-        dump_boxes=getattr(args, "dump_boxes", False),
-    )
+    """The run's settings from the flags given; a run parser leaves an unset
+    flag out, so every default is `PipelineConfig`'s own."""
+    names = {f.name for f in dataclasses.fields(PipelineConfig)}
+    return PipelineConfig(**{k: v for k, v in vars(args).items() if k in names})
 
 
 def _summarize(doc) -> None:
@@ -78,8 +73,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="sstopo", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    run = {"argument_default": argparse.SUPPRESS}
 
-    p_int = sub.add_parser("intersect", help="intersect two surface files")
+    p_int = sub.add_parser("intersect", help="intersect two surface files", **run)
     p_int.add_argument("surface1")
     p_int.add_argument("surface2")
     _add_common(p_int)
@@ -87,7 +83,7 @@ def main(argv=None) -> int:
     p_int.add_argument("--dump-boxes", action="store_true",
                        help="write the terminal cell pair of each correspondence")
 
-    p_map = sub.add_parser("mapper", help="two-step Mapper on a cloud file")
+    p_map = sub.add_parser("mapper", help="two-step Mapper on a cloud file", **run)
     p_map.add_argument("cloud")
     p_map.add_argument("--bounds", type=float, nargs=4, default=None,
                        metavar=("U_MIN", "U_MAX", "V_MIN", "V_MAX"),
@@ -101,7 +97,7 @@ def main(argv=None) -> int:
                        help="noise seed; overrides the spec's seed")
     p_syn.add_argument("--out-dir", default=None)
 
-    p_swp = sub.add_parser("sweep", help="overlap-ratio sweep")
+    p_swp = sub.add_parser("sweep", help="overlap-ratio sweep", **run)
     p_swp.add_argument("inputs", nargs="+",
                        help="one cloud file, or two surface files")
     p_swp.add_argument("--thetas", default="0.1,0.2,0.3,0.4",
@@ -109,7 +105,7 @@ def main(argv=None) -> int:
     _add_common(p_swp)
     # A mapper run has no subdivision, so it takes no precision.
     for p in (p_int, p_swp):
-        p.add_argument("--epsilon", type=float, default=0.01, help="subdivision precision")
+        p.add_argument("--epsilon", type=float, help="subdivision precision")
 
     args = parser.parse_args(argv)
     try:

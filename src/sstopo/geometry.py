@@ -42,6 +42,13 @@ class KnotVector:
             raise ParameterRangeError("knot vector too short for degree")
         if not np.isfinite(self.knots).all():
             raise ParameterRangeError("knots must be finite")
+        # Below 2**480 in magnitude, every parameter width is below 2**481:
+        # halving sums, cell diagonals, delta, cell and domain areas (below
+        # 2**962) stay finite. So do the PCA sums of a domain's cloud: n
+        # centered squares, each below 2**962, for n < 2**60 points (16n
+        # bytes).
+        if np.abs(self.knots).max() >= 2.0**480:
+            raise ParameterRangeError("knots must be below 2**480 in magnitude")
         if np.any(np.diff(self.knots) < 0):
             raise ParameterRangeError("knots must be nondecreasing")
         if not self.start < self.end:

@@ -203,9 +203,11 @@ def default_delta(cell_diag: float) -> float:
     Equals four times the certified half-diagonal Hausdorff bound, the
     smallest radius the correctness condition permits.
     """
-    if cell_diag <= 0:
-        raise ConfigurationError(f"cell diagonal must be positive, got {cell_diag}")
-    return 2.0 * cell_diag
+    delta = 2.0 * float(cell_diag)
+    if not 0 < delta < np.inf:
+        raise ConfigurationError(f"cell diagonal must be positive and its double finite, "
+                                 f"got {cell_diag}")
+    return delta
 
 
 def compute_l0(cloud: np.ndarray, filt: LinearFilter, delta: float, theta_ov: float,
@@ -288,6 +290,8 @@ def interval_count(cloud: np.ndarray, filt: LinearFilter, l_prime: float, theta_
     if not l_prime > 0:
         raise ConfigurationError(f"l_prime must be positive, got {l_prime}")
     cloud = np.asarray(cloud, dtype=np.float64)
+    if cloud.shape[0] == 0:
+        raise EmptyInputError("cannot count cover intervals for an empty cloud")
     count = _count(_span(eval_filter(filt, cloud)), l_prime, theta_ov)
     cap = 2 * cloud.shape[0] + 1
     if count > cap:
@@ -307,6 +311,8 @@ def build_cover(f_min: float, f_max: float, count: int, theta_ov: float) -> np.n
     if f_max < f_min:
         raise ConfigurationError("f_max below f_min")
     span = f_max - f_min
+    if not np.isfinite(span):
+        raise ConfigurationError(f"cover range [{f_min}, {f_max}] must have a finite span")
     length = span / (count - (count - 1) * theta_ov)
     starts = f_min + np.arange(count) * (1.0 - theta_ov) * length
     intervals = np.column_stack([starts, starts + length])

@@ -36,8 +36,8 @@ from .twostep import run_two_step
 @dataclass(frozen=True)
 class PipelineConfig:
     epsilon: float = 0.01
-    theta_ov: float = 0.2
-    alpha: float = 0.001
+    theta_ov: float = MapperParams.theta_ov
+    alpha: float = MapperParams.alpha
     delta_override: float | None = None
     seed: int = 0
     out_dir: str | None = None

@@ -176,7 +176,7 @@ def curve_from_dict(data: dict):
     kind = data.get("kind")
     try:
         if kind == "circle":
-            return Circle(data["center"], data["radius"], data.get("phase", 0.0))
+            return Circle(data["center"], data["radius"], data.get("phase", Circle.phase))
         if kind == "segment":
             return SegmentCurve(data["start"], data["end"])
         if kind == "arc":
@@ -192,13 +192,13 @@ def spec_from_dict(data: dict, seed_override: int | None = None) -> SyntheticSpe
     curves = data.get("curves", [])
     if not isinstance(curves, (list, tuple)):
         raise ConfigurationError(f"'curves' must be a list of objects, got {curves!r}")
-    seed = data.get("seed", 0) if seed_override is None else seed_override
+    seed = data.get("seed", SyntheticSpec.seed) if seed_override is None else seed_override
     if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
         raise ConfigurationError(f"seed must be a nonnegative integer, got {seed!r}")
     return SyntheticSpec(
         curves=tuple(curve_from_dict(c) for c in curves),
-        step=_finite("step", data.get("step", 0.02)),
-        noise=_finite("noise", data.get("noise", 0.01)),
+        step=_finite("step", data.get("step", SyntheticSpec.step)),
+        noise=_finite("noise", data.get("noise", SyntheticSpec.noise)),
         seed=int(seed),
     )
 

@@ -51,6 +51,22 @@ class TestKnotVector:
         with pytest.raises(ParameterRangeError):
             KnotVector(np.array([0.0, 0.0, 0.5, 1.0, bad]), 1)
 
+    @pytest.mark.parametrize("knots", [[-1.7e308, -1.7e308, 1.7e308, 1.7e308],
+                                       [1e308, 1e308, 1.5e308, 1.5e308],
+                                       [0.0, 0.0, 1e300, 1e300],
+                                       [0.0, 0.0, 2.0**480, 2.0**480],
+                                       [-(2.0**480), -(2.0**480), 0.0, 0.0]],
+                             ids=["diff", "halving", "area", "bound", "negative-bound"])
+    def test_rejects_knots_whose_arithmetic_overflows(self, knots):
+        # Each finite, but its widths, halving sums or areas overflow (or
+        # would, at the bound).
+        with pytest.raises(ParameterRangeError, match=r"below 2\*\*480"):
+            KnotVector(np.array(knots), 1)
+
+    def test_accepts_knots_just_below_the_bound(self):
+        top = np.nextafter(2.0**480, 0.0)
+        assert KnotVector(np.array([-top, -top, top, top]), 1).end == top
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_control_points(self, bad):
         data = surface_to_dict(plane_patch())

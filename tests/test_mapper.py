@@ -138,6 +138,11 @@ class TestDefaultDelta:
         with pytest.raises(ConfigurationError):
             default_delta(0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 2.0**1023])
+    def test_non_finite_radius_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="cell diagonal"):
+            default_delta(bad)
+
 
 class TestComputeL0:
     X_AXIS = LinearFilter(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
@@ -400,6 +405,10 @@ class TestIntervalCount:
         with pytest.raises(ConfigurationError, match="l_prime must be positive"):
             interval_count(np.zeros((2, 2)), self.F, float("nan"), 0.2)
 
+    def test_empty_cloud_rejected(self):
+        with pytest.raises(EmptyInputError):
+            interval_count(np.empty((0, 2)), self.F, 1.0, 0.2)
+
     def test_infinite_length_gives_one_interval(self):
         # The formula's limit: (span - theta*l') / ((1 - theta)*l') tends to
         # -theta / (1 - theta) as l' grows, which clamps to one.
@@ -422,6 +431,12 @@ class TestBuildCover:
     def test_refuses_reversed_range(self):
         with pytest.raises(ConfigurationError, match="f_max below f_min"):
             build_cover(1.0, 0.0, 2, 0.2)
+
+    @pytest.mark.parametrize("f_min, f_max", [(0.0, float("inf")), (0.0, float("nan")),
+                                              (float("nan"), 1.0), (-1e308, 1e308)])
+    def test_refuses_a_range_without_finite_span(self, f_min, f_max):
+        with pytest.raises(ConfigurationError, match="finite span"):
+            build_cover(f_min, f_max, 2, 0.2)
 
     def test_single_interval(self):
         cover = build_cover(0.0, 3.0, 1, 0.2)

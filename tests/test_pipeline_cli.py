@@ -12,11 +12,13 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import sstopo
+import sstopo.cli
 import sstopo.pipeline
 from sstopo import (
     BSplineSurface,
     ConfigurationError,
     DegenerateCloudError,
+    KnotVector,
     PipelineConfig,
     ResultDocument,
     result_digest,
@@ -84,6 +86,26 @@ class TestRunPipeline:
         assert len(got.domains) == 2
         assert ([d.partition.segment_kinds() for d in got.domains]
                 == [d.partition.segment_kinds() for d in want.domains])
+
+    @pytest.mark.parametrize("epsilon", [0.02, 0.005])
+    def test_knots_just_below_their_bound_run_clean(self, epsilon):
+        # Every knot and epsilon scaled by 2**479, just below the knot bound:
+        # the pair reads as it does at unit size. Under the suite's
+        # filterwarnings = error, an overflow anywhere in the run would
+        # raise; at 2**509 the finer run's PCA sums overflowed.
+        def scaled(s):
+            return BSplineSurface(KnotVector(s.knots_u.knots * 2.0**479, s.knots_u.degree),
+                                  KnotVector(s.knots_v.knots * 2.0**479, s.knots_v.degree),
+                                  s.control_points)
+
+        small = (plane_patch(), saddle_patch())
+        want = run_pipeline(PipelineConfig(epsilon=epsilon), *small)
+        got = run_pipeline(PipelineConfig(epsilon=epsilon * 2.0**479), *map(scaled, small))
+        assert len(got.domains) == 2
+        assert ([d.partition.segment_kinds() for d in got.domains]
+                == [d.partition.segment_kinds() for d in want.domains]
+                == [[KIND_OPEN] * 4] * 2)
+        assert got.match.pairs == want.match.pairs
 
     def test_crossed_planes_topology(self, crossed_doc):
         doc = crossed_doc
@@ -154,6 +176,24 @@ class TestRunPipeline:
                 assert_id_array(a)
                 assert_id_array(b)
                 assert np.array_equal(a, b)
+
+    def test_loaded_edges_are_the_nodes_shared_pairs(self, crossed_doc, tmp_path):
+        # A file whose edges disagree with its nodes (one pair dropped, one
+        # added) loads with the edges its nodes realize.
+        data = crossed_doc.to_dict()
+        edges = data["domains"][0]["graph"]["edges"]
+        first = edges[0][0]
+        missing = next(b for b in range(first + 1, len(crossed_doc.domains[0].graph.nodes))
+                       if [first, b] not in edges)
+        data["domains"][0]["graph"]["edges"] = edges[1:] + [[first, missing]]
+        path = tmp_path / "result.json"
+        path.write_text(json.dumps(data))
+        loaded = ResultDocument.load(path)
+        for got, want in zip(loaded.domains, crossed_doc.domains):
+            assert_edge_record(got.graph.edges)
+            assert np.array_equal(got.graph.edges, want.graph.edges)
+        assert loaded.to_dict() == crossed_doc.to_dict()
+        assert result_digest(loaded) == result_digest(crossed_doc)
 
     def test_saved_document_is_one_unindented_dump(self, crossed_doc, tmp_path):
         # No indent, so CPython encodes the document with its C encoder.
@@ -909,6 +949,17 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_intersect_rejects_knots_whose_arithmetic_overflows(self, tmp_path, capsys):
+        data = surface_to_dict(plane_patch())
+        data["knots_u"] = data["knots_v"] = [0.0, 0.0, 1e300, 1e300]
+        s1 = tmp_path / "a.json"
+        s2 = tmp_path / "b.json"
+        s1.write_text(json.dumps(data))
+        save_surface(s2, saddle_patch())
+        rc = main(["intersect", str(s1), str(s2), "--epsilon", "1e299"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: knots must be below 2**480")
+
     def test_intersect_rejects_surface_whose_boxes_overflow(self, tmp_path, capsys):
         data = surface_to_dict(plane_patch())
         data["control_points"][0][1][2] = -np.finfo(np.float64).max
@@ -984,6 +1035,30 @@ class TestCli:
         rc = main([command, *map(str, inputs), *flags])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_runs_without_setting_flags_take_the_config_defaults(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # Each run echoes PipelineConfig()'s settings, plus the --delta given.
+        s1, s2, cloud = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "cloud.txt"
+        save_surface(s1, plane_patch())
+        save_surface(s2, saddle_patch())
+        save_cloud(cloud, three_curves_cloud(seed=3)[0])
+        out = tmp_path / "out"
+        assert main(["intersect", str(s1), str(s2), "--out-dir", str(out)]) == 0
+        echo = json.loads((out / "result.json").read_text())["config"]
+        assert echo == PipelineConfig().echo()
+        assert main(["mapper", str(cloud), "--delta", "0.25", "--out-dir", str(out)]) == 0
+        echo = json.loads((out / "result.json").read_text())["config"]
+        assert echo == PipelineConfig(delta_override=0.25).echo()
+        # A sweep writes no result document: read the config it was given.
+        given = []
+        monkeypatch.setattr(sstopo.cli, "sweep_theta",
+                            lambda config, *a, **k: given.append(config) or {"entries": []})
+        assert main(["sweep", str(cloud), "--delta", "0.25"]) == 0
+        assert main(["sweep", str(s1), str(s2)]) == 0
+        assert [c.echo() for c in given] == [PipelineConfig(delta_override=0.25).echo(),
+                                             PipelineConfig().echo()]
+        assert given == [PipelineConfig(delta_override=0.25), PipelineConfig()]
 
     def test_sweep_cloud_rejects_epsilon(self, tmp_path, capsys):
         cloud_path = tmp_path / "cloud.txt"
