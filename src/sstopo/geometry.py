@@ -42,11 +42,11 @@ class KnotVector:
             raise ParameterRangeError("knot vector too short for degree")
         if not np.isfinite(self.knots).all():
             raise ParameterRangeError("knots must be finite")
-        # Below 2**480 in magnitude, every parameter width is below 2**481:
-        # halving sums, cell diagonals, delta, cell and domain areas (below
-        # 2**962) stay finite. So do the PCA sums of a domain's cloud: n
-        # centered squares, each below 2**962, for n < 2**60 points (16n
-        # bytes).
+        # Below 2**480 in magnitude, every parameter width is below 2**481,
+        # so halving sums, cell diagonals, delta and cell and domain areas
+        # (below 2**962) stay finite. So do the PCA sums of a domain's cloud:
+        # n centered squares, each below 2**962, and a cloud of n points
+        # takes 16n bytes, so n < 2**60.
         if np.abs(self.knots).max() >= 2.0**480:
             raise ParameterRangeError("knots must be below 2**480 in magnitude")
         if np.any(np.diff(self.knots) < 0):

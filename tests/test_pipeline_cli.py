@@ -1056,8 +1056,6 @@ class TestCli:
                             lambda config, *a, **k: given.append(config) or {"entries": []})
         assert main(["sweep", str(cloud), "--delta", "0.25"]) == 0
         assert main(["sweep", str(s1), str(s2)]) == 0
-        assert [c.echo() for c in given] == [PipelineConfig(delta_override=0.25).echo(),
-                                             PipelineConfig().echo()]
         assert given == [PipelineConfig(delta_override=0.25), PipelineConfig()]
 
     def test_sweep_cloud_rejects_epsilon(self, tmp_path, capsys):
