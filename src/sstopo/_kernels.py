@@ -25,27 +25,27 @@ bound cannot beat the best value found. Every distance test is
 computed the same way bound the computed point distances exactly, and both
 kernels return bit for bit what a loop over all pairs returns.
 
-The grid's sorts and the witness's use numpy's default sort, which need
-not keep ties in input order: no result depends on the order of the points
-within a cell or of cell pairs with equal bounds, since the component labels
-are renumbered by first input index and the supremum is a maximum. The
-witness order below is the one sort whose ties can move what is returned:
-they decide which pairs are tested, so the lower bound may differ. But the
-caller's predicate accepts a bound only where the monotone function the
-caller keeps, such as the Mapper's interval count, takes the value it takes
-at the upper cap and so at the exact supremum. A tie can decide whether a
-grid is built, never that function's value.
+The grid's sorts use numpy's default sort, which need not keep ties in
+input order: no result depends on the order of the points within a cell or
+of cell pairs with equal bounds, since the component labels are renumbered
+by first input index and the supremum is a maximum. Group ids and labels,
+small integers, are sorted stably on the narrowest dtype that holds them,
+where numpy radix-sorts keys of 16 bits or fewer.
 
 The component labels take an optional group id per point, and cells are
 keyed by group as well as position, so that one grid clusters every
 interval of a Mapper cover at once: no cell pair spans two groups.
 
 A caller that needs only some monotone function of the supremum, as the
-Mapper's interval count is, can let the supremum try a witness first: each
-point is tested against its next few points in a caller's order, with the
-same arithmetic, and the best of those pairs is a lower bound the grid path
-would reach bit for bit. When the caller's predicate accepts that bound, no
-grid is built; otherwise the exact grid path runs unchanged.
+Mapper's interval count is, can try a witness first: for many point sets
+at once, each point is tested against its next few points of its set in a
+caller's order, with the same arithmetic, and the best of those pairs is a
+lower bound the grid path would reach bit for bit. The witness order is the
+one sort whose ties can move what is returned: they decide which pairs are
+tested, so the lower bound may differ. But the caller accepts a bound only
+where the monotone function takes the value it takes at an upper cap and so
+at the exact supremum. A tie can decide whether a grid is built, never that
+function's value.
 """
 
 from __future__ import annotations
@@ -155,7 +155,9 @@ class _Grid:
         self.head = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
         self.count = np.diff(np.append(self.head, n))
         self.cell = np.repeat(np.arange(self.head.size), self.count)
-        self.xy = pts[self.order]
+        # Rows are gathered with `take`, which numpy runs several times
+        # faster than indexing with an integer array.
+        self.xy = pts.take(self.order, axis=0)
         keys = key[self.head]
         self.lo = lo = np.minimum.reduceat(self.xy, self.head)
         self.hi = hi = np.maximum.reduceat(self.xy, self.head)
@@ -175,7 +177,7 @@ class _Grid:
         a, b = np.concatenate(a), np.concatenate(b)
 
         self.d2 = delta * delta
-        la, lb, ha, hb = lo[a], lo[b], hi[a], hi[b]
+        la, lb, ha, hb = lo.take(a, 0), lo.take(b, 0), hi.take(a, 0), hi.take(b, 0)
         lower = _sq(np.maximum(np.maximum(lb - ha, la - hb), 0.0))
         extent = np.maximum(ha, hb) - np.minimum(la, lb)
         full = _sq(extent) < self.d2
@@ -203,16 +205,34 @@ class _Grid:
 
     def near(self, i, j):
         """Mask of the point pairs (i, j) closer than delta, self pairs excluded."""
-        return (_sq(self.xy[i] - self.xy[j]) < self.d2) & (i != j)
+        return (_sq(self.xy.take(i, 0) - self.xy.take(j, 0)) < self.d2) & (i != j)
 
 
 def _renumber(x, reach, groups=None):
-    """Ranks of the cell indices x that keep gaps of up to reach and shrink
-    wider ones to reach + 1. With a group id per index, the groups are laid
-    out one after another, each reach + 1 past the last."""
+    """Ranks of the cell indices x, integral floats, that keep gaps of up to
+    reach and shrink wider ones to reach + 1. With a group id per index, the
+    groups are laid out one after another, each reach + 1 past the last.
+
+    The indices of a dense cloud are small integers once offset by their
+    group's place; then a table of the keys present replaces the sort."""
+    x = x - x.min()
+    span = int(x.max()) + 1
+    if groups is not None:
+        groups = groups - groups.min()
+    if (1 if groups is None else int(groups.max()) + 1) * span <= 4 * x.size + 1024:
+        key = x.astype(np.int64) if groups is None else groups * span + x.astype(np.int64)
+        # The table first marks the keys present, then maps each to its rank.
+        table = np.zeros(int(key.max()) + 1)
+        table[key] = 1.0
+        present = np.flatnonzero(table)
+        step = np.minimum(np.diff(present % span), reach + 1)
+        if groups is not None:
+            step[np.diff(present // span) != 0] = reach + 1
+        table[present] = np.concatenate(([0], np.cumsum(step)))
+        return table[key]
     perm = np.argsort(x)
     if groups is not None:
-        perm = perm[np.argsort(groups[perm], kind="stable")]
+        perm = perm[id_order(groups[perm])]
     step = np.minimum(np.diff(x[perm]), reach + 1)
     if groups is not None:
         step[np.diff(groups[perm]) != 0] = reach + 1
@@ -236,6 +256,16 @@ def _slices(size):
     cuts = np.searchsorted(ends, np.arange(_BLOCK, ends[-1], _BLOCK), side="right")
     bounds = [0, *np.unique(cuts).tolist(), size.size]
     return [slice(x, y) for x, y in zip(bounds[:-1], bounds[1:]) if y > x]
+
+
+def id_order(ids: np.ndarray) -> np.ndarray:
+    """The stable argsort of integer ids. The keys are shifted to start at 0
+    and narrowed to the least dtype that holds them, since numpy radix-sorts
+    keys of 16 bits or fewer and merge-sorts wider ones."""
+    low, high = (ids.min(), ids.max()) if ids.size else (0, 0)
+    if low == high:
+        return np.arange(ids.size)
+    return np.argsort((ids - low).astype(np.min_scalar_type(high - low)), kind="stable")
 
 
 def run_starts(values: np.ndarray) -> np.ndarray:
@@ -299,7 +329,7 @@ def neighbor_components(points: np.ndarray, delta: float, groups=None) -> np.nda
     # near pair of tight cells.
     # The sorted positions are grouped by cell, so a segment minimum finds
     # each cell's probe, the first position on a tie.
-    d = _sq(g.xy - ((g.lo + g.hi) / 2)[cell])
+    d = _sq(g.xy - ((g.lo + g.hi) / 2).take(cell, 0))
     hit = np.flatnonzero(d == np.minimum.reduceat(d, g.head)[cell])
     probe = hit[run_starts(cell[hit])]
     i, j = probe[a], probe[b]
@@ -312,49 +342,65 @@ def neighbor_components(points: np.ndarray, delta: float, groups=None) -> np.nda
 
     for i, j in g.near_pairs(unjoined(np.arange(a.size)), unjoined):
         root = _join(root, i, j)
+    # Number the components by their first input index: each point's root
+    # is a sorted position, so take the least input index under each root.
+    index = np.arange(n)
     labels = np.empty(n, dtype=np.int64)
     labels[g.order] = root
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    rank = np.argsort(np.argsort(first))
-    return rank[inverse]
+    first = np.full(n, n)
+    np.minimum.at(first, labels, index)
+    first = first[labels]
+    return (np.cumsum(first == index) - 1)[first]
 
 
-def _witness(pts, vals, delta, key) -> float:
-    """Max |vals[i]-vals[j]| over the pairs closer than delta among each
-    point and its next _WITNESS_REACH points in ``key`` order; 0.0 if none."""
-    order = np.argsort(key)
-    xy, v = pts[order], vals[order]
+def witness_sup(points: np.ndarray, values: np.ndarray, delta: float, owner: np.ndarray,
+                across: np.ndarray) -> np.ndarray:
+    """A lower bound on each set's max |values[i]-values[j]| over its point
+    pairs at distance < delta, for the sets numbered 0..m-1 by ``owner``, a
+    set id per row, ascending: the best close pair among each point and its
+    next _WITNESS_REACH points of its set in ``across`` order, 0.0 where none.
+
+    Each bound is a close pair's difference computed as
+    `neighbor_sup_abs_diff` computes it, so it never exceeds what that
+    kernel returns for the set alone.
+    """
+    # In each set, the order is the stable sort of `across`, ties in index
+    # order. numpy's default sort is several times faster than its stable
+    # one, and only a tie within a set, rare in a noisy cloud, can tell them
+    # apart; a point in two sets ties with itself across them. Each set
+    # keeps its rows, so the rows' owners stay as they are.
+    order = np.argsort(across)
+    order = order[id_order(owner[order])]
+    key = across[order]
+    if ((key[1:] == key[:-1]) & (owner[1:] == owner[:-1])).any():
+        order = np.argsort(across, kind="stable")
+        order = order[id_order(owner[order])]
+    x, y, v = points[:, 0].take(order), points[:, 1].take(order), values.take(order)
+    # best[i]: the best close pair of row i and a later row of its set.
+    best = np.zeros(order.size)
     d2 = delta * delta
-    best = 0.0
     for k in range(1, _WITNESS_REACH + 1):
-        near = _sq(xy[k:] - xy[:-k]) < d2
-        if near.any():
-            best = max(best, float(np.abs(v[k:][near] - v[:-k][near]).max()))
-    return best
+        dx, dy = x[k:] - x[:-k], y[k:] - y[:-k]
+        near = (dx * dx + dy * dy < d2) & (owner[k:] == owner[:-k])
+        diff = np.abs(v[k:] - v[:-k])
+        diff[~near] = 0.0
+        np.maximum(best[:-k], diff, out=best[:-k])
+    lo = np.zeros(int(owner[-1]) + 1 if owner.size else 0)
+    starts = np.flatnonzero(run_starts(owner))
+    lo[owner[starts]] = np.maximum.reduceat(best, starts)
+    return lo
 
 
-def neighbor_sup_abs_diff(
-    points: np.ndarray, values: np.ndarray, delta: float, across=None, settled=None
-) -> tuple[float, bool]:
+def neighbor_sup_abs_diff(points: np.ndarray, values: np.ndarray,
+                          delta: float) -> tuple[float, bool]:
     """Max |values[i]-values[j]| over point pairs at distance < delta.
 
     Returns ``(0.0, False)`` when no pair qualifies.
-
-    With ``across``, a sort key per point, and ``settled``, a predicate, the
-    result may be a lower bound instead: each point is first tested against
-    its next few points in ``across`` order, and if the best of those pairs,
-    lo, is positive and ``settled(lo)`` holds, ``(lo, True)`` is returned
-    without building a grid. lo is a close pair's difference computed as the
-    grid path computes it, so it never exceeds the exact result.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     vals = np.ascontiguousarray(values, dtype=np.float64)
     if pts.shape[0] < 2:
         return 0.0, False
-    if settled is not None:
-        lo = _witness(pts, vals, delta, across)
-        if lo > 0.0 and settled(lo):
-            return lo, True
     g = _Grid(pts, delta, _SUP_REACH)
     a, b = g.a, g.b
     v = vals[g.order]

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import _join, freeze, neighbor_components, neighbor_sup_abs_diff, run_starts
+from ._kernels import (_join, freeze, id_order, neighbor_components, neighbor_sup_abs_diff,
+                       run_starts, witness_sup)
 from .errors import ConfigurationError, EmptyInputError
 
 log = logging.getLogger(__name__)
@@ -52,12 +53,17 @@ class MapperParams:
     def __post_init__(self):
         if not 0 < self.delta < np.inf:
             raise ConfigurationError(f"delta must be positive and finite, got {self.delta}")
-        if not 0.0 < self.theta_ov < 0.5:
-            raise ConfigurationError(
-                f"theta_ov must lie strictly between 0 and 0.5, got {self.theta_ov}"
-            )
-        if not 0 < self.alpha < np.inf:
-            raise ConfigurationError(f"alpha must be positive and finite, got {self.alpha}")
+        check_cover_params(self.theta_ov, self.alpha)
+
+
+def check_cover_params(theta_ov: float, alpha: float) -> None:
+    """Refuse an overlap ratio outside (0, 0.5) and an alpha that is not
+    positive and finite; the one statement of these rules for every record
+    that holds them."""
+    if not 0.0 < theta_ov < 0.5:
+        raise ConfigurationError(f"theta_ov must lie strictly between 0 and 0.5, got {theta_ov}")
+    if not 0 < alpha < np.inf:
+        raise ConfigurationError(f"alpha must be positive and finite, got {alpha}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,39 +225,75 @@ def compute_l0(cloud: np.ndarray, filt: LinearFilter, delta: float, theta_ov: fl
 
     With ``alpha``, the result is only as exact as the interval count at
     l' = (1 + alpha) * l0 needs: it may be any l0 that gives the count the
-    exact one gives. The count does not increase as the supremum grows, so
-    it is decided once a lower bound, the best close pair among each point
-    and its next few across the filter direction, gives the count that the
-    upper bound `_sup_cap` gives. Then the result is that lower bound over
-    theta_ov and no grid is built; otherwise the exact supremum is taken.
+    exact one gives. When `_witness_counts` decides the count, the result is
+    its lower bound over theta_ov and no grid is built; otherwise the exact
+    supremum is taken.
     """
     cloud = np.asarray(cloud, dtype=np.float64)
     if cloud.shape[0] == 0:
         raise EmptyInputError("cannot compute l0 for an empty cloud")
-    values = eval_filter(filt, cloud)
-    if alpha is None:
-        sup, found = neighbor_sup_abs_diff(cloud, values, delta)
-    else:
-        span = _span(values)
-
-        def count(s):
-            # The callers' arithmetic: l0 = s / theta_ov, l' = (1 + alpha) * l0.
-            return _count(span, (1.0 + alpha) * (s / theta_ov), theta_ov)
-
-        hi = count(_sup_cap(cloud, filt, delta))
-        across = cloud @ np.array([-filt.direction[1], filt.direction[0]])
-        sup, found = neighbor_sup_abs_diff(cloud, values, delta, across,
-                                           lambda lo: count(lo) == hi)
+    if alpha is not None:
+        lo, _, decided = _witness_counts(cloud, np.zeros(len(cloud), dtype=np.int64), filt,
+                                         delta, theta_ov, alpha)
+        if decided[0]:
+            return float(lo[0]) / theta_ov
+    sup, found = neighbor_sup_abs_diff(cloud, eval_filter(filt, cloud), delta)
     if not found:
         return delta / theta_ov
     return sup / theta_ov
 
 
-def _sup_cap(cloud: np.ndarray, filt: LinearFilter, delta: float) -> float:
-    """An upper bound on every |f(xi)-f(xj)| that the supremum kernel
-    computes for a pair it finds closer than delta.
+def _witness_counts(xy: np.ndarray, owner: np.ndarray, filt: LinearFilter, delta: float,
+                    theta_ov: float, alpha: float):
+    """For the point sets 0..m-1 of the rows xy, the set of each row given by
+    `owner`, ascending, with no set empty: the supremum's witness lo (the
+    best close pair among each point and its next few in its set across the
+    filter direction), the interval count at lo, and whether lo decides the
+    count.
 
-    With u = 2**-53 the unit roundoff and M = max |xi - c|_1:
+    The count at a supremum s is the callers' arithmetic, l0 = s / theta_ov
+    and l' = (1 + alpha) * l0. It does not increase as s grows, lo never
+    exceeds the exact supremum, and that never exceeds `_sup_cap`'s cap. So
+    the count is decided, and equal at lo and at the exact supremum, when
+    lo > 0 and the count at lo is the count at the cap.
+    """
+    values = eval_filter(filt, xy)
+    starts = np.flatnonzero(run_starts(owner))
+    span = np.maximum.reduceat(values, starts) - np.minimum.reduceat(values, starts)
+    lo = witness_sup(xy, values, delta, owner,
+                     xy @ np.array([-filt.direction[1], filt.direction[0]]))
+    with np.errstate(over="ignore"):
+        at_lo = _count(span, (1.0 + alpha) * (lo / theta_ov), theta_ov)
+        at_cap = _count(span, (1.0 + alpha) * (_sup_cap(xy, filt, delta, starts) / theta_ov),
+                        theta_ov)
+    return lo, at_lo, (lo > 0.0) & (at_lo == at_cap)
+
+
+def witness_interval_counts(cloud: np.ndarray, point_sets, filt: LinearFilter,
+                            params: MapperParams) -> np.ndarray:
+    """The interval count under `filt` of each point set of `cloud`, given as
+    ascending indices, none empty, where one grouped witness pass decides it,
+    and 0 where it does not. A decided count is the one `interval_count`
+    takes from `compute_l0(..., params.alpha)`'s l0, 2n + 1 cap and warning
+    included; an undecided set needs the exact supremum."""
+    owner, point = membership_table(point_sets)
+    sizes = np.bincount(owner, minlength=len(point_sets))
+    if not sizes.all():
+        raise EmptyInputError("cannot count cover intervals for an empty point set")
+    _, count, decided = _witness_counts(np.asarray(cloud, dtype=np.float64).take(point, 0),
+                                        owner, filt, params.delta, params.theta_ov,
+                                        params.alpha)
+    out = np.zeros(len(point_sets), dtype=np.int64)
+    out[decided] = _capped(count[decided], sizes[decided])
+    return out
+
+
+def _sup_cap(xy: np.ndarray, filt: LinearFilter, delta: float, starts) -> np.ndarray:
+    """An upper bound, for each point set xy[starts[k]:starts[k+1]], on every
+    |f(xi)-f(xj)| that the supremum kernel computes for a pair of the set it
+    finds closer than delta.
+
+    With u = 2**-53 the unit roundoff and M = max |xi - c|_1 over the set:
     - the kernel's test dx*dx + dy*dy < delta*delta rounds six times, so
       the pair's true distance is below delta * (1 + 4u);
     - the filter direction's norm is within 1e-12 of 1 (`LinearFilter`
@@ -265,40 +307,47 @@ def _sup_cap(cloud: np.ndarray, filt: LinearFilter, delta: float) -> float:
     range a rounding is off by at most 2**-1075 absolutely instead; those
     errors stretch a distance by at most 2**-536, and 2**-500 covers them.
     """
-    m = float(np.max(np.abs(cloud - filt.center).sum(axis=1)))
+    offset = np.abs(xy - filt.center)
+    m = np.maximum.reduceat(offset[:, 0] + offset[:, 1], starts)
     return delta * (1.0 + 2.0**-30) + 2.0**-40 * m + 2.0**-500
 
 
-def _span(values: np.ndarray) -> float:
-    return float(np.max(values) - np.min(values))
+def _count(span, l_prime, theta_ov: float) -> np.ndarray:
+    """Cover intervals over each filter range `span` at working length
+    l_prime, clamped to >= 1; floats, so that counts compare without
+    overflow. An infinite l_prime, as a huge alpha gives, takes the formula's
+    limit: one. A quotient that overflows reads inf without a warning, and so
+    does one over a zero l_prime, which only a witness of 0 gives and no
+    caller keeps."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        count = np.floor((span - theta_ov * l_prime) / ((1.0 - theta_ov) * l_prime))
+    return np.where(l_prime == np.inf, 1.0, np.maximum(count, 1.0))
 
 
-def _count(span: float, l_prime: float, theta_ov: float) -> float:
-    """Cover intervals over a filter range `span` at working length l_prime,
-    clamped to >= 1; a float, so that counts compare without overflow. An
-    infinite l_prime, as a huge alpha gives, takes the formula's limit: one."""
-    if l_prime == np.inf:
-        return 1.0
-    return max(np.floor((span - theta_ov * l_prime) / ((1.0 - theta_ov) * l_prime)), 1.0)
+def _capped(count: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Counts capped at 2n + 1 for sets of n points. A point lies in at
+    most two intervals, so more only adds empty preimages; far-apart tight
+    clumps would otherwise request absurd counts, or an infinite one when
+    span / l_prime overflows."""
+    cap = 2 * sizes + 1
+    over = count > cap
+    for wanted, allowed in zip(count[over].tolist(), cap[over].tolist()):
+        log.warning("interval count %g capped at %d; cloud is far from a "
+                    "densely sampled curve", wanted, allowed)
+    return np.where(over, cap, count).astype(np.int64)
 
 
 def interval_count(cloud: np.ndarray, filt: LinearFilter, l_prime: float, theta_ov: float) -> int:
     """Number of cover intervals for the given working length, clamped to
-    [1, 2n + 1] for n points. A point lies in at most two intervals, so more
-    only adds empty preimages; far-apart tight clumps would otherwise request
-    absurd counts, or an infinite one when span / l_prime overflows."""
+    [1, 2n + 1] for n points (`_count`, `_capped`)."""
     if not l_prime > 0:
         raise ConfigurationError(f"l_prime must be positive, got {l_prime}")
     cloud = np.asarray(cloud, dtype=np.float64)
     if cloud.shape[0] == 0:
         raise EmptyInputError("cannot count cover intervals for an empty cloud")
-    count = _count(_span(eval_filter(filt, cloud)), l_prime, theta_ov)
-    cap = 2 * cloud.shape[0] + 1
-    if count > cap:
-        log.warning("interval count %g capped at %d; cloud is far from a "
-                    "densely sampled curve", count, cap)
-        count = cap
-    return int(count)
+    values = eval_filter(filt, cloud)
+    count = _count(np.array([np.max(values) - np.min(values)]), l_prime, theta_ov)
+    return int(_capped(count, np.array([cloud.shape[0]]))[0])
 
 
 def build_cover(f_min: float, f_max: float, count: int, theta_ov: float) -> np.ndarray:
@@ -325,11 +374,20 @@ def _clusters(cloud, indices: np.ndarray, delta: float, groups=None):
     """Components of the strict-<delta graph on cloud[indices], joining only
     points of one group: the sorted indices of each, in order of their first
     position in `indices`, and that position."""
-    labels = neighbor_components(np.asarray(cloud, dtype=np.float64)[indices], delta, groups)
-    order = np.argsort(labels, kind="stable")
+    labels = neighbor_components(np.asarray(cloud, dtype=np.float64).take(indices, 0), delta,
+                                 groups)
+    order = id_order(labels)
     starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
     members = np.split(indices[order], starts[1:])
     return [np.sort(m) for m in members], order[starts]
+
+
+def _preimages(values: np.ndarray, count: int, theta_ov: float) -> list[np.ndarray]:
+    """The positions of `values` in each interval of the cover of their range
+    by `count` intervals. Bounds are closed, so a value on a shared endpoint
+    lies in both intervals."""
+    cover = build_cover(float(values.min()), float(values.max()), count, theta_ov)
+    return [np.flatnonzero((values >= a) & (values <= b)) for a, b in cover]
 
 
 def build_mapper_graph(cloud: np.ndarray, filt: LinearFilter, params: MapperParams) -> MapperGraph:
@@ -347,15 +405,12 @@ def build_mapper_graph(cloud: np.ndarray, filt: LinearFilter, params: MapperPara
         count = 1
     else:
         count = interval_count(cloud, filt, (1.0 + params.alpha) * l0, params.theta_ov)
-    cover = build_cover(float(values.min()), float(values.max()), count, params.theta_ov)
-
-    # One group per interval. Bounds are closed, so a point on a shared
-    # endpoint belongs to both intervals. The memberships are concatenated in
-    # interval order, so the clusters, which follow first positions, come
-    # interval by interval.
-    members = [np.flatnonzero((values >= a) & (values <= b)) for a, b in cover]
+    # One group per interval. The memberships are concatenated in interval
+    # order, so the clusters, which follow first positions, come interval by
+    # interval.
+    members = _preimages(values, count, params.theta_ov)
     indices = np.concatenate(members)
-    groups = np.repeat(np.arange(len(cover)), [m.size for m in members])
+    groups = np.repeat(np.arange(len(members)), [m.size for m in members])
     clusters, first = _clusters(cloud, indices, params.delta, groups)
     return MapperGraph(tuple(MapperNode(cluster, intervals=(interval,))
                              for cluster, interval in zip(clusters, groups[first].tolist())))

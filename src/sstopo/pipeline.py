@@ -17,7 +17,7 @@ from . import _kernels
 from .errors import ConfigurationError, DegenerateCloudError
 from .exports import segment_colors, write_gml, write_svg
 from .geometry import BSplineSurface
-from .mapper import MapperGraph, MapperNode, MapperParams, default_delta
+from .mapper import MapperGraph, MapperNode, MapperParams, check_cover_params, default_delta
 from .partition import (
     CharacteristicNodes,
     CrossDomainMatch,
@@ -48,12 +48,7 @@ class PipelineConfig:
     def __post_init__(self):
         if not 0 < self.epsilon < np.inf:
             raise ConfigurationError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not 0.0 < self.theta_ov < 0.5:
-            raise ConfigurationError(
-                f"theta_ov must lie strictly between 0 and 0.5, got {self.theta_ov}"
-            )
-        if not 0 < self.alpha < np.inf:
-            raise ConfigurationError(f"alpha must be positive and finite, got {self.alpha}")
+        check_cover_params(self.theta_ov, self.alpha)
         if self.delta_override is not None and not 0 < self.delta_override < np.inf:
             raise ConfigurationError("delta override must be positive and finite")
 

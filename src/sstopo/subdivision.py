@@ -143,21 +143,48 @@ class _PatchStore:
     `blocks[block[i]]`, a `(knots_u, knots_v, nets)` triple of arrays for
     patches of one net shape made by one batched split. Once split, its
     halves are `child[i]` and `child[i] + 1`; a block is kept for the whole run.
+
+    Each per-patch array holds its patches along its last axis, with spare
+    room that doubles when a split needs more, so a level copies no earlier
+    patch; these names read the `size` live ones.
     """
+
+    _ARRAYS = ("_rects", "_diag", "_child", "_block", "_row", "_box")
 
     def __init__(self, surface: BSplineSurface):
         root = restrict(surface, surface.param_range)
         self.degrees = (root.degree_u, root.degree_v)
-        self.rects = np.array([surface.param_range])
-        self.diag = _diagonals(self.rects)
-        self.child = np.full(1, -1)
+        self.size = 1
+        self._rects = np.array([surface.param_range]).T
+        self._diag = _diagonals(self._rects.T)
+        self._child = np.full(1, -1)
         self.blocks = [(root.knots_u.knots[None], root.knots_v.knots[None],
                         root.control_points[None])]
         self.shapes = {root.control_points.shape: 0}  # net shape -> shape id
         self.block_shape = [0]
-        self.block = np.zeros(1, dtype=np.int64)
-        self.row = np.zeros(1, dtype=np.int64)
-        self.box = _boxes(root.control_points[None]).T
+        self._block = np.zeros(1, dtype=np.int64)
+        self._row = np.zeros(1, dtype=np.int64)
+        self._box = _boxes(root.control_points[None]).T
+
+    rects = property(lambda self: self._rects[:, : self.size].T)
+    diag = property(lambda self: self._diag[: self.size])
+    child = property(lambda self: self._child[: self.size])
+    block = property(lambda self: self._block[: self.size])
+    row = property(lambda self: self._row[: self.size])
+    box = property(lambda self: self._box[:, : self.size])
+
+    def _grow(self, m: int) -> slice:
+        """The ids of `m` new patches, doubling the capacity if they do not fit."""
+        n = self.size
+        if n + m > self._child.size:
+            capacity = max(n + m, 2 * self._child.size)
+            for name in self._ARRAYS:
+                old = getattr(self, name)
+                new = np.empty(old.shape[:-1] + (capacity,), dtype=old.dtype)
+                new[..., :n] = old[..., :n]
+                setattr(self, name, new)
+        self.size = n + m
+        return slice(n, n + m)
 
     def _gather(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stacked `(knots_u, knots_v, nets)` of patches `ids`, given in block order."""
@@ -179,7 +206,6 @@ class _PatchStore:
         todo = todo[run_starts(todo)]
         if todo.size:
             m = todo.size
-            self.child[todo] = len(self.rects) + 2 * np.arange(m)
             rects = self.rects[todo]
             along_v = rects[:, 1] - rects[:, 0] < rects[:, 3] - rects[:, 2]
             lo = np.where(along_v, rects[:, 2], rects[:, 0])
@@ -189,13 +215,16 @@ class _PatchStore:
             if not proper.all():
                 raise ParameterRangeError(
                     f"halving {rects[~proper][0].tolist()} gives a degenerate rectangle")
-            halves = np.repeat(rects, 2, axis=0)
+            new = self._grow(2 * m)
+            self._child[todo] = new.start + 2 * np.arange(m)
+            self._child[new] = -1
+            halves = self._rects[:, new].T
+            halves[:] = np.repeat(rects, 2, axis=0)
             halves[2 * np.arange(m), 1 + 2 * along_v] = mid
             halves[2 * np.arange(m) + 1, 2 * along_v] = mid
+            self._diag[new] = _diagonals(halves)
 
-            block = np.empty(2 * m, dtype=np.int64)
-            row = np.empty(2 * m, dtype=np.int64)
-            box = np.empty((6, 2 * m))
+            block, row, box = self._block[new], self._row[new], self._box[:, new]
             # One group per (net shape, split axis), its members in block
             # order; a group may draw its patches from several blocks.
             src = self.block[todo]
@@ -223,12 +252,6 @@ class _PatchStore:
                         self.block_shape.append(shape)
                         block[at + side] = len(self.blocks) - 1
                         row[at + side] = np.arange(rows.size)
-            self.rects = np.concatenate([self.rects, halves])
-            self.diag = np.concatenate([self.diag, _diagonals(halves)])
-            self.child = np.concatenate([self.child, np.full(2 * m, -1)])
-            self.block = np.concatenate([self.block, block])
-            self.row = np.concatenate([self.row, row])
-            self.box = np.concatenate([self.box, box], axis=1)
         return self.child[ids]
 
     def leaves(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

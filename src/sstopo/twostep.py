@@ -27,13 +27,17 @@ from .mapper import (
     MapperGraph,
     MapperNode,
     MapperParams,
+    _clusters,
+    _preimages,
     build_mapper_graph,
     components,
     compute_l0,
+    eval_filter,
     interval_count,
     make_pca_filter,
     membership_table,
     shared_counts,
+    witness_interval_counts,
 )
 
 
@@ -68,12 +72,23 @@ def split_interval_count(
     """Orthogonal interval count of one node's point set, given as ascending
     indices. A one-point or coincident set gets 1 by the general rules: no
     close pair gives l0 = delta/theta_ov, a zero l0 gives one interval, and
-    so does a zero filter span."""
+    so does a zero filter span. `_counts` calls it only for the sets its
+    grouped witness pass leaves undecided."""
     sub = np.asarray(cloud, dtype=np.float64)[node_points]
     l0 = compute_l0(sub, f_perp, params.delta, params.theta_ov, params.alpha)
     if l0 <= 0.0:
         return 1
     return interval_count(sub, f_perp, (1.0 + params.alpha) * l0, params.theta_ov)
+
+
+def _counts(point_sets, cloud: np.ndarray, f_perp: LinearFilter,
+            params: MapperParams) -> np.ndarray:
+    """`split_interval_count` of each point set, from one grouped witness
+    pass and one exact call per set that the pass leaves undecided."""
+    counts = witness_interval_counts(cloud, point_sets, f_perp, params)
+    for i in np.flatnonzero(counts == 0).tolist():
+        counts[i] = split_interval_count(point_sets[i], cloud, f_perp, params)
+    return counts
 
 
 def _sorted_union(arrays) -> np.ndarray:
@@ -91,19 +106,16 @@ def run_two_step(cloud: np.ndarray, params: MapperParams) -> TwoStepResult:
     t1 = time.perf_counter()
 
     f_perp = orthogonal_filter(filt)
-    counts = tuple(
-        split_interval_count(n.points, cloud, f_perp, params) for n in initial.nodes
-    )
-    flagged = np.array(counts) >= 2
+    counts = _counts([n.points for n in initial.nodes], cloud, f_perp, params)
     groups = tuple(tuple(g.tolist())
-                   for g in components(initial.node_count, initial.edges, flagged))
+                   for g in components(initial.node_count, initial.edges, counts >= 2))
     final = _collapse(_refine(initial, groups, cloud, f_perp, params))
     t2 = time.perf_counter()
 
     return TwoStepResult(
         initial_graph=initial,
         graph=final,
-        counts=counts,
+        counts=tuple(counts.tolist()),
         groups=groups,
         perp_filter=f_perp,
         seconds_initial=t1 - t0,
@@ -113,20 +125,39 @@ def run_two_step(cloud: np.ndarray, params: MapperParams) -> TwoStepResult:
 
 def _refine(initial: MapperGraph, groups, cloud: np.ndarray, f_perp: LinearFilter,
             params: MapperParams) -> list[MapperNode]:
-    """Replace each group of initial nodes by its orthogonal subgraph: the
-    unflagged node objects in their order, then each group's new nodes. A
-    group's outside neighbors are the far ends of the initial edges with
-    exactly one end in the group."""
+    """Replace each group of initial nodes by its orthogonal subgraph's
+    nodes: the unflagged node objects in their order, then each group's new
+    nodes. A group's outside neighbors are the far ends of the initial edges
+    with exactly one end in the group.
+
+    Every group's union gets its count from one `_counts` call and its
+    cover as `build_mapper_graph` builds one, and the preimages of all the
+    covers are clustered in one grouped pass, one group id per (group,
+    interval). The clusters follow first positions, so they come group by
+    group and interval by interval, each interval's in order of least point
+    as `build_mapper_graph` orders them."""
     nodes = initial.nodes
     flagged = {m for group in groups for m in group}
     out = [n for i, n in enumerate(nodes) if i not in flagged]
-    for group in groups:
-        ids_sorted = _sorted_union([nodes[m].points for m in group])
+    if not groups:
+        return out
+    unions = [_sorted_union([nodes[m].points for m in group]) for group in groups]
+    values = eval_filter(f_perp, cloud)
+    preimages, first_interval = [], []
+    for ids, count in zip(unions, _counts(unions, cloud, f_perp, params).tolist()):
+        first_interval.append(len(preimages))
+        preimages += [ids[p] for p in _preimages(values[ids], count, params.theta_ov)]
+    cover_of = np.repeat(np.arange(len(preimages)), [p.size for p in preimages])
+    clusters, first = _clusters(cloud, np.concatenate(preimages), params.delta, cover_of)
+    cover_of = cover_of[first]
+    cuts = np.searchsorted(cover_of, first_interval + [len(preimages)]).tolist()
+
+    for g, group in enumerate(groups):
+        local_sets = clusters[cuts[g] : cuts[g + 1]]
+        intervals = (cover_of[cuts[g] : cuts[g + 1]] - first_interval[g]).tolist()
         # A flagged neighbor would be in the group, so these are all unflagged.
         ends = np.isin(initial.edges, group)
         neighbors = np.unique(initial.edges[~ends & ends[:, ::-1]])
-        subgraph = build_mapper_graph(cloud[ids_sorted], f_perp, params)
-        local_sets = [ids_sorted[node.points] for node in subgraph.nodes]
 
         # Nodes of the subgraph touching one same neighbor collapse together;
         # overlapping sets of touching nodes from different neighbors chain.
@@ -140,7 +171,7 @@ def _refine(initial: MapperGraph, groups, cloud: np.ndarray, f_perp: LinearFilte
             touch.append(np.column_stack((touching[:-1], touching[1:])))
         for members in components(len(local_sets), np.concatenate(touch)):
             new_points = _sorted_union([local_sets[i] for i in members])
-            new_intervals = {k for i in members for k in subgraph.nodes[i].intervals}
+            new_intervals = {intervals[i] for i in members}
             out.append(MapperNode(new_points, tuple(sorted(new_intervals)), refined=True))
     return out
 

@@ -6,17 +6,21 @@ tracer from `perfbench/` without changing it and runs one tiny sweep.
 """
 
 import importlib.util
+import math
 import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sstopo.pipeline
 from sstopo import MapperParams, PipelineConfig, run_two_step
+from sstopo.mapper import make_pca_filter
 from sstopo.synthetic import recommended_delta
 
-from corpus import NOISE, STEP, plane_patch, saddle_patch, three_curves_cloud
+from corpus import (NOISE, STEP, noisy_circle_cloud, plane_patch, saddle_patch,
+                    three_curves_cloud)
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -56,28 +60,75 @@ def test_install_traces_one_subdivision_per_sweep(spans):
     assert figures["subdivision.calls"] == 1
 
 
-def test_mapper_only_records_every_layer(spans):
-    pts, _ = three_curves_cloud(seed=3)
-    delta = recommended_delta(STEP, NOISE)
-    untraced = run_two_step(pts, MapperParams(delta=delta))
-    assert untraced.groups
-    tracer = spans.Tracer()
-    tracer.install()
-    try:
-        sstopo.pipeline.run_mapper_only(PipelineConfig(delta_override=delta), pts)
-    finally:
-        tracer.uninstall()
+def undecided(cloud, point_sets, filt, params):
+    """How many of the point sets the supremum's witness leaves undecided,
+    by the rule restated here: lo is the best |f(xi) - f(xj)| over the pairs
+    closer than delta among each point and its next three in stable order
+    across the filter; the set is decided when lo > 0 and the interval count
+    at lo is the one at the cap delta (1 + 2**-30) + 2**-40 M + 2**-500, M
+    the set's largest |x - c|_1."""
+    theta, alpha, d2 = params.theta_ov, params.alpha, params.delta ** 2
+    across = np.array([-filt.direction[1], filt.direction[0]])
+    left = 0
+    for points in point_sets:
+        xy = cloud[points]
+        v = (xy - filt.center) @ filt.direction
+        order = np.argsort(xy @ across, kind="stable")
+        xy, v = xy[order], v[order]
+        lo = 0.0
+        for k in (1, 2, 3):
+            d = xy[k:] - xy[:-k]
+            near = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] < d2
+            if near.any():
+                lo = max(lo, float(np.abs(v[k:] - v[:-k])[near].max()))
+        m = float(np.abs(cloud[points] - filt.center).sum(axis=1).max())
+        cap = params.delta * (1.0 + 2.0**-30) + 2.0**-40 * m + 2.0**-500
+        span = float(v.max() - v.min())
 
-    calls = Counter(s.name for s in tracer.spans)
-    assert calls["twostep.split_interval_count"] == untraced.initial_graph.node_count
-    assert calls["mapper.build_graph"] == len(untraced.groups) + 1
-    # One grouped neighbor pass clusters a whole cover.
-    assert calls["kernels.neighbor_components"] == calls["mapper.build_graph"]
-    for name in ("mapper.compute_l0", "kernels.neighbor_components",
-                 "kernels.neighbor_sup_abs_diff"):
-        assert calls[name] >= 1, name
-    assert calls["partition.classify"] == 1
-    assert calls["partition.partition"] == 1
+        def count(s):
+            length = (1.0 + alpha) * (s / theta)
+            return max(math.floor((span - theta * length) / ((1.0 - theta) * length)), 1)
+
+        left += not (lo > 0.0 and count(lo) == count(cap))
+    return left
+
+
+def test_mapper_only_records_every_layer(spans):
+    # The three-curve cloud's witness decides every count; the circle's
+    # leaves some to the exact path.
+    delta = recommended_delta(STEP, NOISE)
+    params = MapperParams(delta=delta)
+    for pts, any_exact in ((three_curves_cloud(seed=3)[0], False),
+                           (noisy_circle_cloud(seed=7)[0], True)):
+        untraced = run_two_step(pts, params)
+        assert untraced.groups
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            sstopo.pipeline.run_mapper_only(PipelineConfig(delta_override=delta), pts)
+        finally:
+            tracer.uninstall()
+
+        calls = Counter(s.name for s in tracer.spans)
+        nodes = untraced.initial_graph.nodes
+        f_perp = untraced.perp_filter
+        unions = [np.unique(np.concatenate([nodes[i].points for i in g]))
+                  for g in untraced.groups]
+        exact = (undecided(pts, [n.points for n in nodes], f_perp, params)
+                 + undecided(pts, unions, f_perp, params))
+        whole = undecided(pts, [np.arange(len(pts))], make_pca_filter(pts), params)
+        assert (exact > 0) == any_exact
+        # One exact count per undecided set, each through compute_l0, which
+        # takes the grid path as the grouped pass did.
+        assert calls["twostep.split_interval_count"] == exact
+        assert calls["mapper.compute_l0"] == 1 + exact
+        assert calls["kernels.neighbor_sup_abs_diff"] == whole + exact
+        # The initial graph only; one grouped neighbor pass clusters its
+        # cover, and one more every subgraph's.
+        assert calls["mapper.build_graph"] == 1
+        assert calls["kernels.neighbor_components"] == 2
+        assert calls["partition.classify"] == 1
+        assert calls["partition.partition"] == 1
 
 
 def test_one_traced_run_covers_every_binding(spans, tmp_path):

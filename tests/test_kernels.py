@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from sstopo._kernels import neighbor_components, neighbor_sup_abs_diff
+from sstopo._kernels import (_renumber, id_order, neighbor_components, neighbor_sup_abs_diff,
+                             witness_sup)
 
 
 def oracle(pts, vals, delta):
@@ -141,8 +142,8 @@ def assert_groups_match_oracle(pts, groups, delta):
 
 def witness_oracle(pts, vals, delta, across):
     """Best |vals[i]-vals[j]| over the close pairs of each point and its next
-    three in ``np.argsort(across)`` order, one pair at a time; 0.0 if none."""
-    order = np.argsort(across)
+    three in stable ``across`` order, one pair at a time; 0.0 if none."""
+    order = np.argsort(across, kind="stable")
     best = 0.0
     for a in range(len(order)):
         for b in range(a + 1, min(a + 4, len(order))):
@@ -153,33 +154,34 @@ def witness_oracle(pts, vals, delta, across):
     return best
 
 
+def one_set(pts):
+    return np.zeros(len(pts), dtype=np.int64)
+
+
 class TestWitness:
     @seed(6081)
     @PROPERTY
     @given(st.integers(0, 2**32 - 1), DELTAS, st.integers(2, 200),
-           st.sampled_from([0.0, 1e6, -1e6]))
-    def test_witness_is_a_close_pair_below_the_supremum(self, s, delta, n, offset):
+           st.sampled_from([0.0, 1e6, -1e6]), st.integers(1, 4))
+    def test_witness_is_a_close_pair_below_the_supremum(self, s, delta, n, offset, sets):
+        # The points fall in `sets` sets, owner-major; each set's witness
+        # is the oracle's on that set alone, and never above its supremum.
         rng = np.random.default_rng(s)
         pts = rng.uniform(0, delta * np.sqrt(n) / 2, (n, 2)) + offset
         if rng.random() < 0.3:  # duplicates
             pts = pts[rng.integers(0, max(1, n // 4), n)]
         vals = _values(rng, pts)
         across = pts @ rng.normal(size=2)
-        _, exact = oracle(pts, vals, delta)
-        lo = witness_oracle(pts, vals, delta, across)
-        asked = []
-        got = neighbor_sup_abs_diff(pts, vals, delta, across, lambda w: asked.append(w) or True)
-        if lo > 0.0:
-            assert asked == [lo]
-            assert got == (lo, True)
-            assert lo <= exact[0]
-        else:
-            # A witness of zero is never offered: the grid path decides.
-            assert asked == []
-            assert got == exact
-        refused = neighbor_sup_abs_diff(pts, vals, delta, across, lambda w: False)
-        assert refused == exact
-        assert type(refused[0]) is float
+        owner = np.sort(rng.integers(0, sets, n))
+        got = witness_sup(pts, vals, delta, owner, across)
+        assert got.shape == (owner.max() + 1,)
+        for k, lo in enumerate(got.tolist()):
+            at = owner == k
+            assert lo == witness_oracle(pts[at], vals[at], delta, across[at])
+            if at.any():
+                _, exact = oracle(pts[at], vals[at], delta)
+                assert lo <= exact[0]
+                assert neighbor_sup_abs_diff(pts[at], vals[at], delta) == exact
 
     @seed(6082)
     @PROPERTY
@@ -193,9 +195,7 @@ class TestWitness:
         vals = _values(rng, pts)
         across = pts @ rng.normal(size=2) if rng.random() < 0.5 else pts[:, 1]
         lo = witness_oracle(pts, vals, delta, across)
-        asked = []
-        neighbor_sup_abs_diff(pts, vals, delta, across, lambda w: asked.append(w) or True)
-        assert asked == ([lo] if lo > 0.0 else [])
+        assert witness_sup(pts, vals, delta, one_set(pts), across).tolist() == [lo]
 
     def test_zero_witness_runs_the_grid(self):
         # Four copies of p, three far points and then q, in `across` order:
@@ -207,12 +207,13 @@ class TestWitness:
         vals = pts[:, 0].copy()
         across = pts[:, 1]
         assert witness_oracle(pts, vals, delta, across) == 0.0
-        assert neighbor_sup_abs_diff(pts, vals, delta, across, lambda w: True) == (0.5, True)
+        assert witness_sup(pts, vals, delta, one_set(pts), across).tolist() == [0.0]
+        assert neighbor_sup_abs_diff(pts, vals, delta) == (0.5, True)
 
     def test_no_close_pair(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0]])
-        assert neighbor_sup_abs_diff(pts, pts[:, 0], 1.0, pts[:, 0],
-                                     lambda w: True) == (0.0, False)
+        assert witness_sup(pts, pts[:, 0], 1.0, one_set(pts), pts[:, 0]).tolist() == [0.0]
+        assert neighbor_sup_abs_diff(pts, pts[:, 0], 1.0) == (0.0, False)
 
 
 GROUPED = settings(max_examples=40, deadline=None, database=None)
@@ -287,6 +288,105 @@ class TestGroupedComponents:
         pts = rng.uniform(0, 1, (400, 2))
         assert np.array_equal(neighbor_components(pts, 0.05, np.full(400, 5)),
                               neighbor_components(pts, 0.05))
+
+
+def sweep_oracle(pts, delta, groups):
+    """Canonical labels from every close pair of points of one group, found
+    by testing each point against all the points after it in x order whose
+    x lies less than delta further: a close pair's computed |dx| is below
+    delta, since rounding is monotone."""
+    order = np.argsort(pts[:, 0], kind="stable")
+    xy, g = pts[order], groups[order]
+    ii, jj = [], []
+    k = 1
+    while k < len(xy):
+        within = np.flatnonzero(xy[k:, 0] - xy[:-k, 0] < delta)
+        if within.size == 0:
+            break
+        d = xy[within + k] - xy[within]
+        close = within[(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] < delta * delta)
+                       & (g[within + k] == g[within])]
+        ii.append(order[close])
+        jj.append(order[close + k])
+        k += 1
+    parent = list(range(len(pts)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in zip(np.concatenate([[], *ii]).astype(int).tolist(),
+                    np.concatenate([[], *jj]).astype(int).tolist()):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    ids: dict[int, int] = {}
+    return np.array([ids.setdefault(find(i), len(ids)) for i in range(len(pts))])
+
+
+class TestWideIds:
+    """More than 2**16 groups or components, so that the group ids and the
+    labels are sorted on 32-bit keys."""
+
+    def test_more_than_two_to_the_sixteen_groups(self):
+        # A line at about half delta spacing; runs of neighbors share a
+        # group, and one point in a hundred joins a random group far away.
+        rng = np.random.default_rng(21)
+        n = 90_000
+        x = np.cumsum(rng.uniform(0.2, 0.8, n))
+        pts = np.column_stack([x, rng.uniform(0.0, 0.5, n)])
+        groups = np.cumsum(rng.random(n) < 0.8)
+        stray = rng.random(n) < 0.01
+        groups[stray] = rng.integers(0, groups.max() + 1, stray.sum())
+        groups = rng.permutation(groups.max() + 1)[groups]
+        assert np.unique(groups).size > 2**16
+        perm = rng.permutation(n)
+        pts, groups = pts[perm], groups[perm]
+        assert np.array_equal(neighbor_components(pts, 1.0, groups),
+                              sweep_oracle(pts, 1.0, groups))
+
+    def test_more_than_two_to_the_sixteen_components(self):
+        # A line whose gaps are half or one and a half delta: every wide gap
+        # starts a component.
+        rng = np.random.default_rng(22)
+        n = 100_000
+        x = np.cumsum(np.where(rng.random(n) < 0.75, 1.5, 0.5))
+        pts = rng.permutation(np.column_stack([x, rng.uniform(0.0, 0.01, n)]))
+        labels = neighbor_components(pts, 1.0)
+        assert labels.max() + 1 > 2**16
+        assert np.array_equal(labels, sweep_oracle(pts, 1.0, np.zeros(n)))
+
+    @pytest.mark.parametrize("low, high", [(0, 3), (-5, 250), (0, 70_000), (-2**40, 2**40)])
+    def test_id_order_is_the_stable_argsort(self, low, high):
+        ids = np.random.default_rng(23).integers(low, high, 5000)
+        assert np.array_equal(id_order(ids), np.argsort(ids, kind="stable"))
+        assert id_order(ids[:0]).size == 0
+
+
+def renumber_reference(x, reach, groups):
+    """The ranks of `_renumber` from the sorted distinct (group, index)
+    pairs, one pair at a time."""
+    g = [0] * len(x) if groups is None else groups.tolist()
+    pairs = sorted(set(zip(g, x.tolist())))
+    rank = {pairs[0]: 0.0}
+    for (g0, x0), (g1, x1) in zip(pairs, pairs[1:]):
+        rank[g1, x1] = rank[g0, x0] + (reach + 1 if g1 != g0 else min(x1 - x0, reach + 1))
+    return np.array([rank[p] for p in zip(g, x.tolist())])
+
+
+class TestRenumber:
+    @seed(6111)
+    @PROPERTY
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 400), st.sampled_from([1, 2, 4]),
+           st.sampled_from([3.0, 100.0, 1e4, 2.0**44]), st.sampled_from([0, 1, 5, 300]))
+    def test_ranks_equal_the_sorted_pairs(self, s, n, reach, scale, groups):
+        # Small scales take the table of keys, large ones the sort.
+        rng = np.random.default_rng(s)
+        x = np.floor(rng.uniform(-scale, scale, n))
+        ids = rng.integers(-groups, groups + 1, n) * 7 if groups else None
+        assert np.array_equal(_renumber(x, reach, ids), renumber_reference(x, reach, ids))
 
 
 class TestGridEdges:

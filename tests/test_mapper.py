@@ -375,7 +375,7 @@ class TestSupremumCap:
         t = delta * (1.0 - rng.integers(0, 6, n) * 2.0**-53)
         cloud = np.concatenate([base, base + t[:, None] * unit])
         sup, found = brute_force_sup(cloud, eval_filter(f, cloud), delta)
-        assert sup <= _sup_cap(cloud, f, delta)
+        assert sup <= _sup_cap(cloud, f, delta, [0])[0]
 
     def test_rejected_norm_is_just_beyond_the_tested_range(self):
         with pytest.raises(ConfigurationError):

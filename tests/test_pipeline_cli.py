@@ -19,6 +19,7 @@ from sstopo import (
     ConfigurationError,
     DegenerateCloudError,
     KnotVector,
+    MapperParams,
     PipelineConfig,
     ResultDocument,
     result_digest,
@@ -696,6 +697,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             PipelineConfig(**{field: float("nan")})
 
+    @pytest.mark.parametrize("field, value", [
+        ("theta_ov", 0.0), ("theta_ov", 0.5), ("theta_ov", -0.1), ("theta_ov", float("nan")),
+        ("theta_ov", float("inf")), ("alpha", 0.0), ("alpha", -1.0), ("alpha", float("nan")),
+        ("alpha", float("inf")), ("alpha", float("-inf")),
+    ])
+    def test_cover_params_refused_as_mapper_params_refuses_them(self, field, value):
+        with pytest.raises(ConfigurationError) as config_error:
+            PipelineConfig(**{field: value})
+        with pytest.raises(ConfigurationError) as params_error:
+            MapperParams(delta=0.1, **{field: value})
+        assert str(config_error.value) == str(params_error.value)
+        assert f"{field} must" in str(config_error.value)
+
     @pytest.mark.parametrize("field", ["epsilon", "alpha", "delta_override"])
     def test_inf_rejected(self, field):
         name = field.replace("_", " ")
@@ -1056,6 +1070,8 @@ class TestCli:
                             lambda config, *a, **k: given.append(config) or {"entries": []})
         assert main(["sweep", str(cloud), "--delta", "0.25"]) == 0
         assert main(["sweep", str(s1), str(s2)]) == 0
+        assert [c.echo() for c in given] == [PipelineConfig(delta_override=0.25).echo(),
+                                             PipelineConfig().echo()]
         assert given == [PipelineConfig(delta_override=0.25), PipelineConfig()]
 
     def test_sweep_cloud_rejects_epsilon(self, tmp_path, capsys):

@@ -1,7 +1,12 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from sstopo import (
+    EmptyInputError,
     LinearFilter,
     intersect_surfaces,
     MapperGraph,
@@ -16,10 +21,12 @@ from sstopo.mapper import (
     compute_l0,
     default_delta,
     interval_count,
+    make_pca_filter,
+    witness_interval_counts,
 )
 from sstopo.pipeline import PipelineConfig, run_mapper_only
 from sstopo.synthetic import recommended_delta
-from sstopo import mapper, twostep
+from sstopo import twostep
 from sstopo.twostep import _collapse
 
 from corpus import (
@@ -84,6 +91,111 @@ class TestSplitIntervalCount:
         expected = interval_count(cloud, f_perp, (1 + params.alpha) * l0, params.theta_ov)
         assert got == expected
         assert got >= 2
+
+
+class _Warnings(logging.Handler):
+    """The messages the Mapper logs while it is attached."""
+
+    def __enter__(self):
+        self.messages = []
+        logging.getLogger("sstopo.mapper").addHandler(self)
+        return self.messages
+
+    def __exit__(self, *exc):
+        logging.getLogger("sstopo.mapper").removeHandler(self)
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def assert_grouped_counts_are_split_counts(cloud, sets, filt, params):
+    """The grouped pass's count of each set it decides, and the warning it
+    logs, are `split_interval_count`'s; `_counts` gives every set's."""
+    with _Warnings() as grouped_warnings:
+        grouped = witness_interval_counts(cloud, sets, filt, params)
+    want, want_warnings = [], []
+    for points, decided in zip(sets, grouped.tolist()):
+        with _Warnings() as messages:
+            want.append(split_interval_count(points, cloud, filt, params))
+        if decided:
+            assert decided == want[-1]
+            want_warnings += messages
+    assert grouped_warnings == want_warnings
+    assert twostep._counts(sets, cloud, filt, params).tolist() == want
+    return grouped, want
+
+
+GROUPED_COUNTS = settings(max_examples=60, deadline=None, database=None)
+
+
+class TestGroupedCounts:
+    @seed(6101)
+    @GROUPED_COUNTS
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 12),
+           st.sampled_from(["curve", "coincident", "clumps"]), st.booleans(),
+           st.sampled_from([1e-9, 1e-3, 0.1, 1e308]), st.sampled_from([0.1, 0.2, 0.45]))
+    def test_every_set_gets_its_split_count(self, s, n, sets, kind, orthogonal, alpha, theta):
+        # Overlapping sets of one cloud, one-point sets among them, under the
+        # PCA filter or its orthogonal one. Coincident points have zero
+        # spans; clumps far apart along the filter ask for more than 2n + 1
+        # intervals.
+        rng = np.random.default_rng(s)
+        delta = 0.05
+        if kind == "curve":
+            t = rng.uniform(0, 3, n)
+            cloud = np.column_stack([t, 0.3 * np.sin(2 * t)]) + rng.normal(0, 0.01, (n, 2))
+        elif kind == "coincident":
+            cloud = rng.uniform(0, 0.2, (max(1, n // 20), 2))[rng.integers(0, max(1, n // 20), n)]
+        else:
+            # Pairs 0.99 delta apart along x, 30 to 60 delta from the next.
+            pairs = np.cumsum(rng.uniform(30, 60, (n + 1) // 2)) * delta
+            cloud = np.column_stack([np.repeat(pairs, 2)[:n], np.zeros(n)])
+            cloud[1::2, 0] += 0.99 * delta
+        filt = make_pca_filter(cloud)
+        if orthogonal:
+            filt = orthogonal_filter(filt)
+        point_sets = []
+        for _ in range(sets):
+            size = int(rng.integers(1, n + 1)) if rng.random() < 0.8 else 1
+            start = int(rng.integers(0, n - size + 1))
+            if rng.random() < 0.5:
+                point_sets.append(np.arange(start, start + size))
+            else:
+                point_sets.append(np.unique(rng.integers(0, n, size)))
+        assert_grouped_counts_are_split_counts(cloud, point_sets, filt,
+                                               MapperParams(delta=delta, theta_ov=theta,
+                                                            alpha=alpha))
+
+    def test_far_apart_clumps_take_the_cap_with_its_warning(self):
+        # Two pairs 41 delta apart: ten intervals at either bound, more than
+        # 2 * 4 + 1. Decided by the witness, the cap and its warning are the
+        # grouped pass's own.
+        delta = 0.05
+        x = np.array([0.0, 0.99, 41.0, 41.99]) * delta
+        cloud = np.column_stack([x, np.zeros(4)])
+        filt = LinearFilter(np.zeros(2), np.array([1.0, 0.0]))
+        grouped, want = assert_grouped_counts_are_split_counts(
+            cloud, [np.arange(4), np.arange(2)], filt, MapperParams(delta=delta))
+        assert grouped.tolist() == [9, 1]
+        with _Warnings() as messages:
+            witness_interval_counts(cloud, [np.arange(4)], filt, MapperParams(delta=delta))
+        assert messages and "capped at 9" in messages[0]
+
+    def test_far_apart_clumps_undecided(self):
+        # Clumps a million apart: the witness and the cap give different
+        # counts, both above the cap, so the exact path caps.
+        cloud = np.array([[0.0, 0.0], [1e-3, 0.0], [1e6, 0.0], [1e6 + 1e-3, 0.0]])
+        filt = LinearFilter(np.zeros(2), np.array([1.0, 0.0]))
+        grouped, want = assert_grouped_counts_are_split_counts(
+            cloud, [np.arange(4)], filt, MapperParams(delta=0.01))
+        assert grouped.tolist() == [0]
+        assert want == [9]
+
+    def test_empty_set_refused(self):
+        with pytest.raises(EmptyInputError):
+            witness_interval_counts(np.zeros((2, 2)), [np.arange(2), np.arange(0)],
+                                    LinearFilter(np.zeros(2), np.array([1.0, 0.0])),
+                                    MapperParams(delta=0.1))
 
 
 class TestTwoStep:
@@ -480,15 +592,21 @@ class TestSupremumGrids:
     """The orthogonal counts are decided by the supremum's witness, not its
     grid. Recorded when the witness landed: the three-curve cloud built 0
     supremum grids for its 28 compute_l0 calls, and the 6k cloud 4 for 94
-    (the exact path builds one grid per call)."""
+    (the exact path builds one grid per call). The grouped witness pass
+    decides most sets without a compute_l0 call."""
 
     @pytest.mark.parametrize("case, bound", [("three_curves_3", 1), ("performance_6k", 6)])
     def test_few_supremum_grids_per_run(self, sup_grids, monkeypatch, case, bound):
-        calls = []
-        for module in (twostep, mapper):
-            monkeypatch.setattr(module, "compute_l0",
-                                lambda *args: calls.append(1) or compute_l0(*args))
+        decided = []
+        grouped = twostep.witness_interval_counts
+
+        def counted(*args):
+            counts = grouped(*args)
+            decided.append(np.count_nonzero(counts))
+            return counts
+
+        monkeypatch.setattr(twostep, "witness_interval_counts", counted)
         pts, params = _refine_case(case)
         run_two_step(pts, params)
-        assert len(calls) >= 20
+        assert sum(decided) >= 20
         assert len(sup_grids) <= bound
