@@ -24,7 +24,6 @@ from .mapper import (
     MapperNode,
     MapperParams,
     build_cover,
-    build_mapper_graph,
     centroid,
     compute_l0,
     default_delta,
@@ -34,6 +33,7 @@ from .mapper import (
 )
 from .twostep import (
     TwoStepResult,
+    build_mapper_graph,
     orthogonal_filter,
     run_two_step,
     split_interval_count,

@@ -2,7 +2,8 @@
 
 Linear-projection filters from PCA, theory-guided parameter computation
 (clustering radius, base interval length, interval count), uniform
-overlapping covers, delta-neighborhood clustering, and graph construction.
+overlapping covers, delta-neighborhood clustering, and the node and graph
+records; `twostep` builds the graphs from them.
 The clustering radius delta is chosen so that four times the certified
 sample-to-curve Hausdorff bound never exceeds it, which is what makes the
 graph's topology trustworthy away from singular points.
@@ -17,7 +18,7 @@ import numpy as np
 
 from ._kernels import (_join, freeze, id_order, neighbor_components, neighbor_sup_abs_diff,
                        run_starts, witness_sup)
-from .errors import ConfigurationError, EmptyInputError
+from .errors import ConfigurationError, DegenerateCloudError, EmptyInputError
 
 log = logging.getLogger(__name__)
 
@@ -64,6 +65,23 @@ def check_cover_params(theta_ov: float, alpha: float) -> None:
         raise ConfigurationError(f"theta_ov must lie strictly between 0 and 0.5, got {theta_ov}")
     if not 0 < alpha < np.inf:
         raise ConfigurationError(f"alpha must be positive and finite, got {alpha}")
+
+
+def check_cloud(points) -> np.ndarray:
+    """`points` as a float64 array, refused with `DegenerateCloudError`
+    unless it is an `(n, 2)` array, empty or not, of finite coordinates,
+    each of magnitude at most m with 8 n m^2 finite."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise DegenerateCloudError(f"a cloud is an (n, 2) array, got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise DegenerateCloudError("cloud coordinates must be finite")
+    # With every |coordinate| at most m, 8 n m^2 bounds the PCA filter's sums:
+    # of the coordinates, and of their squared offsets from the mean.
+    m = float(max(points.max(initial=0.0), -points.min(initial=0.0)))
+    if not np.isfinite(8.0 * len(points) * m * m):
+        raise DegenerateCloudError("cloud coordinates too large: the PCA filter's sums overflow")
+    return points
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,75 +234,50 @@ def default_delta(cell_diag: float) -> float:
     return delta
 
 
-def compute_l0(cloud: np.ndarray, filt: LinearFilter, delta: float, theta_ov: float,
-               alpha: float | None = None) -> float:
+def compute_l0(cloud: np.ndarray, filt: LinearFilter, delta: float, theta_ov: float) -> float:
     """Base interval length: sup of |f(xi)-f(xj)| over pairs closer than delta,
     divided by theta_ov. Falls back to the Lipschitz bound delta/theta_ov when
     no pair qualifies, as for a one-point cloud. An empty cloud raises
-    `EmptyInputError`.
-
-    With ``alpha``, the result is only as exact as the interval count at
-    l' = (1 + alpha) * l0 needs: it may be any l0 that gives the count the
-    exact one gives. When `_witness_counts` decides the count, the result is
-    its lower bound over theta_ov and no grid is built; otherwise the exact
-    supremum is taken.
-    """
+    `EmptyInputError`."""
     cloud = np.asarray(cloud, dtype=np.float64)
     if cloud.shape[0] == 0:
         raise EmptyInputError("cannot compute l0 for an empty cloud")
-    if alpha is not None:
-        lo, _, decided = _witness_counts(cloud, np.zeros(len(cloud), dtype=np.int64), filt,
-                                         delta, theta_ov, alpha)
-        if decided[0]:
-            return float(lo[0]) / theta_ov
     sup, found = neighbor_sup_abs_diff(cloud, eval_filter(filt, cloud), delta)
     if not found:
         return delta / theta_ov
     return sup / theta_ov
 
 
-def _witness_counts(xy: np.ndarray, owner: np.ndarray, filt: LinearFilter, delta: float,
-                    theta_ov: float, alpha: float):
-    """For the point sets 0..m-1 of the rows xy, the set of each row given by
-    `owner`, ascending, with no set empty: the supremum's witness lo (the
-    best close pair among each point and its next few in its set across the
-    filter direction), the interval count at lo, and whether lo decides the
-    count.
-
-    The count at a supremum s is the callers' arithmetic, l0 = s / theta_ov
-    and l' = (1 + alpha) * l0. It does not increase as s grows, lo never
-    exceeds the exact supremum, and that never exceeds `_sup_cap`'s cap. So
-    the count is decided, and equal at lo and at the exact supremum, when
-    lo > 0 and the count at lo is the count at the cap.
-    """
-    values = eval_filter(filt, xy)
-    starts = np.flatnonzero(run_starts(owner))
-    span = np.maximum.reduceat(values, starts) - np.minimum.reduceat(values, starts)
-    lo = witness_sup(xy, values, delta, owner,
-                     xy @ np.array([-filt.direction[1], filt.direction[0]]))
-    with np.errstate(over="ignore"):
-        at_lo = _count(span, (1.0 + alpha) * (lo / theta_ov), theta_ov)
-        at_cap = _count(span, (1.0 + alpha) * (_sup_cap(xy, filt, delta, starts) / theta_ov),
-                        theta_ov)
-    return lo, at_lo, (lo > 0.0) & (at_lo == at_cap)
-
-
 def witness_interval_counts(cloud: np.ndarray, point_sets, filt: LinearFilter,
                             params: MapperParams) -> np.ndarray:
     """The interval count under `filt` of each point set of `cloud`, given as
     ascending indices, none empty, where one grouped witness pass decides it,
-    and 0 where it does not. A decided count is the one `interval_count`
-    takes from `compute_l0(..., params.alpha)`'s l0, 2n + 1 cap and warning
-    included; an undecided set needs the exact supremum."""
+    and 0 where it needs the exact supremum. A decided count is the exact
+    one, 2n + 1 cap and warning included.
+
+    A set's witness lo is the best close pair among each point and its next
+    few in its set across the filter direction. The count at a supremum s,
+    from l0 = s / theta_ov and l' = (1 + alpha) * l0, does not increase as s
+    grows; lo never exceeds the exact supremum, nor that `_sup_cap`'s cap.
+    So the count is decided, and equal at lo and at the exact supremum, when
+    lo > 0 and the count at lo is the count at the cap."""
     owner, point = membership_table(point_sets)
     sizes = np.bincount(owner, minlength=len(point_sets))
     if not sizes.all():
         raise EmptyInputError("cannot count cover intervals for an empty point set")
-    _, count, decided = _witness_counts(np.asarray(cloud, dtype=np.float64).take(point, 0),
-                                        owner, filt, params.delta, params.theta_ov,
-                                        params.alpha)
+    xy = np.asarray(cloud, dtype=np.float64).take(point, 0)
+    values = eval_filter(filt, xy)
+    starts = np.flatnonzero(run_starts(owner))
+    span = np.maximum.reduceat(values, starts) - np.minimum.reduceat(values, starts)
+    lo = witness_sup(xy, values, params.delta, owner,
+                     xy @ np.array([-filt.direction[1], filt.direction[0]]))
+    theta, grow = params.theta_ov, 1.0 + params.alpha
+    with np.errstate(over="ignore"):
+        at_lo = _count(span, grow * (lo / theta), theta)
+        at_cap = _count(span, grow * (_sup_cap(xy, filt, params.delta, starts) / theta), theta)
+    decided = (lo > 0.0) & (at_lo == at_cap)
     out = np.zeros(len(point_sets), dtype=np.int64)
-    out[decided] = _capped(count[decided], sizes[decided])
+    out[decided] = _capped(at_lo[decided], sizes[decided])
     return out
 
 
@@ -380,37 +373,3 @@ def _clusters(cloud, indices: np.ndarray, delta: float, groups=None):
     starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
     members = np.split(indices[order], starts[1:])
     return [np.sort(m) for m in members], order[starts]
-
-
-def _preimages(values: np.ndarray, count: int, theta_ov: float) -> list[np.ndarray]:
-    """The positions of `values` in each interval of the cover of their range
-    by `count` intervals. Bounds are closed, so a value on a shared endpoint
-    lies in both intervals."""
-    cover = build_cover(float(values.min()), float(values.max()), count, theta_ov)
-    return [np.flatnonzero((values >= a) & (values <= b)) for a, b in cover]
-
-
-def build_mapper_graph(cloud: np.ndarray, filt: LinearFilter, params: MapperParams) -> MapperGraph:
-    """Cover construction, preimage clustering, and graph assembly in one pass.
-
-    The preimages of all intervals are clustered in one grouped neighbor
-    pass. Nodes come interval by interval, each interval's clusters ordered
-    by their least point index."""
-    cloud = np.asarray(cloud, dtype=np.float64)
-    if cloud.shape[0] == 0:
-        raise EmptyInputError("cannot build a Mapper graph from an empty cloud")
-    values = eval_filter(filt, cloud)
-    l0 = compute_l0(cloud, filt, params.delta, params.theta_ov, params.alpha)
-    if l0 <= 0.0:
-        count = 1
-    else:
-        count = interval_count(cloud, filt, (1.0 + params.alpha) * l0, params.theta_ov)
-    # One group per interval. The memberships are concatenated in interval
-    # order, so the clusters, which follow first positions, come interval by
-    # interval.
-    members = _preimages(values, count, params.theta_ov)
-    indices = np.concatenate(members)
-    groups = np.repeat(np.arange(len(members)), [m.size for m in members])
-    clusters, first = _clusters(cloud, indices, params.delta, groups)
-    return MapperGraph(tuple(MapperNode(cluster, intervals=(interval,))
-                             for cluster, interval in zip(clusters, groups[first].tolist())))

@@ -14,10 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigurationError, DegenerateCloudError
+from .errors import ConfigurationError
 from .exports import segment_colors, write_gml, write_svg
 from .geometry import BSplineSurface
-from .mapper import MapperGraph, MapperNode, MapperParams, check_cover_params, default_delta
+from .mapper import (MapperGraph, MapperNode, MapperParams, check_cloud, check_cover_params,
+                     default_delta)
 from .partition import (
     CharacteristicNodes,
     CrossDomainMatch,
@@ -302,25 +303,15 @@ def run_mapper_only(
     domain box, a `(u_min, u_max, v_min, v_max)` sequence, is supplied. The
     box is checked before the Mapper runs, on an empty cloud too. An empty
     cloud gives the document `run_pipeline` gives for an empty intersection:
-    `no_intersection` and no domains. Raises `DegenerateCloudError` unless
-    `points` is an `(n, 2)` array of finite coordinates, each of magnitude at
-    most m with 8 n m^2 finite.
+    `no_intersection` and no domains. Raises `DegenerateCloudError` on a
+    cloud `check_cloud` refuses.
     """
     if config.delta_override is None:
         raise ConfigurationError("mapper-only runs need an explicit delta")
     if config.epsilon != PipelineConfig.epsilon or config.dump_boxes:
         raise ConfigurationError("mapper-only runs have no subdivision: epsilon and "
                                  "dump_boxes must keep their defaults")
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise DegenerateCloudError(f"a cloud is an (n, 2) array, got shape {points.shape}")
-    if not np.isfinite(points).all():
-        raise DegenerateCloudError("cloud coordinates must be finite")
-    # With every |coordinate| at most m, 8 n m^2 bounds the PCA filter's sums:
-    # of the coordinates, and of their squared offsets from the mean.
-    m = float(max(points.max(initial=0.0), -points.min(initial=0.0)))
-    if not np.isfinite(8.0 * len(points) * m * m):
-        raise DegenerateCloudError("cloud coordinates too large: the PCA filter's sums overflow")
+    points = check_cloud(points)
     t_start = time.perf_counter()
     params = MapperParams(config.delta_override, config.theta_ov, config.alpha)
     if bounds is not None:

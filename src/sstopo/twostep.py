@@ -28,8 +28,8 @@ from .mapper import (
     MapperNode,
     MapperParams,
     _clusters,
-    _preimages,
-    build_mapper_graph,
+    build_cover,
+    check_cloud,
     components,
     compute_l0,
     eval_filter,
@@ -67,28 +67,63 @@ def orthogonal_filter(filt: LinearFilter) -> LinearFilter:
 
 
 def split_interval_count(
-    node_points, cloud: np.ndarray, f_perp: LinearFilter, params: MapperParams
+    node_points, cloud: np.ndarray, filt: LinearFilter, params: MapperParams
 ) -> int:
-    """Orthogonal interval count of one node's point set, given as ascending
-    indices. A one-point or coincident set gets 1 by the general rules: no
-    close pair gives l0 = delta/theta_ov, a zero l0 gives one interval, and
-    so does a zero filter span. `_counts` calls it only for the sets its
-    grouped witness pass leaves undecided."""
+    """Interval count under any filter of one point set of `cloud`, given as
+    ascending indices, from the exact l0. A one-point or coincident set gets
+    1 by the general rules: no close pair gives l0 = delta/theta_ov, a zero
+    l0 gives one interval, and so does a zero filter span. `_counts` calls it
+    for each set, the initial graph's whole cloud included, that its grouped
+    witness pass leaves undecided."""
     sub = np.asarray(cloud, dtype=np.float64)[node_points]
-    l0 = compute_l0(sub, f_perp, params.delta, params.theta_ov, params.alpha)
+    l0 = compute_l0(sub, filt, params.delta, params.theta_ov)
     if l0 <= 0.0:
         return 1
-    return interval_count(sub, f_perp, (1.0 + params.alpha) * l0, params.theta_ov)
+    return interval_count(sub, filt, (1.0 + params.alpha) * l0, params.theta_ov)
 
 
-def _counts(point_sets, cloud: np.ndarray, f_perp: LinearFilter,
+def _counts(point_sets, cloud: np.ndarray, filt: LinearFilter,
             params: MapperParams) -> np.ndarray:
     """`split_interval_count` of each point set, from one grouped witness
     pass and one exact call per set that the pass leaves undecided."""
-    counts = witness_interval_counts(cloud, point_sets, f_perp, params)
+    counts = witness_interval_counts(cloud, point_sets, filt, params)
     for i in np.flatnonzero(counts == 0).tolist():
-        counts[i] = split_interval_count(point_sets[i], cloud, f_perp, params)
+        counts[i] = split_interval_count(point_sets[i], cloud, filt, params)
     return counts
+
+
+def _covers(cloud: np.ndarray, point_sets, filt: LinearFilter, params: MapperParams):
+    """For each point set of `cloud` (ascending index arrays, none empty),
+    the clusters of its cover under `filt` and their interval numbers. Cover
+    bounds are closed: a value on a shared endpoint lies in both intervals.
+    Every (set, interval) preimage is clustered in one grouped pass, one
+    group id each, so the clusters come set by set and interval by interval,
+    each interval's in order of least point."""
+    counts = _counts(point_sets, cloud, filt, params)
+    values = eval_filter(filt, cloud)
+    preimages = []
+    for ids, count in zip(point_sets, counts.tolist()):
+        v = values[ids]
+        for a, b in build_cover(float(v.min()), float(v.max()), count, params.theta_ov):
+            preimages.append(ids[(v >= a) & (v <= b)])
+    cover_of = np.repeat(np.arange(len(preimages)), [p.size for p in preimages])
+    clusters, first = _clusters(cloud, np.concatenate(preimages), params.delta, cover_of)
+    # Covers are numbered set by set: set s's interval k is cover starts[s] + k.
+    cover_of = cover_of[first]
+    starts = np.cumsum(counts) - counts
+    cuts = np.searchsorted(cover_of, np.append(starts, len(preimages))).tolist()
+    return [(clusters[lo:hi], (cover_of[lo:hi] - start).tolist())
+            for lo, hi, start in zip(cuts, cuts[1:], starts.tolist())]
+
+
+def build_mapper_graph(cloud: np.ndarray, filt: LinearFilter, params: MapperParams) -> MapperGraph:
+    """The Mapper graph of the whole cloud under `filt`, the one-set case of
+    `_covers`. Raises `DegenerateCloudError` on a cloud `check_cloud`
+    refuses and `EmptyInputError` on an empty one."""
+    cloud = check_cloud(cloud)
+    [(clusters, intervals)] = _covers(cloud, [np.arange(len(cloud))], filt, params)
+    return MapperGraph(tuple(MapperNode(cluster, intervals=(interval,))
+                             for cluster, interval in zip(clusters, intervals)))
 
 
 def _sorted_union(arrays) -> np.ndarray:
@@ -98,8 +133,9 @@ def _sorted_union(arrays) -> np.ndarray:
 
 
 def run_two_step(cloud: np.ndarray, params: MapperParams) -> TwoStepResult:
-    """Both phases with wall-clock timings for each."""
-    cloud = np.asarray(cloud, dtype=np.float64)
+    """Both phases with wall-clock timings for each. Raises
+    `DegenerateCloudError` on a cloud `check_cloud` refuses."""
+    cloud = check_cloud(cloud)
     t0 = time.perf_counter()
     filt = make_pca_filter(cloud)
     initial = build_mapper_graph(cloud, filt, params)
@@ -130,31 +166,14 @@ def _refine(initial: MapperGraph, groups, cloud: np.ndarray, f_perp: LinearFilte
     nodes. A group's outside neighbors are the far ends of the initial edges
     with exactly one end in the group.
 
-    Every group's union gets its count from one `_counts` call and its
-    cover as `build_mapper_graph` builds one, and the preimages of all the
-    covers are clustered in one grouped pass, one group id per (group,
-    interval). The clusters follow first positions, so they come group by
-    group and interval by interval, each interval's in order of least point
-    as `build_mapper_graph` orders them."""
+    One `_covers` call rebuilds the unions of all the groups."""
     nodes = initial.nodes
     flagged = {m for group in groups for m in group}
     out = [n for i, n in enumerate(nodes) if i not in flagged]
     if not groups:
         return out
     unions = [_sorted_union([nodes[m].points for m in group]) for group in groups]
-    values = eval_filter(f_perp, cloud)
-    preimages, first_interval = [], []
-    for ids, count in zip(unions, _counts(unions, cloud, f_perp, params).tolist()):
-        first_interval.append(len(preimages))
-        preimages += [ids[p] for p in _preimages(values[ids], count, params.theta_ov)]
-    cover_of = np.repeat(np.arange(len(preimages)), [p.size for p in preimages])
-    clusters, first = _clusters(cloud, np.concatenate(preimages), params.delta, cover_of)
-    cover_of = cover_of[first]
-    cuts = np.searchsorted(cover_of, first_interval + [len(preimages)]).tolist()
-
-    for g, group in enumerate(groups):
-        local_sets = clusters[cuts[g] : cuts[g + 1]]
-        intervals = (cover_of[cuts[g] : cuts[g + 1]] - first_interval[g]).tolist()
+    for group, (local_sets, intervals) in zip(groups, _covers(cloud, unions, f_perp, params)):
         # A flagged neighbor would be in the group, so these are all unflagged.
         ends = np.isin(initial.edges, group)
         neighbors = np.unique(initial.edges[~ends & ends[:, ::-1]])

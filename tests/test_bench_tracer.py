@@ -118,10 +118,10 @@ def test_mapper_only_records_every_layer(spans):
                  + undecided(pts, unions, f_perp, params))
         whole = undecided(pts, [np.arange(len(pts))], make_pca_filter(pts), params)
         assert (exact > 0) == any_exact
-        # One exact count per undecided set, each through compute_l0, which
-        # takes the grid path as the grouped pass did.
-        assert calls["twostep.split_interval_count"] == exact
-        assert calls["mapper.compute_l0"] == 1 + exact
+        # One exact count per undecided set, the whole cloud's included,
+        # each through compute_l0, which takes the grid path.
+        assert calls["twostep.split_interval_count"] == whole + exact
+        assert calls["mapper.compute_l0"] == whole + exact
         assert calls["kernels.neighbor_sup_abs_diff"] == whole + exact
         # The initial graph only; one grouped neighbor pass clusters its
         # cover, and one more every subgraph's.

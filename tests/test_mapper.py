@@ -17,7 +17,8 @@ from sstopo import (
     interval_count,
     principal_direction,
 )
-from sstopo.mapper import _clusters, _sup_cap, make_pca_filter
+from sstopo import twostep
+from sstopo.mapper import _clusters, _sup_cap, make_pca_filter, witness_interval_counts
 from sstopo.synthetic import recommended_delta
 
 from corpus import (
@@ -193,7 +194,10 @@ class TestComputeL0:
         # One point has no close pair, so it takes the Lipschitz fallback.
         one = np.array([[0.3, 0.7]])
         assert compute_l0(one, self.X_AXIS, 0.5, 0.2) == 0.5 / 0.2
-        assert compute_l0(one, self.X_AXIS, 0.5, 0.2, alpha=0.001) == 0.5 / 0.2
+        # The witness has no pair to go by, so the count takes the exact path.
+        params = MapperParams(0.5, 0.2, 0.001)
+        assert witness_interval_counts(one, [np.arange(1)], self.X_AXIS, params).tolist() == [0]
+        assert twostep._counts([np.arange(1)], one, self.X_AXIS, params).tolist() == [1]
         with pytest.raises(EmptyInputError):
             compute_l0(np.empty((0, 2)), self.X_AXIS, 0.5, 0.2)
 
@@ -228,14 +232,25 @@ def _direction(rng):
     return d / np.linalg.norm(d)
 
 
+def counts(cloud, filt, delta, theta, alpha):
+    """The whole cloud's count from the grouped witness pass (0 when it
+    leaves it undecided) and from the count path, `twostep._counts`."""
+    everything = [np.arange(len(cloud))]
+    params = MapperParams(delta, theta, alpha)
+    return (int(witness_interval_counts(cloud, everything, filt, params)[0]),
+            int(twostep._counts(everything, cloud, filt, params)[0]))
+
+
 class TestDecidedCount:
-    """compute_l0 with alpha gives the count the brute-force supremum gives."""
+    """The count path, and the witness pass wherever it decides, give the
+    count the brute-force supremum gives."""
 
     def check(self, cloud, filt, delta, theta, alpha):
         sup, found = brute_force_sup(cloud, eval_filter(filt, cloud), delta)
         want = count_from_l0(cloud, filt, sup / theta if found else delta / theta, theta, alpha)
-        l0 = compute_l0(cloud, filt, delta, theta, alpha)
-        assert count_from_l0(cloud, filt, l0, theta, alpha) == want
+        decided, count = counts(cloud, filt, delta, theta, alpha)
+        assert decided in (0, want)
+        assert count == want
 
     @seed(6091)
     @DECIDED
@@ -288,7 +303,7 @@ class TestDecidedCount:
         self.check(cloud, make_pca_filter(cloud), delta, theta, alpha)
 
     def test_default_stays_exact(self):
-        # The witness can decide here, but without alpha the supremum is exact.
+        # The witness can decide here, but compute_l0 is exact.
         rng = np.random.default_rng(4)
         cloud = np.column_stack([np.linspace(0, 1, 300), rng.normal(scale=0.01, size=300)])
         f = LinearFilter(cloud.mean(axis=0), np.array([0.0, 1.0]))
@@ -301,10 +316,9 @@ class TestDecidedCount:
         rng = np.random.default_rng(4)
         cloud = np.column_stack([np.linspace(0, 1, 300), rng.normal(scale=0.01, size=300)])
         f = LinearFilter(cloud.mean(axis=0), np.array([0.0, 1.0]))
-        l0 = compute_l0(cloud, f, 0.05, 0.2, 0.001)
+        assert counts(cloud, f, 0.05, 0.2, 0.001) == (1, 1)
         assert sup_grids == []
-        assert count_from_l0(cloud, f, l0, 0.2, 0.001) == 1
-        assert l0 <= compute_l0(cloud, f, 0.05, 0.2)
+        assert count_from_l0(cloud, f, compute_l0(cloud, f, 0.05, 0.2), 0.2, 0.001) == 1
 
     @pytest.mark.parametrize("spacing", [0.9, 0.99])
     def test_undecided_runs_the_grid(self, sup_grids, spacing):
@@ -314,9 +328,9 @@ class TestDecidedCount:
         delta, theta, alpha = 0.1, 0.2, 0.001
         cloud = np.column_stack([np.arange(400) * spacing * delta, np.zeros(400)])
         f = LinearFilter(np.zeros(2), np.array([1.0, 0.0]))
-        exact = compute_l0(cloud, f, delta, theta)
+        exact = count_from_l0(cloud, f, compute_l0(cloud, f, delta, theta), theta, alpha)
         assert sup_grids == [400]
-        assert compute_l0(cloud, f, delta, theta, alpha) == exact
+        assert counts(cloud, f, delta, theta, alpha) == (0, exact)
         assert sup_grids == [400, 400]
 
     def test_supremum_above_delta(self, sup_grids):
@@ -339,8 +353,7 @@ class TestDecidedCount:
         exact = count_from_l0(cloud, f, compute_l0(cloud, f, delta, theta), theta, alpha)
         assert interval_count(cloud, f, (1.0 + alpha) * (delta / theta), theta) == exact + 1
         sup_grids.clear()
-        l0 = compute_l0(cloud, f, delta, theta, alpha)
-        assert count_from_l0(cloud, f, l0, theta, alpha) == exact
+        assert counts(cloud, f, delta, theta, alpha) == (0, exact)
         assert sup_grids == [8]
 
     def test_zero_witness_runs_the_grid(self, sup_grids):
@@ -351,8 +364,10 @@ class TestDecidedCount:
         cloud = np.array([[0.0, 0.0]] * 4 + [[100.0, 0.1], [100.0, 0.2], [100.0, 0.3]]
                          + [[0.5, 0.4]])
         f = LinearFilter(np.zeros(2), np.array([1.0, 0.0]))
-        assert compute_l0(cloud, f, delta, 0.2, 0.001) == 0.5 / 0.2
+        assert counts(cloud, f, delta, 0.2, 0.001) == (
+            0, count_from_l0(cloud, f, 0.5 / 0.2, 0.2, 0.001))
         assert sup_grids == [8]
+        assert compute_l0(cloud, f, delta, 0.2) == 0.5 / 0.2
 
 
 CAP = settings(max_examples=60, deadline=None, database=None)
@@ -529,6 +544,14 @@ class TestClusterPreimage:
             assert np.array_equal(a, b)
 
 
+def undecided_line():
+    """400 points along x at spacing 0.9 delta: the witness finds the exact
+    supremum, but the cap, a little above delta, gives fewer intervals, so
+    the whole cloud's count takes the exact grid path."""
+    delta = recommended_delta(STEP, NOISE)
+    return np.column_stack([np.arange(400) * 0.9 * delta, np.zeros(400)]), None
+
+
 class TestMapperParams:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -628,11 +651,16 @@ class TestBuildMapperGraph:
         assert len(g.connected_components()) == 2
         assert any("capped" in r.message for r in caplog.records)
 
-    @pytest.mark.parametrize("make_cloud", [three_curves_cloud, noisy_circle_cloud])
-    @pytest.mark.parametrize("orthogonal", [False, True])
-    def test_nodes_equal_per_interval_brute_force(self, make_cloud, orthogonal):
+    @pytest.mark.parametrize("make_cloud, orthogonal", [
+        *(pytest.param(make_cloud, orthogonal, id=f"{orthogonal}-{make_cloud.__name__}")
+          for orthogonal in (False, True) for make_cloud in (three_curves_cloud,
+                                                             noisy_circle_cloud)),
+        pytest.param(undecided_line, False, id="False-undecided_line"),
+    ])
+    def test_nodes_equal_per_interval_brute_force(self, sup_grids, make_cloud, orthogonal):
         # The whole cover is clustered at once; the reference clusters each
-        # interval's preimage alone with an all-pairs union-find.
+        # interval's preimage alone with an all-pairs union-find. The witness
+        # decides every count but the line's, which alone builds a grid.
         pts, _ = make_cloud()
         params = MapperParams(delta=recommended_delta(STEP, NOISE))
         filt = make_pca_filter(pts)
@@ -650,8 +678,10 @@ class TestBuildMapperGraph:
             for cluster in brute_force_clusters(np.flatnonzero((values >= a) & (values <= b)),
                                                 pts, params.delta)
         ]
+        sup_grids.clear()
         g = build_mapper_graph(pts, filt, params)
         assert [(tuple(n.points.tolist()), n.intervals) for n in g.nodes] == expected
+        assert sup_grids == ([len(pts)] if make_cloud is undecided_line else [])
 
     def test_translation_invariance(self):
         pts, _ = noisy_circle_cloud(seed=13)

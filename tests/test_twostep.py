@@ -6,18 +6,20 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from sstopo import (
+    DegenerateCloudError,
     EmptyInputError,
     LinearFilter,
     intersect_surfaces,
     MapperGraph,
     MapperNode,
     MapperParams,
+    build_mapper_graph,
     orthogonal_filter,
     run_two_step,
     split_interval_count,
 )
 from sstopo.mapper import (
-    build_mapper_graph,
+    check_cloud,
     compute_l0,
     default_delta,
     interval_count,
@@ -291,6 +293,35 @@ class TestTwoStep:
         res = run_two_step(pts, MapperParams(delta=recommended_delta(STEP, 0.0)))
         assert res.seconds_initial >= 0.0
         assert res.seconds_refine >= 0.0
+
+
+class TestMalformedClouds:
+    """Both graph builders refuse a cloud that is not an (n, 2) array of
+    finite coordinates whose PCA sums stay finite, with no numpy error or
+    warning first."""
+
+    BUILDERS = {
+        "run_two_step": lambda cloud: run_two_step(cloud, MapperParams(delta=0.1)),
+        "build_mapper_graph": lambda cloud: build_mapper_graph(
+            cloud, LinearFilter(np.zeros(2), np.array([1.0, 0.0])), MapperParams(delta=0.1)),
+    }
+
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    @pytest.mark.parametrize("cloud, message", [
+        (np.random.default_rng(5).uniform(0, 1, (5, 3)), r"\(n, 2\) array"),
+        (np.linspace(0.0, 1.0, 5), r"\(n, 2\) array"),
+        ([[0.0, 0.0], [np.nan, 0.5], [1.0, 1.0]], "finite"),
+        ([[0.0, 0.0], [0.5, np.inf], [1.0, 1.0]], "finite"),
+        ([[-1e160, 0.0], [0.0, 0.0], [1e160, 0.0]], "overflow"),
+    ], ids=["three-columns", "one-dimensional", "nan", "inf", "overflow"])
+    def test_refused(self, builder, cloud, message):
+        with pytest.raises(DegenerateCloudError, match=message):
+            self.BUILDERS[builder](cloud)
+
+    def test_empty_cloud_passes_the_check(self):
+        assert check_cloud(np.empty((0, 2))).shape == (0, 2)
+        with pytest.raises(EmptyInputError):
+            self.BUILDERS["build_mapper_graph"](np.empty((0, 2)))
 
 
 def _point_union(graph):
