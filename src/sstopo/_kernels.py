@@ -37,14 +37,17 @@ keyed by group as well as position, so that one grid clusters every
 interval of a Mapper cover at once: no cell pair spans two groups.
 
 A caller that needs only some monotone function of the supremum, as the
-Mapper's interval count is, can try a witness first: for many point sets
-at once, each point is tested against its next few points of its set in a
-caller's order, with the same arithmetic, and the best of those pairs is a
-lower bound the grid path would reach bit for bit. The witness order is the
-one sort whose ties can move what is returned: they decide which pairs are
-tested, so the lower bound may differ. But the caller accepts a bound only
-where the monotone function takes the value it takes at an upper cap and so
-at the exact supremum. A tie can decide whether a grid is built, never that
+Mapper's interval count is, can try two lower bounds first, each for many
+point sets at once. Both test pairs with the same arithmetic, so the best
+pair either finds is a lower bound the grid path would reach bit for bit.
+The extreme bound tests every point of a set against the set's first point
+at its least value and its first at its greatest: segment reductions over
+the rows, no sort. The witness tests each point against its next few points
+of its set in a caller's order. The witness order is the one sort whose
+ties can move what is returned: they decide which pairs are tested, so the
+lower bound may differ. But the caller accepts a bound only where the
+monotone function takes the value it takes at an upper cap and so at the
+exact supremum. A tie can decide whether a grid is built, never that
 function's value.
 """
 
@@ -351,6 +354,48 @@ def neighbor_components(points: np.ndarray, delta: float, groups=None) -> np.nda
     np.minimum.at(first, labels, index)
     first = first[labels]
     return (np.cumsum(first == index) - 1)[first]
+
+
+def extreme_sup(points: np.ndarray, values: np.ndarray, delta: float,
+                owner: np.ndarray) -> np.ndarray:
+    """A lower bound on each set's max |values[i]-values[j]| over its point
+    pairs at distance < delta, for the sets numbered 0..m-1 by ``owner``, a
+    set id per row, ascending: the best close pair between any point of a
+    set and the set's first point at its least value or its first at its
+    greatest, 0.0 where none. It sorts nothing.
+
+    Each bound is a close pair's difference computed as
+    `neighbor_sup_abs_diff` computes it, so it never exceeds what that
+    kernel returns for the set alone.
+    """
+    starts = np.flatnonzero(run_starts(owner))
+    sizes = np.diff(np.append(starts, owner.size))
+    x, y = points[:, 0], points[:, 1]
+    best = np.zeros(starts.size)
+    d2 = delta * delta
+    for extreme in (np.minimum, np.maximum):
+        value = extreme.reduceat(values, starts)
+        hit = np.flatnonzero(values == np.repeat(value, sizes))
+        first = hit[np.searchsorted(hit, starts)]
+        # Each row's squared distance from its set's extreme point, computed
+        # in place in the gathered coordinates.
+        dx = np.repeat(x[first], sizes)
+        dy = np.repeat(y[first], sizes)
+        np.subtract(x, dx, out=dx)
+        np.subtract(y, dy, out=dy)
+        np.multiply(dx, dx, out=dx)
+        np.multiply(dy, dy, out=dy)
+        near = np.flatnonzero(np.add(dx, dy, out=dx) < d2)
+        # The close rows come set by set, so a segment maximum gives each
+        # set's best.
+        at = np.searchsorted(starts, near, side="right") - 1
+        heads = np.flatnonzero(run_starts(at))
+        sets = at[heads]
+        best[sets] = np.maximum(best[sets],
+                                np.maximum.reduceat(np.abs(values[near] - value[at]), heads))
+    lo = np.zeros(int(owner[-1]) + 1 if owner.size else 0)
+    lo[owner[starts]] = best
+    return lo
 
 
 def witness_sup(points: np.ndarray, values: np.ndarray, delta: float, owner: np.ndarray,

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import (_join, freeze, id_order, neighbor_components, neighbor_sup_abs_diff,
-                       run_starts, witness_sup)
+from ._kernels import (_join, extreme_sup, freeze, id_order, neighbor_components,
+                       neighbor_sup_abs_diff, run_starts, witness_sup)
 from .errors import ConfigurationError, DegenerateCloudError, EmptyInputError
 
 log = logging.getLogger(__name__)
@@ -32,14 +32,22 @@ EIGEN_TIE_TOL = 1e-9
 class LinearFilter:
     """Projection filter f(x) = <x - center, direction>, with unit direction.
     Both are held as read-only float64 copies, so the norm checked here is
-    the one `_sup_cap` relies on."""
+    the one `_sup_cap` relies on. A center or direction that is not a
+    2-vector, a center that is not finite, and a direction whose norm is not
+    within 1e-12 of 1, NaN included, raise `ConfigurationError`."""
 
     center: np.ndarray
     direction: np.ndarray
 
     def __post_init__(self):
         freeze(self, np.float64, "center", "direction")
-        if abs(float(np.linalg.norm(self.direction)) - 1.0) > 1e-12:
+        if self.center.shape != (2,) or self.direction.shape != (2,):
+            raise ConfigurationError(f"filter center and direction must be 2-vectors, got shapes "
+                                     f"{self.center.shape} and {self.direction.shape}")
+        if not np.isfinite(self.center).all():
+            raise ConfigurationError("filter center must be finite")
+        # Written so that a NaN norm fails.
+        if not abs(float(np.linalg.norm(self.direction)) - 1.0) <= 1e-12:
             raise ConfigurationError("filter direction must be a unit vector")
 
 
@@ -144,9 +152,10 @@ def shared_counts(nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a, b, shared) for each pair of node positions a < b whose point sets
     meet, ordered by (a, b), with the number of points they share. The
     memberships sorted by point and then owner put the nodes of each point in
-    a run."""
+    a run; the rows come owner by owner, so a stable sort by point gives
+    that order."""
     owner, point = membership_table([n.points for n in nodes])
-    order = np.lexsort((owner, point))
+    order = id_order(point)
     point, owner = point[order], owner[order]
     width = len(nodes)
     keys = [np.empty(0, dtype=np.int64)]
@@ -180,23 +189,32 @@ def components(n: int, edges: np.ndarray, keep=None) -> list[np.ndarray]:
 
 
 def centroid(cloud: np.ndarray) -> np.ndarray:
-    """Arithmetic mean of the points."""
-    cloud = np.asarray(cloud, dtype=np.float64)
+    """Arithmetic mean of the points of a cloud `check_cloud` accepts. An
+    empty cloud raises `EmptyInputError`."""
+    return _mean(check_cloud(cloud))
+
+
+def _mean(cloud: np.ndarray) -> np.ndarray:
     if cloud.shape[0] == 0:
         raise EmptyInputError("centroid of an empty cloud")
     return cloud.mean(axis=0)
 
 
 def principal_direction(cloud: np.ndarray) -> np.ndarray:
-    """Leading eigenvector of the 2x2 covariance of the centered cloud.
+    """Leading eigenvector of the 2x2 covariance of the centered cloud, for
+    a cloud `check_cloud` accepts.
 
     Unit length, sign canonicalized (first nonzero component positive).
     A cloud with no dominant axis (eigenvalue gap < EIGEN_TIE_TOL), one
     point or coincident points included, yields (1, 0). An empty cloud
     raises `EmptyInputError`.
     """
-    cloud = np.asarray(cloud, dtype=np.float64)
-    centered = cloud - centroid(cloud)
+    cloud = check_cloud(cloud)
+    return _leading_axis(cloud, _mean(cloud))
+
+
+def _leading_axis(cloud: np.ndarray, center: np.ndarray) -> np.ndarray:
+    centered = _offsets(cloud, center)
     cov = centered.T @ centered / cloud.shape[0]
     eigvals, eigvecs = np.linalg.eigh(cov)
     if eigvals[1] - eigvals[0] < EIGEN_TIE_TOL:
@@ -208,16 +226,35 @@ def principal_direction(cloud: np.ndarray) -> np.ndarray:
 
 
 def make_pca_filter(cloud: np.ndarray) -> LinearFilter:
-    return LinearFilter(centroid(cloud), principal_direction(cloud))
+    """The filter along `principal_direction` through `centroid`, for a
+    cloud `check_cloud` accepts."""
+    cloud = check_cloud(cloud)
+    center = _mean(cloud)
+    return LinearFilter(center, _leading_axis(cloud, center))
+
+
+def _offsets(x: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """x - center for a point or an (n, 2) array, as a new C-contiguous
+    array. Column by column it has the broadcast's bits, and numpy runs it in
+    less than half the broadcast's time over (n, 2) rows."""
+    out = np.empty(x.shape)
+    np.subtract(x[..., 0], center[0], out=out[..., 0])
+    np.subtract(x[..., 1], center[1], out=out[..., 1])
+    return out
 
 
 def eval_filter(filt: LinearFilter, x: np.ndarray) -> np.ndarray | float:
     """Projection of x (a point or an (n, 2) array) onto the filter direction.
+    Any other shape raises `DegenerateCloudError`; the values are not
+    checked, since this runs on every cloud the Mapper counts.
 
     1-Lipschitz: |f(x) - f(y)| <= ||x - y||.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = (x - filt.center) @ filt.direction
+    if x.ndim > 2 or x.shape[-1:] != (2,):
+        raise DegenerateCloudError(f"a filter takes a point or an (n, 2) array, got shape "
+                                   f"{x.shape}")
+    out = _offsets(x, filt.center) @ filt.direction
     return float(out) if out.ndim == 0 else out
 
 
@@ -249,32 +286,50 @@ def compute_l0(cloud: np.ndarray, filt: LinearFilter, delta: float, theta_ov: fl
 
 
 def witness_interval_counts(cloud: np.ndarray, point_sets, filt: LinearFilter,
-                            params: MapperParams) -> np.ndarray:
+                            params: MapperParams, values: np.ndarray) -> np.ndarray:
     """The interval count under `filt` of each point set of `cloud`, given as
-    ascending indices, none empty, where one grouped witness pass decides it,
-    and 0 where it needs the exact supremum. A decided count is the exact
-    one, 2n + 1 cap and warning included.
+    ascending indices, none empty, where one grouped pass of lower bounds
+    decides it, and 0 where it needs the exact supremum. A decided count is
+    the exact one, 2n + 1 cap and warning included. `values` are the
+    filter's values at every point of `cloud`, which the caller evaluates
+    once for all its passes.
 
-    A set's witness lo is the best close pair among each point and its next
-    few in its set across the filter direction. The count at a supremum s,
-    from l0 = s / theta_ov and l' = (1 + alpha) * l0, does not increase as s
-    grows; lo never exceeds the exact supremum, nor that `_sup_cap`'s cap.
-    So the count is decided, and equal at lo and at the exact supremum, when
-    lo > 0 and the count at lo is the count at the cap."""
+    The count at a supremum s, from l0 = s / theta_ov and l' = (1 + alpha) *
+    l0, does not increase as s grows. A set's lower bound lo never exceeds
+    its exact supremum, nor that `_sup_cap`'s cap. So the count is decided,
+    and equal at lo and at the exact supremum, when lo > 0 and the count at
+    lo is the count at the cap. The first lo is the best close pair between
+    a point and the set's extreme points along the filter, which sorts
+    nothing. Only the sets it leaves undecided go on to the witness: the
+    best close pair among each point and its next few in its set across the
+    filter direction."""
     owner, point = membership_table(point_sets)
     sizes = np.bincount(owner, minlength=len(point_sets))
     if not sizes.all():
         raise EmptyInputError("cannot count cover intervals for an empty point set")
-    xy = np.asarray(cloud, dtype=np.float64).take(point, 0)
-    values = eval_filter(filt, xy)
+    cloud = np.asarray(cloud, dtype=np.float64)
+    values = values.take(point)
+    xy = cloud.take(point, 0)
     starts = np.flatnonzero(run_starts(owner))
     span = np.maximum.reduceat(values, starts) - np.minimum.reduceat(values, starts)
-    lo = witness_sup(xy, values, params.delta, owner,
-                     xy @ np.array([-filt.direction[1], filt.direction[0]]))
     theta, grow = params.theta_ov, 1.0 + params.alpha
-    with np.errstate(over="ignore"):
-        at_lo = _count(span, grow * (lo / theta), theta)
-        at_cap = _count(span, grow * (_sup_cap(xy, filt, params.delta, starts) / theta), theta)
+
+    def count_at(sup):
+        with np.errstate(over="ignore"):
+            return _count(span, grow * (sup / theta), theta)
+
+    at_cap = count_at(_sup_cap(xy, filt, params.delta, starts))
+    lo = extreme_sup(xy, values, params.delta, owner)
+    at_lo = count_at(lo)
+    undecided = (lo <= 0.0) | (at_lo != at_cap)
+    if undecided.any():
+        rows = np.flatnonzero(undecided[owner])
+        sub = xy.take(rows, 0)
+        witness = witness_sup(sub, values.take(rows), params.delta, owner.take(rows),
+                              sub @ np.array([-filt.direction[1], filt.direction[0]]))
+        rest = np.flatnonzero(undecided)
+        lo[rest] = np.maximum(lo[rest], witness[rest])
+        at_lo = count_at(lo)
     decided = (lo > 0.0) & (at_lo == at_cap)
     out = np.zeros(len(point_sets), dtype=np.int64)
     out[decided] = _capped(at_lo[decided], sizes[decided])
@@ -300,7 +355,8 @@ def _sup_cap(xy: np.ndarray, filt: LinearFilter, delta: float, starts) -> np.nda
     range a rounding is off by at most 2**-1075 absolutely instead; those
     errors stretch a distance by at most 2**-536, and 2**-500 covers them.
     """
-    offset = np.abs(xy - filt.center)
+    offset = _offsets(xy, filt.center)
+    np.abs(offset, out=offset)
     m = np.maximum.reduceat(offset[:, 0] + offset[:, 1], starts)
     return delta * (1.0 + 2.0**-30) + 2.0**-40 * m + 2.0**-500
 

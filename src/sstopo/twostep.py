@@ -74,7 +74,7 @@ def split_interval_count(
     1 by the general rules: no close pair gives l0 = delta/theta_ov, a zero
     l0 gives one interval, and so does a zero filter span. `_counts` calls it
     for each set, the initial graph's whole cloud included, that its grouped
-    witness pass leaves undecided."""
+    pass of lower bounds leaves undecided."""
     sub = np.asarray(cloud, dtype=np.float64)[node_points]
     l0 = compute_l0(sub, filt, params.delta, params.theta_ov)
     if l0 <= 0.0:
@@ -82,25 +82,26 @@ def split_interval_count(
     return interval_count(sub, filt, (1.0 + params.alpha) * l0, params.theta_ov)
 
 
-def _counts(point_sets, cloud: np.ndarray, filt: LinearFilter,
-            params: MapperParams) -> np.ndarray:
-    """`split_interval_count` of each point set, from one grouped witness
-    pass and one exact call per set that the pass leaves undecided."""
-    counts = witness_interval_counts(cloud, point_sets, filt, params)
+def _counts(point_sets, cloud: np.ndarray, filt: LinearFilter, params: MapperParams,
+            values: np.ndarray) -> np.ndarray:
+    """`split_interval_count` of each point set, from one grouped pass of
+    lower bounds and one exact call per set that the pass leaves undecided.
+    `values` are the filter's values at every point of `cloud`."""
+    counts = witness_interval_counts(cloud, point_sets, filt, params, values)
     for i in np.flatnonzero(counts == 0).tolist():
         counts[i] = split_interval_count(point_sets[i], cloud, filt, params)
     return counts
 
 
-def _covers(cloud: np.ndarray, point_sets, filt: LinearFilter, params: MapperParams):
+def _covers(cloud: np.ndarray, point_sets, counts: np.ndarray, values: np.ndarray,
+            params: MapperParams):
     """For each point set of `cloud` (ascending index arrays, none empty),
-    the clusters of its cover under `filt` and their interval numbers. Cover
-    bounds are closed: a value on a shared endpoint lies in both intervals.
-    Every (set, interval) preimage is clustered in one grouped pass, one
-    group id each, so the clusters come set by set and interval by interval,
-    each interval's in order of least point."""
-    counts = _counts(point_sets, cloud, filt, params)
-    values = eval_filter(filt, cloud)
+    the clusters of its cover of `counts` intervals under the filter whose
+    values at the points of `cloud` are `values`, and their interval
+    numbers. Cover bounds are closed: a value on a shared endpoint lies in
+    both intervals. Every (set, interval) preimage is clustered in one
+    grouped pass, one group id each, so the clusters come set by set and
+    interval by interval, each interval's in order of least point."""
     preimages = []
     for ids, count in zip(point_sets, counts.tolist()):
         v = values[ids]
@@ -121,7 +122,10 @@ def build_mapper_graph(cloud: np.ndarray, filt: LinearFilter, params: MapperPara
     `_covers`. Raises `DegenerateCloudError` on a cloud `check_cloud`
     refuses and `EmptyInputError` on an empty one."""
     cloud = check_cloud(cloud)
-    [(clusters, intervals)] = _covers(cloud, [np.arange(len(cloud))], filt, params)
+    values = eval_filter(filt, cloud)
+    whole = [np.arange(len(cloud))]
+    [(clusters, intervals)] = _covers(cloud, whole, _counts(whole, cloud, filt, params, values),
+                                      values, params)
     return MapperGraph(tuple(MapperNode(cluster, intervals=(interval,))
                              for cluster, interval in zip(clusters, intervals)))
 
@@ -142,10 +146,11 @@ def run_two_step(cloud: np.ndarray, params: MapperParams) -> TwoStepResult:
     t1 = time.perf_counter()
 
     f_perp = orthogonal_filter(filt)
-    counts = _counts([n.points for n in initial.nodes], cloud, f_perp, params)
+    values = eval_filter(f_perp, cloud)
+    counts = _counts([n.points for n in initial.nodes], cloud, f_perp, params, values)
     groups = tuple(tuple(g.tolist())
                    for g in components(initial.node_count, initial.edges, counts >= 2))
-    final = _collapse(_refine(initial, groups, cloud, f_perp, params))
+    final = _collapse(_refine(initial, groups, counts, cloud, f_perp, values, params))
     t2 = time.perf_counter()
 
     return TwoStepResult(
@@ -159,21 +164,30 @@ def run_two_step(cloud: np.ndarray, params: MapperParams) -> TwoStepResult:
     )
 
 
-def _refine(initial: MapperGraph, groups, cloud: np.ndarray, f_perp: LinearFilter,
-            params: MapperParams) -> list[MapperNode]:
+def _refine(initial: MapperGraph, groups, counts: np.ndarray, cloud: np.ndarray,
+            f_perp: LinearFilter, values: np.ndarray, params: MapperParams) -> list[MapperNode]:
     """Replace each group of initial nodes by its orthogonal subgraph's
     nodes: the unflagged node objects in their order, then each group's new
     nodes. A group's outside neighbors are the far ends of the initial edges
-    with exactly one end in the group.
+    with exactly one end in the group. `counts` are the initial nodes'
+    orthogonal interval counts and `values` the values of `f_perp` at the
+    points of `cloud`.
 
-    One `_covers` call rebuilds the unions of all the groups."""
+    One `_covers` call rebuilds the unions of all the groups. A one-node
+    group's union is its node's point set, so it keeps that node's count;
+    the larger unions are counted in one `_counts` call."""
     nodes = initial.nodes
     flagged = {m for group in groups for m in group}
     out = [n for i, n in enumerate(nodes) if i not in flagged]
     if not groups:
         return out
     unions = [_sorted_union([nodes[m].points for m in group]) for group in groups]
-    for group, (local_sets, intervals) in zip(groups, _covers(cloud, unions, f_perp, params)):
+    union_counts = np.array([counts[group[0]] for group in groups])
+    larger = [k for k, group in enumerate(groups) if len(group) > 1]
+    if larger:
+        union_counts[larger] = _counts([unions[k] for k in larger], cloud, f_perp, params, values)
+    for group, (local_sets, intervals) in zip(groups, _covers(cloud, unions, union_counts,
+                                                              values, params)):
         # A flagged neighbor would be in the group, so these are all unflagged.
         ends = np.isin(initial.edges, group)
         neighbors = np.unique(initial.edges[~ends & ends[:, ::-1]])

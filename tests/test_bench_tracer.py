@@ -61,26 +61,21 @@ def test_install_traces_one_subdivision_per_sweep(spans):
 
 
 def undecided(cloud, point_sets, filt, params):
-    """How many of the point sets the supremum's witness leaves undecided,
-    by the rule restated here: lo is the best |f(xi) - f(xj)| over the pairs
-    closer than delta among each point and its next three in stable order
-    across the filter; the set is decided when lo > 0 and the interval count
-    at lo is the one at the cap delta (1 + 2**-30) + 2**-40 M + 2**-500, M
-    the set's largest |x - c|_1."""
+    """How many of the point sets the grouped count pass leaves undecided,
+    by the rule restated here. A set is decided by a lower bound lo when
+    lo > 0 and the interval count at lo is the one at the cap delta (1 +
+    2**-30) + 2**-40 M + 2**-500, M the set's largest |x - c|_1. The first
+    lo is the best |f(xi) - f(xj)| over the pairs closer than delta between
+    a point and the set's first point at its least value or its first at
+    its greatest. Where that does not decide, lo is raised to the best over
+    the pairs among each point and its next three in stable order across the
+    filter."""
     theta, alpha, d2 = params.theta_ov, params.alpha, params.delta ** 2
     across = np.array([-filt.direction[1], filt.direction[0]])
     left = 0
     for points in point_sets:
         xy = cloud[points]
         v = (xy - filt.center) @ filt.direction
-        order = np.argsort(xy @ across, kind="stable")
-        xy, v = xy[order], v[order]
-        lo = 0.0
-        for k in (1, 2, 3):
-            d = xy[k:] - xy[:-k]
-            near = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] < d2
-            if near.any():
-                lo = max(lo, float(np.abs(v[k:] - v[:-k])[near].max()))
         m = float(np.abs(cloud[points] - filt.center).sum(axis=1).max())
         cap = params.delta * (1.0 + 2.0**-30) + 2.0**-40 * m + 2.0**-500
         span = float(v.max() - v.min())
@@ -89,6 +84,17 @@ def undecided(cloud, point_sets, filt, params):
             length = (1.0 + alpha) * (s / theta)
             return max(math.floor((span - theta * length) / ((1.0 - theta) * length)), 1)
 
+        def best(i, j):
+            d = xy[i] - xy[j]
+            near = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] < d2
+            return float(np.abs(v[i] - v[j])[near].max()) if near.any() else 0.0
+
+        every = np.arange(len(xy))
+        lo = max(best(every, int(np.argmin(v))), best(every, int(np.argmax(v))))
+        if not (lo > 0.0 and count(lo) == count(cap)):
+            order = np.argsort(xy @ across, kind="stable")
+            for k in (1, 2, 3):
+                lo = max(lo, best(order[k:], order[:-k]))
         left += not (lo > 0.0 and count(lo) == count(cap))
     return left
 
@@ -112,8 +118,9 @@ def test_mapper_only_records_every_layer(spans):
         calls = Counter(s.name for s in tracer.spans)
         nodes = untraced.initial_graph.nodes
         f_perp = untraced.perp_filter
+        # A one-node group's union is its node's set, which keeps its count.
         unions = [np.unique(np.concatenate([nodes[i].points for i in g]))
-                  for g in untraced.groups]
+                  for g in untraced.groups if len(g) > 1]
         exact = (undecided(pts, [n.points for n in nodes], f_perp, params)
                  + undecided(pts, unions, f_perp, params))
         whole = undecided(pts, [np.arange(len(pts))], make_pca_filter(pts), params)

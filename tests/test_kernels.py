@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from sstopo._kernels import (_renumber, id_order, neighbor_components, neighbor_sup_abs_diff,
-                             witness_sup)
+from sstopo import LinearFilter, eval_filter
+from sstopo._kernels import (_renumber, extreme_sup, id_order, neighbor_components,
+                             neighbor_sup_abs_diff, witness_sup)
 
 
 def oracle(pts, vals, delta):
@@ -214,6 +215,71 @@ class TestWitness:
         pts = np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0]])
         assert witness_sup(pts, pts[:, 0], 1.0, one_set(pts), pts[:, 0]).tolist() == [0.0]
         assert neighbor_sup_abs_diff(pts, pts[:, 0], 1.0) == (0.0, False)
+
+
+def extreme_oracle(pts, vals, delta):
+    """Best |vals[i]-vals[j]| over the close pairs of any point and the first
+    point at the least value or the first at the greatest, one pair at a
+    time; 0.0 if none."""
+    best = 0.0
+    for e in (int(np.argmin(vals)), int(np.argmax(vals))):
+        for i in range(len(pts)):
+            dx, dy = pts[i, 0] - pts[e, 0], pts[i, 1] - pts[e, 1]
+            if dx * dx + dy * dy < delta * delta:
+                best = max(best, abs(float(vals[i] - vals[e])))
+    return best
+
+
+class TestExtreme:
+    @seed(6084)
+    @PROPERTY
+    @given(st.integers(0, 2**32 - 1), DELTAS, st.integers(1, 200), st.integers(1, 4),
+           st.sampled_from(["uniform", "lattice", "duplicates"]),
+           st.sampled_from([0.0, 1e6, -1e6]))
+    def test_bound_is_a_close_pair_below_the_supremum(self, s, delta, n, sets, kind, far):
+        # Points in `sets` sets, owner-major, valued by a filter whose centre
+        # may lie a million away. Lattice neighbours at exactly delta are not
+        # close; duplicates tie for the extremes. Each set's bound is the
+        # oracle's on that set alone, and never above its supremum.
+        rng = np.random.default_rng(s)
+        if kind == "lattice":
+            side = int(np.ceil(np.sqrt(n)))
+            pts = np.column_stack(np.divmod(rng.permutation(side * side)[:n], side)) * delta
+        else:
+            pts = rng.uniform(0, delta * np.sqrt(n) / 2, (n, 2))
+            if kind == "duplicates":
+                pts = pts[rng.integers(0, max(1, n // 4), n)]
+        pts = pts + rng.integers(-3, 4, size=2) * delta
+        axis, off = rng.normal(size=2), rng.normal(size=2)
+        filt = LinearFilter(pts.mean(axis=0) + far * off / np.linalg.norm(off),
+                            axis / np.linalg.norm(axis))
+        vals = eval_filter(filt, pts)
+        owner = np.sort(rng.integers(0, sets, n))
+        got = extreme_sup(pts, vals, delta, owner)
+        assert got.shape == (owner.max() + 1,)
+        for k, lo in enumerate(got.tolist()):
+            at = owner == k
+            if not at.any():
+                assert lo == 0.0
+                continue
+            assert lo == extreme_oracle(pts[at], vals[at], delta)
+            exact, found = neighbor_sup_abs_diff(pts[at], vals[at], delta)
+            assert lo <= exact
+            assert found or lo == 0.0
+
+    def test_finds_the_pair_the_witness_misses(self):
+        # The witness fixture above: its close pair of different values,
+        # (0, 7), holds the least value.
+        delta = 1.0
+        pts = np.array([[0.0, 0.0]] * 4 + [[100.0, 0.1], [100.0, 0.2], [100.0, 0.3]]
+                       + [[0.5, 0.4]])
+        assert extreme_sup(pts, pts[:, 0].copy(), delta, one_set(pts)).tolist() == [0.5]
+
+    def test_no_close_pair(self):
+        pts = np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0]])
+        assert extreme_sup(pts, pts[:, 0], 1.0, one_set(pts)).tolist() == [0.0]
+        assert extreme_sup(np.empty((0, 2)), np.empty(0), 1.0,
+                           np.empty(0, dtype=np.int64)).tolist() == []
 
 
 GROUPED = settings(max_examples=40, deadline=None, database=None)

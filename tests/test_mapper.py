@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from sstopo import (
     ConfigurationError,
+    DegenerateCloudError,
     EmptyInputError,
     LinearFilter,
     MapperParams,
@@ -18,7 +19,9 @@ from sstopo import (
     principal_direction,
 )
 from sstopo import twostep
-from sstopo.mapper import _clusters, _sup_cap, make_pca_filter, witness_interval_counts
+from sstopo._kernels import witness_sup
+from sstopo.mapper import (EIGEN_TIE_TOL, _clusters, _sup_cap, make_pca_filter,
+                           witness_interval_counts)
 from sstopo.synthetic import recommended_delta
 
 from corpus import (
@@ -126,6 +129,105 @@ class TestEvalFilter:
         with pytest.raises(ConfigurationError):
             LinearFilter(np.zeros(2), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("center, direction, message", [
+        (np.zeros(2), [np.nan, 0.0], "unit vector"),
+        (np.zeros(2), [np.inf, 0.0], "unit vector"),
+        ([np.nan, 0.0], [1.0, 0.0], "finite"),
+        ([0.0, np.inf], [1.0, 0.0], "finite"),
+        (np.zeros(3), [1.0, 0.0], "2-vectors"),
+        (np.zeros(2), [1.0, 0.0, 0.0], "2-vectors"),
+        (np.zeros((1, 2)), [1.0, 0.0], "2-vectors"),
+    ], ids=["nan-direction", "inf-direction", "nan-center", "inf-center", "3-vector-center",
+            "3-vector-direction", "row-center"])
+    def test_malformed_filter_rejected(self, center, direction, message):
+        with pytest.raises(ConfigurationError, match=message):
+            LinearFilter(np.asarray(center, dtype=float), np.asarray(direction, dtype=float))
+
+    @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((4, 3)), np.zeros((2, 2, 2)),
+                                   np.float64(1.0)], ids=["3-vector", "n-by-3", "3-d", "scalar"])
+    def test_malformed_input_rejected(self, x):
+        f = LinearFilter(np.zeros(2), np.array([1.0, 0.0]))
+        with pytest.raises(DegenerateCloudError, match="point or an"):
+            eval_filter(f, x)
+
+
+def _offsets_of(rng, n, offset):
+    """A cloud of n points around `offset` and a filter whose centre is the
+    cloud's mean, or far from it."""
+    cloud = rng.normal(size=(n, 2)) * rng.uniform(1e-3, 10.0) + offset
+    center = cloud.mean(axis=0) if n else np.zeros(2)
+    if rng.random() < 0.3:
+        center = center + rng.uniform(-1e6, 1e6, 2)
+    d = rng.normal(size=2)
+    return cloud, LinearFilter(center, d / np.linalg.norm(d))
+
+
+BITS = settings(max_examples=60, deadline=None, database=None)
+
+
+class TestReferenceBits:
+    """The column-by-column offsets give the bits of the broadcast
+    expressions they replace."""
+
+    @seed(6096)
+    @BITS
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 400), st.sampled_from([0.0, 1e6, -1e6]))
+    def test_eval_filter(self, s, n, offset):
+        rng = np.random.default_rng(s)
+        cloud, f = _offsets_of(rng, n, offset)
+        want = (cloud - f.center) @ f.direction
+        assert np.array_equal(eval_filter(f, cloud), want)
+        assert all(eval_filter(f, p) == (p - f.center) @ f.direction for p in cloud[:5])
+
+    @seed(6097)
+    @BITS
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 400), st.integers(1, 5),
+           st.sampled_from([0.0, 1e6, -1e6]))
+    def test_sup_cap(self, s, n, sets, offset):
+        rng = np.random.default_rng(s)
+        cloud, f = _offsets_of(rng, n, offset)
+        starts = np.unique(np.concatenate([[0], rng.integers(0, n, sets - 1)]))
+        offsets = np.abs(cloud - f.center)
+        m = np.maximum.reduceat(offsets[:, 0] + offsets[:, 1], starts)
+        want = 0.1 * (1.0 + 2.0**-30) + 2.0**-40 * m + 2.0**-500
+        assert np.array_equal(_sup_cap(cloud, f, 0.1, starts), want)
+
+    @seed(6098)
+    @BITS
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 400), st.sampled_from([0.0, 1e6, -1e6]))
+    def test_make_pca_filter(self, s, n, offset):
+        rng = np.random.default_rng(s)
+        cloud, _ = _offsets_of(rng, n, offset)
+        center = cloud.mean(axis=0)
+        centered = cloud - center
+        eigvals, eigvecs = np.linalg.eigh(centered.T @ centered / n)
+        if eigvals[1] - eigvals[0] < EIGEN_TIE_TOL:
+            want = np.array([1.0, 0.0])
+        else:
+            w = eigvecs[:, 1]
+            if w[0] < 0 or (w[0] == 0 and w[1] < 0):
+                w = -w
+            want = w / np.linalg.norm(w)
+        f = make_pca_filter(cloud)
+        assert np.array_equal(f.center, center)
+        assert np.array_equal(f.direction, want)
+        assert np.array_equal(centroid(cloud), center)
+        assert np.array_equal(principal_direction(cloud), want)
+
+
+class TestMalformedPcaInput:
+    @pytest.mark.parametrize("fn", [centroid, principal_direction, make_pca_filter],
+                             ids=["centroid", "principal_direction", "make_pca_filter"])
+    @pytest.mark.parametrize("cloud, message", [
+        (np.zeros((4, 3)), r"\(n, 2\) array"),
+        (np.linspace(0.0, 1.0, 5), r"\(n, 2\) array"),
+        ([[0.0, 0.0], [np.nan, 1.0], [2.0, 0.5]], "finite"),
+        ([[0.0, 0.0], [1.0, -np.inf]], "finite"),
+    ], ids=["n-by-3", "one-dimensional", "nan", "inf"])
+    def test_refused(self, fn, cloud, message):
+        with pytest.raises(DegenerateCloudError, match=message):
+            fn(cloud)
+
 
 class TestDefaultDelta:
     def test_twice_cell_diagonal(self):
@@ -196,8 +298,10 @@ class TestComputeL0:
         assert compute_l0(one, self.X_AXIS, 0.5, 0.2) == 0.5 / 0.2
         # The witness has no pair to go by, so the count takes the exact path.
         params = MapperParams(0.5, 0.2, 0.001)
-        assert witness_interval_counts(one, [np.arange(1)], self.X_AXIS, params).tolist() == [0]
-        assert twostep._counts([np.arange(1)], one, self.X_AXIS, params).tolist() == [1]
+        values = eval_filter(self.X_AXIS, one)
+        assert witness_interval_counts(one, [np.arange(1)], self.X_AXIS, params,
+                                       values).tolist() == [0]
+        assert twostep._counts([np.arange(1)], one, self.X_AXIS, params, values).tolist() == [1]
         with pytest.raises(EmptyInputError):
             compute_l0(np.empty((0, 2)), self.X_AXIS, 0.5, 0.2)
 
@@ -237,8 +341,9 @@ def counts(cloud, filt, delta, theta, alpha):
     leaves it undecided) and from the count path, `twostep._counts`."""
     everything = [np.arange(len(cloud))]
     params = MapperParams(delta, theta, alpha)
-    return (int(witness_interval_counts(cloud, everything, filt, params)[0]),
-            int(twostep._counts(everything, cloud, filt, params)[0]))
+    values = eval_filter(filt, cloud)
+    return (int(witness_interval_counts(cloud, everything, filt, params, values)[0]),
+            int(twostep._counts(everything, cloud, filt, params, values)[0]))
 
 
 class TestDecidedCount:
@@ -320,6 +425,23 @@ class TestDecidedCount:
         assert sup_grids == []
         assert count_from_l0(cloud, f, compute_l0(cloud, f, 0.05, 0.2), 0.2, 0.001) == 1
 
+    def test_extreme_pair_decides_without_a_grid(self, sup_grids):
+        # Every pair within three places across the filter is equal-valued
+        # or far apart, so the witness alone reads 0 and would leave the
+        # count to the grid. The one close pair of different values, (0, 7),
+        # holds the least value, and the span of 3 gives one interval at
+        # its 0.5 as at the cap.
+        delta, theta, alpha = 1.0, 0.2, 0.001
+        cloud = np.array([[0.0, 0.0]] * 4 + [[3.0, 0.1], [3.0, 0.2], [3.0, 0.3]]
+                         + [[0.5, 0.4]])
+        f = LinearFilter(np.zeros(2), np.array([1.0, 0.0]))
+        values = eval_filter(f, cloud)
+        assert witness_sup(cloud, values, delta, np.zeros(8, dtype=np.int64),
+                           cloud[:, 1]).tolist() == [0.0]
+        assert counts(cloud, f, delta, theta, alpha) == (1, 1)
+        assert sup_grids == []
+        assert count_from_l0(cloud, f, compute_l0(cloud, f, delta, theta), theta, alpha) == 1
+
     @pytest.mark.parametrize("spacing", [0.9, 0.99])
     def test_undecided_runs_the_grid(self, sup_grids, spacing):
         # A line along the filter at spacing below delta: the witness finds
@@ -335,20 +457,23 @@ class TestDecidedCount:
 
     def test_supremum_above_delta(self, sup_grids):
         # With a direction of norm 1 + 0.999e-12, the close pair (0, 4) along
-        # it differs by a little more than delta, and the points 1-3 hide it
-        # from the witness, which sees only (5, 6), just below delta. Point 7
-        # sets the span so that a count boundary falls between delta and the
-        # pair's difference: an upper bound of delta would decide one
-        # interval too many.
+        # it differs by a little more than delta, and neither lower bound
+        # sees it. Points 1-3 hold the least value, so point 1 is the first
+        # extreme, and point 7, the greatest, is far from every point; in
+        # the order across the filter, points 1-3 hide (0, 4) from the
+        # witness, which sees only (5, 6), just below delta. Point 7 sets the
+        # span so that a count boundary falls between delta and the pair's
+        # difference: an upper bound of delta would decide one interval too
+        # many.
         delta, theta, alpha = 1.0, 0.2, 0.001
         f = LinearFilter(np.zeros(2), np.array([1.0 + 0.999e-12, 0.0]))
-        t = delta
-        while not t * t + 16e-20 < delta * delta:
-            t = np.nextafter(t, 0.0)
+        x = 20.0 + delta
+        while not (x - 20.0) * (x - 20.0) + 4e-10 * 4e-10 < delta * delta:
+            x = np.nextafter(x, 0.0)
         mid = (1.0 + alpha) * delta * (1.0 + 0.5e-12) / theta
         span = (10 * (1.0 - theta) + theta) * mid
-        cloud = np.array([[0.0, 0.0], [20.0, 1e-10], [20.0, 2e-10], [20.0, 3e-10],
-                          [t, 4e-10], [10.0, 5e-10], [10.9999999, 5e-10],
+        cloud = np.array([[20.0, 0.0], [0.0, 1e-10], [0.0, 2e-10], [0.0, 3e-10],
+                          [x, 4e-10], [10.0, 5e-10], [10.9999999, 5e-10],
                           [span / f.direction[0], 6e-10]])
         exact = count_from_l0(cloud, f, compute_l0(cloud, f, delta, theta), theta, alpha)
         assert interval_count(cloud, f, (1.0 + alpha) * (delta / theta), theta) == exact + 1

@@ -22,6 +22,7 @@ from sstopo.mapper import (
     check_cloud,
     compute_l0,
     default_delta,
+    eval_filter,
     interval_count,
     make_pca_filter,
     witness_interval_counts,
@@ -114,7 +115,7 @@ def assert_grouped_counts_are_split_counts(cloud, sets, filt, params):
     """The grouped pass's count of each set it decides, and the warning it
     logs, are `split_interval_count`'s; `_counts` gives every set's."""
     with _Warnings() as grouped_warnings:
-        grouped = witness_interval_counts(cloud, sets, filt, params)
+        grouped = witness_interval_counts(cloud, sets, filt, params, eval_filter(filt, cloud))
     want, want_warnings = [], []
     for points, decided in zip(sets, grouped.tolist()):
         with _Warnings() as messages:
@@ -123,7 +124,7 @@ def assert_grouped_counts_are_split_counts(cloud, sets, filt, params):
             assert decided == want[-1]
             want_warnings += messages
     assert grouped_warnings == want_warnings
-    assert twostep._counts(sets, cloud, filt, params).tolist() == want
+    assert twostep._counts(sets, cloud, filt, params, eval_filter(filt, cloud)).tolist() == want
     return grouped, want
 
 
@@ -180,7 +181,8 @@ class TestGroupedCounts:
             cloud, [np.arange(4), np.arange(2)], filt, MapperParams(delta=delta))
         assert grouped.tolist() == [9, 1]
         with _Warnings() as messages:
-            witness_interval_counts(cloud, [np.arange(4)], filt, MapperParams(delta=delta))
+            witness_interval_counts(cloud, [np.arange(4)], filt, MapperParams(delta=delta),
+                                    eval_filter(filt, cloud))
         assert messages and "capped at 9" in messages[0]
 
     def test_far_apart_clumps_undecided(self):
@@ -197,7 +199,7 @@ class TestGroupedCounts:
         with pytest.raises(EmptyInputError):
             witness_interval_counts(np.zeros((2, 2)), [np.arange(2), np.arange(0)],
                                     LinearFilter(np.zeros(2), np.array([1.0, 0.0])),
-                                    MapperParams(delta=0.1))
+                                    MapperParams(delta=0.1), np.zeros(2))
 
 
 class TestTwoStep:
@@ -552,6 +554,36 @@ class TestRefineReference:
             joined += _reference_refine(res.initial_graph, pts, res.perp_filter, params)[4]
         assert max(group_sizes) >= 2
         assert joined >= 1
+
+
+class TestOneNodeGroups:
+    @pytest.mark.parametrize("case", ["noisy_circle", "performance_6k"])
+    def test_no_exact_call_for_a_one_node_group(self, monkeypatch, case):
+        # With every count forced onto the exact path, split_interval_count
+        # sees the whole cloud, each initial node and each union of two or
+        # more nodes once: a one-node group's union is its node's set,
+        # whose count the initial pass already took.
+        pts, params = _refine_case(case)
+        want = run_two_step(pts, params)
+        assert any(len(g) == 1 for g in want.groups)
+        seen = []
+        exact = twostep.split_interval_count
+
+        def recorded(points, *args):
+            seen.append(points.tolist())
+            return exact(points, *args)
+
+        monkeypatch.setattr(twostep, "witness_interval_counts",
+                            lambda cloud, sets, *args: np.zeros(len(sets), dtype=np.int64))
+        monkeypatch.setattr(twostep, "split_interval_count", recorded)
+        got = run_two_step(pts, params)
+        nodes = want.initial_graph.nodes
+        unions = [sorted(frozenset().union(*(point_set(nodes[m]) for m in g)))
+                  for g in want.groups if len(g) > 1]
+        assert seen == [list(range(len(pts)))] + [n.points.tolist() for n in nodes] + unions
+        assert (got.counts, got.groups) == (want.counts, want.groups)
+        assert ([(n.points.tolist(), n.intervals, n.refined) for n in got.graph.nodes]
+                == [(n.points.tolist(), n.intervals, n.refined) for n in want.graph.nodes])
 
 
 class TestEdgesReference:
