@@ -9,18 +9,22 @@ full multiplicity is de Boor's algorithm.
 
 The neighbor queries never list every close pair. As in grid DBSCAN
 (Gunawan 2013; de Berg, Gunawan & Roeloffzen 2017), they bucket the points
-into square cells a little wider than delta/2 (delta/4 for the supremum) and
-bound each pair of nearby cells by their points' bounding boxes: the
-per-axis gap bounds every point distance between the two cells from below,
-the far extent from above. A cell pair whose lower bound is not below delta
-is dropped. One whose upper bound is below delta is fully near: the
-supremum takes its bound as exact, and the components join it through a
-probe of the two points nearest its boxes' centres, the probe every pair
-gets first. Each cell's probe point is a segment minimum of the squared
-offsets over the points sorted by cell. The other pairs are tested point by
-point in one pass that both kernels share: before each block the components
-skip cells already joined, and the supremum drops every cell pair whose
-bound cannot beat the best value found. Every distance test is
+into square cells a little wider than delta/2 (delta/4 for the supremum),
+find the cells within reach of each cell as one run of the sorted cell keys
+per row of cells, and bound each pair of nearby cells by their points'
+bounding boxes: the per-axis gap bounds every point distance between the
+two cells from below, the far extent from above. A cell pair whose lower
+bound is not below delta is dropped. One whose upper bound is below delta
+is fully near: the supremum takes its bound as exact, and the components
+join it through a probe of the two points nearest its boxes' centres, the
+probe every pair gets first. Each cell's probe point is a segment minimum
+of the squared offsets over the points sorted by cell. The other pairs are
+tested point by point in one pass that both kernels share: before each
+block the components skip cells already joined, and the supremum drops
+every cell pair whose bound cannot beat the best value found. The
+components' union-find joins cells: a tight cell, its points pairwise
+closer than delta, is one element, and only the points of a cell that is
+not tight are elements of their own. Every distance test is
 ``dx*dx + dy*dy < delta*delta``. IEEE rounding is monotone, so box bounds
 computed the same way bound the computed point distances exactly, and both
 kernels return bit for bit what a loop over all pairs returns.
@@ -130,7 +134,8 @@ class _Grid:
 
     ``order`` maps sorted positions to input indices; cell ``c`` holds the
     sorted positions ``head[c] : head[c] + count[c]``, and ``cell`` maps
-    each sorted position to its cell. The candidate pairs
+    each sorted position to its cell. The cells ascend by key,
+    ``keys[c] = row * width + column``. The candidate pairs
     ``(a[k], b[k])`` are each cell with two or more points paired with
     itself, then every pair of distinct cells within reach whose boxes'
     gap is below delta. ``full[k]`` marks a pair whose every point pair is
@@ -141,43 +146,45 @@ class _Grid:
     def __init__(self, pts: np.ndarray, delta: float, reach: int, groups=None):
         n = pts.shape[0]
         # A larger side only costs speed; it keeps the quotients in range.
-        side = max(_MARGIN * delta / reach, float(np.abs(pts).max()) / _INDEX_LIMIT,
-                   2.0**-1000)
-        ij = np.floor(pts / side)
+        side = max(_MARGIN * delta / reach,
+                   max(float(pts.max()), -float(pts.min())) / _INDEX_LIMIT, 2.0**-1000)
+        ij = pts / side
+        np.floor(ij, out=ij)
         # Renumber each axis so that gaps wider than the reach shrink to
         # reach + 1: offsets within reach stay exact and keys stay small.
         ij[:, 0] = _renumber(ij[:, 0], reach, groups)
         ij[:, 1] = _renumber(ij[:, 1], reach)
         ij = ij.astype(np.int64)
-        width = int(ij[:, 1].max()) + 2 * reach + 1
+        self.width = width = int(ij[:, 1].max()) + 2 * reach + 1
         key = ij[:, 0] * width + ij[:, 1]
 
         # No result depends on the order of the points within a cell.
         self.order = np.argsort(key)
-        key = key[self.order]
-        self.head = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        key = key.take(self.order)
+        self.head = np.flatnonzero(run_starts(key))
         self.count = np.diff(np.append(self.head, n))
         self.cell = np.repeat(np.arange(self.head.size), self.count)
         # Rows are gathered with `take`, which numpy runs several times
         # faster than indexing with an integer array.
         self.xy = pts.take(self.order, axis=0)
-        keys = key[self.head]
+        self.keys = keys = key[self.head]
         self.lo = lo = np.minimum.reduceat(self.xy, self.head)
         self.hi = hi = np.maximum.reduceat(self.xy, self.head)
 
-        offsets = np.array([dx * width + dy for dx in range(reach + 1)
-                            for dy in range(-reach, reach + 1) if dx > 0 or dy > 0])
+        # The cells within reach of cell (i, j) in row i + dx have the keys
+        # (i + dx) * width + j - reach .. + reach, or key + 1 .. key + reach
+        # when dx is 0: no column is below 0 or above width - 2 reach - 1,
+        # so each such range holds only cells of its row and is one run of
+        # the sorted keys. Two searches per row find its ends.
+        row = keys[:, None] + width * np.arange(reach + 1)
+        first = row - reach
+        first[:, 0] = keys + 1
+        start = np.searchsorted(keys, first)
+        size = np.searchsorted(keys, row + reach, side="right") - start
+        run, b = _ranges(start.ravel(), size.ravel())
         multi = np.flatnonzero(self.count > 1)
-        a, b = [multi], [multi]
-        # Look the neighbors up a block of cells at a time to bound memory.
-        step = _BLOCK // offsets.size
-        for c in range(0, keys.size, step):
-            target = keys[c : c + step, None] + offsets
-            found = np.searchsorted(keys, target)
-            row, col = np.nonzero(keys[np.minimum(found, keys.size - 1)] == target)
-            a.append(row + c)
-            b.append(found[row, col])
-        a, b = np.concatenate(a), np.concatenate(b)
+        a = np.concatenate((multi, run // (reach + 1)))
+        b = np.concatenate((multi, b))
 
         self.d2 = delta * delta
         la, lb, ha, hb = lo.take(a, 0), lo.take(b, 0), hi.take(a, 0), hi.take(b, 0)
@@ -264,7 +271,9 @@ def _slices(size):
 def id_order(ids: np.ndarray) -> np.ndarray:
     """The stable argsort of integer ids. The keys are shifted to start at 0
     and narrowed to the least dtype that holds them, since numpy radix-sorts
-    keys of 16 bits or fewer and merge-sorts wider ones."""
+    keys of 16 bits or fewer and merge-sorts wider ones. That wins on small
+    ids in no order; on ids that come in long ascending runs, numpy's stable
+    sort of the int64 ids, a timsort that merges the runs, is faster."""
     low, high = (ids.min(), ids.max()) if ids.size else (0, 0)
     if low == high:
         return np.arange(ids.size)
@@ -324,9 +333,14 @@ def neighbor_components(points: np.ndarray, delta: float, groups=None) -> np.nda
     if n == 0:
         return np.empty(0, dtype=np.int64)
     g = _Grid(pts, delta, _COMPONENTS_REACH, groups)
-    a, b, cell = g.a, g.b, g.cell
-    # A tight cell is one clique: its points start at its head.
-    root = np.where(g.tight[cell], g.head[cell], np.arange(n))
+    a, b, cell, tight = g.a, g.b, g.cell, g.tight
+    # The union-find joins elements: a tight cell is one clique and so one
+    # element, and each point of any other cell is an element of its own.
+    # Elements are runs of sorted positions, numbered in order.
+    begins = run_starts(cell)
+    begins |= ~tight[cell]
+    element = np.cumsum(begins) - 1
+    root = np.arange(int(element[-1]) + 1)
     # Probe each pair through the points nearest its boxes' centres; that
     # joins most neighboring cells of a dense cloud at once, and every fully
     # near pair of tight cells.
@@ -337,23 +351,28 @@ def neighbor_components(points: np.ndarray, delta: float, groups=None) -> np.nda
     probe = hit[run_starts(cell[hit])]
     i, j = probe[a], probe[b]
     near = g.near(i, j)
-    root = _join(root, i[near], j[near])
+    root = _join(root, element[i[near]], element[j[near]])
+    cell_element = element[g.head]
 
     def unjoined(k):
         # Two tight cells with one root need no point test.
-        return k[~(g.tight[a[k]] & g.tight[b[k]]) | (root[g.head[a[k]]] != root[g.head[b[k]]])]
+        ca, cb = cell_element[a[k]], cell_element[b[k]]
+        return k[~(tight[a[k]] & tight[b[k]]) | (root[ca] != root[cb])]
 
     for i, j in g.near_pairs(unjoined(np.arange(a.size)), unjoined):
-        root = _join(root, i, j)
-    # Number the components by their first input index: each point's root
-    # is a sorted position, so take the least input index under each root.
-    index = np.arange(n)
+        root = _join(root, element[i], element[j])
+    # Number the components by their least input index: the least under
+    # each element, then the least of the elements under each root, whose
+    # rank among the roots is the label.
+    least = np.minimum.reduceat(g.order, np.flatnonzero(begins))
+    first = np.full(root.size, n)
+    np.minimum.at(first, root, least)
+    roots = np.flatnonzero(root == np.arange(root.size))
+    rank = np.empty(root.size, dtype=np.int64)
+    rank[roots[np.argsort(first[roots])]] = np.arange(roots.size)
     labels = np.empty(n, dtype=np.int64)
-    labels[g.order] = root
-    first = np.full(n, n)
-    np.minimum.at(first, labels, index)
-    first = first[labels]
-    return (np.cumsum(first == index) - 1)[first]
+    labels[g.order] = rank[root][element]
+    return labels
 
 
 def extreme_sup(points: np.ndarray, values: np.ndarray, delta: float,

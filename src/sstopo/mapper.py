@@ -111,17 +111,20 @@ class MapperNode:
 @dataclass(frozen=True, eq=False)
 class MapperGraph:
     """Undirected unweighted graph over clusters; edge iff point sets intersect.
-    A node is named by its position in `nodes`. `edges` is derived from the
-    nodes: a read-only (m, 2) int64 array of the position pairs a < b that
-    share a point, its rows strictly increasing by (a, b)."""
+    A node is named by its position in `nodes`. `edges` and `shared` are
+    derived from the nodes: `edges` is a read-only (m, 2) int64 array of the
+    position pairs a < b that share a point, its rows strictly increasing by
+    (a, b), and `shared[k]` the number of points edge k's nodes share."""
 
     nodes: tuple[MapperNode, ...]
     edges: np.ndarray = field(init=False)
+    shared: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        lo, hi, _ = shared_counts(self.nodes)
+        lo, hi, shared = shared_counts(self.nodes)
         object.__setattr__(self, "edges", np.column_stack((lo, hi)))
-        freeze(self, np.int64, "edges")
+        object.__setattr__(self, "shared", shared)
+        freeze(self, np.int64, "edges", "shared")
 
     @property
     def node_count(self) -> int:
@@ -150,13 +153,21 @@ def membership_table(point_sets) -> tuple[np.ndarray, np.ndarray]:
 
 def shared_counts(nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a, b, shared) for each pair of node positions a < b whose point sets
-    meet, ordered by (a, b), with the number of points they share. The
-    memberships sorted by point and then owner put the nodes of each point in
-    a run; the rows come owner by owner, so a stable sort by point gives
-    that order."""
+    meet, ordered by (a, b), with the number of points they share. Only the
+    memberships of points in two or more nodes can pair; a count per point id
+    finds them when the ids span few more values than there are memberships,
+    and otherwise every membership is kept. Sorted by point and then owner,
+    they put the nodes of each point in a run; the rows come owner by owner,
+    so a stable sort by point gives that order. Each node's points ascend,
+    and numpy's stable sort merges such runs faster than `id_order`
+    radix-sorts them."""
     owner, point = membership_table([n.points for n in nodes])
-    order = id_order(point)
-    point, owner = point[order], owner[order]
+    if point.size and int(point.max()) - int(point.min()) < 4 * point.size + 1024:
+        index = point - point.min()
+        shared = np.flatnonzero(np.bincount(index).take(index) > 1)
+        owner, point = owner.take(shared), point.take(shared)
+    order = np.argsort(point, kind="stable")
+    point, owner = point.take(order), owner.take(order)
     width = len(nodes)
     keys = [np.empty(0, dtype=np.int64)]
     # Pair each membership with the one d places later in its run.

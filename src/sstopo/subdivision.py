@@ -190,7 +190,8 @@ class _PatchStore:
         """Stacked `(knots_u, knots_v, nets)` of patches `ids`, given in block order."""
         blocks, rows = self.block[ids], self.row[ids]
         cuts = np.flatnonzero(run_starts(blocks)).tolist() + [ids.size]
-        parts = [[a[rows[i:j]] for a in self.blocks[blocks[i]]] for i, j in zip(cuts, cuts[1:])]
+        parts = [[a.take(rows[i:j], axis=0) for a in self.blocks[blocks[i]]]
+                 for i, j in zip(cuts, cuts[1:])]
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
     def split(self, ids: np.ndarray) -> np.ndarray:
@@ -206,7 +207,7 @@ class _PatchStore:
         todo = todo[run_starts(todo)]
         if todo.size:
             m = todo.size
-            rects = self.rects[todo]
+            rects = self._rects.take(todo, axis=1).T
             along_v = rects[:, 1] - rects[:, 0] < rects[:, 3] - rects[:, 2]
             lo = np.where(along_v, rects[:, 2], rects[:, 0])
             hi = np.where(along_v, rects[:, 3], rects[:, 1])
@@ -245,9 +246,12 @@ class _PatchStore:
                         box[:, at], box[:, at + 1] = boxes[:, : rows.size], boxes[:, rows.size :]
                     else:
                         box[:, at], box[:, at + 1] = _boxes(left).T, _boxes(right).T
+                    # Both halves keep the knots across the split axis; the
+                    # blocks are only read, so they share one copy.
+                    kept = other.take(rows, axis=0)
                     for side, (knots, half) in enumerate(sides):
-                        self.blocks.append((knots, other[rows], half) if axis == 0
-                                           else (other[rows], knots, half))
+                        self.blocks.append((knots, kept, half) if axis == 0
+                                           else (kept, knots, half))
                         shape = self.shapes.setdefault(half.shape[1:], len(self.shapes))
                         self.block_shape.append(shape)
                         block[at + side] = len(self.blocks) - 1
@@ -258,7 +262,7 @@ class _PatchStore:
         """Distinct patches of `ids`: their rects, sorted lexicographically
         by centroid, and the row of each entry of `ids`."""
         distinct, inverse = np.unique(ids, return_inverse=True)
-        r = self.rects[distinct]
+        r = self._rects.take(distinct, axis=1).T
         centroids = _centroids(r)
         order = np.lexsort((centroids[:, 1], centroids[:, 0]))
         row = np.empty_like(order)

@@ -36,7 +36,6 @@ from .mapper import (
     interval_count,
     make_pca_filter,
     membership_table,
-    shared_counts,
     witness_interval_counts,
 )
 
@@ -212,7 +211,8 @@ def _refine(initial: MapperGraph, groups, counts: np.ndarray, cloud: np.ndarray,
 def _collapse(nodes: list[MapperNode]) -> MapperGraph:
     """The graph of `nodes` without every node whose point set lies in an
     adjacent node's set; of equal sets the earliest stays. The kept node
-    objects are returned as they are, in order.
+    objects are returned as they are, in order, and when no node is dropped
+    the graph of all of them, built first, is returned as it is.
 
     Such a node is a dominated vertex of the nerve, so dropping it is a
     strong collapse and keeps the homotopy type (Barmak & Minian, DCG 2012).
@@ -223,11 +223,14 @@ def _collapse(nodes: list[MapperNode]) -> MapperGraph:
     a second pass would drop nothing. Node b lies in node a exactly when
     they share as many points as b has.
     """
-    a, b, shared = shared_counts(nodes)
+    graph = MapperGraph(tuple(nodes))
+    a, b = graph.edges.T
     sizes = np.array([n.points.size for n in nodes], dtype=np.int64)
-    b_in_a = shared == sizes[b]
-    a_in_b = ~b_in_a & (shared == sizes[a])
+    b_in_a = graph.shared == sizes[b]
+    a_in_b = ~b_in_a & (graph.shared == sizes[a])
     kept = np.ones(len(nodes), dtype=bool)
     kept[b[b_in_a]] = False
     kept[a[a_in_b]] = False
+    if kept.all():
+        return graph
     return MapperGraph(tuple(n for n, k in zip(nodes, kept.tolist()) if k))

@@ -11,7 +11,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from sstopo import LinearFilter, eval_filter
-from sstopo._kernels import (_renumber, extreme_sup, id_order, neighbor_components,
+from sstopo._kernels import (_COMPONENTS_REACH, _MARGIN, _Grid, _renumber, _sq,
+                             extreme_sup, id_order, neighbor_components,
                              neighbor_sup_abs_diff, witness_sup)
 
 
@@ -559,3 +560,109 @@ class TestGridEdges:
         pts, vals = np.concatenate(pts)[perm], np.concatenate(vals)[perm]
         got = neighbor_sup_abs_diff(pts, vals, delta)
         assert got == oracle(pts, vals, delta)[1] == (4.8, True)
+
+
+def offset_lookup(g, reach):
+    """The candidate pairs of grid `g` as a set of (a, b, full) triples,
+    found by one search of the sorted cell keys per cell offset: every
+    offset (dx, dy) with 0 <= dx <= reach, |dy| <= reach and (dx, dy)
+    after (0, 0), with the grid's own box bounds."""
+    keys = g.keys
+    multi = np.flatnonzero(g.count > 1)
+    a, b = [multi], [multi]
+    for dx in range(reach + 1):
+        for dy in range(-reach, reach + 1):
+            if dx == 0 and dy <= 0:
+                continue
+            target = keys + dx * g.width + dy
+            found = np.searchsorted(keys, target)
+            hit = np.flatnonzero(keys[np.minimum(found, keys.size - 1)] == target)
+            a.append(hit)
+            b.append(found[hit])
+    a, b = np.concatenate(a), np.concatenate(b)
+    la, lb, ha, hb = g.lo[a], g.lo[b], g.hi[a], g.hi[b]
+    lower = _sq(np.maximum(np.maximum(lb - ha, la - hb), 0.0))
+    full = _sq(np.maximum(ha, hb) - np.minimum(la, lb)) < g.d2
+    keep = lower < g.d2
+    return set(zip(a[keep].tolist(), b[keep].tolist(), full[keep].tolist()))
+
+
+def lookup_cloud(rng, kind, reach, delta):
+    """A seeded cloud of one of the `TestRowRunLookup` kinds."""
+    n = int(rng.integers(2, 400))
+    extent = delta * rng.uniform(0.5, 12.0)
+    if kind == "uniform":
+        return rng.uniform(-extent, extent, (n, 2))
+    if kind == "duplicates":
+        base = rng.uniform(-extent, extent, (int(rng.integers(1, 40)), 2))
+        return base[rng.integers(0, len(base), n)]
+    # Coordinates about 2**44 cells of the reach's side from the origin, on
+    # either side of the largest that keep that side.
+    corner = 2.0**44 * _MARGIN * delta / reach * rng.choice([-1.0, 1.0], 2)
+    return corner + rng.uniform(-4 * delta, 4 * delta, (n, 2))
+
+
+class TestRowRunLookup:
+    """The grid finds each cell's neighbors in a row of cells by one run of
+    its sorted keys; the pairs must be those a search per offset finds."""
+
+    @pytest.mark.parametrize("reach", [2, 4])
+    @pytest.mark.parametrize("kind", ["uniform", "duplicates", "index_limit"])
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_same_pairs_as_a_search_per_offset(self, reach, kind, grouped):
+        rng = np.random.default_rng([reach, len(kind), grouped])
+        for _ in range(25):
+            delta = float(rng.choice([0.1, 1.0, 1.0 / 3.0]))
+            pts = lookup_cloud(rng, kind, reach, delta)
+            groups = rng.integers(0, 5, len(pts)) * 3 - 4 if grouped else None
+            g = _Grid(pts, delta, reach, groups)
+            triples = list(zip(g.a.tolist(), g.b.tolist(), g.full.tolist()))
+            assert len(triples) == len(set(triples))
+            assert set(triples) == offset_lookup(g, reach)
+
+
+def loose_cells_cloud(rng):
+    """Points near 2**50, where the component grid's cells are 64 wide at
+    delta = 1 and the float spacing is 0.25: in each of some cells, a clump
+    within 0.5 per axis (tight) or a chain of points 0.75 to 1.5 apart
+    (not tight, the chain's ends over delta apart)."""
+    parts = []
+    for k in range(int(rng.integers(4, 30))):
+        origin = np.array([2.0**50 + 64.0 * 4 * k, 2.0**50 + 64.0 * rng.integers(0, 3)])
+        if rng.random() < 0.5:
+            steps = rng.integers(0, 3, (int(rng.integers(1, 6)), 2))
+            parts.append(origin + 0.25 * steps)
+        else:
+            m = int(rng.integers(2, 12))
+            gaps = rng.choice([0.75, 1.0, 1.25, 1.5], (m, 1)) * [[1.0, 0.0]]
+            parts.append(origin + np.cumsum(gaps, axis=0) + 0.25 * rng.integers(0, 2, (m, 2)))
+    pts = np.concatenate(parts)
+    return rng.permutation(pts * rng.choice([-1.0, 1.0], 2))
+
+
+class TestLooseCells:
+    """Cells that are not tight, where the union-find keeps one element per
+    point, beside tight cells that are one element each."""
+
+    def test_labels_match_the_oracle(self):
+        rng = np.random.default_rng(44)
+        mixed = False
+        for _ in range(30):
+            pts = loose_cells_cloud(rng)
+            g = _Grid(pts, 1.0, _COMPONENTS_REACH)
+            several = g.count > 1
+            mixed |= bool((several & g.tight).any() and (several & ~g.tight).any())
+            assert np.array_equal(neighbor_components(pts, 1.0),
+                                  oracle(pts, np.zeros(len(pts)), 1.0)[0])
+            assert_groups_match_oracle(pts, rng.integers(0, 3, len(pts)), 1.0)
+        assert mixed
+
+    def test_no_cell_is_tight(self):
+        # Every cell holds a chain: each point is its own element.
+        rng = np.random.default_rng(45)
+        x = 2.0**50 + np.cumsum(rng.choice([0.75, 1.25], 300))
+        pts = rng.permutation(np.column_stack([x, np.full(300, 2.0**50)]))
+        g = _Grid(pts, 1.0, _COMPONENTS_REACH)
+        assert not g.tight[g.count > 1].any()
+        assert np.array_equal(neighbor_components(pts, 1.0),
+                              oracle(pts, np.zeros(len(pts)), 1.0)[0])

@@ -1,14 +1,16 @@
 """Property tests of the array-based node-set operations against frozenset
-references written here: edges, the dominated-node collapse, characteristic
-classification and the partition, on random graphs of nested, equal and
-singleton node sets; and the one component routine against a depth-first
-search on random graphs."""
+references written here: edges and their shared counts, the dominated-node
+collapse, characteristic classification and the partition, on random graphs
+of nested, equal and singleton node sets; and the one component routine
+against a depth-first search on random graphs."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from sstopo.mapper import MapperGraph, MapperNode, components
+from sstopo import twostep
+from sstopo.mapper import MapperGraph, MapperNode, components, shared_counts
 from sstopo.partition import (
     KIND_CLOSED,
     KIND_ISOLATED,
@@ -172,6 +174,79 @@ def test_collapse_keeps_the_input_node_objects(case):
     got = _collapse(nodes)
     assert len(got.nodes) == len(kept)
     assert all(g is nodes[i] for g, i in zip(got.nodes, kept))
+
+
+def _ref_shared(sets):
+    """(a, b, shared) rows of every pair a < b of sets that meet, by (a, b)."""
+    return [(i, j, len(sets[i] & sets[j])) for i in range(len(sets))
+            for j in range(i + 1, len(sets)) if sets[i] & sets[j]]
+
+
+def _shared_rows(nodes):
+    a, b, shared = shared_counts(nodes)
+    for column in (a, b, shared):
+        assert column.dtype == np.int64
+    return list(zip(a.tolist(), b.tolist(), shared.tolist()))
+
+
+@seed(7075)
+@PROPERTY
+@given(node_sets())
+def test_shared_counts_match_set_reference(case):
+    sets, _ = case
+    assert _shared_rows(_nodes(sets)) == _ref_shared(sets)
+    graph = MapperGraph(tuple(_nodes(sets)))
+    assert list(zip(*graph.edges.T.tolist(), graph.shared.tolist())) == _ref_shared(sets)
+
+
+@pytest.mark.parametrize("sets", [
+    # Points in one node only, and points in two, three and four nodes.
+    [{0, 1, 5}, {1, 2, 5, 9}, {2, 3, 5}, {5, 7}, {8}],
+    # Every point in every node.
+    [{3, 4}, {3, 4}, {3, 4}],
+    # One node; and nodes that share nothing.
+    [{0, 2, 4}],
+    [{0}, {1, 2}, {3, 4, 5}],
+    # A node with no points, which no pair can hold.
+    [set(), {1, 2}, {2}],
+    # Negative ids, and ids spread far wider than the memberships.
+    [{-7, -2, 4}, {-7, 4}, {-2}],
+    [{0, 2**40}, {2**40, 2**41}, {-2**62, 2**41, 2**62}, {-2**62, 2**62}],
+])
+def test_shared_counts_on_hand_built_sets(sets):
+    sets = [frozenset(s) for s in sets]
+    assert _shared_rows(_nodes(sets)) == _ref_shared(sets)
+
+
+def _counting_graphs(monkeypatch):
+    """The graphs `_collapse` builds while the test runs."""
+    built = []
+
+    def graph(nodes):
+        built.append(MapperGraph(nodes))
+        return built[-1]
+
+    monkeypatch.setattr(twostep, "MapperGraph", graph)
+    return built
+
+
+def test_collapse_returns_the_graph_it_built_when_nothing_is_dominated(monkeypatch):
+    built = _counting_graphs(monkeypatch)
+    nodes = _nodes([{0, 1}, {1, 2}, {2, 3}, {5}])
+    got = _collapse(nodes)
+    assert len(built) == 1 and got is built[0]
+    assert list(got.nodes) == nodes
+
+
+def test_collapse_builds_the_graph_of_the_kept_nodes(monkeypatch):
+    built = _counting_graphs(monkeypatch)
+    nodes = _nodes([{0, 1}, {1, 2, 3}, {2}, {3, 4}])
+    got = _collapse(nodes)
+    want = MapperGraph((nodes[0], nodes[1], nodes[3]))
+    assert len(built) == 2 and got is built[1]
+    assert all(g is w for g, w in zip(got.nodes, want.nodes, strict=True))
+    assert np.array_equal(got.edges, want.edges)
+    assert np.array_equal(got.shared, want.shared)
 
 
 @seed(7073)

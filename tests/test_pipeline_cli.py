@@ -196,6 +196,24 @@ class TestRunPipeline:
         assert loaded.to_dict() == crossed_doc.to_dict()
         assert result_digest(loaded) == result_digest(crossed_doc)
 
+    def test_loaded_negative_and_huge_point_ids_pair_as_sets(self, crossed_doc, tmp_path):
+        # Nothing bounds a loaded node's point ids; ids far apart or below 0
+        # still give the edges of the sets they name.
+        data = crossed_doc.to_dict()
+        nodes = data["domains"][0]["graph"]["nodes"]
+        count = len(nodes)
+        for points in ([-3, 5], [-3, 2**40], [2**40, 2**62]):
+            nodes.append({"id": len(nodes), "points": points, "intervals": [], "refined": False})
+        path = tmp_path / "result.json"
+        path.write_text(json.dumps(data))
+        graph = ResultDocument.load(path).domains[0].graph
+        assert_edge_record(graph.edges)
+        sets = [set(n["points"]) for n in nodes]
+        want = [[a, b] for a in range(len(sets)) for b in range(a + 1, len(sets))
+                if sets[a] & sets[b]]
+        assert graph.edges.tolist() == want
+        assert [count, count + 1] in want and [count + 1, count + 2] in want
+
     def test_saved_document_is_one_unindented_dump(self, crossed_doc, tmp_path):
         # No indent, so CPython encodes the document with its C encoder.
         path = tmp_path / "result.json"

@@ -158,6 +158,21 @@ def test_graph_derives_read_only_edges():
     assert not lone.edges.flags.writeable
 
 
+def test_graph_derives_read_only_shared_counts():
+    graph, _ = mapper_graph()
+    assert graph.shared.dtype == I8
+    assert graph.shared.shape == (2,)
+    assert graph.shared.tolist() == [1, 1]
+    assert not graph.shared.flags.writeable
+    with pytest.raises(ValueError):
+        graph.shared[...] = 0
+    wide = MapperGraph((MapperNode([0, 1, 2]), MapperNode([1, 2, 3]), MapperNode([5])))
+    assert wide.shared.tolist() == [2]
+    lone = MapperGraph((MapperNode([0]), MapperNode([1])))
+    assert lone.shared.dtype == I8 and lone.shared.shape == (0,)
+    assert not lone.shared.flags.writeable
+
+
 def _array_records():
     """Every dataclass in `sstopo` with a field annotated `np.ndarray`."""
     found = set()
