@@ -16,25 +16,25 @@ bounding boxes: the per-axis gap bounds every point distance between the
 two cells from below, the far extent from above. A cell pair whose lower
 bound is not below delta is dropped. One whose upper bound is below delta
 is fully near: the supremum takes its bound as exact, and the components
-join it through a probe of the two points nearest its boxes' centres, the
-probe every pair gets first. Each cell's probe point is a segment minimum
-of the squared offsets over the points sorted by cell. The other pairs are
-tested point by point in one pass that both kernels share: before each
-block the components skip cells already joined, and the supremum drops
-every cell pair whose bound cannot beat the best value found. The
-components' union-find joins cells: a tight cell, its points pairwise
-closer than delta, is one element, and only the points of a cell that is
-not tight are elements of their own. Every distance test is
-``dx*dx + dy*dy < delta*delta``. IEEE rounding is monotone, so box bounds
-computed the same way bound the computed point distances exactly, and both
-kernels return bit for bit what a loop over all pairs returns.
+join it through a probe of each cell's first point in sorted order, the
+probe every pair gets first. The other pairs are tested point by point in
+one pass that both kernels share: before each block the components skip
+cells already joined, and the supremum drops every cell pair whose bound
+cannot beat the best value found. The components' union-find joins cells:
+a tight cell, its points pairwise closer than delta, is one element, and
+only the points of a cell that is not tight are elements of their own.
+Every distance test is ``dx*dx + dy*dy < delta*delta``. IEEE rounding is
+monotone, so box bounds computed the same way bound the computed point
+distances exactly, and both kernels return bit for bit what a loop over
+all pairs returns.
 
 The grid's sorts use numpy's default sort, which need not keep ties in
 input order: no result depends on the order of the points within a cell or
 of cell pairs with equal bounds, since the component labels are renumbered
-by first input index and the supremum is a maximum. Group ids and labels,
-small integers, are sorted stably on the narrowest dtype that holds them,
-where numpy radix-sorts keys of 16 bits or fewer.
+by first input index and the supremum is a maximum. Labels, small
+integers, are sorted stably on the narrowest dtype that holds them, where
+numpy radix-sorts keys of 16 bits or fewer; rows ordered within a group or
+a set take one `lexsort`, stable by definition.
 
 The component labels take an optional group id per point, and cells are
 keyed by group as well as position, so that one grid clusters every
@@ -47,12 +47,12 @@ pair either finds is a lower bound the grid path would reach bit for bit.
 The extreme bound tests every point of a set against the set's first point
 at its least value and its first at its greatest: segment reductions over
 the rows, no sort. The witness tests each point against its next few points
-of its set in a caller's order. The witness order is the one sort whose
-ties can move what is returned: they decide which pairs are tested, so the
-lower bound may differ. But the caller accepts a bound only where the
-monotone function takes the value it takes at an upper cap and so at the
-exact supremum. A tie can decide whether a grid is built, never that
-function's value.
+of its set in a caller's order, one `lexsort` by set and then that order.
+The witness order is the one sort whose ties can move what is returned:
+they decide which pairs are tested, so the lower bound may differ. But the
+caller accepts a bound only where the monotone function takes the value it
+takes at an upper cap and so at the exact supremum. A tie can decide
+whether a grid is built, never that function's value.
 """
 
 from __future__ import annotations
@@ -240,9 +240,7 @@ def _renumber(x, reach, groups=None):
             step[np.diff(present // span) != 0] = reach + 1
         table[present] = np.concatenate(([0], np.cumsum(step)))
         return table[key]
-    perm = np.argsort(x)
-    if groups is not None:
-        perm = perm[id_order(groups[perm])]
+    perm = np.argsort(x) if groups is None else np.lexsort((x, groups))
     step = np.minimum(np.diff(x[perm]), reach + 1)
     if groups is not None:
         step[np.diff(groups[perm]) != 0] = reach + 1
@@ -341,15 +339,10 @@ def neighbor_components(points: np.ndarray, delta: float, groups=None) -> np.nda
     begins |= ~tight[cell]
     element = np.cumsum(begins) - 1
     root = np.arange(int(element[-1]) + 1)
-    # Probe each pair through the points nearest its boxes' centres; that
-    # joins most neighboring cells of a dense cloud at once, and every fully
-    # near pair of tight cells.
-    # The sorted positions are grouped by cell, so a segment minimum finds
-    # each cell's probe, the first position on a tie.
-    d = _sq(g.xy - ((g.lo + g.hi) / 2).take(cell, 0))
-    hit = np.flatnonzero(d == np.minimum.reduceat(d, g.head)[cell])
-    probe = hit[run_starts(cell[hit])]
-    i, j = probe[a], probe[b]
+    # Probe each pair through its cells' first sorted points; that joins
+    # most neighboring cells of a dense cloud at once, and every fully near
+    # pair of tight cells.
+    i, j = g.head[a], g.head[b]
     near = g.near(i, j)
     root = _join(root, element[i[near]], element[j[near]])
     cell_element = element[g.head]
@@ -428,17 +421,9 @@ def witness_sup(points: np.ndarray, values: np.ndarray, delta: float, owner: np.
     `neighbor_sup_abs_diff` computes it, so it never exceeds what that
     kernel returns for the set alone.
     """
-    # In each set, the order is the stable sort of `across`, ties in index
-    # order. numpy's default sort is several times faster than its stable
-    # one, and only a tie within a set, rare in a noisy cloud, can tell them
-    # apart; a point in two sets ties with itself across them. Each set
+    # Set by set, the stable sort of `across`, ties in index order. Each set
     # keeps its rows, so the rows' owners stay as they are.
-    order = np.argsort(across)
-    order = order[id_order(owner[order])]
-    key = across[order]
-    if ((key[1:] == key[:-1]) & (owner[1:] == owner[:-1])).any():
-        order = np.argsort(across, kind="stable")
-        order = order[id_order(owner[order])]
+    order = np.lexsort((across, owner))
     x, y, v = points[:, 0].take(order), points[:, 1].take(order), values.take(order)
     # best[i]: the best close pair of row i and a later row of its set.
     best = np.zeros(order.size)

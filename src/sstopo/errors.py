@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a
+setting that must lie strictly inside a range."""
+
+from math import inf
+from numbers import Real
 
 
 class SstopoError(Exception):
@@ -7,7 +11,8 @@ class SstopoError(Exception):
 
 class ConfigurationError(SstopoError):
     """A parameter is outside its admissible range (epsilon, delta, theta_ov,
-    a filter direction that is not a unit vector, ...)."""
+    a filter direction that is not a unit vector, ...) or is not a real
+    number at all (None, a string, a bool)."""
 
 
 class ParameterRangeError(SstopoError):
@@ -29,3 +34,12 @@ class DegenerateCloudError(SstopoError):
     """A point cloud is malformed (not an (n, 2) array, non-finite or so large
     that its sums overflow) or comes from a malformed cloud file (a value that
     does not parse, or a label on some lines but not all)."""
+
+
+def check_open(value, what: str, low=0.0, high=inf) -> None:
+    """Refuse, with `ConfigurationError` saying `what`, any value that is not
+    a real number strictly between `low` and `high`: positive and finite by
+    default. A bool is not a number here. The value is never converted, so a
+    record keeps what it was given."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not low < value < high:
+        raise ConfigurationError(f"{what}, got {value!r}")

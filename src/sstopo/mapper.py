@@ -18,7 +18,7 @@ import numpy as np
 
 from ._kernels import (_join, extreme_sup, freeze, id_order, neighbor_components,
                        neighbor_sup_abs_diff, run_starts, witness_sup)
-from .errors import ConfigurationError, DegenerateCloudError, EmptyInputError
+from .errors import ConfigurationError, DegenerateCloudError, EmptyInputError, check_open
 
 log = logging.getLogger(__name__)
 
@@ -60,8 +60,7 @@ class MapperParams:
     alpha: float = 0.001
 
     def __post_init__(self):
-        if not 0 < self.delta < np.inf:
-            raise ConfigurationError(f"delta must be positive and finite, got {self.delta}")
+        check_open(self.delta, "delta must be positive and finite")
         check_cover_params(self.theta_ov, self.alpha)
 
 
@@ -69,10 +68,8 @@ def check_cover_params(theta_ov: float, alpha: float) -> None:
     """Refuse an overlap ratio outside (0, 0.5) and an alpha that is not
     positive and finite; the one statement of these rules for every record
     that holds them."""
-    if not 0.0 < theta_ov < 0.5:
-        raise ConfigurationError(f"theta_ov must lie strictly between 0 and 0.5, got {theta_ov}")
-    if not 0 < alpha < np.inf:
-        raise ConfigurationError(f"alpha must be positive and finite, got {alpha}")
+    check_open(theta_ov, "theta_ov must lie strictly between 0 and 0.5", high=0.5)
+    check_open(alpha, "alpha must be positive and finite")
 
 
 def check_cloud(points) -> np.ndarray:
@@ -111,20 +108,24 @@ class MapperNode:
 @dataclass(frozen=True, eq=False)
 class MapperGraph:
     """Undirected unweighted graph over clusters; edge iff point sets intersect.
-    A node is named by its position in `nodes`. `edges` and `shared` are
-    derived from the nodes: `edges` is a read-only (m, 2) int64 array of the
-    position pairs a < b that share a point, its rows strictly increasing by
-    (a, b), and `shared[k]` the number of points edge k's nodes share."""
+    A node is named by its position in `nodes`. `edges`, `shared` and
+    `singular_nodes` are derived from the nodes, each a read-only int64
+    array: `edges` is the (m, 2) array of the position pairs a < b that share
+    a point, its rows strictly increasing by (a, b), `shared[k]` the number
+    of points edge k's nodes share, and `singular_nodes` the ascending
+    positions of the nodes of degree above two."""
 
     nodes: tuple[MapperNode, ...]
     edges: np.ndarray = field(init=False)
     shared: np.ndarray = field(init=False)
+    singular_nodes: np.ndarray = field(init=False)
 
     def __post_init__(self):
         lo, hi, shared = shared_counts(self.nodes)
         object.__setattr__(self, "edges", np.column_stack((lo, hi)))
         object.__setattr__(self, "shared", shared)
-        freeze(self, np.int64, "edges", "shared")
+        object.__setattr__(self, "singular_nodes", np.flatnonzero(self.degrees() > 2))
+        freeze(self, np.int64, "edges", "shared", "singular_nodes")
 
     @property
     def node_count(self) -> int:
@@ -275,11 +276,9 @@ def default_delta(cell_diag: float) -> float:
     Equals four times the certified half-diagonal Hausdorff bound, the
     smallest radius the correctness condition permits.
     """
-    delta = 2.0 * float(cell_diag)
-    if not 0 < delta < np.inf:
-        raise ConfigurationError(f"cell diagonal must be positive and its double finite, "
-                                 f"got {cell_diag}")
-    return delta
+    check_open(cell_diag, "cell diagonal must be positive and its double finite",
+               high=np.finfo(np.float64).max / 2)
+    return 2.0 * float(cell_diag)
 
 
 def compute_l0(cloud: np.ndarray, filt: LinearFilter, delta: float, theta_ov: float) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _join, freeze, run_starts
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_open
 from .mapper import MapperGraph, membership_table
 
 log = logging.getLogger(__name__)
@@ -87,8 +87,7 @@ def approximate_boundary_set(points: np.ndarray, rect, delta: float) -> np.ndarr
     u_min, u_max, v_min, v_max = rect
     if not (np.isfinite(rect).all() and u_min < u_max and v_min < v_max):
         raise ConfigurationError("degenerate domain bounds")
-    if not 0 < delta < np.inf:
-        raise ConfigurationError(f"dilation radius must be positive and finite, got {delta}")
+    check_open(delta, "dilation radius must be positive and finite")
     if delta >= 0.5 * (u_max - u_min) or delta >= 0.5 * (v_max - v_min):
         raise ConfigurationError(
             f"dilation radius {delta} covers the whole domain; nothing would survive"
@@ -103,7 +102,8 @@ def approximate_boundary_set(points: np.ndarray, rect, delta: float) -> np.ndarr
 def classify_characteristic_nodes(
     graph: MapperGraph, boundary_indices: np.ndarray
 ) -> CharacteristicNodes:
-    """Boundary nodes meet the boundary point set; singular nodes have degree > 2."""
+    """Boundary nodes meet the boundary point set; the singular nodes are
+    the graph's `singular_nodes`."""
     boundary = np.asarray(boundary_indices).ravel().astype(np.int64)
     meets = np.zeros(len(graph.nodes), dtype=bool)
     if boundary.size:
@@ -111,30 +111,31 @@ def classify_characteristic_nodes(
         in_boundary = np.zeros(max(point.max(initial=-1), boundary.max()) + 1, dtype=bool)
         in_boundary[boundary] = True
         meets[owner[in_boundary[point]]] = True
-    singular_nodes = np.flatnonzero(graph.degrees() > 2)
-    if singular_nodes.size:
+    if graph.singular_nodes.size:
         # Near curve crossings the sampled set has no positive reach, so the
         # clustering-radius admissibility condition cannot be verified there.
         log.warning(
             "%d singular node(s) detected; graph connectivity near them "
             "reflects the crossing region, not a regular curve",
-            singular_nodes.size,
+            graph.singular_nodes.size,
         )
-    return CharacteristicNodes(np.flatnonzero(meets), singular_nodes)
+    return CharacteristicNodes(np.flatnonzero(meets), graph.singular_nodes)
 
 
 def partition(graph: MapperGraph, boundary_nodes: np.ndarray) -> PartitionResult:
     """Remove boundary and singular nodes and classify the remaining components.
 
     A node is named by its position in `graph.nodes`; `boundary_nodes` names
-    those that meet the boundary band, and the singular nodes are derived.
+    those that meet the boundary band, and the singular nodes are the
+    graph's `singular_nodes`.
     Points shared between a removed node and a survivor stay with the
     survivor. Survivors that share a point are adjacent, so the segments are
     disjoint, and none is empty: the least point alone orders them.
     """
     n_nodes = len(graph.nodes)
     degree = graph.degrees()
-    singular = degree > 2
+    singular = np.zeros(n_nodes, dtype=bool)
+    singular[graph.singular_nodes] = True
     band = np.zeros(n_nodes, dtype=bool)
     band[np.asarray(boundary_nodes, dtype=np.int64)] = True
     # A component of the graph without its singular nodes that has no node

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_open
 from .exports import segment_colors, write_gml, write_svg
 from .geometry import BSplineSurface
 from .mapper import (MapperGraph, MapperNode, MapperParams, check_cloud, check_cover_params,
@@ -47,11 +47,10 @@ class PipelineConfig:
     dump_boxes: bool = False
 
     def __post_init__(self):
-        if not 0 < self.epsilon < np.inf:
-            raise ConfigurationError(f"epsilon must be positive and finite, got {self.epsilon}")
+        check_open(self.epsilon, "epsilon must be positive and finite")
         check_cover_params(self.theta_ov, self.alpha)
-        if self.delta_override is not None and not 0 < self.delta_override < np.inf:
-            raise ConfigurationError("delta override must be positive and finite")
+        if self.delta_override is not None:
+            check_open(self.delta_override, "delta override must be positive and finite")
 
     def echo(self) -> dict:
         return {
@@ -117,13 +116,14 @@ class DomainResult:
             MapperNode(n["points"], intervals=tuple(n["intervals"]), refined=bool(n["refined"]))
             for n in data["graph"]["nodes"]
         )
+        graph = MapperGraph(nodes)
         segments = tuple(Segment(s["points"], s["kind"], s["nodes"]) for s in data["segments"])
         return cls(
             name=data["name"],
             points=data["points"],
             delta=float(data["delta"]),
-            graph=MapperGraph(nodes),
-            characteristic=CharacteristicNodes(data["boundary_nodes"], data["singular_nodes"]),
+            graph=graph,
+            characteristic=CharacteristicNodes(data["boundary_nodes"], graph.singular_nodes),
             partition=PartitionResult(
                 segments=segments,
                 removed_boundary_points=data["removed_boundary_points"],

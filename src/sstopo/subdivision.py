@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import freeze, run_starts
-from .errors import ConfigurationError, EmptyInputError, ParameterRangeError
+from .errors import EmptyInputError, ParameterRangeError, check_open
 from .geometry import BSplineSurface, _split_net, restrict
 
 log = logging.getLogger(__name__)
@@ -230,7 +230,7 @@ class _PatchStore:
             # order; a group may draw its patches from several blocks.
             src = self.block[todo]
             key = 2 * np.asarray(self.block_shape)[src] + along_v
-            order = np.argsort(key * len(self.blocks) + src, kind="stable")
+            order = np.lexsort((src, key))
             cuts = np.flatnonzero(run_starts(key[order])).tolist() + [m]
             for i, j in zip(cuts, cuts[1:]):
                 members = order[i:j]
@@ -284,8 +284,7 @@ def intersect_surfaces(
     the terminal cells and their centroids in each domain and one
     correspondence record.
     """
-    if not 0 < epsilon < np.inf:
-        raise ConfigurationError(f"epsilon must be positive and finite, got {epsilon}")
+    check_open(epsilon, "epsilon must be positive and finite")
 
     store1 = _PatchStore(surface1)
     store2 = _PatchStore(surface2)

@@ -199,6 +199,29 @@ class TestWitness:
         lo = witness_oracle(pts, vals, delta, across)
         assert witness_sup(pts, vals, delta, one_set(pts), across).tolist() == [lo]
 
+    @seed(6083)
+    @PROPERTY
+    @given(st.integers(0, 2**32 - 1), DELTAS, st.integers(1, 14), st.integers(1, 14),
+           st.integers(1, 4))
+    def test_grid_centroids_tie_across_the_filter(self, s, delta, nx, ny, sets):
+        # Centroids of a grid of cells, as the subdivision gives, ordered
+        # across by one axis: every row of cells ties, so which pairs are
+        # tested depends on how ties are ordered.
+        # A cell may be in several sets, where it ties with itself. Each
+        # set's witness is the oracle's in stable order on that set alone.
+        rng = np.random.default_rng(s)
+        ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+        cells = rng.permutation(np.column_stack([ix.ravel(), iy.ravel()]) + 0.5)
+        cells *= rng.choice([0.3, 0.6, 0.9]) * delta
+        members = [np.sort(rng.choice(len(cells), rng.integers(1, len(cells) + 1),
+                                      replace=False)) for _ in range(sets)]
+        owner = np.repeat(np.arange(sets), [m.size for m in members])
+        pts = cells[np.concatenate(members)]
+        vals, across = _values(rng, pts), pts[:, 1]
+        got = witness_sup(pts, vals, delta, owner, across)
+        assert got.tolist() == [witness_oracle(pts[owner == k], vals[owner == k], delta,
+                                               across[owner == k]) for k in range(sets)]
+
     def test_zero_witness_runs_the_grid(self):
         # Four copies of p, three far points and then q, in `across` order:
         # every pair within three places is equal-valued or far apart, so
@@ -339,8 +362,8 @@ class TestGroupedComponents:
     @given(st.integers(0, 2**32 - 1), DELTAS, st.integers(1, 10), st.integers(1, 10),
            st.integers(1, 4), st.integers(1, 4), st.sampled_from([1.0, 0.5, 0.25]))
     def test_lattice_with_duplicated_points(self, s, delta, nx, ny, copies, count, spacing):
-        # Copies of one point tie for the point nearest their cell's centre,
-        # and at spacing < delta the probes join every cell.
+        # Copies of one point share a cell, and at spacing < delta the
+        # probes join every cell.
         rng = np.random.default_rng(s)
         ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
         lattice = np.column_stack([ix.ravel(), iy.ravel()]) * (spacing * delta)
@@ -521,12 +544,25 @@ class TestGridEdges:
         distinct = np.unique(pts, axis=0)
         assert_matches_oracle(distinct, _values(rng, distinct), delta)
 
-    def test_components_join_past_the_first_block_of_cell_pairs(self):
+    def test_components_join_past_the_first_block_of_cell_pairs(self, monkeypatch):
         # 100 dumbbells, far apart: two tight cells two cells apart, each a
         # 29-point clump at its far side and one point at its near side.
-        # The probes, in the clumps, lie 2.8 cells (over delta) apart, so
-        # every dumbbell is joined only by the residual pass, and its 100
-        # cell pairs of 900 point pairs fill more than one block.
+        # The clumps lie 2.8 cells (over delta) apart, so a dumbbell's probe
+        # joins it only where a probe is a near point. The rest, most of
+        # the 100, are joined by the residual pass, whose cell pairs of 900
+        # point pairs each fill more than one block.
+        found = []  # close point pairs yielded in each block
+
+        def counted(grid, pairs, live):
+            def block(k):
+                found.append(0)
+                return live(k)
+            for i, j in near_pairs(grid, pairs, block):
+                found[-1] += i.size
+                yield i, j
+
+        near_pairs = _Grid.near_pairs
+        monkeypatch.setattr(_Grid, "near_pairs", counted)
         rng = np.random.default_rng(1)
         delta = 1.0
         side = (1 + 2**-6) * delta / 2  # the components' cell side
@@ -539,6 +575,7 @@ class TestGridEdges:
         labels = neighbor_components(pts, delta)
         assert np.array_equal(labels, oracle(pts, np.zeros(len(pts)), delta)[0])
         assert labels.max() + 1 == 100
+        assert len(found) > 1 and all(found)
 
     def test_supremum_past_the_first_block_of_cell_pairs(self):
         # 100 decoy cell pairs, four supremum cells apart, each with bound

@@ -196,6 +196,25 @@ class TestRunPipeline:
         assert loaded.to_dict() == crossed_doc.to_dict()
         assert result_digest(loaded) == result_digest(crossed_doc)
 
+    def test_loaded_singular_nodes_are_the_graphs(self, crossed_doc, tmp_path):
+        # A file whose singular set disagrees with its graph (the crossing's
+        # node dropped, a degree-two node added) loads with the graph's.
+        data = crossed_doc.to_dict()
+        for dom, want in zip(data["domains"], crossed_doc.domains):
+            assert dom["singular_nodes"]
+            regular = np.flatnonzero(want.graph.degrees() == 2)[0]
+            dom["singular_nodes"] = dom["singular_nodes"][1:] + [int(regular)]
+        path = tmp_path / "result.json"
+        path.write_text(json.dumps(data))
+        loaded = ResultDocument.load(path)
+        for got, want in zip(loaded.domains, crossed_doc.domains):
+            assert_id_array(got.characteristic.singular_nodes)
+            assert np.array_equal(got.characteristic.singular_nodes, want.graph.singular_nodes)
+            assert np.array_equal(got.characteristic.singular_nodes,
+                                  want.characteristic.singular_nodes)
+        assert loaded.to_dict() == crossed_doc.to_dict()
+        assert result_digest(loaded) == result_digest(crossed_doc)
+
     def test_loaded_negative_and_huge_point_ids_pair_as_sets(self, crossed_doc, tmp_path):
         # Nothing bounds a loaded node's point ids; ids far apart or below 0
         # still give the edges of the sets they name.

@@ -173,6 +173,25 @@ def test_graph_derives_read_only_shared_counts():
     assert not lone.shared.flags.writeable
 
 
+def test_graph_derives_read_only_singular_nodes():
+    # A star of three arms around node 0, and a chain 3 - 4 - 5 off arm 3.
+    star = MapperGraph((MapperNode([0, 1, 2, 3]), MapperNode([1, 10]), MapperNode([2, 11]),
+                        MapperNode([3, 12]), MapperNode([12, 13]), MapperNode([13, 14])))
+    assert star.singular_nodes.dtype == I8
+    assert star.singular_nodes.tolist() == [0]
+    assert not star.singular_nodes.flags.writeable
+    with pytest.raises(ValueError):
+        star.singular_nodes[...] = 0
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        graph = MapperGraph(tuple(MapperNode(np.unique(rng.integers(0, 30, 4)))
+                                  for _ in range(12)))
+        assert np.array_equal(graph.singular_nodes, np.flatnonzero(graph.degrees() > 2))
+    lone = MapperGraph((MapperNode([0]),))
+    assert lone.singular_nodes.dtype == I8 and lone.singular_nodes.shape == (0,)
+    assert not lone.singular_nodes.flags.writeable
+
+
 def _array_records():
     """Every dataclass in `sstopo` with a field annotated `np.ndarray`."""
     found = set()
