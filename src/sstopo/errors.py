@@ -12,7 +12,11 @@ class SstopoError(Exception):
 class ConfigurationError(SstopoError):
     """A parameter is outside its admissible range (epsilon, delta, theta_ov,
     a filter direction that is not a unit vector, ...) or is not a real
-    number at all (None, a string, a bool)."""
+    number at all (None, a string, a bool), a domain box is not four finite
+    real numbers bounding a nonempty rectangle, a cover count is not an
+    integer, a synthetic curve has no finite sample count, or a result
+    document is malformed (not an object, a key missing, a value that does
+    not read as its field)."""
 
 
 class ParameterRangeError(SstopoError):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -68,15 +69,27 @@ def check_cover_params(theta_ov: float, alpha: float) -> None:
     """Refuse an overlap ratio outside (0, 0.5) and an alpha that is not
     positive and finite; the one statement of these rules for every record
     that holds them."""
-    check_open(theta_ov, "theta_ov must lie strictly between 0 and 0.5", high=0.5)
+    check_theta(theta_ov)
     check_open(alpha, "alpha must be positive and finite")
+
+
+def check_theta(theta_ov: float) -> None:
+    """Refuse an overlap ratio outside (0, 0.5)."""
+    check_open(theta_ov, "theta_ov must lie strictly between 0 and 0.5", high=0.5)
 
 
 def check_cloud(points) -> np.ndarray:
     """`points` as a float64 array, refused with `DegenerateCloudError`
-    unless it is an `(n, 2)` array, empty or not, of finite coordinates,
-    each of magnitude at most m with 8 n m^2 finite."""
-    points = np.asarray(points, dtype=np.float64)
+    unless it is an `(n, 2)` array of real numbers, empty or not: not
+    ragged, no strings or bools, finite coordinates, each of magnitude at
+    most m with 8 n m^2 finite."""
+    try:
+        points = np.asarray(points)
+    except ValueError:
+        raise DegenerateCloudError("a cloud is an (n, 2) array, got a ragged nesting") from None
+    if points.dtype.kind not in "iuf":
+        raise DegenerateCloudError(f"cloud coordinates must be real numbers, got {points.dtype}")
+    points = points.astype(np.float64, copy=False)
     if points.ndim != 2 or points.shape[1] != 2:
         raise DegenerateCloudError(f"a cloud is an (n, 2) array, got shape {points.shape}")
     if not np.isfinite(points).all():
@@ -413,14 +426,19 @@ def build_cover(f_min: float, f_max: float, count: int, theta_ov: float) -> np.n
     """The (count, 2) intervals [a, b]: `count` equal-length intervals over
     [f_min, f_max] with adjacent overlap theta_ov * length. Endpoints of the
     first/last interval are pinned to the range exactly so coverage survives
-    floating point."""
-    if count < 1:
-        raise ConfigurationError(f"interval count must be >= 1, got {count}")
+    floating point. A count that is not an integer (a bool included), a
+    range bound or theta_ov that is not a real number raises
+    `ConfigurationError`."""
+    if isinstance(count, bool) or not isinstance(count, Integral) or count < 1:
+        raise ConfigurationError(f"interval count must be >= 1 and an integer, got {count!r}")
+    check_theta(theta_ov)
+    finite = f"cover range [{f_min}, {f_max}] must have a finite span"
+    for bound in (f_min, f_max):
+        check_open(bound, finite, -np.inf)
     if f_max < f_min:
         raise ConfigurationError("f_max below f_min")
     span = f_max - f_min
-    if not np.isfinite(span):
-        raise ConfigurationError(f"cover range [{f_min}, {f_max}] must have a finite span")
+    check_open(span, finite, -np.inf)
     length = span / (count - (count - 1) * theta_ov)
     starts = f_min + np.arange(count) * (1.0 - theta_ov) * length
     intervals = np.column_stack([starts, starts + length])

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._kernels import _join, freeze, run_starts
 from .errors import ConfigurationError, check_open
-from .mapper import MapperGraph, membership_table
+from .mapper import MapperGraph, check_cloud, membership_table
 
 log = logging.getLogger(__name__)
 
@@ -82,17 +82,24 @@ def approximate_boundary_set(points: np.ndarray, rect, delta: float) -> np.ndarr
     """Indices of points strictly inside the dilated boundary bands.
 
     The four sides of the domain box `rect`, a `(u_min, u_max, v_min, v_max)`
-    sequence, are banded by the clustering radius `delta`.
+    sequence, are banded by the clustering radius `delta`. A rect that is
+    not four finite real numbers with u_min < u_max and v_min < v_max
+    raises `ConfigurationError`, and a cloud `check_cloud` refuses
+    `DegenerateCloudError`.
     """
-    u_min, u_max, v_min, v_max = rect
-    if not (np.isfinite(rect).all() and u_min < u_max and v_min < v_max):
-        raise ConfigurationError("degenerate domain bounds")
+    try:
+        u_min, u_max, v_min, v_max = rect
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"degenerate domain bounds: not four numbers, {rect!r}") from None
+    for low, high in ((u_min, u_max), (v_min, v_max)):
+        check_open(low, "degenerate domain bounds", -np.inf)
+        check_open(high, "degenerate domain bounds", low)
     check_open(delta, "dilation radius must be positive and finite")
     if delta >= 0.5 * (u_max - u_min) or delta >= 0.5 * (v_max - v_min):
         raise ConfigurationError(
             f"dilation radius {delta} covers the whole domain; nothing would survive"
         )
-    pts = np.asarray(points, dtype=np.float64)
+    pts = check_cloud(points)
     u = pts[:, 0]
     v = pts[:, 1]
     mask = (u < u_min + delta) | (u > u_max - delta) | (v < v_min + delta) | (v > v_max - delta)

@@ -112,26 +112,54 @@ class DomainResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DomainResult":
-        nodes = tuple(
+        """The record `to_dict` wrote. Its edges and singular nodes are
+        derived from its nodes, whatever the record says."""
+        graph = _read(data, "graph", lambda g: MapperGraph(tuple(
             MapperNode(n["points"], intervals=tuple(n["intervals"]), refined=bool(n["refined"]))
-            for n in data["graph"]["nodes"]
-        )
-        graph = MapperGraph(nodes)
-        segments = tuple(Segment(s["points"], s["kind"], s["nodes"]) for s in data["segments"])
+            for n in g["nodes"])))
+
+        def ids(key):
+            return _read(data, key, lambda v: np.asarray(v, dtype=np.int64))
+
         return cls(
-            name=data["name"],
-            points=data["points"],
-            delta=float(data["delta"]),
+            name=_read(data, "name"),
+            points=_read(data, "points",
+                         lambda v: np.reshape(np.asarray(v, dtype=np.float64), (-1, 2))),
+            delta=_read(data, "delta", float),
             graph=graph,
-            characteristic=CharacteristicNodes(data["boundary_nodes"], graph.singular_nodes),
+            characteristic=CharacteristicNodes(ids("boundary_nodes"), graph.singular_nodes),
             partition=PartitionResult(
-                segments=segments,
-                removed_boundary_points=data["removed_boundary_points"],
-                removed_singular_points=data["removed_singular_points"],
+                segments=_read(data, "segments", lambda segments: tuple(
+                    Segment(s["points"], s["kind"], s["nodes"]) for s in segments)),
+                removed_boundary_points=ids("removed_boundary_points"),
+                removed_singular_points=ids("removed_singular_points"),
             ),
-            seconds_initial=float(data["seconds_initial"]),
-            seconds_refine=float(data["seconds_refine"]),
+            seconds_initial=_read(data, "seconds_initial", float),
+            seconds_refine=_read(data, "seconds_refine", float),
         )
+
+
+def _read(record, key: str, parse=None):
+    """`parse(record[key])`, or the value itself without `parse`, for a
+    record of a loaded result document. A record that is not an object or
+    lacks the key, and a value that `parse` cannot read, raise
+    `ConfigurationError` naming the key, after the keys of any records
+    inside it."""
+    if not isinstance(record, dict):
+        raise ConfigurationError(f"expected an object holding {key!r}, got "
+                                 f"{type(record).__name__}")
+    if key not in record:
+        raise ConfigurationError(f"missing key {key!r}")
+    try:
+        return record[key] if parse is None else parse(record[key])
+    except (ConfigurationError, KeyError, IndexError, TypeError, ValueError,
+            OverflowError) as exc:
+        raise ConfigurationError(f"{key!r}: {exc}") from None
+
+
+def _match(pairs) -> CrossDomainMatch | None:
+    return None if pairs is None else CrossDomainMatch(
+        tuple((int(a), int(b), int(c)) for a, b, c in pairs))
 
 
 @dataclass
@@ -162,16 +190,16 @@ class ResultDocument:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ResultDocument":
-        match = data.get("match")
+        """The document `to_dict` wrote; `match` and `extras` may be left
+        out. A malformed document raises `ConfigurationError` (`_read`)."""
+        kind = _read(data, "kind")  # first: `data` is an object from here on
         return cls(
-            kind=data["kind"],
-            config=data["config"],
-            overlap_suspected=bool(data["overlap_suspected"]),
-            domains=[DomainResult.from_dict(d) for d in data["domains"]],
-            match=None if match is None else CrossDomainMatch(
-                tuple((int(a), int(b), int(c)) for a, b, c in match)
-            ),
-            timings=data["timings"],
+            kind=kind,
+            config=_read(data, "config"),
+            overlap_suspected=_read(data, "overlap_suspected", bool),
+            domains=_read(data, "domains", lambda ds: [DomainResult.from_dict(d) for d in ds]),
+            match=_read(data, "match", _match) if "match" in data else None,
+            timings=_read(data, "timings"),
             extras=data.get("extras", {}),
         )
 

@@ -14,7 +14,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateCloudError, EmptyInputError
+from .errors import ConfigurationError, DegenerateCloudError, EmptyInputError, check_open
 
 _END_TOL = 1e-12
 
@@ -136,7 +136,11 @@ def recommended_delta(step: float, noise: float) -> float:
 
 def _arc_length_samples(length: float, step: float, closed: bool) -> np.ndarray:
     # floor with a relative nudge so exact multiples are not lost to roundoff
-    n = int(np.floor(length / step + 1e-9))
+    count = length / step + 1e-9
+    if not np.isfinite(count):
+        raise ConfigurationError(f"a curve of length {length} has no finite sample count at "
+                                 f"step {step}")
+    n = int(np.floor(count))
     if closed:
         return np.arange(max(n, 1)) * step
     s = np.arange(n + 1) * step
@@ -147,11 +151,13 @@ def _arc_length_samples(length: float, step: float, closed: bool) -> np.ndarray:
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic (seeded) sampling; returns (points (n, 2), labels (n,))."""
-    if not spec.step > 0:
-        raise ConfigurationError(f"arc-length step must be positive, got {spec.step}")
-    if not spec.noise >= 0:
-        raise ConfigurationError(f"noise bound must be nonnegative, got {spec.noise}")
+    """Deterministic (seeded) sampling; returns (points (n, 2), labels (n,)).
+    A step or noise bound that is not a real number, a step that is not
+    positive and finite, a noise bound that is negative or infinite, and a
+    curve too long for a finite sample count raise `ConfigurationError`."""
+    check_open(spec.step, "arc-length step must be positive and finite")
+    if spec.noise != 0:
+        check_open(spec.noise, "noise bound must be nonnegative and finite")
     if not spec.curves:
         raise EmptyInputError("no curves to sample")
 

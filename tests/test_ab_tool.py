@@ -47,7 +47,8 @@ def test_a_gap_beyond_the_base_iqr_is_clear():
 
 
 def test_parse_run_reads_the_last_two_lines():
-    info = {"case_median_s": {"six": 0.25}, "digests": {"six": "ab12"}}
+    info = {"case_median_s": {"six": 0.25}, "digests": {"six": "ab12"},
+            "environment": {"backend": "numpy", "src_lines": 3017}}
     result = {"correct": True, "attempted": 4, "failed": 0,
               "metrics": {"solve_s": {"value": 0.5, "unit": "s"},
                           "peak_rss_mb": {"value": 60.0, "unit": "MB"}}}
@@ -55,3 +56,11 @@ def test_parse_run_reads_the_last_two_lines():
     run = ab.parse_run(out + "\n")
     assert run["values"] == {"solve_s": 0.5, "peak_rss_mb": 60.0, "case:six": 0.25}
     assert run["digests"] == {"six": "ab12"} and run["correct"]
+    assert run["src_lines"] == 3017
+
+
+def test_src_lines_of_both_sides():
+    base = [{"src_lines": 3019}] * 3
+    change = [{"src_lines": 3030}] * 3
+    assert ab.format_src_lines(base, change) == "src lines: base 3019, change 3030 (+11)"
+    assert ab.format_src_lines(change, base).endswith("(-11)")

@@ -9,7 +9,9 @@ CHANGE first, so that a drift in machine speed does not land on one side.
 Then it prints, for each end-to-end metric and each case median, both
 sides' medians and interquartile ranges, the change's median relative to
 the base's, and in how many pairs the change was better. It also says
-whether the two sides' case digests agree. Standard library only; it
+whether the two sides' case digests agree, and gives each side's count of
+source lines (`environment.src_lines`), so the line delta sits beside the
+medians. Standard library only; it
 changes nothing in either checkout beyond what a benchmark run writes.
 """
 
@@ -33,13 +35,22 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def parse_run(stdout: str) -> dict:
-    """The metrics, digests and correctness of one run from its standard
-    output, whose last two lines are the info and result objects."""
+    """The metrics, digests, source line count and correctness of one run
+    from its standard output, whose last two lines are the info and result
+    objects."""
     info, result = (json.loads(line) for line in stdout.strip().splitlines()[-2:])
     values = {name: m["value"] for name, m in result["metrics"].items()}
     values.update({f"case:{case}": s for case, s in info["case_median_s"].items()})
     return {"values": values, "digests": info["digests"],
+            "src_lines": info["environment"]["src_lines"],
             "correct": result["correct"] and result["failed"] == 0}
+
+
+def format_src_lines(base: list[dict], change: list[dict]) -> str:
+    """Each side's source line count, read from its first run (a checkout
+    does not change between runs), and the change's delta."""
+    a, b = base[0]["src_lines"], change[0]["src_lines"]
+    return f"src lines: base {a}, change {b} ({b - a:+d})"
 
 
 def iqr(values: list[float]) -> float:
@@ -112,6 +123,7 @@ def main(argv=None) -> int:
                                 [r["values"] for r in runs["change"]])))
     digests = {json.dumps(r["digests"], sort_keys=True) for side in runs.values() for r in side}
     print("digests: " + ("the same in every run" if len(digests) == 1 else "DIFFER"))
+    print(format_src_lines(runs["base"], runs["change"]))
     failed = sum(not r["correct"] for side in runs.values() for r in side)
     print(f"runs not correct: {failed}")
     return 0 if failed == 0 else 1
