@@ -206,9 +206,9 @@ class TestWitness:
     def test_grid_centroids_tie_across_the_filter(self, s, delta, nx, ny, sets):
         # Centroids of a grid of cells, as the subdivision gives, ordered
         # across by one axis: every row of cells ties, so which pairs are
-        # tested depends on how ties are ordered.
-        # A cell may be in several sets, where it ties with itself. Each
-        # set's witness is the oracle's in stable order on that set alone.
+        # tested depends on how ties are ordered. A cell may be in several
+        # sets, where it ties with itself. Each set's witness is the
+        # oracle's in stable order on that set alone.
         rng = np.random.default_rng(s)
         ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
         cells = rng.permutation(np.column_stack([ix.ravel(), iy.ravel()]) + 0.5)
